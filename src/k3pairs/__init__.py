@@ -13,7 +13,7 @@ from .modular import EisensteinBasis, b_series, eisenstein_even, \
     mpt_check, psi_kls, psi_kls_derivative, psi_kls_sym, sigma_series, \
     v_partition_series, verify_psi_vs_log  # noqa: F401
 from .partition import MukaiVector, PartitionFunction, euler_g, \
-    f_via_matrices, g_closed, g_from_f, g_via_kernels, hilb_hodge, \
+    f_via_matrices, g_closed, g_via_kernels, g_via_matrices, hilb_hodge, \
     ky_product, moduli_dim, mukai_pairing, s_series, stratum_hodge, \
     syst_euler, syst_hodge  # noqa: F401
 from .rings import Monomial, TTPoly, UPoly, YPoly  # noqa: F401

@@ -54,7 +54,9 @@ class RunConfig:
     output: str | None = None
 
     def validate(self) -> None:
-        if self.n < 0 or not 0 <= self.r <= self.n:
+        if self.n < 1:
+            raise ValueError(f"rank n must be >= 1 (got {self.n})")
+        if not 0 <= self.r <= self.n:
             raise ValueError(
                 f"rank constraint 0 <= r <= n violated (n={self.n}, "
                 f"r={self.r})")

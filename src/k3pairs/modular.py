@@ -21,9 +21,9 @@ from math import factorial
 
 from .errors import Mismatch, NoSolution, ValidationFailure
 from .partition import _check_rank, euler_g_column
-from .rings import UPoly
+from .rings import UPoly, YPoly
 from .scalars import GaussianRational, bernoulli, binomial, secant_number
-from .series import QSeries, locate_mismatch, v_substitute_qmajor
+from .series import _I_POW, QSeries, locate_mismatch, v_substitute_qmajor
 from .theta import log_phi_product
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
     "v_expansion_symmetry_report", "v_partition_series",
     "verify_psi_vs_log",
 ]
-
-_I_POW = (GaussianRational(1), GaussianRational.i(),
-          GaussianRational(-1), -GaussianRational.i())
-
 
 def _divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -298,21 +294,13 @@ def v_partition_series(n: int, r: int, qorder: int, vorder: int) -> QSeries:
             c = col0.coeff(s)
             if c:
                 cols[s - lo][0] = c
-    for m in range(1, qorder):
-        cells = euler_g_column(n, r, m)
-        fact = 1
-        for s in range(2, vorder):
-            e = s - 2
-            if e:
-                fact *= e
-            pref = _I_POW[e % 4] * Fraction(1, fact)
-            acc = 0
-            for j, c in cells.items():
-                w = pref * j ** e
-                if w:
-                    acc = acc + c * w
-            if acc:
-                cols[s - lo][m] = acc
+    ycols = {m: YPoly(euler_g_column(n, r, m)) for m in range(1, qorder)}
+    rest = v_substitute_qmajor(QSeries.from_dict(ycols, 0, qorder),
+                               vorder - 2).shift(2)
+    for s in range(2, vorder):
+        for m, c in enumerate(rest.coeff(s).coeffs):
+            if c:
+                cols[s - lo][m] = c
     return QSeries(lo, [QSeries.from_dict(d, 0, qorder, "q")
                         for d in cols], "v")
 

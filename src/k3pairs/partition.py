@@ -10,19 +10,21 @@ term contributes a single y-monomial).
 Routes for the normalized series G (= F divided by the Hilbert-scheme
 series S):
 
-* ``g_closed``      -- the double-sum closed form over a (p, l) lattice;
-* ``f_via_matrices``-- F itself from transfer-matrix entries and S;
-* ``g_via_kernels`` -- theta-kernel combination, with the headline
-                       (u-1)^(2n-1) divisibility check built in.
+* ``g_closed``       -- the double-sum closed form over a (p, l) lattice;
+* ``g_via_matrices`` -- sums of genuine transfer-matrix product entries;
+* ``g_via_kernels``  -- theta-kernel combination, with the headline
+                        (u-1)^(2n-1) divisibility check built in.
 
-The three must agree coefficient-for-coefficient; the verification
-drivers compare them on common truncations.
+The three must agree coefficient-for-coefficient in the u-Laurent ring
+they are computed in; the verification drivers compare them on common
+truncations.  ``f_via_matrices`` gives F itself, S times the matrix
+route embedded in the (t, tb) ring.
 """
 
 from fractions import Fraction
 from math import comb
 
-from .errors import (Mismatch, NegativeDim, NonExactDivision, NotDivisible,
+from .errors import (NegativeDim, NonExactDivision, NotDivisible,
                      UnsupportedRank)
 from .rings import Monomial, TTPoly, UPoly, YPoly
 from .series import QSeries
@@ -317,22 +319,21 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> PartitionFunction:
                              _cells_to_series(cells, 0, qorder, ywin))
 
 
-def f_via_matrices(n: int, r: int, qorder: int, ywin: int) \
+def g_via_matrices(n: int, r: int, qorder: int, ywin: int) \
         -> PartitionFunction:
-    """Raw partition function F from transfer-matrix entries times S.
+    """Normalized partition function from transfer-matrix entries.
 
     The y^k (k >= 0) and y^{-k} (k >= 1) halves sum matrix entries
     P[k+2r, k+2l] and P[k+2(n-r), k+2l] over l; entries are taken from
     the genuine matrix product so this route shares no closed form with
-    g_closed.  Coefficients live in the (t, tb) ring via u = t*tb.
+    g_closed.
     """
     _check_rank(n, r)
-    t_order = qorder + 1
     cells: dict = {}
 
     def add(row_shift: int, l_min: int, ysign: int, k: int) -> None:
         l = l_min
-        while l * l + l * k < t_order:
+        while l * l + l * k < qorder:
             w = matrix_product_entry(n, k + row_shift, k + 2 * l)
             if w:
                 qe = l * l + l * k
@@ -345,24 +346,20 @@ def f_via_matrices(n: int, r: int, qorder: int, ywin: int) \
         add(2 * r, r, +1, k)
     for k in range(1, ywin + 1):
         add(2 * (n - r), n - r, -1, k)
+    return PartitionFunction(n, r, qorder, ywin,
+                             _cells_to_series(cells, 0, qorder, ywin))
 
-    t_ser = _cells_to_series(cells, 0, t_order, ywin).map_coeffs(
-        lambda col: col.map_coeffs(lambda v: v.to_tt()))
+
+def f_via_matrices(n: int, r: int, qorder: int, ywin: int) \
+        -> PartitionFunction:
+    """Raw partition function F: S times the matrix route of G.
+
+    Coefficients live in the (t, tb) ring via u = t*tb; F starts at
+    q^{-1}, one order below G, because S does.
+    """
+    t_ser = to_tt_series(g_via_matrices(n, r, qorder + 1, ywin).series)
     s_ser = s_series(qorder).map_coeffs(lambda c: YPoly.const(c, ywin))
     return PartitionFunction(n, r, qorder, ywin, s_ser * t_ser)
-
-
-def g_from_f(pf: PartitionFunction) -> PartitionFunction:
-    """Divide a matrix-route F by the Hilbert-scheme series S.
-
-    Exact because S is a unit (leading coefficient 1 at q^{-1}); the
-    result starts at q^0 and is comparable with the other two routes
-    after their u-coefficients are embedded via u = t*tb.
-    """
-    s_ser = s_series(pf.qorder + 1).map_coeffs(
-        lambda c: YPoly.const(c, pf.ywin))
-    g = (pf.series * s_ser.invert()).truncate(pf.qorder)
-    return PartitionFunction(pf.n, pf.r, pf.qorder, pf.ywin, g)
 
 
 def g_via_kernels(n: int, r: int, qorder: int, ywin: int) \
@@ -484,18 +481,6 @@ def euler_g_column(n: int, r: int, m: int) -> dict:
 # ---------------------------------------------------------------------------
 # Rank-one product identity
 
-def _first_u_diff(a, b) -> int:
-    if not isinstance(a, UPoly):
-        a = UPoly.const(a) if a else UPoly.zero()
-    if not isinstance(b, UPoly):
-        b = UPoly.const(b) if b else UPoly.zero()
-    keys = sorted(set(a.c) | set(b.c))
-    for e2 in keys:
-        if a.coeff(e2) != b.coeff(e2):
-            return e2
-    raise AssertionError("no difference found")
-
-
 def ky_product(qorder: int, ywin: int) -> QSeries:
     """Verify the rank-one partition function against its theta quotient.
 
@@ -515,25 +500,12 @@ def ky_product(qorder: int, ywin: int) -> QSeries:
                    1: UPoly({0: -1}),
                    -1: UPoly({-2: -1})}, wide)
     lhs = g_closed(1, 0, qorder, wide).series.map_coeffs(
-        lambda c: c * cross)
+        lambda c: (c * cross).restrict(ywin))
     neg_uinv = UPoly({-2: -1})
     rhs = phi_product(1, 0, qorder, wide).map_coeffs(
-        lambda c: c * neg_uinv)
-    win = ywin
-    for qe in range(0, qorder):
-        a, b = lhs.coeff(qe), rhs.coeff(qe)
-        if not isinstance(a, YPoly):
-            a = YPoly.const(a) if a else YPoly.zero()
-        if not isinstance(b, YPoly):
-            b = YPoly.const(b) if b else YPoly.zero()
-        for ye in range(-win, win + 1):
-            av, bv = a.coeff(ye), b.coeff(ye)
-            if av != bv:
-                raise Mismatch(
-                    "rank-one product identity fails",
-                    location={"q": qe, "y": ye,
-                              "u2": _first_u_diff(av, bv)})
-    return lhs.map_coeffs(lambda c: c.restrict(win))
+        lambda c: (c * neg_uinv).restrict(ywin))
+    lhs.assert_agrees(rhs, what="rank-one product identity sides")
+    return lhs
 
 
 # ---------------------------------------------------------------------------

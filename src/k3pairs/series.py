@@ -436,9 +436,9 @@ def ymajor_to_qmajor(f: YPoly, window: int | None = None) -> QSeries:
     return QSeries(lower, out, next(iter(f.c.values())).var)
 
 
-def _i_pow(s: int) -> GaussianRational:
-    return [GaussianRational(1), GaussianRational.i(),
-            GaussianRational(-1), -GaussianRational.i()][s % 4]
+# i^s, indexed by s mod 4
+_I_POW = (GaussianRational(1), GaussianRational.i(),
+          GaussianRational(-1), -GaussianRational.i())
 
 
 def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
@@ -454,7 +454,7 @@ def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
     for s in range(vorder):
         if s:
             fact *= s
-        pref = _i_pow(s) * Fraction(1, fact)
+        pref = _I_POW[s % 4] * Fraction(1, fact)
         for idx, e in enumerate(range(f.lower, f.order)):
             c = f.coeff(e)
             if _czero(c):

@@ -9,11 +9,13 @@ structured results for the caller to render and turn into an exit code.
 
 from .errors import K3PairsError, Mismatch
 from .modular import (logphi_sigma_check, mpt_check,
-                      v_expansion_symmetry_report, verify_psi_vs_log)
-from .partition import (f_via_matrices, g_closed, g_from_f, g_via_kernels,
-                        ky_product, mirror_series, to_tt_series)
+                      v_expansion_symmetry_report, v_partition_series,
+                      verify_psi_vs_log)
+from .partition import (g_closed, g_via_kernels, g_via_matrices, ky_product,
+                        mirror_series)
 from .rings import Monomial, UPoly, YPoly
-from .series import locate_mismatch
+from .scalars import GaussianRational
+from .series import QSeries, locate_mismatch
 from .theta import phi_bilateral, psi
 from .ucomb import verify_ab_identity
 
@@ -42,13 +44,7 @@ def _bilateral_unit(mono: Monomial, ywin: int) -> YPoly:
 def _theta_pair(x: Monomial, ym: Monomial, qorder: int, ywin: int) -> None:
     lhs = psi(x, ym, qorder, ywin)
     rhs = phi_bilateral(x * ym, ym.inverse(), qorder, ywin)
-    for m in range(1, qorder):
-        a, b = lhs.coeff(m), rhs.coeff(m)
-        if a != b:
-            loc = {"q": m}
-            loc.update(locate_mismatch(a, b))
-            raise Mismatch("theta kernel does not match the bilateral "
-                           "quotient", loc)
+    lhs.assert_agrees(rhs, lo=1, what="theta kernel and bilateral quotient")
     if qorder > 0:
         diff = rhs.coeff(0) - lhs.coeff(0)
         unit = _bilateral_unit(ym, ywin)
@@ -60,11 +56,11 @@ def _theta_pair(x: Monomial, ym: Monomial, qorder: int, ywin: int) -> None:
 
 
 def _routes_agree(n: int, r: int, qorder: int, ywin: int) -> None:
-    gc = to_tt_series(g_closed(n, r, qorder, ywin).series)
-    gk = to_tt_series(g_via_kernels(n, r, qorder, ywin).series)
-    gf = g_from_f(f_via_matrices(n, r, qorder, ywin)).series
+    gc = g_closed(n, r, qorder, ywin).series
+    gk = g_via_kernels(n, r, qorder, ywin).series
+    gm = g_via_matrices(n, r, qorder, ywin).series
     gc.assert_agrees(gk, what=f"closed and kernel routes at rank ({n}, {r})")
-    gc.assert_agrees(gf, what=f"closed and matrix routes at rank ({n}, {r})")
+    gc.assert_agrees(gm, what=f"closed and matrix routes at rank ({n}, {r})")
 
 
 def _duality(n: int, r: int, qorder: int, ywin: int) -> None:
@@ -73,14 +69,23 @@ def _duality(n: int, r: int, qorder: int, ywin: int) -> None:
     a.assert_agrees(b, what=f"mirror duality at rank ({n}, {r})")
 
 
-def _evenness(n: int, r: int, qorder: int, vorder: int) -> None:
-    bad = v_expansion_symmetry_report(n, r, qorder, vorder)
-    if bad:
-        first = bad[0]
-        raise Mismatch(
-            f"v-expansion at rank ({n}, {r}) is not even/real: "
-            f"cell value {first['value']}",
-            {"v": first["v"], "q": first["q"]})
+def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int) -> None:
+    """The v^s cell at (n, r) lies in i^s Q and is (-1)^s times the one at
+    (n, n - r); odd cells vanish only at n = 1 and 2r = n."""
+    f = v_partition_series(n, r, qorder, vorder)
+    even = n == 1 or 2 * r == n
+    for cell in v_expansion_symmetry_report(n, r, qorder, vorder):
+        s, m = cell["v"], cell["q"]
+        if even or s % 2 == 0 or GaussianRational.coerce(
+                f.coeff(s).coeff(m)).re:
+            raise Mismatch(
+                f"v-expansion at rank ({n}, {r}) breaks the i^s rule: "
+                f"cell value {cell['value']}", {"v": s, "q": m})
+    g = v_partition_series(n, n - r, qorder, vorder)
+    mirrored = QSeries(g.lower, [-c if s % 2 else c for s, c in
+                                 enumerate(g.coeffs, g.lower)], "v")
+    f.assert_agrees(mirrored, what=f"v-expansions at ranks ({n}, {r}) and "
+                                   f"({n}, {n - r}) up to (-1)^s")
 
 
 def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
@@ -89,7 +94,7 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
     if suite in ("ucomb", "all"):
         checks.append((
             "ucomb", f"transfer-matrix product identity (index <= {cutoff})",
-            lambda: verify_ab_identity(max(n, 1), cutoff)))
+            lambda: verify_ab_identity(n, cutoff)))
     if suite in ("theta", "all"):
         pairs = ((Monomial(2, 0), Monomial(0, 1)),
                  (Monomial(3, 0), Monomial(2, 1)),
@@ -102,13 +107,13 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
         checks.append(("theta", "rank-one product bridge",
                        lambda: ky_product(qorder, ywin)))
     if suite in ("routes", "all"):
-        for nn in range(1, max(n, 1) + 1):
+        for nn in range(1, n + 1):
             for rr in range(nn + 1):
                 checks.append((
                     "routes", f"three-route agreement at rank ({nn}, {rr})",
                     lambda nn=nn, rr=rr: _routes_agree(nn, rr, qorder, ywin)))
     if suite in ("duality", "all"):
-        for nn in range(1, max(n, 1) + 1):
+        for nn in range(1, n + 1):
             for rr in range(nn + 1):
                 checks.append((
                     "duality", f"mirror duality at rank ({nn}, {rr})",
@@ -124,12 +129,13 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
                 f"log-product closed forms at (k, l) = ({k}, {l})",
                 lambda k=k, l=l: verify_psi_vs_log(
                     k, l, qorder, min(vorder, 6), tmax=2)))
-        for nn in range(1, min(max(n, 1), 3) + 1):
+        for nn in range(1, min(n, 3) + 1):
             for rr in range(nn + 1):
                 checks.append((
                     "modularity",
-                    f"v-expansion even/real at rank ({nn}, {rr})",
-                    lambda nn=nn, rr=rr: _evenness(nn, rr, qorder, vorder)))
+                    f"v-expansion mirror symmetry at rank ({nn}, {rr})",
+                    lambda nn=nn, rr=rr: _mirror_symmetry(
+                        nn, rr, qorder, vorder)))
     return checks
 
 
@@ -139,11 +145,13 @@ def run_suite(suite: str, n: int = 2, qorder: int = 10, ywin: int = 8,
 
     Stops at the first failing check; each result row carries the suite,
     the check name, and on failure the message and exact exponent
-    location.  Raises ValueError for an unknown suite name.
+    location.  Raises ValueError for an unknown suite name or n < 1.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of "
                          + ", ".join(SUITES))
+    if n < 1:
+        raise ValueError(f"rank n must be >= 1 (got {n})")
     results = []
     for group, name, thunk in _build_checks(suite, n, qorder, ywin, vorder,
                                             cutoff):

@@ -29,16 +29,14 @@ from k3pairs.modular import (
 )
 from k3pairs.partition import (
     euler_s_series,
-    f_via_matrices,
     g_closed,
-    g_from_f,
     g_via_kernels,
+    g_via_matrices,
     ky_product,
     mirror_series,
     s_series,
     syst_euler,
     syst_hodge,
-    to_tt_series,
 )
 from k3pairs.rings import Monomial, UPoly, YPoly
 from k3pairs.scalars import GaussianRational
@@ -96,11 +94,11 @@ def test_criterion_03_three_routes_agree():
     ranks = 0
     for n in (1, 2, 3):
         for r in range(n + 1):
-            closed = to_tt_series(g_closed(n, r, qorder, ywin).series)
+            closed = g_closed(n, r, qorder, ywin).series
             # the kernel route asserts exact divisibility of every cell
             # by (u-1)^(2n-1) en route (NotDivisible on failure)
-            kernel = to_tt_series(g_via_kernels(n, r, qorder, ywin).series)
-            matrix = g_from_f(f_via_matrices(n, r, qorder, ywin)).series
+            kernel = g_via_kernels(n, r, qorder, ywin).series
+            matrix = g_via_matrices(n, r, qorder, ywin).series
             assert closed == kernel, (n, r)
             assert closed == matrix, (n, r)
             ranks += 1

@@ -91,6 +91,17 @@ def test_table_json_format(capsys):
     assert all(row["n"] == 1 and row["r"] == 1 for row in doc["rows"])
 
 
+@pytest.mark.parametrize(
+    "argv", [["table"], ["series"], ["fit"], ["verify", "--suite", "routes"]],
+    ids=["table", "series", "fit", "verify"],
+)
+def test_rank_zero_is_config_error(capsys, argv):
+    code, _, err = _run(capsys, argv + ["--n", "0"])
+    assert code == 2
+    assert "n must be >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_table_negative_gmax_is_config_error(capsys):
     code, _, err = _run(capsys, ["table", "--n", "1", "--r", "0", "--gmax", "-1"])
     assert code == 2
@@ -148,17 +159,46 @@ def test_verify_modularity_rank_one_passes(capsys):
     assert "all passed" in out
 
 
-def test_verify_modularity_rank_two_reports_boundary_failure(capsys):
-    # The even/real claim is false at rank (2, 0); the suite must say so
-    # rather than paper over it.
+def test_verify_modularity_rank_two_passes(capsys):
+    # Odd v-cells survive at the boundary ranks (2, 0) and (2, 2), purely
+    # imaginary and mirrored by the rank-reversal duality; that is the
+    # rule the suite checks, so correct mathematics passes.
+    code, out, _ = _run(
+        capsys,
+        ["verify", "--suite", "modularity", "--n", "2", "--qorder", "6", "--vorder", "5"],
+    )
+    assert code == 0
+    assert "ok   modularity: v-expansion mirror symmetry at rank (2, 0)" in out
+    assert "all passed" in out
+
+
+@pytest.mark.parametrize(
+    "perturb", [lambda c: c * 2, lambda c: c + 1], ids=["mirror", "i-power"]
+)
+def test_verify_modularity_catches_a_broken_odd_cell(capsys, monkeypatch, perturb):
+    # v^3 q^2 at (2, 0) is 3i: doubling it breaks the mirror with (2, 2),
+    # adding 1 gives it a real part
+    import k3pairs.modular
+    import k3pairs.verify
+
+    real = k3pairs.modular.v_partition_series
+
+    def broken(n, r, qorder, vorder):
+        f = real(n, r, qorder, vorder)
+        if (n, r) == (2, 0):
+            col = f.coeff(3)
+            col.coeffs[2] = perturb(col.coeff(2))
+        return f
+
+    monkeypatch.setattr(k3pairs.modular, "v_partition_series", broken)
+    monkeypatch.setattr(k3pairs.verify, "v_partition_series", broken)
     code, out, _ = _run(
         capsys,
         ["verify", "--suite", "modularity", "--n", "2", "--qorder", "6", "--vorder", "5"],
     )
     assert code == 1
-    assert "FAIL modularity" in out
-    assert "(2, 0)" in out
-    assert "'v': -1" in out and "'q': 0" in out
+    assert "FAIL modularity: v-expansion mirror symmetry at rank (2, 0)" in out
+    assert "'v': 3" in out and "'q': 2" in out
     assert "FAILED" in out
 
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from k3pairs.errors import Mismatch, NegativeDim, UnsupportedRank
 from k3pairs.partition import MukaiVector, euler_g, euler_g_column, \
-    euler_s_series, f_via_matrices, g_closed, g_from_f, g_via_kernels, \
-    hilb_hodge, ky_product, mirror_series, moduli_dim, mukai_pairing, \
-    s_series, stratum_hodge, syst_euler, syst_hodge, syst_table, \
-    to_tt_series
+    euler_s_series, f_via_matrices, g_closed, g_via_kernels, \
+    g_via_matrices, hilb_hodge, ky_product, mirror_series, moduli_dim, \
+    mukai_pairing, s_series, stratum_hodge, syst_euler, syst_hodge, \
+    syst_table, to_tt_series
 from k3pairs.rings import TTPoly, UPoly, YPoly
 from k3pairs.series import QSeries
 from k3pairs.ucomb import matrix_product_entry, u_integer
@@ -215,11 +215,22 @@ def test_f_via_matrices_bottom_row():
 def test_routes_agree():
     for n in (1, 2, 3):
         for r in range(n + 1):
-            gc = to_tt_series(g_closed(n, r, 8, 6).series)
-            gk = to_tt_series(g_via_kernels(n, r, 8, 6).series)
-            gf = g_from_f(f_via_matrices(n, r, 8, 6)).series
+            gc = g_closed(n, r, 8, 6).series
+            gk = g_via_kernels(n, r, 8, 6).series
+            gm = g_via_matrices(n, r, 8, 6).series
             assert gc == gk, (n, r)
-            assert gc == gf, (n, r)
+            assert gc == gm, (n, r)
+
+
+def test_f_divided_by_s_is_the_matrix_route():
+    # F = S * G exactly: dividing the matrix-route F by S in the (t, tb)
+    # ring gives back the matrix route of G embedded via u = t*tb
+    s_inv = s_series(9).map_coeffs(lambda c: YPoly.const(c, 6)).invert()
+    for n in (1, 2, 3):
+        for r in range(n + 1):
+            g = (f_via_matrices(n, r, 8, 6).series * s_inv).truncate(8)
+            assert g == to_tt_series(g_via_matrices(n, r, 8, 6).series), \
+                (n, r)
 
 
 def test_duality():
