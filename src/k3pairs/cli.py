@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NoSolution, ValidationFailure
 from .modular import fit_v_coefficient
 from .partition import g_closed, syst_table
-from .verify import SUITES, run_suite
+from .verify import SUITES, check_bounds, run_suite
 
 __all__ = ["RunConfig", "build_parser", "main",
            "cmd_table", "cmd_verify", "cmd_fit", "cmd_series"]
@@ -72,6 +72,8 @@ class RunConfig:
             raise ValueError(f"gmax must be >= 0 (got {self.gmax})")
         if self.vorder < 0:
             raise ValueError(f"vorder must be >= 0 (got {self.vorder})")
+        if self.command == "verify":
+            check_bounds(self.n, self.qorder, self.vorder, self.cutoff)
         if self.vmax < 0:
             raise ValueError(f"vmax must be >= 0 (got {self.vmax})")
         if self.weight_bound < 0:

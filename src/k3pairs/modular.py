@@ -237,27 +237,11 @@ def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
 # ---------------------------------------------------------------------------
 # the v-expansion of the counting series
 
-def _exp_i_times(mult: int, vorder: int) -> QSeries:
-    """exp(i * mult * v) to the requested order."""
-    fact = 1
-    cells = []
-    for m in range(vorder):
-        if m:
-            fact *= m
-        cells.append(_I_POW[m % 4] * Fraction(mult ** m, fact))
-    return QSeries(0, cells, "v")
-
-
-def _bern_exp(vorder: int) -> QSeries:
-    """iv / (e^{iv} - 1) = sum_m B_m (iv)^m / m!."""
-    fact = 1
-    cells = []
-    for m in range(vorder):
-        if m:
-            fact *= m
-        b = bernoulli(m)
-        cells.append(_I_POW[m % 4] * (b / fact) if b else 0)
-    return QSeries(0, cells, "v")
+def _i_pow_series(cs: list) -> QSeries:
+    """sum_m i^m c_m v^m / m! for the given c_0, c_1, ...: exp(icv) when
+    c_m = c^m, iv / (e^{iv} - 1) when c_m = B_m."""
+    return QSeries(0, [_I_POW[m % 4] * Fraction(c, factorial(m)) if c else 0
+                       for m, c in enumerate(cs)], "v")
 
 
 def _boundary_q0_column(n: int, vorder: int) -> QSeries:
@@ -265,7 +249,8 @@ def _boundary_q0_column(n: int, vorder: int) -> QSeries:
     at y = e^{iv}, written i^{n+1} v^{1-n} e^{inv} (iv/(e^{iv}-1))^{n+1}
     so that only Bernoulli numbers are needed."""
     need = max(vorder + n - 1, 0)
-    col = (_bern_exp(need) ** (n + 1)) * _exp_i_times(n, need)
+    col = (_i_pow_series([bernoulli(m) for m in range(need)]) ** (n + 1)
+           * _i_pow_series([n ** m for m in range(need)]))
     return (col * _I_POW[(n + 1) % 4]).shift(1 - n)
 
 

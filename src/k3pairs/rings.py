@@ -12,9 +12,14 @@ Three sparse dict-backed rings:
   window |exponent| <= window outside which terms are dropped on purpose.
 
 Multiplication of large integer-coefficient UPolys uses Kronecker
-substitution: coefficients are packed into one big integer per sign class,
-multiplied with CPython's native bignum arithmetic, and unpacked.  That is
-the package's compiled core in effect, and it is exact.
+substitution: each factor is evaluated as one signed big integer at
+X = 256^w (``kron_eval``), the two values are multiplied with CPython's
+native bignum arithmetic, and the base-X digits of the product, read with
+a bias of X/2 per digit, are its coefficients (``kron_digits``).  The byte
+width w is chosen so every product coefficient lies below X/2 in absolute
+value, which makes the round trip exact.  That is the package's compiled
+core in effect; ``ucomb.verify_ab_identity`` checks A.B = P with the same
+evaluation.
 """
 
 from __future__ import annotations
@@ -41,75 +46,57 @@ def _grid(c: dict, emin: int) -> int:
     return g or 1
 
 
-def pack_nonneg(c: dict, emin: int, step: int, stride_bytes: int,
-                slots: int) -> int:
-    """Pack nonnegative int coefficients into one big integer."""
-    buf = bytearray(slots * stride_bytes)
+def kron_eval(c: dict, emin: int, step: int, width: int) -> int:
+    """The exact signed integer sum v * X^((e - emin) / step) at X = 256^width.
+
+    ``c`` maps exponents on the grid emin + step*k (k >= 0) to int
+    coefficients, each of absolute value below 256^width.
+    """
+    slots = (max(c, default=emin) - emin) // step + 1
+    pos, neg = bytearray(slots * width), bytearray(slots * width)
     for e, v in c.items():
-        off = ((e - emin) // step) * stride_bytes
-        buf[off:off + (v.bit_length() + 7) // 8] = v.to_bytes(
-            (v.bit_length() + 7) // 8, "little")
-    return int.from_bytes(buf, "little")
+        off = (e - emin) // step * width
+        if v > 0:
+            pos[off:off + width] = v.to_bytes(width, "little")
+        else:
+            neg[off:off + width] = (-v).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def unpack_nonneg(n: int, stride_bytes: int, slots: int, emin: int,
-                  step: int) -> dict:
-    """Inverse of :func:`pack_nonneg` (digits must be < 2^(8*stride_bytes))."""
-    buf = n.to_bytes(slots * stride_bytes, "little")
+def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
+    """Inverse of :func:`kron_eval`: the nonzero base-X digits of n.
+
+    Exact when every digit has absolute value below X/2: adding X/2 to each
+    of the ``slots`` digits makes them all lie in [0, X), where base-X
+    digits are unique.
+    """
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    buf = (n + bias).to_bytes(slots * width, "little")
     out = {}
     for s in range(slots):
-        v = int.from_bytes(buf[s * stride_bytes:(s + 1) * stride_bytes],
-                           "little")
+        v = int.from_bytes(buf[s * width:(s + 1) * width], "little") - half
         if v:
             out[emin + s * step] = v
     return out
 
 
-def _split_signs(c: dict):
-    pos, neg = {}, {}
-    for e, v in c.items():
-        if v > 0:
-            pos[e] = v
-        else:
-            neg[e] = -v
-    return pos, neg
-
-
 def _kron_mul(a: dict, b: dict) -> dict:
     """Exact convolution of two int-coefficient exponent dicts."""
-    amin, amax = min(a), max(a)
-    bmin, bmax = min(b), max(b)
+    amin, bmin = min(a), min(b)
     step = gcd(_grid(a, amin), _grid(b, bmin))
-    slots = ((amax - amin) + (bmax - bmin)) // step + 1
-    maxa = max(abs(v) for v in a.values())
-    maxb = max(abs(v) for v in b.values())
-    overlap = min(len(a), len(b))
-    stride_bits = (maxa.bit_length() + maxb.bit_length()
-                   + (2 * overlap).bit_length() + 1)
-    stride_bytes = (stride_bits + 7) // 8
-    ap, an = _split_signs(a)
-    bp, bn = _split_signs(b)
-
-    def pk(d, emin, width):
-        return pack_nonneg(d, emin, step, stride_bytes, width) if d else 0
-
-    awidth = (amax - amin) // step + 1
-    bwidth = (bmax - bmin) // step + 1
-    app, anp = pk(ap, amin, awidth), pk(an, amin, awidth)
-    bpp, bnp = pk(bp, bmin, bwidth), pk(bn, bmin, bwidth)
-    plus = app * bpp + anp * bnp
-    minus = app * bnp + anp * bpp
-    out = unpack_nonneg(plus, stride_bytes, slots, amin + bmin, step) \
-        if plus else {}
-    if minus:
-        for e, v in unpack_nonneg(minus, stride_bytes, slots, amin + bmin,
-                                  step).items():
-            w = out.get(e, 0) - v
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
-    return out
+    slots = ((max(a) - amin) + (max(b) - bmin)) // step + 1
+    maxa = max(map(abs, a.values()))
+    maxb = max(map(abs, b.values()))
+    # each product digit sums at most min(len) terms, so its absolute value
+    # is below 2^(bits(maxa) + bits(maxb) + bits(min len)); one more bit
+    # keeps it below X/2
+    bits = (maxa.bit_length() + maxb.bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    return kron_digits(kron_eval(a, amin, step, width)
+                       * kron_eval(b, bmin, step, width),
+                       amin + bmin, step, width, slots)
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
@@ -324,34 +311,6 @@ class UPoly:
         hp.c = h
         return hp._div_u_pow_minus_one(2 * m)
 
-    def divexact(self, d: "UPoly") -> "UPoly":
-        """Generic exact division (schoolbook, descending)."""
-        if not d.c:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self.c:
-            return UPoly.zero()
-        num = dict(self.c)
-        dtop = max(d.c)
-        dlead = d.c[dtop]
-        out = {}
-        while num:
-            ntop = max(num)
-            if ntop - dtop < (min(num) - min(d.c)):
-                raise NotDivisible("degree underflow in exact division")
-            q = _coeff_div(num[ntop], dlead)
-            e = ntop - dtop
-            out[e] = q
-            for ed, vd in d.c.items():
-                k = ed + e
-                w = num.get(k, 0) - vd * q
-                if w:
-                    num[k] = w
-                else:
-                    num.pop(k, None)
-        r = UPoly.__new__(UPoly)
-        r.c = out
-        return r
-
     # -- evaluations ----------------------------------------------------
     def eval_one(self):
         """Value at u = 1."""
@@ -386,7 +345,7 @@ class UPoly:
         return TTPoly(out)
 
     def max_abs_int(self) -> int:
-        return max(abs(v) for v in self.c.values()) if self.c else 0
+        return max(map(abs, self.c.values()), default=0)
 
     # -- rendering -------------------------------------------------------
     def __str__(self):
@@ -433,18 +392,6 @@ def _coeff_str(v, has_mono: bool) -> str:
         if v == -1:
             return "-"
     return fraction_str(v) if not isinstance(v, int) else str(v)
-
-
-def _coeff_div(a, b):
-    """Exact coefficient division inside whichever scalar ring applies."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisible(f"{a} not divisible by {b}")
-        return q
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return GaussianRational.coerce(a) / GaussianRational.coerce(b)
-    return Fraction(a) / Fraction(b)
 
 
 class TTPoly:

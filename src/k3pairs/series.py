@@ -235,15 +235,6 @@ class QSeries:
             raise ValueError("cannot extend a truncated series")
         return QSeries(self.lower, self.coeffs[:order - self.lower], self.var)
 
-    def drop_below(self, lower: int) -> "QSeries":
-        """Forget (exactly zero) coefficients below ``lower``."""
-        for e in range(self.lower, min(lower, self.order)):
-            if not _czero(self.coeff(e)):
-                raise ValueError("dropping a nonzero coefficient")
-        if lower <= self.lower:
-            return self
-        return QSeries(lower, self.coeffs[lower - self.lower:], self.var)
-
     def map_coeffs(self, fn) -> "QSeries":
         return QSeries(self.lower,
                        [fn(c) if not _czero(c) else 0 for c in self.coeffs],

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InternalNonExactDivision, Mismatch, NotDivisible
-from .rings import UPoly, pack_nonneg
+from .rings import UPoly, kron_eval
 from .scalars import binomial
 
 __all__ = [
@@ -240,64 +240,58 @@ def c_table(n: int, r: int) -> CTable:
 
 # -- fast exact verification of A(n)B = P(n) -----------------------------------
 
-def _pack_on_grid(p: UPoly, emin: int, slots: int, stride_bytes: int):
-    """Pack a UPoly (split by sign) onto the common doubled-exp grid."""
-    pos, neg = {}, {}
-    for e, v in p.c.items():
-        (pos if v > 0 else neg)[e] = abs(v)
-    pp = pack_nonneg(pos, emin, 2, stride_bytes, slots) if pos else 0
-    np_ = pack_nonneg(neg, emin, 2, stride_bytes, slots) if neg else 0
-    return pp, np_
-
-
 def verify_ab_identity(n_max: int, index_max: int) -> int:
     """Assert A(n).B == P(n) entrywise for 0 <= n <= n_max on the index
     square [0, index_max]; returns the number of entries checked.
 
-    The sum over the middle index is carried out on Kronecker-packed
-    integers: per cell only big-integer multiplies and adds happen, and the
-    final comparison is a single integer equality (exact because all packed
-    digits stay below the stride bound by construction).
+    Each cell is checked on big integers: every entry is evaluated at
+    X = 256^w with ``rings.kron_eval``, and the cell passes when
+    sum_m a(X) b(X) X^shift equals p(X) X^shift.  The width w is chosen
+    per cell from a bound on the coefficients of the difference
+    polynomial D = sum_m a b - p (the sum of max|a| max|b| min(len) over
+    the terms, plus max|p|) so that every coefficient of D lies below X/2
+    in absolute value.  Such an integer polynomial vanishes at X only if
+    it is zero, because base-X digits in (-X/2, X/2) are unique; so the
+    integer check is exactly the polynomial identity.  Evaluations are
+    remembered within one row i only.  Raises ValueError for negative
+    bounds, and Mismatch with the failing row, column and lowest
+    differing doubled u-exponent.
     """
+    if n_max < 0 or index_max < 0:
+        raise ValueError(f"n_max and index_max must be >= 0 "
+                         f"(got {n_max}, {index_max})")
+    memo: dict = {}  # evaluations of the current row's A and B entries
+
+    def at_x(poly, kind, row, col, n, width):
+        key = (kind, row, col, n, width)
+        if key not in memo:
+            memo[key] = kron_eval(poly.c, min(poly.c), 2, width)
+        return memo[key]
+
     checked = 0
-    for i in range(0, index_max + 1):
+    for i in range(index_max + 1):
+        memo.clear()
         for j in range(i, index_max + 1, 2):
-            lmax = (j - i) // 2
-            bs = [matrix_entry("B", i + 2 * s, j) for s in range(lmax + 1)]
-            for n in range(0, n_max + 1):
+            bs = [matrix_entry("B", m, j) for m in range(i, j + 1, 2)]
+            for n in range(n_max + 1):
                 target = matrix_entry("P", i, j, n)
-                terms = []
                 bound = target.max_abs_int()
-                emin = min(target.c) if target.c else 0
-                emax = max(target.c) if target.c else 0
-                for s in range(lmax + 1):
-                    a = matrix_entry("A", i, i + 2 * s, n)
-                    b = bs[s]
-                    if not a or not b:
-                        continue
-                    terms.append((a, b))
-                    bound += (a.max_abs_int() * b.max_abs_int()
-                              * min(len(a.c), len(b.c)))
-                    emin = min(emin, min(a.c) + min(b.c))
-                    emax = max(emax, max(a.c) + max(b.c))
-                stride_bytes = (bound.bit_length() + 8) // 8 + 1
-                slots = (emax - emin) // 2 + 1
-                acc_plus = acc_minus = 0
-                for a, b in terms:
-                    sh = ((min(a.c) + min(b.c)) - emin) // 2
-                    wa = (max(a.c) - min(a.c)) // 2 + 1
-                    wb = (max(b.c) - min(b.c)) // 2 + 1
-                    ap, an = _pack_on_grid(a, min(a.c), wa, stride_bytes)
-                    bp, bn = _pack_on_grid(b, min(b.c), wb, stride_bytes)
-                    shift = 8 * stride_bytes * sh
-                    plus = ap * bp + an * bn
-                    minus = ap * bn + an * bp
-                    if plus:
-                        acc_plus += plus << shift
-                    if minus:
-                        acc_minus += minus << shift
-                tp, tn = _pack_on_grid(target, emin, slots, stride_bytes)
-                if acc_plus + tn != acc_minus + tp:
+                emin = min(target.c, default=0)
+                terms = []
+                for m, b in zip(range(i, j + 1, 2), bs):
+                    a = matrix_entry("A", i, m, n)
+                    if a and b:
+                        terms.append((m, a, b))
+                        bound += (a.max_abs_int() * b.max_abs_int()
+                                  * min(len(a.c), len(b.c)))
+                        emin = min(emin, min(a.c) + min(b.c))
+                width = bound.bit_length() // 8 + 1  # bound < X/2
+                acc = 0
+                for m, a, b in terms:
+                    sh = (min(a.c) + min(b.c) - emin) // 2 * 8 * width
+                    acc += (at_x(a, "A", i, m, n, width)
+                            * at_x(b, "B", m, j, None, width)) << sh
+                if acc != kron_eval(target.c, emin, 2, width):
                     diff = matrix_product_entry(n, i, j) - target
                     raise Mismatch(
                         f"A({n}).B differs from P({n})",

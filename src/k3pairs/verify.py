@@ -19,7 +19,7 @@ from .series import QSeries, locate_mismatch
 from .theta import phi_bilateral, psi
 from .ucomb import verify_ab_identity
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = ["SUITES", "check_bounds", "run_suite"]
 
 SUITES = ("ucomb", "theta", "routes", "duality", "modularity", "all")
 
@@ -139,19 +139,28 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
     return checks
 
 
+def check_bounds(n: int, qorder: int, vorder: int, cutoff: int) -> None:
+    """Raise ValueError naming the first bound under which some check of a
+    run would compare nothing (or fail to start)."""
+    for name, value, least in (("rank n", n, 1), ("qorder", qorder, 1),
+                               ("vorder", vorder, 1), ("cutoff", cutoff, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least} (got {value})")
+
+
 def run_suite(suite: str, n: int = 2, qorder: int = 10, ywin: int = 8,
               vorder: int = 8, cutoff: int = 12) -> dict:
     """Run one named suite (or "all") and collect structured results.
 
     Stops at the first failing check; each result row carries the suite,
     the check name, and on failure the message and exact exponent
-    location.  Raises ValueError for an unknown suite name or n < 1.
+    location.  Raises ValueError for an unknown suite name or for bounds
+    that :func:`check_bounds` rejects.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of "
                          + ", ".join(SUITES))
-    if n < 1:
-        raise ValueError(f"rank n must be >= 1 (got {n})")
+    check_bounds(n, qorder, vorder, cutoff)
     results = []
     for group, name, thunk in _build_checks(suite, n, qorder, ywin, vorder,
                                             cutoff):

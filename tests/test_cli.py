@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from k3pairs.cli import FIT_QORDER, TEST_QORDER, build_parser, main
+from k3pairs.verify import run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +101,26 @@ def test_rank_zero_is_config_error(capsys, argv):
     assert code == 2
     assert "n must be >= 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--suite", "ucomb", "--cutoff", "-1"], "cutoff"),
+     (["--suite", "theta", "--qorder", "0"], "qorder"),
+     (["--suite", "modularity", "--vorder", "0"], "vorder"),
+     (["--suite", "modularity", "--qorder", "0"], "qorder")],
+    ids=["ucomb-cutoff", "theta-qorder", "modularity-vorder",
+         "modularity-qorder"],
+)
+def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
+                                                            flag):
+    code, out, err = _run(capsys, ["verify"] + argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be >=" in err
+    assert "Traceback" not in err
+    with pytest.raises(ValueError, match=flag):
+        run_suite(argv[1], **{flag: int(argv[3])})
 
 
 def test_table_negative_gmax_is_config_error(capsys):

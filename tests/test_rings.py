@@ -67,14 +67,6 @@ def test_div_u_minus_one():
         (f * um1 + UPoly.one()).div_u_minus_one()
 
 
-def test_generic_divexact():
-    a = U({0: 1, 2: 2, 4: 1})
-    b = U({0: 1, 2: 1})
-    assert a.divexact(b) == b
-    with pytest.raises(NotDivisible):
-        U({0: 1, 2: 1, 4: 1}).divexact(b)
-
-
 def test_eval_and_derivative_at_one():
     p = U({6: 1})                              # u^3
     assert p.eval_one() == 1
@@ -83,6 +75,34 @@ def test_eval_and_derivative_at_one():
     q = U({-4: 2, 0: 5, 2: -1})                # 2u^-2 + 5 - u
     assert q.eval_one() == 6
     assert q.deriv_at_one(1) == 2 * (-2) + 0 - 1
+
+
+_EDGES = (127, -127, 128, -128, 255, -255, 256, -256, 2 ** 63, -2 ** 63)
+
+# (name, a, b): signs, byte-boundary digits, cancellation, mixed grids
+_SIGNED_CASES = [
+    ("all negative", {0: -3, 2: -1, 6: -7}, {-2: -5, 4: -1}),
+    ("unit times unit", {0: 1}, {0: 1}),
+    ("unit times minus unit", {4: 1}, {-6: -1}),
+    ("minus unit squared", {3: -1}, {3: -1}),
+    ("byte boundaries", {2 * k: v for k, v in enumerate(_EDGES)},
+     {2 * k: -v for k, v in enumerate(reversed(_EDGES))}),
+    ("byte boundary squares", {2 * k: v for k, v in enumerate(_EDGES)},
+     {2 * k: v for k, v in enumerate(_EDGES)}),
+    ("single boundary digits", {0: -2 ** 63}, {0: 2 ** 63, 2: -256}),
+    # three 11-bit products fill 24 bits: the digit needs the sign bit
+    ("digit above X/2 without a sign bit", {0: 2047, 2: 2047, 4: 2047},
+     {0: 2047, 2: 2047, 4: 2047}),
+    ("digit below -X/2 without a sign bit", {0: -2047, 2: -2047, 4: -2047},
+     {0: 2047, 2: 2047, 4: 2047}),
+    ("middle cell cancels", {0: 1, 2: 1}, {0: 1, 2: -1}),
+    ("middle cells cancel", {0: 1, 2: 1, 4: 1}, {0: -1, 2: 1}),
+    ("wide cancellation", {2 * k: 255 for k in range(9)},
+     {0: 2 ** 63, 2: -2 ** 63}),
+    ("mixed half-integer grid", {1: 5, 2: -3, 7: 1}, {-3: 2, 0: -1, 5: 4}),
+    ("half-integer grid of step 3", {1: 2, 4: -128, 7: 3},
+     {0: 127, 6: -2}),
+]
 
 
 def test_kronecker_agrees_with_dict_mul():
@@ -95,6 +115,11 @@ def test_kronecker_agrees_with_dict_mul():
         a = {e: v for e, v in a.items() if v}
         b = {e: v for e, v in b.items() if v}
         assert _kron_mul(a, b) == _dict_mul(a, b)
+        neg_a = {e: -abs(v) for e, v in a.items()}
+        neg_b = {e: -abs(v) for e, v in b.items()}
+        assert _kron_mul(neg_a, neg_b) == _dict_mul(neg_a, neg_b)
+    for name, a, b in _SIGNED_CASES:
+        assert _kron_mul(a, b) == _dict_mul(a, b), name
 
 
 def test_kronecker_with_half_integer_grid():

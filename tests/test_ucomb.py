@@ -131,21 +131,34 @@ def test_product_route_matches_closed_form_small():
 def test_verify_ab_identity_small():
     checked = verify_ab_identity(2, 14)
     assert checked == 3 * sum(1 for i in range(15) for j in range(i, 15, 2))
+    assert verify_ab_identity(0, 0) == 1
+    with pytest.raises(ValueError):
+        verify_ab_identity(-1, 4)
+    with pytest.raises(ValueError):
+        verify_ab_identity(1, -1)
 
 
-def test_verify_ab_identity_catches_lies(monkeypatch):
+@pytest.mark.parametrize(
+    "lie, kind, cell, row, col",
+    [(lambda p: p + UPoly.one(), "P", (1, 3, 1), 1, 3),
+     (lambda p: p - UPoly.u(max(p.c)), "P", (2, 4, 1), 2, 4),
+     (lambda p: p + UPoly.u(2), "A", (1, 3, 1), 1, 3)],
+    ids=["p-constant-plus-one", "p-top-minus-one", "a-plus-u"],
+)
+def test_verify_ab_identity_catches_lies(monkeypatch, lie, kind, cell, row,
+                                         col):
     import k3pairs.ucomb as uc
     real = uc.matrix_entry.__wrapped__
 
-    def liar(kind, i, j, n=None):
-        out = real(kind, i, j, n)
-        if kind == "P" and (i, j, n) == (1, 3, 1):
-            return out + UPoly.one()
-        return out
+    def liar(k, i, j, n=None):
+        out = real(k, i, j, n)
+        return lie(out) if (k, i, j, n) == (kind, *cell) else out
 
     monkeypatch.setattr(uc, "matrix_entry", liar)
-    with pytest.raises(Mismatch):
+    with pytest.raises(Mismatch) as err:
         uc.verify_ab_identity(1, 4)
+    assert err.value.location["row"] == row
+    assert err.value.location["col"] == col
 
 
 def test_c_table_frozen_levels():
