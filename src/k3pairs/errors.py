@@ -32,10 +32,6 @@ class NonExactDivision(K3PairsError):
     """A closed-form partition-function term failed its exact division."""
 
 
-class NegativeDim(K3PairsError):
-    """The moduli space is empty (expected dimension < 0)."""
-
-
 class UnsupportedRank(K3PairsError):
     """Section-space dimension exceeding the sheaf data (r > n) is undefined."""
 

@@ -27,9 +27,9 @@ from .series import _I_POW, QSeries, locate_mismatch, v_substitute_qmajor
 from .theta import log_phi_product
 
 __all__ = [
-    "EisensteinBasis", "b_series", "eisenstein_even", "eisenstein_odd_q2",
-    "fit_in_R", "fit_v_coefficient", "logphi_sigma_check", "mpt_check",
-    "psi_kls", "psi_kls_derivative", "psi_kls_sym", "sigma_series",
+    "EisensteinBasis", "eisenstein_even", "eisenstein_odd_q2", "fit_in_R",
+    "fit_v_coefficient", "logphi_sigma_check", "mpt_check",
+    "psi_kls_derivative", "psi_kls_sym", "sigma_series",
     "v_expansion_symmetry_report", "v_partition_series",
     "verify_psi_vs_log",
 ]
@@ -80,32 +80,6 @@ def eisenstein_odd_q2(weight: int, qorder: int) -> QSeries:
     c = Fraction(4 * (-1) ** g, secant_number(2 * g))
     return QSeries(0, [Fraction(1)] + [c * sig.coeff(n)
                                        for n in range(1, qorder)], "q")
-
-
-def b_series(vorder: int) -> QSeries:
-    """v^2 / ((e^{iv} - 1)(e^{-iv} - 1)) as a series in Q[[v]].
-
-    Coefficient of v^m is i^m / m! times the alternating double Bernoulli
-    sum over B_k B_{m-k}; the odd-m sums cancel identically, which keeps
-    the series real.
-    """
-    if vorder < 0:
-        raise ValueError("vorder must be nonnegative")
-    out = []
-    fact = 1
-    for m in range(vorder):
-        if m:
-            fact *= m
-        inner = Fraction(0)
-        for k in range(m + 1):
-            inner += (-1) ** k * bernoulli(k) * bernoulli(m - k) \
-                * binomial(m, k)
-        if m % 2:
-            assert inner == 0, m
-            out.append(0)
-        else:
-            out.append((-1) ** (m // 2) * inner / fact if inner else 0)
-    return QSeries(0, out, "v")
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +158,6 @@ def psi_kls_derivative(k: int, l: int, s: int, t: int,
                     acc += r ** (s - 1) * inner
             cols.append(pref * acc if acc else 0)
     return QSeries(1, cols, "q")
-
-
-def psi_kls(k: int, l: int, s: int, qorder: int) -> QSeries:
-    """u = 1 value of the v^s coefficient of log phi_product(k, l)."""
-    return psi_kls_derivative(k, l, s, 0, qorder)
 
 
 def _du_at_one(c, t: int):

@@ -24,69 +24,12 @@ route embedded in the (t, tb) ring.
 from fractions import Fraction
 from math import comb
 
-from .errors import (NegativeDim, NonExactDivision, NotDivisible,
-                     UnsupportedRank)
+from .errors import NonExactDivision, NotDivisible, UnsupportedRank
 from .rings import Monomial, TTPoly, UPoly, YPoly
 from .series import QSeries
 from .theta import phi_product, psi
 from .ucomb import c_table, matrix_entry, matrix_product_entry, u_binomial, \
     u_integer
-
-
-# ---------------------------------------------------------------------------
-# Mukai vectors
-
-class MukaiVector:
-    """Lattice triple (rank, d * class, chi - rank) of a sheaf on a K3.
-
-    ``d`` is the multiplicity of a fixed primitive divisor class of
-    self-intersection 2*genus - 2; the library only ever needs d = 0
-    (no curve class) or d = 1.
-    """
-
-    __slots__ = ("r", "d", "a", "genus")
-
-    def __init__(self, r: int, d: int, a: int, genus: int = 0):
-        if d not in (0, 1):
-            raise ValueError("class multiplicity must be 0 or 1")
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
-        self.r = r
-        self.d = d
-        self.a = a
-        self.genus = genus
-
-    def __repr__(self):
-        mid = f"D_{self.genus}" if self.d else "0"
-        return f"MukaiVector({self.r}, {mid}, {self.a})"
-
-
-def mukai_pairing(v: MukaiVector, w: MukaiVector) -> int:
-    """Lattice pairing; equals -chi(RHom) of the corresponding sheaves.
-
-    The middle-slot term contributes d*d*(2g-2); when both vectors carry
-    the class they must carry the same one.
-    """
-    if v.d and w.d and v.genus != w.genus:
-        raise ValueError("pairing needs a common divisor class")
-    g = v.genus if v.d else w.genus
-    return v.d * w.d * (2 * g - 2) - v.r * w.a - v.a * w.r
-
-
-def moduli_dim(v: MukaiVector) -> int:
-    """Expected dimension 2 + (v, v) of the sheaf moduli space.
-
-    Requires the curve class to be present (d = 1), in which case the
-    pairing formula collapses to 2*(genus - r*a); raises NegativeDim for
-    an empty moduli space.
-    """
-    if v.d != 1:
-        raise ValueError("dimension formula needs the divisor class present")
-    dim = 2 + mukai_pairing(v, v)
-    assert dim == 2 * (v.genus - v.r * v.a)
-    if dim < 0:
-        raise NegativeDim(f"expected dimension {dim} < 0: empty moduli")
-    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -213,36 +156,6 @@ def syst_table(n: int, r: int, gmax: int, kmin: int, kmax: int,
             rows.append({"n": n, "r": r, "g": g, "k": k,
                          "value": str(h) if hodge else h.eval_ones()})
     return rows
-
-
-def stratum_hodge(l: int, k: int, g: int, s: int) -> TTPoly:
-    """Hodge polynomial of one section-count stratum inside a sheaf moduli.
-
-    The stratum of sheaves with exactly k + 2l + 2s sections is a
-    Grassmannian bundle over a brick of the section-erased table: the
-    u-binomial [[k+2l+2s, s]] times the (B-conjugated) Hilbert-side
-    entry.  Summing over s >= 0 must rebuild the plain Hilbert-side
-    coefficient; tests use that resummation as the oracle.
-    """
-    if min(l, k, g, s) < 0:
-        raise ValueError("stratum indices must be nonnegative")
-    a = k + 2 * l + 2 * s
-    ent = TTPoly.zero()
-    j = 0
-    while True:
-        lp = l + s + j
-        m = g - lp * lp - lp * k
-        if m < 0:
-            break
-        c = hilb_hodge(m)
-        if c:
-            b = matrix_entry("B", a, a + 2 * j)
-            if b:
-                ent = ent + b.to_tt() * c
-        j += 1
-    if not ent:
-        return TTPoly.zero()
-    return u_binomial(a, s).to_tt() * ent
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +301,7 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) \
     """
     _check_rank(n, r)
     cells: dict = {}
-    for (i, j), w in c_table(n, r).entries.items():
+    for (i, j), w in c_table(n, r).items():
         part = psi(Monomial(2 * i, 0), Monomial(2 * (j - r), 1),
                    qorder, ywin)
         for qe in range(part.lower, part.order):

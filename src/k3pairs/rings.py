@@ -157,12 +157,6 @@ class UPoly:
     def coeff(self, e2: int):
         return self.c.get(e2, 0)
 
-    def min_exp2(self) -> int:
-        return min(self.c)
-
-    def max_exp2(self) -> int:
-        return max(self.c)
-
     def is_monomial(self) -> bool:
         return len(self.c) == 1
 
@@ -564,10 +558,6 @@ class YPoly:
     def const(cls, v, window=None):
         return cls({0: v}, window)
 
-    @classmethod
-    def term(cls, e: int, v, window=None):
-        return cls({e: v}, window)
-
     def __bool__(self):
         return bool(self.c)
 
@@ -636,9 +626,6 @@ class YPoly:
 
     __rmul__ = __mul__
 
-    def shift_y(self, k: int) -> "YPoly":
-        return YPoly({e + k: v for e, v in self.c.items()}, self.window)
-
     def mirror(self) -> "YPoly":
         """Substitute y -> 1/y."""
         return YPoly({-e: v for e, v in self.c.items()}, self.window)
@@ -648,14 +635,6 @@ class YPoly:
 
     def restrict(self, window: int) -> "YPoly":
         return YPoly(self.c, window)
-
-    def agrees_on(self, other, window: int) -> bool:
-        if not isinstance(other, YPoly):
-            other = YPoly.const(other) if other else YPoly.zero()
-        for e in range(-window, window + 1):
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
 
     def __str__(self):
         if not self.c:
@@ -681,17 +660,6 @@ class YPoly:
         return f"YPoly({self.c!r}, window={self.window!r})"
 
 
-def y_agree(a, b, window: int) -> bool:
-    """Window-restricted equality of y-polynomial columns.
-
-    Either side may be a bare scalar (the series layer stores empty
-    columns as plain 0).
-    """
-    if not isinstance(a, YPoly):
-        a = YPoly.const(a) if a else YPoly.zero()
-    return a.agrees_on(b, window)
-
-
 class Monomial:
     """A unit monomial u^{u2/2} * y^{y} used as a theta-kernel argument."""
 
@@ -709,10 +677,6 @@ class Monomial:
 
     def inverse(self) -> "Monomial":
         return Monomial(-self.u2, -self.y)
-
-    @property
-    def trivial(self) -> bool:
-        return self.u2 == 0 and self.y == 0
 
     def __eq__(self, other):
         return (isinstance(other, Monomial)

@@ -23,16 +23,7 @@ from .errors import BadConstantTerm, Mismatch, NonUnitLeading
 from .rings import TTPoly, UPoly, YPoly
 from .scalars import GaussianRational, fraction_str
 
-__all__ = [
-    "QSeries",
-    "substitute_y_exp_iv",
-    "v_substitute_qmajor",
-    "qmajor_to_ymajor",
-    "ymajor_to_qmajor",
-    "locate_mismatch",
-    "coeff_str",
-    "qseries_json",
-]
+__all__ = ["QSeries", "v_substitute_qmajor", "locate_mismatch", "coeff_str"]
 
 
 def _cadd(a, b):
@@ -309,10 +300,6 @@ class QSeries:
         return QSeries(0, g, self.var)
 
     # -- comparison -------------------------------------------------------
-    def agrees(self, other: "QSeries", lo: int | None = None,
-               hi: int | None = None) -> bool:
-        return self.first_mismatch(other, lo, hi) is None
-
     def first_mismatch(self, other: "QSeries", lo: int | None = None,
                        hi: int | None = None):
         """First exponent in the comparison window where the two differ.
@@ -396,36 +383,7 @@ def locate_mismatch(a, b) -> dict:
     return {}
 
 
-# -- transposes and the y -> e^{iv} substitution -----------------------------
-
-def qmajor_to_ymajor(f: QSeries, window: int) -> YPoly:
-    """QSeries with YPoly coefficients -> YPoly with QSeries coefficients."""
-    cols: dict[int, dict] = {}
-    for e in range(f.lower, f.order):
-        c = f.coeff(e)
-        if _czero(c):
-            continue
-        for k, v in c.c.items():
-            cols.setdefault(k, {})[e] = v
-    return YPoly({k: QSeries.from_dict(d, f.lower, f.order, f.var)
-                  for k, d in cols.items()}, window)
-
-
-def ymajor_to_qmajor(f: YPoly, window: int | None = None) -> QSeries:
-    """YPoly with QSeries coefficients -> QSeries with YPoly coefficients."""
-    if not f.c:
-        raise ValueError("cannot transpose an empty y-polynomial "
-                         "(no q-range to inherit)")
-    lower = min(s.lower for s in f.c.values())
-    order = min(s.order for s in f.c.values())
-    w = f.window if window is None else window
-    out = []
-    for e in range(lower, order):
-        col = {k: s.coeff(e) for k, s in f.c.items()
-               if not _czero(s.coeff(e))}
-        out.append(YPoly(col, w) if col else 0)
-    return QSeries(lower, out, next(iter(f.c.values())).var)
-
+# -- the y -> e^{iv} substitution --------------------------------------------
 
 # i^s, indexed by s mod 4
 _I_POW = (GaussianRational(1), GaussianRational.i(),
@@ -459,11 +417,6 @@ def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
     return QSeries(0, [QSeries(f.lower, col, f.var) for col in cols], "v")
 
 
-def substitute_y_exp_iv(f: YPoly, vorder: int) -> QSeries:
-    """Spec-shaped front end: y-major input, v-major output."""
-    return v_substitute_qmajor(ymajor_to_qmajor(f), vorder)
-
-
 # -- serialization ------------------------------------------------------------
 
 def coeff_str(c) -> str:
@@ -471,11 +424,3 @@ def coeff_str(c) -> str:
         return fraction_str(c)
     return str(c)
 
-
-def qseries_json(f: QSeries) -> dict:
-    return {
-        "var": f.var,
-        "lower": f.lower,
-        "order": f.order,
-        "coeffs": [coeff_str(c) for c in f.coeffs],
-    }

@@ -1,10 +1,8 @@
 """Theta kernels as truncated (q, y, u)-series.
 
-Five families of kernels feed the partition-function routes:
+Three families of kernels feed the partition-function routes and the
+verification suites:
 
-* ``pochhammer`` -- truncated products ``prod_{n >= shift} (1 - a q^n)``
-  for a unit monomial ``a``,
-* ``theta_at`` -- the triple product with a simple root at ``x = 1``,
 * ``phi_bilateral`` -- the sign-matched bilateral lattice sum (the
   workable form of the theta quotient),
 * ``psi`` -- the double sum over lattice points ``(p, l)`` with
@@ -23,10 +21,7 @@ asked for.
 from .rings import Monomial, UPoly, YPoly
 from .series import QSeries
 
-__all__ = [
-    "pochhammer", "theta_at", "phi_bilateral", "psi",
-    "phi_product", "log_phi_product",
-]
+__all__ = ["phi_bilateral", "psi", "phi_product", "log_phi_product"]
 
 
 def _one_y(window):
@@ -36,45 +31,6 @@ def _one_y(window):
 def _term(m: Monomial, window) -> YPoly:
     """The monomial m as a one-term y-polynomial (empty if windowed out)."""
     return YPoly({m.y: UPoly.u(m.u2, 1)}, window)
-
-
-def pochhammer(a: Monomial, q_shift: int, qorder: int, ywin: int) -> QSeries:
-    """prod_{n >= q_shift} (1 - a q^n), truncated at q^qorder.
-
-    With q_shift = 0 the leading factor (1 - a) is an honest polynomial
-    factor; all later factors are 1 + O(q).
-    """
-    if q_shift < 0:
-        raise ValueError("q_shift must be nonnegative")
-    if qorder <= 0:
-        return QSeries(0, [], "q")
-    # |y|-movement in the partial products never exceeds the q-degree
-    # plus one (for a shift-0 leading factor), so this window loses
-    # nothing that could re-enter the requested one.
-    win = ywin + qorder + 1
-    out = QSeries.from_dict({0: _one_y(win)}, 0, qorder)
-    for n in range(q_shift, qorder):
-        if n == 0:
-            fac = QSeries.from_dict(
-                {0: _one_y(win) - _term(a, win)}, 0, qorder)
-        else:
-            fac = QSeries.from_dict(
-                {0: _one_y(win), n: -_term(a, win)}, 0, qorder)
-        out = out * fac
-    return out.map_coeffs(lambda c: c.restrict(ywin))
-
-
-def theta_at(x: Monomial, qorder: int, ywin: int) -> QSeries:
-    """(q,q)_inf (x,q)_inf (x^{-1}q,q)_inf with x the given monomial.
-
-    The constant q-coefficient is 1 - x, and every q-coefficient
-    vanishes at x = 1.
-    """
-    win = ywin + 2 * (qorder + 1)
-    out = pochhammer(Monomial(), 1, qorder, win)
-    out = out * pochhammer(x, 0, qorder, win)
-    out = out * pochhammer(x.inverse(), 1, qorder, win)
-    return out.map_coeffs(lambda c: c.restrict(ywin))
 
 
 def _axis_bound(m: Monomial, ywin: int, uwin: int | None) -> int:

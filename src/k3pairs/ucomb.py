@@ -1,7 +1,7 @@
-"""u-combinatorics: u-integers, u-binomials, the symmetric variants, the
-finite Grassmannian-product kernels, and the three upper-triangular matrices
-(with their closed-form entries) whose product identity drives the
-section-counting recursion.
+"""u-combinatorics: u-integers, u-factorials, u-binomials and their
+symmetric variants, the balanced product kernel, the three upper-triangular
+matrices (with their closed-form entries) whose product identity drives the
+section-counting recursion, and the weight table of the kernel route.
 
 Matrix conventions (all entries UPoly, rows/columns indexed from 0, entry
 (i, j) nonzero only for j - i = 2*l >= 0):
@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from .errors import InternalNonExactDivision, Mismatch, NotDivisible
 from .rings import UPoly, kron_eval
-from .scalars import binomial
 
 __all__ = [
     "u_integer",
@@ -35,7 +34,6 @@ __all__ = [
     "k_series",
     "matrix_entry",
     "matrix_product_entry",
-    "CTable",
     "c_table",
     "verify_ab_identity",
 ]
@@ -179,36 +177,13 @@ def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
 
 # -- the C-table ---------------------------------------------------------------
 
-class CTable:
-    """Triangular coefficient table of theta-kernel weights.
+def c_table(n: int, r: int) -> dict:
+    """Triangular table of theta-kernel weights at level n, rank parameter r.
 
-    Entries live on 1 <= i <= n, 0 <= j <= n - i; everything outside is
-    zero.  Built from the single seed C(1, 0) = 1 at n = 1 by the two-term
-    shift recursion; entries are UPoly in u with the rank parameter r baked
-    in.
+    Maps (i, j) with 1 <= i <= n, 0 <= j <= n - i to a nonzero UPoly;
+    absent keys are zero.  Built from the single seed C(1, 0) = 1 at
+    n = 1 by the two-term shift recursion, with r baked into the shifts.
     """
-
-    def __init__(self, n: int, r: int, entries: dict):
-        self.n = n
-        self.r = r
-        self.entries = entries
-
-    def entry(self, i: int, j: int) -> UPoly:
-        return self.entries.get((i, j), UPoly.zero())
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "entries": [
-                {"i": i, "j": j, "poly": str(self.entries[(i, j)])}
-                for (i, j) in sorted(self.entries)
-            ],
-        }
-
-
-def c_table(n: int, r: int) -> CTable:
-    """Build the weight table at level n, rank parameter r."""
     if n < 1:
         raise ValueError("the table starts at n = 1")
     cur = {(1, 0): UPoly.one()}
@@ -235,7 +210,7 @@ def c_table(n: int, r: int) -> CTable:
                 if acc:
                     nxt[(i, j)] = acc
         cur = nxt
-    return CTable(n, r, cur)
+    return cur
 
 
 # -- fast exact verification of A(n)B = P(n) -----------------------------------

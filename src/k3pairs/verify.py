@@ -15,7 +15,7 @@ from .partition import (g_closed, g_via_kernels, g_via_matrices, ky_product,
                         mirror_series)
 from .rings import Monomial, UPoly, YPoly
 from .scalars import GaussianRational
-from .series import QSeries, locate_mismatch
+from .series import QSeries
 from .theta import phi_bilateral, psi
 from .ucomb import verify_ab_identity
 
@@ -45,14 +45,9 @@ def _theta_pair(x: Monomial, ym: Monomial, qorder: int, ywin: int) -> None:
     lhs = psi(x, ym, qorder, ywin)
     rhs = phi_bilateral(x * ym, ym.inverse(), qorder, ywin)
     lhs.assert_agrees(rhs, lo=1, what="theta kernel and bilateral quotient")
-    if qorder > 0:
-        diff = rhs.coeff(0) - lhs.coeff(0)
-        unit = _bilateral_unit(ym, ywin)
-        if diff != unit:
-            loc = {"q": 0}
-            loc.update(locate_mismatch(diff, unit))
-            raise Mismatch("q^0 columns of the theta kernel do not differ "
-                           "by the bilateral unit", loc)
+    (rhs - lhs).assert_agrees(
+        QSeries(0, [_bilateral_unit(ym, ywin)]), hi=1,
+        what="theta-kernel q^0 gap and bilateral unit")
 
 
 def _routes_agree(n: int, r: int, qorder: int, ywin: int) -> None:

@@ -164,11 +164,34 @@ def test_verify_duality_small(capsys):
 
 
 def test_verify_theta_small(capsys):
+    # --ywin 0 leaves psi's q^0 column empty (stored as a bare 0)
+    for ywin in ("6", "0"):
+        code, out, err = _run(
+            capsys, ["verify", "--suite", "theta", "--qorder", "6", "--ywin", ywin]
+        )
+        assert code == 0, ywin
+        assert "rank-one product bridge" in out
+        assert "all passed" in out
+        assert "Traceback" not in out + err
+
+
+def test_verify_theta_catches_a_broken_bilateral_unit(capsys, monkeypatch):
+    import k3pairs.verify
+    from k3pairs.rings import UPoly, YPoly
+
+    real = k3pairs.verify._bilateral_unit
+
+    def broken(mono, ywin):
+        return real(mono, ywin) + YPoly({1: UPoly.u(2)}, ywin)  # plus u*y
+
+    monkeypatch.setattr(k3pairs.verify, "_bilateral_unit", broken)
     code, out, _ = _run(
         capsys, ["verify", "--suite", "theta", "--qorder", "6", "--ywin", "6"]
     )
-    assert code == 0
-    assert "rank-one product bridge" in out
+    assert code == 1
+    assert "FAIL theta: kernel vs bilateral quotient, argument pair 1" in out
+    report = run_suite("theta", qorder=6, ywin=6)
+    assert report["results"][-1]["location"] == {"q": 0, "y": 1, "u2": 2}
 
 
 def test_verify_modularity_rank_one_passes(capsys):

@@ -1,57 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from k3pairs.errors import Mismatch, NegativeDim, UnsupportedRank
-from k3pairs.partition import MukaiVector, euler_g, euler_g_column, \
-    euler_s_series, f_via_matrices, g_closed, g_via_kernels, \
-    g_via_matrices, hilb_hodge, ky_product, mirror_series, moduli_dim, \
-    mukai_pairing, s_series, stratum_hodge, syst_euler, syst_hodge, \
+from k3pairs.errors import Mismatch, UnsupportedRank
+from k3pairs.partition import euler_g, euler_g_column, euler_s_series, \
+    f_via_matrices, g_closed, g_via_kernels, g_via_matrices, hilb_hodge, \
+    ky_product, mirror_series, s_series, syst_euler, syst_hodge, \
     syst_table, to_tt_series
 from k3pairs.rings import TTPoly, UPoly, YPoly
 from k3pairs.series import QSeries
 from k3pairs.ucomb import matrix_product_entry, u_integer
-
-
-# -- Mukai lattice ----------------------------------------------------------
-
-def test_mukai_pairing_frozen():
-    struct_sheaf = MukaiVector(1, 0, 1)
-    assert mukai_pairing(struct_sheaf, struct_sheaf) == -2
-    curve = MukaiVector(0, 1, 0, genus=2)
-    assert mukai_pairing(curve, curve) == 2
-    assert mukai_pairing(MukaiVector(1, 0, 0), MukaiVector(0, 0, 1)) == -1
-
-
-def test_mukai_pairing_needs_common_class():
-    with pytest.raises(ValueError):
-        mukai_pairing(MukaiVector(0, 1, 0, genus=2),
-                      MukaiVector(0, 1, 0, genus=3))
-
-
-@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
-       st.integers(-5, 5), st.integers(0, 6))
-@settings(max_examples=40)
-def test_mukai_pairing_symmetric(r1, a1, r2, a2, g):
-    v = MukaiVector(r1, 1, a1, genus=g)
-    w = MukaiVector(r2, 1, a2, genus=g)
-    assert mukai_pairing(v, w) == mukai_pairing(w, v)
-
-
-@given(st.integers(0, 8), st.integers(-4, 4))
-@settings(max_examples=40)
-def test_moduli_dim_formula(g, a):
-    v = MukaiVector(0, 1, a, genus=g)
-    assert moduli_dim(v) == 2 * g
-
-
-def test_moduli_dim_examples():
-    assert moduli_dim(MukaiVector(1, 1, 2, genus=5)) == 6
-    with pytest.raises(NegativeDim):
-        moduli_dim(MukaiVector(1, 1, 1, genus=0))
-    with pytest.raises(ValueError):
-        moduli_dim(MukaiVector(1, 0, 1))
 
 
 # -- Hilbert schemes of points ----------------------------------------------
@@ -149,26 +107,6 @@ def test_syst_table_rows():
     assert rows[0].keys() == {"n", "r", "g", "k", "value"}
     hodge_rows = syst_table(1, 0, 0, 1, 1, hodge=True)
     assert hodge_rows[0]["value"] == "1"
-
-
-# -- Brill-Noether strata -----------------------------------------------------
-
-def test_stratum_point_case():
-    assert stratum_hodge(0, 0, 0, 0) == TTPoly.one()
-
-
-def test_stratum_empty_when_negative_dim():
-    assert stratum_hodge(2, 1, 3, 1) == TTPoly.zero()
-
-
-@pytest.mark.parametrize("l,k,g", [(0, 0, 3), (1, 0, 4), (0, 2, 5),
-                                   (1, 1, 6), (2, 0, 6)])
-def test_stratum_resummation(l, k, g):
-    # summing the strata over the section count rebuilds the plain entry
-    total = TTPoly.zero()
-    for s in range(g + 2):
-        total = total + stratum_hodge(l, k, g, s)
-    assert total == hilb_hodge(g - l * l - l * k)
 
 
 # -- partition-function routes ------------------------------------------------

@@ -165,7 +165,6 @@ def test_ypoly_window():
 def test_ypoly_mirror_and_shift():
     a = YPoly({2: 7, -1: 3}, window=None)
     assert a.mirror().c == {-2: 7, 1: 3}
-    assert a.shift_y(1).c == {3: 7, 0: 3}
     assert a == YPoly({2: 7, -1: 3})
     assert YPoly({}) == 0
     assert YPoly({0: 7}) == 7
@@ -173,5 +172,5 @@ def test_ypoly_mirror_and_shift():
 
 def test_monomial():
     m = Monomial(u2=2, y=1)
-    assert (m * m.inverse()).trivial
+    assert m * m.inverse() == Monomial()
     assert m ** 3 == Monomial(6, 3)

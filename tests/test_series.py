@@ -5,8 +5,7 @@ import pytest
 from k3pairs.errors import BadConstantTerm, Mismatch, NonUnitLeading
 from k3pairs.rings import UPoly, YPoly
 from k3pairs.scalars import GaussianRational
-from k3pairs.series import QSeries, qmajor_to_ymajor, qseries_json, \
-    substitute_y_exp_iv, v_substitute_qmajor, ymajor_to_qmajor
+from k3pairs.series import QSeries, v_substitute_qmajor
 
 
 def geom(order):
@@ -59,7 +58,7 @@ def test_invert_upoly_unit_leading():
 def test_log_exp_roundtrip():
     f = QSeries(0, [Fraction(1), Fraction(2), Fraction(-1), Fraction(3),
                     Fraction(0), Fraction(5)])
-    assert f.log().exp().agrees(f)
+    f.log().exp().assert_agrees(f, what="exp(log f) and f")
     l = f.log()
     assert l.coeff(1) == 2
     assert l.coeff(2) == -3                    # -1 - 2^2/2
@@ -98,7 +97,7 @@ def test_coeff_beyond_order_is_an_error():
 def test_agrees_and_mismatch_location():
     a = QSeries(0, [YPoly({0: UPoly.one()}), YPoly({1: UPoly({2: 1})})])
     b = QSeries(0, [YPoly({0: UPoly.one()}), YPoly({1: UPoly({4: 1})})])
-    assert a.agrees(b, 0, 1)
+    assert a.first_mismatch(b, 0, 1) is None
     with pytest.raises(Mismatch) as ei:
         a.assert_agrees(b, what="routes")
     assert ei.value.location == {"q": 1, "y": 1, "u2": 2}
@@ -108,15 +107,6 @@ def test_comparison_window_overflow_guard():
     a, b = geom(4), geom(6)
     with pytest.raises(ValueError):
         a.first_mismatch(b, 0, 6)
-
-
-def test_transposes_roundtrip():
-    f = QSeries(0, [YPoly({0: 1, 1: 2}), 0, YPoly({-1: 5})])
-    y = qmajor_to_ymajor(f, window=4)
-    assert y.coeff(1).coeff(0) == 2
-    back = ymajor_to_qmajor(y)
-    assert back.agrees(f)
-    assert back.coeff(2).coeff(-1) == 5
 
 
 def test_v_substitution_two_cos():
@@ -146,20 +136,6 @@ def test_v_substitution_upoly_cells():
     v = v_substitute_qmajor(f, 3)
     cell = v.coeff(2).coeff(1)                 # (2i)^2/2! * u = -2u
     assert cell == UPoly({2: GaussianRational(-2)})
-
-
-def test_spec_shaped_substitution_front_end():
-    y = YPoly({1: QSeries(0, [0, 1]), -1: QSeries(0, [0, 1])})
-    v = substitute_y_exp_iv(y, 3)
-    assert v.coeff(2).coeff(1) == GaussianRational(-1)
-
-
-def test_serialization():
-    f = QSeries(-1, [1, 24, 324])
-    assert qseries_json(f) == {
-        "var": "q", "lower": -1, "order": 2, "coeffs": ["1", "24", "324"]}
-    g = QSeries(0, [UPoly({0: 3, -2: -2, 6: 1})])
-    assert qseries_json(g)["coeffs"] == ["-2u^-1+3+u^3"]
 
 
 def test_pow():

@@ -2,63 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from k3pairs.rings import Monomial, UPoly, YPoly, y_agree
-from k3pairs.series import QSeries
-from k3pairs.theta import log_phi_product, phi_bilateral, phi_product, \
-    pochhammer, psi, theta_at
+from k3pairs.rings import Monomial, UPoly, YPoly
+from k3pairs.theta import log_phi_product, phi_bilateral, phi_product, psi
 
 Y = Monomial(0, 1)
 YINV = Monomial(0, -1)
 U = Monomial(2, 0)
-UY = Monomial(2, 1)
 
 
 def ypoly(d, window=None):
     return YPoly({e: UPoly.const(v) if isinstance(v, int) else v
                   for e, v in d.items()}, window)
-
-
-def test_pochhammer_euler_function():
-    p = pochhammer(Monomial(), 1, 8, 0)
-    assert [p.coeff(e) for e in range(8)] == [1, -1, -1, 0, 0, 1, 0, 1]
-
-
-def test_pochhammer_single_factor():
-    p = pochhammer(Y, 1, 2, 4)
-    assert p.coeff(0) == 1
-    assert p.coeff(1) == ypoly({1: -1})
-
-
-def test_pochhammer_degenerate_orders():
-    p = pochhammer(Y, 1, 0, 4)
-    assert p.lower == 0 and p.order == 0
-    assert pochhammer(Y, 1, 1, 4) == QSeries.from_dict(
-        {0: YPoly({0: UPoly.one()}, 5)}, 0, 1)
-    with pytest.raises(ValueError):
-        pochhammer(Y, -1, 4, 4)
-
-
-def test_theta_leading_columns():
-    th = theta_at(Y, 6, 6)
-    assert th.coeff(0) == ypoly({0: 1, 1: -1})
-    assert th.coeff(1) == ypoly({2: 1, -1: -1})   # -(1-x)(1+x+1/x)
-
-
-def test_theta_monomial_argument():
-    th = theta_at(UY, 4, 6)
-    assert th.coeff(0) == YPoly({0: UPoly.one(), 1: UPoly({2: -1})})
-
-
-def test_theta_vanishes_at_one():
-    th = theta_at(Y, 10, 12)
-    for m in range(10):
-        col = th.coeff(m)
-        if not col:
-            continue
-        total = UPoly.zero()
-        for v in col.c.values():
-            total = total + v
-        assert total == UPoly.zero(), m
 
 
 def test_phi_bilateral_axes():
@@ -164,15 +118,7 @@ def test_rank_one_bridge():
     rhs = phi_product(1, 0, qorder, ywin).map_coeffs(
         lambda c: c * UPoly({0: 1, 2: -1}))
     for m in range(qorder):
-        assert y_agree(lhs.coeff(m), rhs.coeff(m), ywin - 1), m
+        # an empty column is stored as a bare 0
+        lc, rc = (c or YPoly.zero() for c in (lhs.coeff(m), rhs.coeff(m)))
+        assert lc.restrict(ywin - 1) == rc.restrict(ywin - 1), m
 
-
-def test_theta_quotient_multiplicative():
-    qorder, win, compare = 6, 18, 4
-    a, b = UY, YINV
-    lhs = phi_bilateral(a, b, qorder, win) \
-        * theta_at(a, qorder, win) * theta_at(b, qorder, win)
-    qq3 = pochhammer(Monomial(), 1, qorder, win) ** 3
-    rhs = qq3 * theta_at(a * b, qorder, win)
-    for m in range(qorder):
-        assert y_agree(lhs.coeff(m), rhs.coeff(m), compare), m
