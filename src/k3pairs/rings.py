@@ -18,8 +18,9 @@ native bignum arithmetic, and the base-X digits of the product, read with
 a bias of X/2 per digit, are its coefficients (``kron_digits``).  The byte
 width w is chosen so every product coefficient lies below X/2 in absolute
 value, which makes the round trip exact.  That is the package's compiled
-core in effect; ``ucomb.verify_ab_identity`` checks A.B = P with the same
-evaluation.
+core in effect.  ``ucomb.verify_ab_identity`` checks A.B = P at the same
+kind of point X = 256^w, but takes its values from closed forms in plain
+integers and never calls ``kron_eval``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""u-combinatorics: u-integers, u-factorials, u-binomials and their
-symmetric variants, the balanced product kernel, the three upper-triangular
+"""u-combinatorics: u-integers, u-binomials, the three upper-triangular
 matrices (with their closed-form entries) whose product identity drives the
-section-counting recursion, and the weight table of the kernel route.
+section-counting recursion, the check of that identity on integer values,
+and the weight table of the kernel route.
 
 Matrix conventions (all entries UPoly, rows/columns indexed from 0, entry
 (i, j) nonzero only for j - i = 2*l >= 0):
@@ -14,24 +14,24 @@ Matrix conventions (all entries UPoly, rows/columns indexed from 0, entry
 
 The B and P entries are computed exactly as displayed: full numerator
 product first, then one exact division (the individual ratio [k+2l]/[k+l]
-is generally not a polynomial).  Divisions are linear-time via the
-u-integer division trick in rings.UPoly; a failed division is a bug and
-raises InternalNonExactDivision.
+is generally not a polynomial); a failed division is a bug and raises
+InternalNonExactDivision.  ``matrix_entry``, the form the partition routes
+use, divides in linear time via the u-integer division trick in
+rings.UPoly.  ``verify_ab_identity`` builds no UPoly: it takes the same
+closed forms as integers at X = 256^w, dividing with one exact divmod.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .errors import InternalNonExactDivision, Mismatch, NotDivisible
-from .rings import UPoly, kron_eval
+from .rings import UPoly
 
 __all__ = [
     "u_integer",
-    "u_factorial",
     "u_binomial",
-    "sym_u_binomial",
-    "k_series",
     "matrix_entry",
     "matrix_product_entry",
     "c_table",
@@ -45,16 +45,6 @@ def u_integer(n: int) -> UPoly:
     if n < 0:
         raise ValueError("u_integer is defined for n >= 0")
     return UPoly({2 * j: 1 for j in range(n)})
-
-
-@lru_cache(maxsize=None)
-def u_factorial(n: int) -> UPoly:
-    """[n]! = [1][2]...[n], with [0]! = 1."""
-    if n < 0:
-        raise ValueError("u_factorial is defined for n >= 0")
-    if n == 0:
-        return UPoly.one()
-    return u_factorial(n - 1).mul_u_integer(n)
 
 
 @lru_cache(maxsize=None)
@@ -72,46 +62,6 @@ def u_binomial(n: int, k: int) -> UPoly:
     for j in range(1, k + 1):
         out = out.mul_u_integer(n - k + j).div_u_integer(j)
     return out
-
-
-@lru_cache(maxsize=None)
-def sym_u_binomial(n: int, k: int) -> UPoly:
-    """Symmetrized binomial {n, k} = u^{-k(n-k)/2} [n choose k].
-
-    Extended to negative upper index by {-n, k} = (-1)^k {n+k-1, k}.
-    """
-    if k < 0:
-        return UPoly.zero()
-    if n < 0:
-        base = sym_u_binomial(-n + k - 1, k)
-        return base if k % 2 == 0 else -base
-    return u_binomial(n, k).shift(-k * (n - k))
-
-
-def k_series(n: int, t_cutoff: int) -> list[UPoly]:
-    """Coefficients (in t^0..t^{t_cutoff}) of the balanced product kernel.
-
-    For n >= 0 this is prod_{s=0}^{n-1} (1 + t u^{s-(n-1)/2}), a polynomial
-    whose t^k coefficient is {n, k}; for n < 0 it is the t-power-series
-    inverse of the |n| kernel.
-    """
-    if t_cutoff < 0:
-        raise ValueError("t_cutoff must be >= 0")
-    if n >= 0:
-        coeffs = [UPoly.one()] + [UPoly.zero()] * t_cutoff
-        for s in range(n):
-            shift = 2 * s - (n - 1)  # doubled exponent of u^{s-(n-1)/2}
-            for k in range(min(s + 1, t_cutoff), 0, -1):
-                coeffs[k] = coeffs[k] + coeffs[k - 1].shift(shift)
-        return coeffs
-    fwd = k_series(-n, t_cutoff)
-    inv = [UPoly.one()] + [UPoly.zero()] * t_cutoff
-    for k in range(1, t_cutoff + 1):
-        acc = UPoly.zero()
-        for j in range(1, k + 1):
-            acc = acc + fwd[j] * inv[k - j]
-        inv[k] = -acc
-    return inv
 
 
 def _entry_B(k: int, l: int) -> UPoly:
@@ -213,61 +163,148 @@ def c_table(n: int, r: int) -> dict:
     return cur
 
 
-# -- fast exact verification of A(n)B = P(n) -----------------------------------
+# -- exact verification of A(n)B = P(n) on integer values ---------------------
+
+@lru_cache(maxsize=None)
+def _values_at(width: int, size: int) -> tuple:
+    """u-integers [k](X) for k <= size and the rows of Gaussian binomials
+    [N, k](X) for N <= size, at X = 256^width, as tuples of ints.
+
+    [k](X) = (X^k - 1)/(X - 1); the binomials come from the q-Pascal rule
+    [N, k] = [N-1, k-1] + X^k [N-1, k], so only shifts and adds.
+    """
+    bits = 8 * width
+    rep = tuple(((1 << bits * k) - 1) // ((1 << bits) - 1)
+                for k in range(size + 1))
+    rows = [(1,)]
+    for big_n in range(1, size + 1):
+        prev = rows[-1]
+        rows.append((1, *(prev[k - 1] + (prev[k] << bits * k)
+                          for k in range(1, big_n)), 1))
+    return rep, tuple(rows)
+
+
+def _at_x(kind: str, i: int, j: int, n: int | None, width: int,
+          size: int) -> tuple:
+    """Entry (i, j) of A(n), B or P(n) at X = 256^width, as (e, f, g) with
+    value X^e * f * g.
+
+    A is returned as its two Gaussian binomials f = [i+l, n](X) and
+    g = [j, l](X); B and P as X^e times their core (f, with g = 1), the
+    core being one exact division of the numerator's value by [i+l](X)
+    or [n+l](X).  Needs size >= j and size >= n + l.
+    """
+    rep, rows = _values_at(width, size)
+
+    def qbinom(big_n, k):
+        return rows[big_n][k] if 0 <= k <= big_n else 0
+
+    l = (j - i) // 2
+    if kind == "A":
+        return 0, qbinom(i + l, n), qbinom(j, l)
+    if kind == "B":
+        if l == 0:
+            return 0, 1, 1
+        core, rest = divmod(rep[j] * qbinom(i + l, l), rep[i + l])
+        if rest:
+            raise InternalNonExactDivision(f"B entry ({i},{j})")
+        return l * (l - 1) // 2, -core if l % 2 else core, 1
+    if n == 0:
+        return 0, int(l == 0), 1
+    core, rest = divmod(rep[j] * qbinom(n + l, n) * qbinom(i + l - 1, n - 1),
+                        rep[n + l])
+    if rest:
+        raise InternalNonExactDivision(f"P({n}) entry ({i},{j})")
+    return l * l + l * (i - n), core, 1
+
+
+def _bound(n: int, i: int, j: int) -> int:
+    """Closed-form bound on every coefficient of
+    D = sum_m A(n)[i, m] B[m, j] - P(n)[i, j]; see verify_ab_identity."""
+    l = (j - i) // 2
+    out = 1 if n == 0 else \
+        2 * j * comb(n + l, n) * (comb(i + l - 1, n - 1) if i + l else 0)
+    for m in range(i, j + 1, 2):
+        la, lb = (m - i) // 2, (j - m) // 2
+        out += comb(i + la, n) * comb(m, la) \
+            * (2 * j * comb(m + lb, lb) if lb else 1)
+    return out
+
+
+def _width(n_max: int, i: int, j: int) -> int:
+    """Smallest byte width w with _bound(n, i, j) < 256^w / 2 for every
+    n <= n_max."""
+    bound = max(_bound(n, i, j) for n in range(n_max + 1))
+    return bound.bit_length() // 8 + 1
+
 
 def verify_ab_identity(n_max: int, index_max: int) -> int:
     """Assert A(n).B == P(n) entrywise for 0 <= n <= n_max on the index
     square [0, index_max]; returns the number of entries checked.
 
-    Each cell is checked on big integers: every entry is evaluated at
-    X = 256^w with ``rings.kron_eval``, and the cell passes when
-    sum_m a(X) b(X) X^shift equals p(X) X^shift.  The width w is chosen
-    per cell from a bound on the coefficients of the difference
-    polynomial D = sum_m a b - p (the sum of max|a| max|b| min(len) over
-    the terms, plus max|p|) so that every coefficient of D lies below X/2
-    in absolute value.  Such an integer polynomial vanishes at X only if
-    it is zero, because base-X digits in (-X/2, X/2) are unique; so the
-    integer check is exactly the polynomial identity.  Evaluations are
-    remembered within one row i only.  Raises ValueError for negative
+    Each cell (i, j) is checked on integers: every entry is evaluated at
+    X = 256^w from its closed form (``_at_x``), no polynomial is built,
+    and the cell passes when sum_m a(X) b(X) = p(X), both sides times the
+    same power of X.  This is exact for two reasons.
+
+    Polynomiality: the B and P cores lie in Z[u].  [N] is the product of
+    the cyclotomic Phi_d over d | N, d > 1, each once, and Phi_d divides
+    [N choose k] when floor(N/d) > floor(k/d) + floor((N-k)/d).  For B,
+    let d | k+l: either d does not divide k, and Phi_d divides
+    [k+l choose l], or d | l, and Phi_d divides [k+2l].  For P, let
+    d | n+l: either d does not divide n, and Phi_d divides
+    [n+l choose n]; or d divides n and l, and then either d does not
+    divide k, so not k+l-n, and Phi_d divides [k+l-1 choose n-1], or
+    d | k, and Phi_d divides [k+2l].  As [m] is monic, num(X) =
+    core(X) [m](X), so each core is one exact divmod by [m](X), and a
+    nonzero remainder is a bug (InternalNonExactDivision).
+
+    Width: A has nonnegative coefficients, so its l1 norm is a(1).  A
+    quotient q = num/[m] with num >= 0 satisfies q (1 - u^m) =
+    num (1 - u), so every |q_k| <= |num (1 - u)|_1 <= 2 num(1).  So no
+    coefficient of D = sum_m A(n)[i, m] B[m, j] - P(n)[i, j] exceeds
+    sum_m a(1) 2 b_num(1) + 2 p_num(1), ordinary binomials only
+    (``_bound``; an entry equal to 1 counts 1).  ``_width`` is the
+    smallest w with that bound below X/2 for every n of the cell, so each
+    base-X digit of D lies in (-X/2, X/2), where digits are unique: D(X) = 0
+    only if D = 0.
+
+    [k](X) and [N choose k](X) are cached per (w, size).  In a cell,
+    g B[m, j](X) is formed once for all n, as A(n)[i, m] = [i+l, n] g
+    with g = [m choose l].  Only on a failure is the UPoly difference
+    built, for the Mismatch location.  Raises ValueError for negative
     bounds, and Mismatch with the failing row, column and lowest
     differing doubled u-exponent.
     """
     if n_max < 0 or index_max < 0:
         raise ValueError(f"n_max and index_max must be >= 0 "
                          f"(got {n_max}, {index_max})")
-    memo: dict = {}  # evaluations of the current row's A and B entries
-
-    def at_x(poly, kind, row, col, n, width):
-        key = (kind, row, col, n, width)
-        if key not in memo:
-            memo[key] = kron_eval(poly.c, min(poly.c), 2, width)
-        return memo[key]
-
+    size = max(index_max, n_max + index_max // 2)
     checked = 0
     for i in range(index_max + 1):
-        memo.clear()
         for j in range(i, index_max + 1, 2):
-            bs = [matrix_entry("B", m, j) for m in range(i, j + 1, 2)]
+            width = _width(n_max, i, j)
+            bits = 8 * width
+            ms = range(i, j + 1, 2)
+            bs = []
+            for m in ms:
+                e, f, g = _at_x("B", m, j, None, width, size)
+                bs.append((f * g) << bits * e)
+            # (m, g) -> g * B[m, j](X), keyed by the g that _at_x gives
+            gbs: dict = {}
             for n in range(n_max + 1):
-                target = matrix_entry("P", i, j, n)
-                bound = target.max_abs_int()
-                emin = min(target.c, default=0)
-                terms = []
-                for m, b in zip(range(i, j + 1, 2), bs):
-                    a = matrix_entry("A", i, m, n)
-                    if a and b:
-                        terms.append((m, a, b))
-                        bound += (a.max_abs_int() * b.max_abs_int()
-                                  * min(len(a.c), len(b.c)))
-                        emin = min(emin, min(a.c) + min(b.c))
-                width = bound.bit_length() // 8 + 1  # bound < X/2
                 acc = 0
-                for m, a, b in terms:
-                    sh = (min(a.c) + min(b.c) - emin) // 2 * 8 * width
-                    acc += (at_x(a, "A", i, m, n, width)
-                            * at_x(b, "B", m, j, None, width)) << sh
-                if acc != kron_eval(target.c, emin, 2, width):
-                    diff = matrix_product_entry(n, i, j) - target
+                for m, b in zip(ms, bs):
+                    e, f, g = _at_x("A", i, m, n, width, size)
+                    if f:
+                        gb = gbs.get((m, g))
+                        if gb is None:
+                            gb = gbs[m, g] = g * b
+                        acc += (f * gb) << bits * e
+                e, f, g = _at_x("P", i, j, n, width, size)
+                if acc << bits * max(-e, 0) != (f * g) << bits * max(e, 0):
+                    diff = matrix_product_entry(n, i, j) \
+                        - matrix_entry("P", i, j, n)
                     raise Mismatch(
                         f"A({n}).B differs from P({n})",
                         {"row": i, "col": j,

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3pairs.errors import Mismatch
-from k3pairs.rings import UPoly
-from k3pairs.ucomb import c_table, k_series, matrix_entry, \
-    matrix_product_entry, sym_u_binomial, u_binomial, u_factorial, \
-    u_integer, verify_ab_identity
+from k3pairs.rings import UPoly, kron_eval
+from k3pairs.ucomb import _at_x, _bound, _width, c_table, matrix_entry, \
+    matrix_product_entry, u_binomial, u_integer, verify_ab_identity
 
 
 def U(d):
@@ -16,11 +15,6 @@ def test_u_integer():
     assert u_integer(0) == UPoly.zero()
     assert u_integer(1) == UPoly.one()
     assert u_integer(4) == U({0: 1, 2: 1, 4: 1, 6: 1})
-
-
-def test_u_factorial():
-    assert u_factorial(0) == UPoly.one()
-    assert u_factorial(3) == u_integer(1) * u_integer(2) * u_integer(3)
 
 
 def test_u_binomial_frozen():
@@ -59,44 +53,6 @@ def test_u_binomial_degree_and_positivity(n, k):
     assert b.eval_one() == binomial(n, k)
 
 
-def test_sym_u_binomial():
-    assert sym_u_binomial(2, 1) == U({-1: 1, 1: 1})
-    # negative upper index: {-n, k} = (-1)^k {n+k-1, k}
-    assert sym_u_binomial(-1, 2) == sym_u_binomial(2, 2)
-    assert sym_u_binomial(-1, 3) == -sym_u_binomial(3, 3)
-    assert sym_u_binomial(-3, 2) == sym_u_binomial(4, 2)
-    assert sym_u_binomial(5, -1) == UPoly.zero()
-
-
-def test_k_series_frozen():
-    k2 = k_series(2, 4)
-    assert k2[0] == UPoly.one()
-    assert k2[1] == U({-1: 1, 1: 1})
-    assert k2[2] == UPoly.one()
-    assert k2[3] == UPoly.zero() and k2[4] == UPoly.zero()
-    km1 = k_series(-1, 3)
-    assert [str(c) for c in km1] == ["1", "-1", "1", "-1"]
-
-
-@pytest.mark.parametrize("n", range(-3, 5))
-def test_k_series_coefficients_are_sym_binomials(n):
-    ks = k_series(n, 5)
-    for k, c in enumerate(ks):
-        assert c == sym_u_binomial(n, k), (n, k)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_k_series_inverse_pairing(n):
-    cut = 6
-    f = k_series(n, cut)
-    g = k_series(-n, cut)
-    for m in range(cut + 1):
-        conv = UPoly.zero()
-        for j in range(m + 1):
-            conv = conv + f[j] * g[m - j]
-        assert conv == (UPoly.one() if m == 0 else UPoly.zero())
-
-
 def test_matrix_entries_frozen():
     assert matrix_entry("B", 0, 2) == -U({0: 1, 2: 1})          # -(1+u)
     assert matrix_entry("B", 0, 0) == UPoly.one()
@@ -132,33 +88,94 @@ def test_verify_ab_identity_small():
     checked = verify_ab_identity(2, 14)
     assert checked == 3 * sum(1 for i in range(15) for j in range(i, 15, 2))
     assert verify_ab_identity(0, 0) == 1
+    matrix_entry.cache_clear()
+    u_binomial.cache_clear()
+    assert verify_ab_identity(3, 9) == 4 * 30
+    assert matrix_entry.cache_info().currsize == 0   # no UPoly built
+    assert u_binomial.cache_info().currsize == 0
     with pytest.raises(ValueError):
         verify_ab_identity(-1, 4)
     with pytest.raises(ValueError):
         verify_ab_identity(1, -1)
 
 
+def _plus(sign, d):
+    """A lie adding sign * X^d to an (e, f, g) value X^e * f * g."""
+    def lie(value, width):
+        e, f, g = value
+        lo, bits = min(e, d), 8 * width
+        return lo, ((f * g) << bits * (e - lo)) + (sign << bits * (d - lo)), 1
+    return lie
+
+
 @pytest.mark.parametrize(
-    "lie, kind, cell, row, col",
-    [(lambda p: p + UPoly.one(), "P", (1, 3, 1), 1, 3),
-     (lambda p: p - UPoly.u(max(p.c)), "P", (2, 4, 1), 2, 4),
-     (lambda p: p + UPoly.u(2), "A", (1, 3, 1), 1, 3)],
-    ids=["p-constant-plus-one", "p-top-minus-one", "a-plus-u"],
+    "lie, entry, row, col",
+    [(_plus(1, 0), ("P", 1, 3, 1), 1, 3),
+     (_plus(-1, max(matrix_entry("P", 2, 4, 1).c) // 2), ("P", 2, 4, 1),
+      2, 4),
+     (_plus(1, 1), ("A", 1, 3, 1), 1, 3),
+     (_plus(1, 1), ("B", 2, 4, None), 0, 4)],
+    ids=["p-constant-plus-one", "p-top-minus-one", "a-plus-u", "b-plus-u"],
 )
-def test_verify_ab_identity_catches_lies(monkeypatch, lie, kind, cell, row,
-                                         col):
+def test_verify_ab_identity_catches_lies(monkeypatch, lie, entry, row, col):
     import k3pairs.ucomb as uc
-    real = uc.matrix_entry.__wrapped__
+    real = uc._at_x
 
-    def liar(k, i, j, n=None):
-        out = real(k, i, j, n)
-        return lie(out) if (k, i, j, n) == (kind, *cell) else out
+    def liar(kind, i, j, n, width, size):
+        out = real(kind, i, j, n, width, size)
+        return lie(out, width) if (kind, i, j, n) == entry else out
 
-    monkeypatch.setattr(uc, "matrix_entry", liar)
+    monkeypatch.setattr(uc, "_at_x", liar)
     with pytest.raises(Mismatch) as err:
         uc.verify_ab_identity(1, 4)
     assert err.value.location["row"] == row
     assert err.value.location["col"] == col
+
+
+def test_verify_ab_identity_reads_values_not_factors(monkeypatch):
+    """The check uses X^e * f * g whatever split _at_x returns: A as one
+    factor from n = 1 on, B with f and g swapped, and P with one power of
+    X as f and its core as g."""
+    import k3pairs.ucomb as uc
+    real = uc._at_x
+
+    def refactored(kind, i, j, n, width, size):
+        e, f, g = real(kind, i, j, n, width, size)
+        if kind == "A":
+            return (e, f * g, 1) if n else (e, f, g)
+        if kind == "B":
+            return e, g, f
+        return e - 1, 1 << 8 * width, f * g
+
+    monkeypatch.setattr(uc, "_at_x", refactored)
+    assert uc.verify_ab_identity(3, 10) == 4 * 36
+
+
+def test_values_at_x_match_the_upoly_oracle():
+    """Each A, B, P value verify_ab_identity uses equals the UPoly entry
+    evaluated by kron_eval at the cell's width, and the closed-form bound
+    covers the bound read off the built polynomials and stays below X/2."""
+    n_max, index_max = 3, 12
+    for i in range(index_max + 1):
+        for j in range(i, index_max + 1, 2):
+            width = _width(n_max, i, j)
+            for n in range(n_max + 1):
+                target = matrix_entry("P", i, j, n)
+                built = target.max_abs_int()
+                entries = [("P", i, j, n)]
+                for m in range(i, j + 1, 2):
+                    a, b = matrix_entry("A", i, m, n), matrix_entry("B", m, j)
+                    if a and b:
+                        built += (a.max_abs_int() * b.max_abs_int()
+                                  * min(len(a.c), len(b.c)))
+                    entries += [("A", i, m, n), ("B", m, j, None)]
+                assert built <= _bound(n, i, j) < 1 << 8 * width - 1, (n, i, j)
+                for entry in entries:
+                    e, f, g = _at_x(*entry, width, index_max)
+                    poly = matrix_entry(*entry)
+                    lo = min([e] + [k // 2 for k in poly.c])
+                    assert (f * g) << 8 * width * (e - lo) \
+                        == kron_eval(poly.c, 2 * lo, 2, width), (entry, width)
 
 
 def test_c_table_frozen_levels():
