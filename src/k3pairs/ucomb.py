@@ -1,7 +1,7 @@
-"""u-combinatorics: u-integers, u-binomials, the three upper-triangular
-matrices (with their closed-form entries) whose product identity drives the
-section-counting recursion, the check of that identity on integer values,
-and the weight table of the kernel route.
+"""u-combinatorics: u-integers, u-binomials, the balanced product kernel,
+the three upper-triangular matrices (with their closed-form entries) whose
+product identity drives the section-counting recursion, the check of that
+identity on integer values, and the weight table of the kernel route.
 
 Matrix conventions (all entries UPoly, rows/columns indexed from 0, entry
 (i, j) nonzero only for j - i = 2*l >= 0):
@@ -32,6 +32,7 @@ from .rings import UPoly
 __all__ = [
     "u_integer",
     "u_binomial",
+    "k_series",
     "matrix_entry",
     "matrix_product_entry",
     "c_table",
@@ -62,6 +63,33 @@ def u_binomial(n: int, k: int) -> UPoly:
     for j in range(1, k + 1):
         out = out.mul_u_integer(n - k + j).div_u_integer(j)
     return out
+
+
+def k_series(n: int, t_cutoff: int) -> list[UPoly]:
+    """Coefficients (in t^0..t^{t_cutoff}) of the balanced product kernel.
+
+    For n >= 0 this is prod_{s=0}^{n-1} (1 + t u^{s-(n-1)/2}), a polynomial
+    whose t^k coefficient is the symmetrized binomial
+    {n, k} = u^{-k(n-k)/2} [n choose k]; for n < 0 it is the t-power-series
+    inverse of the |n| kernel.
+    """
+    if t_cutoff < 0:
+        raise ValueError("t_cutoff must be >= 0")
+    if n >= 0:
+        coeffs = [UPoly.one()] + [UPoly.zero()] * t_cutoff
+        for s in range(n):
+            shift = 2 * s - (n - 1)  # doubled exponent of u^{s-(n-1)/2}
+            for k in range(min(s + 1, t_cutoff), 0, -1):
+                coeffs[k] = coeffs[k] + coeffs[k - 1].shift(shift)
+        return coeffs
+    fwd = k_series(-n, t_cutoff)
+    inv = [UPoly.one()] + [UPoly.zero()] * t_cutoff
+    for k in range(1, t_cutoff + 1):
+        acc = UPoly.zero()
+        for j in range(1, k + 1):
+            acc = acc + fwd[j] * inv[k - j]
+        inv[k] = -acc
+    return inv
 
 
 def _entry_B(k: int, l: int) -> UPoly:

@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from k3pairs.errors import Mismatch
 from k3pairs.rings import UPoly, kron_eval
-from k3pairs.ucomb import _at_x, _bound, _width, c_table, matrix_entry, \
-    matrix_product_entry, u_binomial, u_integer, verify_ab_identity
+from k3pairs.ucomb import _at_x, _bound, _width, c_table, k_series, \
+    matrix_entry, matrix_product_entry, u_binomial, u_integer, \
+    verify_ab_identity
 
 
 def U(d):
@@ -51,6 +52,46 @@ def test_u_binomial_degree_and_positivity(n, k):
     # counts all of them at u = 1
     from k3pairs.scalars import binomial
     assert b.eval_one() == binomial(n, k)
+
+
+def sym_u_binomial(n, k):
+    """Symmetrized binomial {n, k} = u^{-k(n-k)/2} [n choose k], extended
+    to negative upper index by {-n, k} = (-1)^k {n+k-1, k}."""
+    if k < 0:
+        return UPoly.zero()
+    if n < 0:
+        base = sym_u_binomial(-n + k - 1, k)
+        return base if k % 2 == 0 else -base
+    return u_binomial(n, k).shift(-k * (n - k))
+
+
+def test_k_series_frozen():
+    k2 = k_series(2, 4)
+    assert k2[0] == UPoly.one()
+    assert k2[1] == U({-1: 1, 1: 1})
+    assert k2[2] == UPoly.one()
+    assert k2[3] == UPoly.zero() and k2[4] == UPoly.zero()
+    km1 = k_series(-1, 3)
+    assert [str(c) for c in km1] == ["1", "-1", "1", "-1"]
+
+
+@pytest.mark.parametrize("n", range(-3, 5))
+def test_k_series_coefficients_are_sym_binomials(n):
+    ks = k_series(n, 5)
+    for k, c in enumerate(ks):
+        assert c == sym_u_binomial(n, k), (n, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_k_series_inverse_pairing(n):
+    cut = 6
+    f = k_series(n, cut)
+    g = k_series(-n, cut)
+    for m in range(cut + 1):
+        conv = UPoly.zero()
+        for j in range(m + 1):
+            conv = conv + f[j] * g[m - j]
+        assert conv == (UPoly.one() if m == 0 else UPoly.zero())
 
 
 def test_matrix_entries_frozen():
