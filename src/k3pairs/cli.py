@@ -14,6 +14,7 @@ error (the message names the violated constraint).
 import argparse
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -82,6 +83,19 @@ class RunConfig:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of "
                              + ", ".join(SUITES))
+        if self.output is not None:
+            _check_output_path(self.output)
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"output directory {parent!r} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"output directory {parent!r} is not writable")
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -9,7 +9,9 @@ divisor-sum and Eisenstein generators of the ring the coefficients are
 expected to live in, the closed forms for the v-coefficients of the
 log-product kernel together with their u-derivatives at u = 1, two
 independent product-side consistency checks, and an exact linear fitter
-over Q(i) with a held-out validation window.
+with a held-out validation window.  The fitter's basis columns are real,
+so it eliminates over Z on the real and imaginary parts of the target
+side by side.
 
 No floats, no numerics: every comparison is coefficient-exact, and every
 verifier raises Mismatch with the first differing exponent location
@@ -17,7 +19,7 @@ instead of returning a best effort.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import Mismatch, NoSolution, ValidationFailure
 from .partition import _check_rank, euler_g_column
@@ -327,6 +329,22 @@ def logphi_sigma_check(qorder: int, vorder: int) -> dict:
 # ---------------------------------------------------------------------------
 # the bounded-weight ring and the exact fitter
 
+def _scaled(ser: QSeries) -> tuple:
+    """(d, ints) with ser = ints / d and d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in ser.coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in ser.coeffs]
+
+
+def _int_mul(f: list, g: list) -> list:
+    """Product of two integer coefficient lists, truncated to len(f)."""
+    n = len(f)
+    out = [0] * n
+    for i, a in enumerate(f):
+        if a:
+            out[i:] = [o + a * b for o, b in zip(out[i:], g)]
+    return out
+
+
 class EisensteinBasis:
     """Monomials of bounded total weight in the Eisenstein generators.
 
@@ -335,7 +353,9 @@ class EisensteinBasis:
     weights add over products.  ``elements`` holds one (name, weight,
     expansion) triple per monomial of total weight <= weight_bound, the
     empty product "1" included, sorted by (weight, name); expansions
-    are exact below q^qorder.
+    are exact below q^qorder.  Monomials are multiplied as integer lists,
+    each generator scaled by the lcm of its denominators (691 for E12),
+    and turned into Fractions once per element.
     """
 
     __slots__ = ("weight_bound", "qorder", "generators", "elements")
@@ -355,25 +375,30 @@ class EisensteinBasis:
             else:
                 self.generators.append(
                     (f"E{w}q2", w, eisenstein_odd_q2(w, qorder)))
+        scaled = [_scaled(gen) for _, _, gen in self.generators]
         self.elements: list = []
-        self._emit(0, 0, [], QSeries.one(qorder, "q"))
+        self._emit(scaled, 0, 0, [], 1, [1] + [0] * (qorder - 1))
         self.elements.sort(key=lambda e: (e[1], e[0]))
 
-    def _emit(self, gi: int, weight: int, parts: list, series: QSeries):
+    def _emit(self, scaled: list, gi: int, weight: int, parts: list,
+              den: int, ints: list):
         if gi == len(self.generators):
             name = "*".join(f"{nm}^{e}" if e > 1 else nm
                             for nm, e in parts) or "1"
-            self.elements.append((name, weight, series))
+            self.elements.append(
+                (name, weight, QSeries(0, [Fraction(c, den) for c in ints],
+                                       "q")))
             return
-        name, w, gen = self.generators[gi]
+        name, w, _ = self.generators[gi]
+        gden, gints = scaled[gi]
         e = 0
-        cur = series
         while weight + e * w <= self.weight_bound:
-            self._emit(gi + 1, weight + e * w,
-                       parts + ([(name, e)] if e else []), cur)
+            self._emit(scaled, gi + 1, weight + e * w,
+                       parts + ([(name, e)] if e else []), den, ints)
             e += 1
             if weight + e * w <= self.weight_bound:
-                cur = cur * gen
+                den *= gden
+                ints = _int_mul(ints, gints)
 
     def __len__(self):
         return len(self.elements)
@@ -383,36 +408,53 @@ class EisensteinBasis:
                 f"qorder={self.qorder}, size={len(self.elements)})")
 
 
-def _solve_exact(rows: list, k: int):
-    """Gauss-Jordan over Q(i) on an augmented k+1-column system.
+def _primitive(row: list) -> list:
+    """The integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
-    Returns the particular solution with every free coordinate pinned to
-    zero (pivots taken in column order), or None if inconsistent.
+
+def _solve_exact(rows: list, k: int):
+    """Solve A x = b_re + i b_im for a real rational matrix A.
+
+    Each row holds k rational entries of A followed by the real and
+    imaginary parts of its right-hand side.  Both parts share one
+    Gauss-Jordan elimination over Z: every row is cleared of
+    denominators, pivots are taken in column order from the first
+    nonzero row below, and every updated row is divided by its content.
+    Returns the particular solution (GaussianRational coordinates) with
+    every free coordinate pinned to zero, or None if inconsistent.
     """
-    m = len(rows)
+    work = []
+    for row in rows:
+        d = lcm(*(c.denominator for c in row))
+        work.append(_primitive([c.numerator * (d // c.denominator)
+                                for c in row]))
+    m = len(work)
     pivots = []
     rr = 0
     for col in range(k):
-        p = next((i for i in range(rr, m) if rows[i][col]), None)
+        p = next((i for i in range(rr, m) if work[i][col]), None)
         if p is None:
             continue
-        rows[rr], rows[p] = rows[p], rows[rr]
-        inv = GaussianRational(1) / rows[rr][col]
-        rows[rr] = [v * inv for v in rows[rr]]
+        work[rr], work[p] = work[p], work[rr]
+        prow = work[rr]
+        piv = prow[col]
         for i in range(m):
-            if i != rr and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rr])]
+            f = work[i][col]
+            if i != rr and f:
+                work[i] = _primitive([piv * a - f * b
+                                      for a, b in zip(work[i], prow)])
         pivots.append(col)
         rr += 1
         if rr == m:
             break
-    for i in range(rr, m):
-        if rows[i][k]:
-            return None
+    if any(row[k] or row[k + 1] for row in work[rr:]):
+        return None
     x = [GaussianRational(0)] * k
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][k]
+    for row, col in zip(work, pivots):
+        x[col] = GaussianRational(Fraction(row[k], row[col]),
+                                  Fraction(row[k + 1], row[col]))
     return x
 
 
@@ -421,9 +463,11 @@ def fit_in_R(target: QSeries, weight_bound: int, fit_qorder: int,
     """Express a q-series exactly in the bounded-weight monomials.
 
     Solves the linear system on the coefficients q^0 .. q^fit_qorder by
-    exact elimination over Q(i) and then demands a literally zero
-    residual on the held-out window q^{fit_qorder+1} .. q^{test_qorder}.
-    Raises NoSolution if the window system is inconsistent and
+    exact elimination over Z, on the real and imaginary parts of the
+    target at once (every monomial has rational coefficients), and then
+    demands a literally zero residual on the held-out window
+    q^{fit_qorder+1} .. q^{test_qorder}, again part by part.  Raises
+    NoSolution if the window system is inconsistent in either part and
     ValidationFailure if a window fit breaks beyond it; returns the
     nonzero combination otherwise.
     """
@@ -433,22 +477,21 @@ def fit_in_R(target: QSeries, weight_bound: int, fit_qorder: int,
         raise ValueError("target must be known through the validation order")
     basis = EisensteinBasis(weight_bound, test_qorder + 1)
     names = [nm for nm, _, _ in basis.elements]
-    series = [ser for _, _, ser in basis.elements]
-    k = len(series)
-    rows = [[GaussianRational.coerce(c.coeff(m)) for c in series]
-            + [GaussianRational.coerce(target.coeff(m))]
+    cols = [ser.coeffs for _, _, ser in basis.elements]
+    k = len(cols)
+    tgt = [GaussianRational.coerce(target.coeff(m))
+           for m in range(test_qorder + 1)]
+    rows = [[c[m] for c in cols] + [tgt[m].re, tgt[m].im]
             for m in range(fit_qorder + 1)]
     x = _solve_exact(rows, k)
     if x is None:
         raise NoSolution(
             f"no combination of weight <= {weight_bound} matches the "
             f"window up to q^{fit_qorder}")
+    used = [(xi.re, xi.im, c) for xi, c in zip(x, cols) if xi]
     for m in range(fit_qorder + 1, test_qorder + 1):
-        acc = GaussianRational(0)
-        for xi, ser in zip(x, series):
-            if xi:
-                acc = acc + xi * ser.coeff(m)
-        if acc != GaussianRational.coerce(target.coeff(m)):
+        if (sum(re * c[m] for re, _, c in used) != tgt[m].re
+                or sum(im * c[m] for _, im, c in used) != tgt[m].im):
             raise ValidationFailure(
                 f"combination matches through q^{fit_qorder} but fails "
                 f"at q^{m}")

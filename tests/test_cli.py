@@ -123,6 +123,24 @@ def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
         run_suite(argv[1], **{flag: int(argv[3])})
 
 
+@pytest.mark.parametrize(
+    "argv, out, message",
+    [(["fit", "--n", "1", "--vmax", "1"], "missing/x.json", "does not exist"),
+     (["table", "--n", "1"], "missing/x.csv", "does not exist"),
+     (["table", "--n", "1"], ".", "is a directory")],
+    ids=["fit", "table", "table-directory"],
+)
+def test_out_path_that_cannot_be_written_is_config_error(capsys, tmp_path,
+                                                         argv, out, message):
+    code, stdout, err = _run(capsys, argv + ["--out", str(tmp_path / out)])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("config error: output ")
+    assert message in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_negative_gmax_is_config_error(capsys):
     code, _, err = _run(capsys, ["table", "--n", "1", "--r", "0", "--gmax", "-1"])
     assert code == 2

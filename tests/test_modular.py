@@ -12,14 +12,14 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from k3pairs.errors import Mismatch, NoSolution, UnsupportedRank, \
     ValidationFailure
 from k3pairs.modular import (
-    EisensteinBasis, eisenstein_even, eisenstein_odd_q2, fit_in_R,
-    fit_v_coefficient, logphi_sigma_check, mpt_check, psi_kls_derivative,
-    psi_kls_sym, sigma_series,
+    EisensteinBasis, _solve_exact, eisenstein_even, eisenstein_odd_q2,
+    fit_in_R, fit_v_coefficient, logphi_sigma_check, mpt_check,
+    psi_kls_derivative, psi_kls_sym, sigma_series,
     v_expansion_symmetry_report, v_partition_series, verify_psi_vs_log)
 from k3pairs.partition import euler_g
 from k3pairs.rings import UPoly
@@ -315,6 +315,26 @@ def test_basis_enumeration_and_names():
     assert series["E2*E3q2"] == \
         eisenstein_even(2, 8) * eisenstein_odd_q2(3, 8)
     assert len(EisensteinBasis(0, 4).elements) == 1
+    # the fitter's real size: E12 carries 691, the odd generators carry
+    # the secant numbers 5, 61, 1385, 50521 in their denominators
+    qorder = 31
+    gens = {}
+    for w in range(2, 13):
+        if w % 2:
+            gens[f"E{w}q2"] = eisenstein_odd_q2(w, qorder)
+        else:
+            gens[f"E{w}"] = eisenstein_even(w, qorder)
+    big = EisensteinBasis(12, qorder)
+    assert len(big) == 77
+    for nm, weight, ser in big.elements:
+        want = QSeries.one(qorder, "q")
+        total = 0
+        for part in nm.split("*") if nm != "1" else ():
+            gen, _, e = part.partition("^")
+            want = want * gens[gen] ** int(e or 1)
+            total += int(gen[1:].removesuffix("q2")) * int(e or 1)
+        assert total == weight, nm
+        assert ser == want, nm
 
 
 def test_fit_recovers_a_pure_monomial():
@@ -336,18 +356,26 @@ def test_fit_rank_one_v_coefficients():
 
 
 def test_fit_solution_reevaluates_to_target():
-    target = v_partition_series(2, 1, 13, 3).coeff(2)
-    rep = fit_in_R(target, 4, 8, 12)
+    # a v-coefficient of the counting series, then a target whose real and
+    # imaginary parts are different Eisenstein polynomials
+    mixed = eisenstein_even(4, 13) * Fraction(1, 3) + \
+        eisenstein_even(2, 13) ** 2 * I
     basis = {nm: s for nm, _, s in EisensteinBasis(4, 13).elements}
-    acc = QSeries.zero(13, "q")
-    for nm, c in rep["combination"]:
-        acc = acc + basis[nm] * c
-    acc.assert_agrees(target, what="refit and target")
+    for target in (v_partition_series(2, 1, 13, 3).coeff(2), mixed):
+        rep = fit_in_R(target, 4, 8, 12)
+        acc = QSeries.zero(13, "q")
+        for nm, c in rep["combination"]:
+            acc = acc + basis[nm] * c
+        acc.assert_agrees(target, what="refit and target")
+    assert rep["combination"] == [("E2^2", I), ("E4", Fraction(1, 3))]
 
 
 def test_fit_no_solution_and_validation_failure():
     with pytest.raises(NoSolution):
         fit_in_R(sigma_series(3, 13), 2, 7, 12)
+    # the real part fits (it is E2), the imaginary part does not
+    with pytest.raises(NoSolution):
+        fit_in_R(eisenstein_even(2, 13) + sigma_series(3, 13) * I, 2, 7, 12)
     bump = QSeries(0, [0] * 9 + [1] + [0] * 3, "q")
     with pytest.raises(ValidationFailure):
         fit_in_R(eisenstein_even(2, 13) + bump, 2, 8, 12)
@@ -370,3 +398,87 @@ def test_fit_report_is_json_ready():
     assert rep["validated_to_qorder"] == 12
     assert all(set(item) == {"monomial", "coeff"}
                for item in rep["combination"])
+
+
+# ---------------------------------------------------------------------------
+# the elimination over Z against Gauss-Jordan over Q(i)
+
+def _solve_over_qi(rows: list, k: int):
+    """Gauss-Jordan over Q(i) on augmented k+1-column rows: pivots in
+    column order from the first nonzero row below, free coordinates
+    pinned to zero, None if inconsistent."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    pivots = []
+    rr = 0
+    for col in range(k):
+        p = next((i for i in range(rr, m) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[rr], rows[p] = rows[p], rows[rr]
+        inv = GaussianRational(1) / rows[rr][col]
+        rows[rr] = [v * inv for v in rows[rr]]
+        for i in range(m):
+            if i != rr and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rr])]
+        pivots.append(col)
+        rr += 1
+        if rr == m:
+            break
+    if any(rows[i][k] for i in range(rr, m)):
+        return None
+    x = [GaussianRational(0)] * k
+    for i, col in enumerate(pivots):
+        x[col] = rows[i][k]
+    return x
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _real_systems(draw):
+    """A real matrix of at most 6 x 6 with zero and duplicated (scaled)
+    columns, and a complex right-hand side that is consistent, consistent
+    in its real part only, or drawn at random."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("fresh", "zero", "copy")))
+        if kind == "zero":
+            cols.append([Fraction(0)] * m)
+        elif kind == "copy" and cols:
+            scale = draw(_SMALL.filter(bool))
+            cols.append([scale * c for c in draw(st.sampled_from(cols))])
+        else:
+            cols.append(draw(st.lists(_SMALL, min_size=m, max_size=m)))
+    a = [[col[i] for col in cols] for i in range(m)]
+
+    def image():
+        x = draw(st.lists(_SMALL, min_size=k, max_size=k))
+        return [sum(c * xi for c, xi in zip(row, x)) for row in a]
+
+    def noise():
+        return draw(st.lists(_SMALL, min_size=m, max_size=m))
+
+    mode = draw(st.sampled_from(("consistent", "real-only", "random")))
+    b_re = noise() if mode == "random" else image()
+    b_im = image() if mode == "consistent" else noise()
+    return a, b_re, b_im
+
+
+@settings(max_examples=80)
+@given(_real_systems())
+def test_solve_exact_matches_gauss_jordan_over_qi(system):
+    a, b_re, b_im = system
+    k = len(a[0])
+    got = _solve_exact([row + [re, im] for row, re, im in zip(a, b_re, b_im)],
+                       k)
+    want = _solve_over_qi([[GaussianRational(c) for c in row]
+                           + [GaussianRational(re, im)]
+                           for row, re, im in zip(a, b_re, b_im)], k)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert [str(v) for v in got] == [str(v) for v in want]
