@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import NoSolution, ValidationFailure
-from .modular import fit_v_coefficient
+from .modular import _fit_column, v_partition_series
 from .partition import g_closed, syst_table
 from .verify import SUITES, check_bounds, run_suite
 
@@ -74,7 +74,8 @@ class RunConfig:
         if self.vorder < 0:
             raise ValueError(f"vorder must be >= 0 (got {self.vorder})")
         if self.command == "verify":
-            check_bounds(self.n, self.qorder, self.vorder, self.cutoff)
+            check_bounds(self.suite, self.n, self.qorder, self.vorder,
+                         self.cutoff)
         if self.vmax < 0:
             raise ValueError(f"vmax must be >= 0 (got {self.vmax})")
         if self.weight_bound < 0:
@@ -148,12 +149,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
+    series = v_partition_series(cfg.n, cfg.r, TEST_QORDER + 1, cfg.vmax + 1)
     fits = []
     for s in range(cfg.vmax + 1):
         try:
-            fits.append(fit_v_coefficient(
-                cfg.n, cfg.r, s, fit_qorder=FIT_QORDER,
-                test_qorder=TEST_QORDER, weight_ceiling=cfg.weight_bound))
+            fits.append(_fit_column(cfg.n, cfg.r, s, series.coeff(s),
+                                    FIT_QORDER, TEST_QORDER, None,
+                                    cfg.weight_bound))
         except (NoSolution, ValidationFailure) as ex:
             sys.stderr.write(
                 f"fit failed at v-power s={s}: "

@@ -168,6 +168,14 @@ def _du_at_one(c, t: int):
     return c if t == 0 else 0
 
 
+def _check_log_qorder(qorder: int) -> None:
+    """The q^0 cell of log phi_product is 0 and so is every closed form's:
+    a log-product check compares something only from q^1 on."""
+    if qorder < 2:
+        raise ValueError(
+            f"qorder must be >= 2 for a log-product check (got {qorder})")
+
+
 def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
                       tmax: int = 3) -> dict:
     """Cross-check every closed form against the direct log expansion.
@@ -177,8 +185,11 @@ def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
     cell by cell, then the t-th u-derivatives at u = 1 for t <= tmax
     against their closed binomial sums.  Raises Mismatch with the first
     differing (v, q[, du]) location; returns a check count on success.
+    Raises ValueError for qorder < 2, where only the q^0 cell, zero on
+    both sides, would be compared.
     """
-    ywin = max(qorder - 1, 0)
+    _check_log_qorder(qorder)
+    ywin = qorder - 1
     direct = v_substitute_qmajor(log_phi_product(k, l, qorder, ywin), vorder)
     checks = 0
     for s in range(vorder):
@@ -314,8 +325,10 @@ def logphi_sigma_check(qorder: int, vorder: int) -> dict:
     Verifies that substituting y -> e^{iv} into log phi_product(0, 0)
     gives 4 sum_{k >= 1} (-1)^k v^{2k} / (2k)! * sigma_{2k-1}-series,
     with nothing at odd or zero v-powers.  Mismatch carries (v, q).
+    Raises ValueError for qorder < 2, as verify_psi_vs_log does.
     """
-    ywin = max(qorder - 1, 0)
+    _check_log_qorder(qorder)
+    ywin = qorder - 1
     direct = v_substitute_qmajor(log_phi_product(0, 0, qorder, ywin), vorder)
     rows: list = [0] * vorder
     for k in range(1, (vorder - 1) // 2 + 1):
@@ -511,7 +524,15 @@ def fit_v_coefficient(n: int, r: int, s: int, fit_qorder: int = 20,
     widening.  Coefficients are reported as exact coefficient strings.
     """
     series = v_partition_series(n, r, test_qorder + 1, s + 1)
-    target = series.coeff(s)
+    return _fit_column(n, r, s, series.coeff(s), fit_qorder, test_qorder,
+                       weight_bound, weight_ceiling)
+
+
+def _fit_column(n: int, r: int, s: int, target: QSeries, fit_qorder: int,
+                test_qorder: int, weight_bound: int | None,
+                weight_ceiling: int) -> dict:
+    """fit_v_coefficient on the v^s column ``target`` of v^2 G(n, r),
+    known through q^test_qorder; one expansion can serve every s."""
     bound = min(s + 2, weight_ceiling) if weight_bound is None \
         else weight_bound
     while True:

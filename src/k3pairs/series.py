@@ -394,9 +394,10 @@ def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
     """Substitute y -> e^{iv} in a q-major series with YPoly coefficients.
 
     Returns a QSeries in v whose coefficients are QSeries in q.  The v^s
-    coefficient of column q^m is sum_k c_{m,k} (ik)^s / s!; scalar column
-    entries become GaussianRational, UPoly entries keep their u-structure
-    with GaussianRational coefficients.
+    coefficient of column q^m is i^s/s! * sum_k c_{m,k} k^s: the sum is
+    taken in the entries' own ring and multiplied by i^s/s! once per
+    cell, so scalar column entries become GaussianRational and UPoly
+    entries keep their u-structure with GaussianRational coefficients.
     """
     fact = 1
     cols: list[list] = [[0] * (f.order - f.lower) for _ in range(vorder)]
@@ -408,12 +409,9 @@ def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
             c = f.coeff(e)
             if _czero(c):
                 continue
-            acc = 0
-            for k, v in c.c.items():
-                w = pref * (k ** s)
-                if w:
-                    acc = _cadd(acc, v * w)
-            cols[s][idx] = acc
+            terms = [v * k ** s for k, v in c.c.items() if k or not s]
+            if terms:
+                cols[s][idx] = sum(terms[1:], terms[0]) * pref
     return QSeries(0, [QSeries(f.lower, col, f.var) for col in cols], "v")
 
 

@@ -12,20 +12,23 @@ verification suites:
 
 Every function returns a q-series whose coefficients are windowed
 y-Laurent polynomials with u-Laurent entries, and every returned
-coefficient is exact on the stated window: the product-based kernels
-inflate their working window internally so that no contribution can
-fold back from discarded high y-exponents into the window the caller
-asked for.
+coefficient is exact on the stated window.  The lattice sums drop the
+terms outside it.  The product kernels work on the full support of each
+cell, which is finite below q^qorder: every cell is one big integer, the
+Kronecker packing of its (y, u) entries at X = 256^w, and each factor
+1 - m q^n is applied in place as a shift and an add.  The byte width w
+comes from a plain-integer majorant of the cells, never from the closed
+forms the verifiers compare against, and only the finished cells are
+restricted to the window.
 """
 
-from .rings import Monomial, UPoly, YPoly
+from fractions import Fraction
+
+from .errors import BadConstantTerm
+from .rings import Monomial, UPoly, YPoly, kron_digits
 from .series import QSeries
 
 __all__ = ["phi_bilateral", "psi", "phi_product", "log_phi_product"]
-
-
-def _one_y(window):
-    return YPoly({0: UPoly.one()}, window)
 
 
 def _term(m: Monomial, window) -> YPoly:
@@ -105,16 +108,95 @@ def psi(x: Monomial, y_mono: Monomial, qorder: int, ywin: int) -> QSeries:
     return QSeries.from_dict(cells, 0, qorder)
 
 
-def _geometric(m: Monomial, n: int, qorder: int, win: int) -> QSeries:
-    """1/(1 - m q^n) = sum_{j >= 0} m^j q^{nj}, truncated."""
-    cells = {}
-    j = 0
-    while n * j < qorder:
-        mj = m ** j
-        if abs(mj.y) <= win:
-            cells[n * j] = _term(mj, win)
-        j += 1
-    return QSeries.from_dict(cells, 0, qorder)
+def _majorants(qorder: int) -> tuple:
+    """Plain-integer majorants (F, H) below q^qorder.
+
+    F = prod_{n>=1} (1 + q^n)^4 (1 - q^n)^{-4} is phi_product with every
+    monomial set to 1 and every factor sign made positive, so F_j bounds
+    the sum of the absolute values of the q^j cell of phi_product(k, l),
+    for every k and l.  H_j = j F_j + sum_{0<i<j} H_i F_{j-i} bounds the
+    same sum for h_j = j g_j, g = log phi_product, through the recurrence
+    that log_phi_product runs.
+    """
+    F = [1] + [0] * (qorder - 1)
+    for n in range(1, qorder):
+        for _ in range(4):
+            for j in range(qorder - 1, n - 1, -1):
+                F[j] += F[j - n]
+        for _ in range(4):
+            for j in range(n, qorder):
+                F[j] += F[j - n]
+    H = [0] * qorder
+    for j in range(1, qorder):
+        H[j] = j * F[j] + sum(H[i] * F[j - i] for i in range(1, j))
+    return F, H
+
+
+def _width(bound: int) -> int:
+    """Smallest byte width w with bound < 256^w / 2."""
+    return bound.bit_length() // 8 + 1
+
+
+class _Grid:
+    """Kronecker packing of the (y, u) cells of phi_product(k, l).
+
+    Below q^qorder a cell at q^j has |y| <= j and |u-exponent| <= j*reach,
+    reach = max(|k|, |l|, |k + l|), since every factor 1 - m q^n moves y
+    by at most n and u by at most n*reach.  The cell sum c_{y,a} y^y u^a
+    is packed as sum c_{y,a} X^(origin + y*row + a) at X = 256^width, one
+    y-row of ``row`` digits after another, with the point y = u = 0 at
+    digit ``origin``.  The whole support fits, so no window is needed,
+    and a monomial y^b u^a is a shift by b*row + a digits.
+    """
+
+    def __init__(self, k: int, l: int, qorder: int, width: int):
+        self.k, self.l, self.qorder = k, l, qorder
+        self.reach = max(abs(k), abs(l), abs(k + l))
+        self.yspan = qorder - 1
+        self.umax = self.yspan * self.reach
+        self.row = 2 * self.umax + 1
+        self.origin = self.yspan * self.row + self.umax
+        self.width = width
+        self.bits = 8 * width
+
+    def shift(self, v: int, digits: int) -> int:
+        """v times X^digits; exact when v's support allows a right shift."""
+        if digits >= 0:
+            return v << (self.bits * digits)
+        return v >> (self.bits * -digits)
+
+    def cells(self) -> list:
+        """The q^0 .. q^(qorder-1) cells of phi_product(k, l), packed.
+
+        Multiplying by 1 - m q^n is f_j -= m f_{j-n} for j descending;
+        dividing by it is f_j += m f_{j-n} for j ascending.
+        """
+        k, l, qorder, row = self.k, self.l, self.qorder, self.row
+        num = (0, 0, k, -k)
+        den = (row + l, -row - l, row + k + l, -row - k - l)
+        f = [0] * qorder
+        f[0] = 1 << (self.bits * self.origin)
+        for n in range(1, qorder):
+            for d in num:
+                for j in range(qorder - 1, n - 1, -1):
+                    f[j] -= self.shift(f[j - n], d)
+            for d in den:
+                for j in range(n, qorder):
+                    f[j] += self.shift(f[j - n], d)
+        return f
+
+    def read(self, v: int, j: int, ywin: int) -> dict:
+        """{y: {u2: digit}} of the packed q^j cell v, for |y| <= ywin."""
+        row = self.row
+        low = (self.yspan - j) * row  # rows below y = -j are empty
+        out: dict = {}
+        for i, c in kron_digits(v >> (self.bits * low), 0, 1, self.width,
+                                (2 * j + 1) * row).items():
+            y, a = divmod(i, row)
+            y -= j
+            if abs(y) <= ywin:
+                out.setdefault(y, {})[2 * (a - self.umax)] = c
+        return out
 
 
 def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
@@ -123,34 +205,41 @@ def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
         prod_{n>=1} (1-q^n)^2 (1-u^k q^n)(1-u^{-k} q^n)
                     / [(1-u^l y q^n)(1-u^{-l} y^{-1} q^n)
                        (1-u^{k+l} y q^n)(1-u^{-k-l} y^{-1} q^n)]
+
+    Built factor by factor on packed integers (see _Grid), with the byte
+    width taken from the majorant F of _majorants, then restricted to ywin.
     """
     if qorder <= 0:
         return QSeries(0, [], "q")
-    # A contribution folding back into |e| <= ywin through an
-    # intermediate y-exponent w costs at least |w| + (|w| - ywin) in
-    # q-degree, so intermediates past this window cannot matter.
-    win = max(ywin, (qorder + ywin) // 2 + 1)
-    num = [(Monomial(), 2), (Monomial(2 * k, 0), 1), (Monomial(-2 * k, 0), 1)]
-    den = [Monomial(2 * l, 1), Monomial(-2 * l, -1),
-           Monomial(2 * (k + l), 1), Monomial(-2 * (k + l), -1)]
-    out = QSeries.from_dict({0: _one_y(win)}, 0, qorder)
-    for n in range(1, qorder):
-        for m, mult in num:
-            fac = QSeries.from_dict(
-                {0: _one_y(win), n: -_term(m, win)}, 0, qorder)
-            for _ in range(mult):
-                out = out * fac
-        for m in den:
-            out = out * _geometric(m, n, qorder, win)
-    return out.map_coeffs(lambda c: c.restrict(ywin))
+    grid = _Grid(k, l, qorder, _width(max(_majorants(qorder)[0])))
+    return QSeries(0, [
+        YPoly({y: UPoly(d) for y, d in grid.read(v, j, ywin).items()}, ywin)
+        if v else 0
+        for j, v in enumerate(grid.cells())], "q")
 
 
 def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
-    """Exact series logarithm of phi_product (constant term is 1).
+    """Exact series logarithm g of phi_product (constant term is 1).
 
-    Coefficients pick up Fraction entries from the 1/k factors of the
-    log recurrence.
+    With f = phi_product, q f' = (q g') f gives h_j = j g_j as
+    h_j = j f_j - sum_{0<i<j} h_i f_{j-i}, an integer recurrence run on
+    the packed cells of _Grid: each product of two packed cells is shifted
+    right by the origin, and the byte width comes from the majorant H of
+    _majorants.  Each h_j is read back and divided by j, so the cells have
+    Fraction entries.
     """
-    win = max(ywin, (qorder + ywin) // 2 + 1)
-    f = phi_product(k, l, qorder, win)
-    return f.log().map_coeffs(lambda c: c.restrict(ywin))
+    if qorder <= 0:
+        raise BadConstantTerm("log needs constant term exactly 1")
+    grid = _Grid(k, l, qorder, _width(max(_majorants(qorder)[1])))
+    f = grid.cells()
+    h = [0] * qorder
+    cols: list = [0] * qorder
+    for j in range(1, qorder):
+        acc = sum(h[i] * f[j - i] for i in range(1, j))
+        h[j] = j * f[j] - (acc >> (grid.bits * grid.origin))
+        if h[j]:
+            cols[j] = YPoly({y: UPoly({u2: Fraction(c, j)
+                                       for u2, c in d.items()})
+                             for y, d in grid.read(h[j], j, ywin).items()},
+                            ywin)
+    return QSeries(0, cols, "q")

@@ -134,10 +134,15 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
     return checks
 
 
-def check_bounds(n: int, qorder: int, vorder: int, cutoff: int) -> None:
+def check_bounds(suite: str, n: int, qorder: int, vorder: int,
+                 cutoff: int) -> None:
     """Raise ValueError naming the first bound under which some check of a
-    run would compare nothing (or fail to start)."""
-    for name, value, least in (("rank n", n, 1), ("qorder", qorder, 1),
+    run of ``suite`` would compare nothing (or fail to start).  The
+    log-product checks of the modularity suite compare q^0 cells that are
+    zero on both sides, so they need qorder >= 2."""
+    log_checks = suite in ("modularity", "all")
+    for name, value, least in (("rank n", n, 1),
+                               ("qorder", qorder, 2 if log_checks else 1),
                                ("vorder", vorder, 1), ("cutoff", cutoff, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least} (got {value})")
@@ -155,7 +160,7 @@ def run_suite(suite: str, n: int = 2, qorder: int = 10, ywin: int = 8,
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of "
                          + ", ".join(SUITES))
-    check_bounds(n, qorder, vorder, cutoff)
+    check_bounds(suite, n, qorder, vorder, cutoff)
     results = []
     for group, name, thunk in _build_checks(suite, n, qorder, ywin, vorder,
                                             cutoff):

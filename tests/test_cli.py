@@ -108,9 +108,11 @@ def test_rank_zero_is_config_error(capsys, argv):
     [(["--suite", "ucomb", "--cutoff", "-1"], "cutoff"),
      (["--suite", "theta", "--qorder", "0"], "qorder"),
      (["--suite", "modularity", "--vorder", "0"], "vorder"),
-     (["--suite", "modularity", "--qorder", "0"], "qorder")],
+     (["--suite", "modularity", "--qorder", "0"], "qorder"),
+     (["--suite", "modularity", "--qorder", "1"], "qorder"),
+     (["--suite", "all", "--qorder", "1"], "qorder")],
     ids=["ucomb-cutoff", "theta-qorder", "modularity-vorder",
-         "modularity-qorder"],
+         "modularity-qorder", "modularity-qorder-1", "all-qorder-1"],
 )
 def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
                                                             flag):

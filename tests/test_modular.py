@@ -181,6 +181,37 @@ def test_verify_psi_vs_log_reports_location(monkeypatch):
     assert e.value.location["v"] == 2 and "q" in e.value.location
 
 
+def test_log_product_checks_refuse_a_q_order_that_compares_nothing(
+        monkeypatch):
+    """Closed forms that lie at every q >= 1 pass a q^0-only comparison,
+    so below qorder 2 both log-product checks refuse to run."""
+    import k3pairs.modular as modular
+
+    def lie(series):
+        return series + QSeries(1, [1] * (series.order - 1), "q")
+
+    real_sym, real_der, real_sigma = (modular.psi_kls_sym,
+                                      modular.psi_kls_derivative,
+                                      modular.sigma_series)
+    monkeypatch.setattr(modular, "psi_kls_sym",
+                        lambda *a: lie(real_sym(*a)))
+    monkeypatch.setattr(modular, "psi_kls_derivative",
+                        lambda *a: lie(real_der(*a)))
+    monkeypatch.setattr(modular, "sigma_series",
+                        lambda *a: lie(real_sigma(*a)))
+    for qorder in (0, 1):
+        with pytest.raises(ValueError, match="qorder"):
+            modular.verify_psi_vs_log(1, 0, qorder, 6, 2)
+        with pytest.raises(ValueError, match="qorder"):
+            modular.logphi_sigma_check(qorder, 8)
+    with pytest.raises(Mismatch) as e:
+        modular.verify_psi_vs_log(1, 0, 2, 6, 2)
+    assert e.value.location["q"] == 1
+    with pytest.raises(Mismatch) as e:
+        modular.logphi_sigma_check(2, 8)
+    assert e.value.location["q"] == 1
+
+
 # ---------------------------------------------------------------------------
 # the v-expansion pipeline
 

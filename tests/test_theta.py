@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from k3pairs import theta
 from k3pairs.rings import Monomial, UPoly, YPoly
+from k3pairs.series import QSeries
 from k3pairs.theta import log_phi_product, phi_bilateral, phi_product, psi
 
 Y = Monomial(0, 1)
@@ -122,3 +124,82 @@ def test_rank_one_bridge():
         lc, rc = (c or YPoly.zero() for c in (lhs.coeff(m), rhs.coeff(m)))
         assert lc.restrict(ywin - 1) == rc.restrict(ywin - 1), m
 
+
+
+# ---------------------------------------------------------------------------
+# the packed product kernels against the generic series route
+
+def _oracle_term(m, win):
+    return YPoly({m.y: UPoly.u(m.u2, 1)}, win)
+
+
+def _oracle_phi(k, l, qorder, ywin):
+    """phi_product as QSeries products, factor by factor, in a y-window
+    wide enough that nothing folds back into |y| <= ywin."""
+    win = max(ywin, (qorder + ywin) // 2 + 1)
+    one = YPoly({0: UPoly.one()}, win)
+    out = QSeries.from_dict({0: one}, 0, qorder)
+    num = [Monomial(), Monomial(), Monomial(2 * k, 0), Monomial(-2 * k, 0)]
+    den = [Monomial(2 * l, 1), Monomial(-2 * l, -1),
+           Monomial(2 * (k + l), 1), Monomial(-2 * (k + l), -1)]
+    for n in range(1, qorder):
+        for m in num:
+            out = out * QSeries.from_dict(
+                {0: one, n: -_oracle_term(m, win)}, 0, qorder)
+        for m in den:
+            out = out * QSeries.from_dict(
+                {n * j: _oracle_term(m ** j, win)
+                 for j in range((qorder - 1) // n + 1)}, 0, qorder)
+    return out.map_coeffs(lambda c: c.restrict(ywin))
+
+
+def _oracle_log_phi(k, l, qorder, ywin):
+    win = max(ywin, (qorder + ywin) // 2 + 1)
+    return _oracle_phi(k, l, qorder, win).log().map_coeffs(
+        lambda c: c.restrict(ywin))
+
+
+ORACLE_GRID = [(0, 0, 1, 0), (1, 0, 2, 0), (1, 1, 2, 1), (0, 0, 7, 6),
+               (1, 0, 8, 8), (2, -2, 6, 3), (-1, 1, 5, 5), (-1, 2, 7, 3),
+               (3, -1, 5, 0), (-2, -1, 6, 4), (0, 3, 6, 2), (2, 1, 8, 7)]
+
+
+@pytest.mark.parametrize("k,l,qorder,ywin", ORACLE_GRID)
+def test_product_kernels_match_the_series_route(k, l, qorder, ywin):
+    for got, want in ((phi_product(k, l, qorder, ywin),
+                       _oracle_phi(k, l, qorder, ywin)),
+                      (log_phi_product(k, l, qorder, ywin),
+                       _oracle_log_phi(k, l, qorder, ywin))):
+        assert got.order == want.order == qorder
+        for j in range(qorder):
+            assert got.coeff(j) == want.coeff(j), j
+            if got.coeff(j):
+                assert got.coeff(j).window == ywin
+    for j in range(1, qorder):
+        for entry in log_phi_product(k, l, qorder, ywin).coeff(j).c.values():
+            assert all(type(v) is Fraction for v in entry.c.values())
+
+
+def _l1(cell):
+    return sum(abs(v) for entry in cell.c.values() for v in entry.c.values())
+
+
+def test_majorants_bound_the_cells():
+    qorder = 8
+    big, hbig = theta._majorants(qorder)
+    for k, l in ((0, 0), (1, 0), (2, -1), (-1, 3)):
+        f = _oracle_phi(k, l, qorder, qorder)
+        g = f.log()
+        for j in range(1, qorder):
+            assert _l1(f.coeff(j)) <= big[j]
+            assert j * _l1(g.coeff(j)) <= hbig[j]
+    # at (2, -1) the eight factors give eight distinct q^1 entries
+    assert _l1(_oracle_phi(2, -1, 2, 1).coeff(1)) == big[1] == 8
+
+
+@pytest.mark.parametrize("bound", [0, 1, 127, 128, 255, 2 ** 15 - 1, 2 ** 15,
+                                   theta._majorants(15)[1][-1]])
+def test_packed_width_is_the_least_with_room(bound):
+    w = theta._width(bound)
+    assert bound < 256 ** w // 2
+    assert w == 1 or bound >= 256 ** (w - 1) // 2
