@@ -1,8 +1,10 @@
 """Exact-arithmetic toolkit for stable-pair counting series on K3 surfaces.
 
-Everything in here is exact: big integers, big rationals, Gaussian
-rationals, Laurent polynomials, and truncated Laurent series with honest
-truncation-order bookkeeping.  No floats anywhere.
+Everything in here is exact: big integers, big rationals, Laurent
+polynomials, and truncated Laurent series with honest truncation-order
+bookkeeping.  A v-expansion keeps its powers of i in the v-index, so
+even its Gaussian-rational values are stored as rationals.  No floats
+anywhere.
 """
 
 __version__ = "0.1.0"
@@ -16,6 +18,5 @@ from .partition import PartitionFunction, euler_g, f_via_matrices, \
     g_closed, g_via_kernels, g_via_matrices, hilb_hodge, ky_product, \
     s_series, syst_euler, syst_hodge  # noqa: F401
 from .rings import Monomial, TTPoly, UPoly, YPoly  # noqa: F401
-from .scalars import GaussianRational, bernoulli, binomial, \
-    secant_number  # noqa: F401
+from .scalars import bernoulli, binomial, secant_number  # noqa: F401
 from .series import QSeries  # noqa: F401

@@ -9,9 +9,10 @@ divisor-sum and Eisenstein generators of the ring the coefficients are
 expected to live in, the closed forms for the v-coefficients of the
 log-product kernel together with their u-derivatives at u = 1, two
 independent product-side consistency checks, and an exact linear fitter
-with a held-out validation window.  The fitter's basis columns are real,
-so it eliminates over Z on the real and imaginary parts of the target
-side by side.
+with a held-out validation window.  Every v^s cell is i^s times a
+rational, and the cells store that rational (the series in w = iv, see
+series.v_substitute_qmajor), so the closed forms fold i^s into real
+signs and the fitter eliminates over Z on one rational right-hand side.
 
 No floats, no numerics: every comparison is coefficient-exact, and every
 verifier raises Mismatch with the first differing exponent location
@@ -24,8 +25,8 @@ from math import factorial, gcd, lcm
 from .errors import Mismatch, NoSolution, ValidationFailure
 from .partition import _check_rank, euler_g_column
 from .rings import UPoly, YPoly
-from .scalars import GaussianRational, bernoulli, binomial, secant_number
-from .series import _I_POW, QSeries, locate_mismatch, v_substitute_qmajor
+from .scalars import bernoulli, binomial, i_power_str, secant_number
+from .series import QSeries, locate_mismatch, v_substitute_qmajor
 from .theta import log_phi_product
 
 __all__ = [
@@ -93,7 +94,8 @@ def psi_kls_sym(k: int, l: int, s: int, qorder: int) -> QSeries:
     A lacunary divisor-type sum: the q^n cell is a Laurent polynomial in
     u supported on exponents (k+l)r, l r (and their negatives) over the
     divisors r of n, with s = 0 picking up the balancing terms that make
-    the whole cell vanish at u = 1.
+    the whole cell vanish at u = 1.  The cell stores the rational c of
+    the value i^s c, as v_substitute_qmajor does.
     """
     if s < 0:
         raise ValueError("v-power must be nonnegative")
@@ -111,7 +113,7 @@ def psi_kls_sym(k: int, l: int, s: int, qorder: int) -> QSeries:
             cols.append(UPoly(cell))
     else:
         sgn = -1 if s % 2 else 1
-        pref = _I_POW[s % 4] * Fraction(1, factorial(s))
+        pref = Fraction(1, factorial(s))
         for n in range(1, qorder):
             cell = {}
             for r in _divisors(n):
@@ -129,7 +131,7 @@ def psi_kls_derivative(k: int, l: int, s: int, t: int,
 
     Differentiating u^m picks up the falling factorial t! * C(m, t), so
     each q^n cell collapses to a signed binomial sum over the divisors
-    of n.  Exact GaussianRational coefficients.
+    of n.  Exact rational cells, each standing for i^s times itself.
     """
     if s < 0 or t < 0:
         raise ValueError("v-power and derivative order must be nonnegative")
@@ -146,10 +148,10 @@ def psi_kls_derivative(k: int, l: int, s: int, t: int,
                     inner -= 2
                 if inner:
                     acc += Fraction(inner, r)
-            cols.append(GaussianRational(tf * acc) if acc else 0)
+            cols.append(tf * acc if acc else 0)
     else:
         sgn = -1 if s % 2 else 1
-        pref = _I_POW[s % 4] * Fraction(factorial(t), factorial(s))
+        pref = Fraction(factorial(t), factorial(s))
         for n in range(1, qorder):
             acc = 0
             for r in _divisors(n):
@@ -219,32 +221,34 @@ def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
 # ---------------------------------------------------------------------------
 # the v-expansion of the counting series
 
-def _i_pow_series(cs: list) -> QSeries:
-    """sum_m i^m c_m v^m / m! for the given c_0, c_1, ...: exp(icv) when
-    c_m = c^m, iv / (e^{iv} - 1) when c_m = B_m."""
-    return QSeries(0, [_I_POW[m % 4] * Fraction(c, factorial(m)) if c else 0
+def _egf(cs: list) -> QSeries:
+    """sum_m c_m w^m / m! for the given c_0, c_1, ...: exp(cw) when
+    c_m = c^m, w / (e^w - 1) when c_m = B_m."""
+    return QSeries(0, [Fraction(c, factorial(m)) if c else 0
                        for m, c in enumerate(cs)], "v")
 
 
 def _boundary_q0_column(n: int, vorder: int) -> QSeries:
     """q^0 column of v^2 G(n, 0): the expansion of v^2 y^n / (1-y)^{n+1}
-    at y = e^{iv}, written i^{n+1} v^{1-n} e^{inv} (iv/(e^{iv}-1))^{n+1}
-    so that only Bernoulli numbers are needed."""
+    at y = e^{iv}.  In w = iv, where v^2 = -w^2, it is
+    (-1)^n w^{1-n} e^{nw} (w/(e^w-1))^{n+1}, so only Bernoulli numbers
+    are needed; its w^s coefficients are the stored rational cells."""
     need = max(vorder + n - 1, 0)
-    col = (_i_pow_series([bernoulli(m) for m in range(need)]) ** (n + 1)
-           * _i_pow_series([n ** m for m in range(need)]))
-    return (col * _I_POW[(n + 1) % 4]).shift(1 - n)
+    col = (_egf([bernoulli(m) for m in range(need)]) ** (n + 1)
+           * _egf([n ** m for m in range(need)]))
+    return (col * (-1) ** n).shift(1 - n)
 
 
 def v_partition_series(n: int, r: int, qorder: int, vorder: int) -> QSeries:
     """v-major expansion of v^2 G(n, r; q, e^{iv}).
 
     Returns a QSeries in v (lower 1 - n) whose coefficients are QSeries
-    in q with GaussianRational cells.  The q^0 column is nonzero only at
-    the extreme ranks: for r = 0 it is the closed rational form expanded
-    through Bernoulli numbers, for r = n its coefficientwise conjugate
-    (y -> 1/y on the boundary term); every q^m column with m >= 1 comes
-    from the finite integer-support cells of the Euler specialization.
+    in q with rational cells: the v^s cell stores the c of its value
+    i^s c.  The q^0 column is nonzero only at the extreme ranks: for
+    r = 0 it is the closed rational form expanded through Bernoulli
+    numbers, for r = n its mirror y -> 1/y, which is v -> -v and puts
+    (-1)^s on the cells; every q^m column with m >= 1 comes from the
+    finite integer-support cells of the Euler specialization.
     """
     _check_rank(n, r)
     if qorder < 1:
@@ -255,19 +259,18 @@ def v_partition_series(n: int, r: int, qorder: int, vorder: int) -> QSeries:
     cols: list = [dict() for _ in range(vorder - lo)]
     if r == 0 or r == n:
         col0 = _boundary_q0_column(n, vorder)
-        if r == n:
-            col0 = col0.map_coeffs(lambda c: c.conjugate())
         for s in range(lo, vorder):
             c = col0.coeff(s)
             if c:
-                cols[s - lo][0] = c
+                cols[s - lo][0] = -c if r == n and s % 2 else c
     ycols = {m: YPoly(euler_g_column(n, r, m)) for m in range(1, qorder)}
     rest = v_substitute_qmajor(QSeries.from_dict(ycols, 0, qorder),
-                               vorder - 2).shift(2)
+                               vorder - 2)
+    # the factor v^2 = -w^2 shifts by two and negates the stored cells
     for s in range(2, vorder):
-        for m, c in enumerate(rest.coeff(s).coeffs):
+        for m, c in enumerate(rest.coeff(s - 2).coeffs):
             if c:
-                cols[s - lo][m] = c
+                cols[s - lo][m] = -c
     return QSeries(lo, [QSeries.from_dict(d, 0, qorder, "q")
                         for d in cols], "v")
 
@@ -276,10 +279,11 @@ def v_expansion_symmetry_report(n: int, r: int, qorder: int,
                                 vorder: int) -> list:
     """Cells of the v-expansion that break the even/real pattern.
 
-    Flags every nonzero cell at an odd v-power and every cell with a
-    nonzero imaginary part.  The pattern holds exactly at n = 1 and at
-    r = n/2.  At every other rank, interior ones such as (3, 1) included,
-    the report lists only odd-v cells with purely imaginary values,
+    Every v^s cell has the value i^s c for a rational c, so the cells
+    that break it are the nonzero ones at odd v-powers, whose values are
+    imaginary; each is listed with its value rendered by i_power_str.
+    The pattern holds exactly at n = 1 and at r = n/2.  At every other
+    rank, interior ones such as (3, 1) included, the odd cells survive,
     mirrored between r and n - r: the duality G^r_n(q, y) =
     G^{n-r}_n(q, 1/y) makes the v^s cell at r equal (-1)^s times the one
     at n - r.  The offending cells are listed rather than rounded away.
@@ -287,14 +291,13 @@ def v_expansion_symmetry_report(n: int, r: int, qorder: int,
     f = v_partition_series(n, r, qorder, vorder)
     bad = []
     for s in range(f.lower, f.order):
+        if s % 2 == 0:
+            continue
         col = f.coeff(s)
         for m in range(qorder):
             c = col.coeff(m)
-            if not c:
-                continue
-            g = GaussianRational.coerce(c)
-            if s % 2 or g.im:
-                bad.append({"v": s, "q": m, "value": str(g)})
+            if c:
+                bad.append({"v": s, "q": m, "value": i_power_str(s, c)})
     return bad
 
 
@@ -306,13 +309,14 @@ def mpt_check(qorder: int, vorder: int) -> dict:
 
     Verifies -v^2 G(1, 0; q, e^{iv}) == exp(sum_{g >= 1} v^{2g}
     |B_{2g}| / (g (2g)!) E_{2g}(q)) coefficient-exactly; the exponential
-    is taken in the ring of q-series.  Mismatch carries the (v, q)
-    location.
+    is taken in the ring of q-series.  Both sides are series in w = iv,
+    as the cells are stored, so v^{2g} is (-1)^g w^{2g}.  Mismatch
+    carries the (v, q) location.
     """
     lhs = -v_partition_series(1, 0, qorder, vorder)
     rows: list = [0] * vorder
     for g in range(1, (vorder - 1) // 2 + 1):
-        w = abs(bernoulli(2 * g)) / (g * factorial(2 * g))
+        w = (-1) ** g * abs(bernoulli(2 * g)) / (g * factorial(2 * g))
         rows[2 * g] = eisenstein_even(2 * g, qorder) * w
     rhs = QSeries(0, rows, "v").exp(one=QSeries.one(qorder, "q"))
     lhs.assert_agrees(rhs, what="rank-one Eisenstein exponential form")
@@ -324,8 +328,9 @@ def logphi_sigma_check(qorder: int, vorder: int) -> dict:
 
     Verifies that substituting y -> e^{iv} into log phi_product(0, 0)
     gives 4 sum_{k >= 1} (-1)^k v^{2k} / (2k)! * sigma_{2k-1}-series,
-    with nothing at odd or zero v-powers.  Mismatch carries (v, q).
-    Raises ValueError for qorder < 2, as verify_psi_vs_log does.
+    with nothing at odd or zero v-powers; the stored v^{2k} cell is that
+    value over i^{2k} = (-1)^k.  Mismatch carries (v, q).  Raises
+    ValueError for qorder < 2, as verify_psi_vs_log does.
     """
     _check_log_qorder(qorder)
     ywin = qorder - 1
@@ -333,7 +338,7 @@ def logphi_sigma_check(qorder: int, vorder: int) -> dict:
     rows: list = [0] * vorder
     for k in range(1, (vorder - 1) // 2 + 1):
         rows[2 * k] = sigma_series(2 * k - 1, qorder) * \
-            Fraction(4 * (-1) ** k, factorial(2 * k))
+            Fraction(4, factorial(2 * k))
     target = QSeries(0, rows, "v")
     direct.assert_agrees(target, what="log-product divisor-sum shadow")
     return {"qorder": qorder, "vorder": vorder, "ok": True}
@@ -428,15 +433,14 @@ def _primitive(row: list) -> list:
 
 
 def _solve_exact(rows: list, k: int):
-    """Solve A x = b_re + i b_im for a real rational matrix A.
+    """Solve A x = b for a rational matrix A and rational b.
 
-    Each row holds k rational entries of A followed by the real and
-    imaginary parts of its right-hand side.  Both parts share one
-    Gauss-Jordan elimination over Z: every row is cleared of
+    Each row holds k rational entries of A followed by its right-hand
+    side.  One Gauss-Jordan elimination over Z: every row is cleared of
     denominators, pivots are taken in column order from the first
     nonzero row below, and every updated row is divided by its content.
-    Returns the particular solution (GaussianRational coordinates) with
-    every free coordinate pinned to zero, or None if inconsistent.
+    Returns the particular solution (Fraction coordinates) with every
+    free coordinate pinned to zero, or None if inconsistent.
     """
     work = []
     for row in rows:
@@ -462,27 +466,25 @@ def _solve_exact(rows: list, k: int):
         rr += 1
         if rr == m:
             break
-    if any(row[k] or row[k + 1] for row in work[rr:]):
+    if any(row[k] for row in work[rr:]):
         return None
-    x = [GaussianRational(0)] * k
+    x = [Fraction(0)] * k
     for row, col in zip(work, pivots):
-        x[col] = GaussianRational(Fraction(row[k], row[col]),
-                                  Fraction(row[k + 1], row[col]))
+        x[col] = Fraction(row[k], row[col])
     return x
 
 
 def fit_in_R(target: QSeries, weight_bound: int, fit_qorder: int,
              test_qorder: int) -> dict:
-    """Express a q-series exactly in the bounded-weight monomials.
+    """Express a rational q-series exactly in the bounded-weight monomials.
 
     Solves the linear system on the coefficients q^0 .. q^fit_qorder by
-    exact elimination over Z, on the real and imaginary parts of the
-    target at once (every monomial has rational coefficients), and then
-    demands a literally zero residual on the held-out window
-    q^{fit_qorder+1} .. q^{test_qorder}, again part by part.  Raises
-    NoSolution if the window system is inconsistent in either part and
-    ValidationFailure if a window fit breaks beyond it; returns the
-    nonzero combination otherwise.
+    exact elimination over Z, and then demands a literally zero residual
+    on the held-out window q^{fit_qorder+1} .. q^{test_qorder}.  A v^s
+    column of v_partition_series is rational as stored (its values are
+    i^s times it), so it is fitted as it is.  Raises NoSolution if the
+    window system is inconsistent and ValidationFailure if a window fit
+    breaks beyond it; returns the nonzero combination otherwise.
     """
     if not 0 <= fit_qorder < test_qorder:
         raise ValueError("need 0 <= fit_qorder < test_qorder")
@@ -492,19 +494,16 @@ def fit_in_R(target: QSeries, weight_bound: int, fit_qorder: int,
     names = [nm for nm, _, _ in basis.elements]
     cols = [ser.coeffs for _, _, ser in basis.elements]
     k = len(cols)
-    tgt = [GaussianRational.coerce(target.coeff(m))
-           for m in range(test_qorder + 1)]
-    rows = [[c[m] for c in cols] + [tgt[m].re, tgt[m].im]
-            for m in range(fit_qorder + 1)]
+    tgt = [target.coeff(m) for m in range(test_qorder + 1)]
+    rows = [[c[m] for c in cols] + [tgt[m]] for m in range(fit_qorder + 1)]
     x = _solve_exact(rows, k)
     if x is None:
         raise NoSolution(
             f"no combination of weight <= {weight_bound} matches the "
             f"window up to q^{fit_qorder}")
-    used = [(xi.re, xi.im, c) for xi, c in zip(x, cols) if xi]
+    used = [(xi, c) for xi, c in zip(x, cols) if xi]
     for m in range(fit_qorder + 1, test_qorder + 1):
-        if (sum(re * c[m] for re, _, c in used) != tgt[m].re
-                or sum(im * c[m] for _, im, c in used) != tgt[m].im):
+        if sum(xi * c[m] for xi, c in used) != tgt[m]:
             raise ValidationFailure(
                 f"combination matches through q^{fit_qorder} but fails "
                 f"at q^{m}")
@@ -521,7 +520,8 @@ def fit_v_coefficient(n: int, r: int, s: int, fit_qorder: int = 20,
     The expected weight of the v^s coefficient is s + 2, so the search
     starts there (capped by the ceiling) and widens on NoSolution until
     the ceiling is exhausted; an explicit weight_bound disables the
-    widening.  Coefficients are reported as exact coefficient strings.
+    widening.  Each coefficient c of the stored v^s column is reported
+    as the exact string of its value i^s c.
     """
     series = v_partition_series(n, r, test_qorder + 1, s + 1)
     return _fit_column(n, r, s, series.coeff(s), fit_qorder, test_qorder,
@@ -544,6 +544,6 @@ def _fit_column(n: int, r: int, s: int, target: QSeries, fit_qorder: int,
                 raise
             bound += 1
     return {"n": n, "r": r, "s": s, "weight_bound": res["weight_bound"],
-            "combination": [{"monomial": nm, "coeff": str(c)}
+            "combination": [{"monomial": nm, "coeff": i_power_str(s, c)}
                             for nm, c in res["combination"]],
             "validated_to_qorder": res["validated_to_qorder"]}

@@ -4,7 +4,7 @@ Three sparse dict-backed rings:
 
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
-  u^{3/2}); coefficients are int, Fraction, or GaussianRational and may mix.
+  u^{3/2}); coefficients are int or Fraction and may mix.
 * ``TTPoly`` — Laurent polynomials in two variables (t, tb), the Hodge
   variables.  u embeds as t*tb.
 * ``YPoly`` — Laurent polynomials in y with coefficients in any ring that
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotDivisible
-from .scalars import GaussianRational, fraction_str
+from .scalars import fraction_str
 
 __all__ = ["UPoly", "TTPoly", "YPoly", "Monomial"]
 
@@ -149,7 +149,7 @@ class UPoly:
     def __eq__(self, other):
         if isinstance(other, UPoly):
             return self.c == other.c
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 return not self.c
             return set(self.c) == {0} and self.c[0] == other
@@ -163,7 +163,7 @@ class UPoly:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = UPoly.const(other)
         if not isinstance(other, UPoly):
             return NotImplemented
@@ -186,7 +186,7 @@ class UPoly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = UPoly.const(other)
         return self + (-other)
 
@@ -194,7 +194,7 @@ class UPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 return UPoly.zero()
             r = UPoly.__new__(UPoly)
@@ -374,13 +374,6 @@ class UPoly:
 
 
 def _coeff_str(v, has_mono: bool) -> str:
-    if isinstance(v, GaussianRational):
-        s = str(v)
-        if has_mono and (("+" in s[1:]) or ("-" in s[1:]) or s.startswith("-")):
-            return f"({s})"
-        if has_mono and s == "1":
-            return ""
-        return s
     if has_mono:
         if v == 1:
             return ""
@@ -565,7 +558,7 @@ class YPoly:
     def __eq__(self, other):
         if isinstance(other, YPoly):
             return self.c == other.c
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 return not self.c
             return set(self.c) == {0} and self.c[0] == other
@@ -620,7 +613,7 @@ class YPoly:
             r = YPoly.__new__(YPoly)
             r.c, r.window = out, w
             return r
-        # scalar (int / Fraction / GaussianRational / coefficient ring)
+        # scalar (int / Fraction / coefficient ring)
         if not other:
             return YPoly({}, self.window)
         return YPoly({e: v * other for e, v in self.c.items()}, self.window)

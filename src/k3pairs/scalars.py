@@ -1,5 +1,5 @@
 """Exact scalar arithmetic: Bernoulli numbers, secant numbers, generalized
-binomials, and the field Q(i) of Gaussian rationals.
+binomials, and the rendering of the Gaussian rationals i^s * c.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -10,6 +10,9 @@ Conventions fixed here and relied on everywhere else:
   odd ones vanish).
 * binomial(n, k) is the falling-factorial binomial, defined for every
   integer n and k >= 0, so e.g. binomial(-3, 2) = 6.
+* A v^s cell of a v-expansion is stored as the rational c whose value
+  is i^s * c (see series.v_substitute_qmajor); i_power_str renders that
+  value, e.g. "1/240", "-i", "1/288i".
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ __all__ = [
     "bernoulli",
     "secant_number",
     "binomial",
-    "GaussianRational",
     "fraction_str",
+    "i_power_str",
 ]
 
 
@@ -84,106 +87,14 @@ def fraction_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-class GaussianRational:
-    """An element of Q(i), stored as exact real and imaginary Fractions.
-
-    Arithmetic mixes freely with int and Fraction.  Division is exact field
-    division; dividing by zero raises ZeroDivisionError.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @classmethod
-    def i(cls) -> "GaussianRational":
-        return cls(0, 1)
-
-    @classmethod
-    def coerce(cls, x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return cls(x)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __truediv__(self, other):
-        o = GaussianRational.coerce(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        c = self * o.conjugate()
-        return GaussianRational(c.re / n, c.im / n)
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return GaussianRational(1) / self ** (-e)
-        out = GaussianRational(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __str__(self):
-        # Canonical "p/q+r/si" with explicit signs, e.g. "1/2-3i", "0", "2i".
-        if not self.im:
-            return fraction_str(self.re)
-        im = fraction_str(abs(self.im)) + "i" if abs(self.im) != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        if not self.re:
-            return im if self.im > 0 else "-" + im
-        return f"{fraction_str(self.re)}{sign}{im}"
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+def i_power_str(s: int, c) -> str:
+    """The Gaussian rational i^s * c, for a rational c, as "p/q" when it
+    is real and "p/qi" or "i" with a leading "-" when it is imaginary:
+    "1/240", "-1/2", "i", "-i", "2i", "1/288i", and "0" for c = 0."""
+    if not c:
+        return "0"
+    if s % 2 == 0:
+        return fraction_str(c if s % 4 == 0 else -c)
+    im = c if s % 4 == 1 else -c
+    mag = "i" if abs(im) == 1 else fraction_str(abs(im)) + "i"
+    return mag if im > 0 else "-" + mag

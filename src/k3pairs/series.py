@@ -10,9 +10,11 @@ Multiplication tracks validity honestly:
 
     (f * g).order = min(f.order + g.lower, g.order + f.lower)
 
-Coefficients may be int, Fraction, GaussianRational, UPoly, TTPoly, YPoly,
-or nested QSeries (a power series in v over q-series is just a QSeries with
-var "v" whose coefficients are QSeries with var "q").
+Coefficients may be int, Fraction, UPoly, TTPoly, YPoly, or nested
+QSeries (a power series in v over q-series is just a QSeries with var "v"
+whose coefficients are QSeries with var "q").  A series in v made by
+v_substitute_qmajor stores at v^s the rational c whose value is i^s * c:
+it is the series in w = iv, so products of v-series stay index-additive.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BadConstantTerm, Mismatch, NonUnitLeading
 from .rings import TTPoly, UPoly, YPoly
-from .scalars import GaussianRational, fraction_str
+from .scalars import fraction_str
 
 __all__ = ["QSeries", "v_substitute_qmajor", "locate_mismatch", "coeff_str"]
 
@@ -45,11 +47,7 @@ def _czero(c) -> bool:
 
 
 def _is_one(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 1
-    if isinstance(c, GaussianRational):
-        return c == 1
-    if isinstance(c, (UPoly, TTPoly)):
+    if isinstance(c, (int, Fraction, UPoly, TTPoly)):
         return c == 1
     if isinstance(c, YPoly):
         return set(c.c) == {0} and c.c[0] == 1
@@ -62,8 +60,6 @@ def _ring_inv(c):
         return c if c in (1, -1) else None
     if isinstance(c, Fraction):
         return 1 / c if c else None
-    if isinstance(c, GaussianRational):
-        return GaussianRational(1) / c if c else None
     if isinstance(c, UPoly):
         if c.is_monomial():
             (e2, v), = c.c.items()
@@ -385,26 +381,21 @@ def locate_mismatch(a, b) -> dict:
 
 # -- the y -> e^{iv} substitution --------------------------------------------
 
-# i^s, indexed by s mod 4
-_I_POW = (GaussianRational(1), GaussianRational.i(),
-          GaussianRational(-1), -GaussianRational.i())
-
-
 def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
     """Substitute y -> e^{iv} in a q-major series with YPoly coefficients.
 
     Returns a QSeries in v whose coefficients are QSeries in q.  The v^s
-    coefficient of column q^m is i^s/s! * sum_k c_{m,k} k^s: the sum is
-    taken in the entries' own ring and multiplied by i^s/s! once per
-    cell, so scalar column entries become GaussianRational and UPoly
-    entries keep their u-structure with GaussianRational coefficients.
+    coefficient of column q^m is i^s/s! * sum_k c_{m,k} k^s, and the cell
+    stores the rational part 1/s! * sum_k c_{m,k} k^s: i^s is carried by
+    the index s.  The sum is taken in the entries' own ring, so scalar
+    entries stay rational and UPoly entries keep their u-structure.
     """
     fact = 1
     cols: list[list] = [[0] * (f.order - f.lower) for _ in range(vorder)]
     for s in range(vorder):
         if s:
             fact *= s
-        pref = _I_POW[s % 4] * Fraction(1, fact)
+        pref = Fraction(1, fact)
         for idx, e in enumerate(range(f.lower, f.order)):
             c = f.coeff(e)
             if _czero(c):

@@ -17,9 +17,9 @@ terms outside it.  The product kernels work on the full support of each
 cell, which is finite below q^qorder: every cell is one big integer, the
 Kronecker packing of its (y, u) entries at X = 256^w, and each factor
 1 - m q^n is applied in place as a shift and an add.  The byte width w
-comes from a plain-integer majorant of the cells, never from the closed
-forms the verifiers compare against, and only the finished cells are
-restricted to the window.
+comes from a plain-integer majorant of the cells read back, never from
+the closed forms the verifiers compare against, and only the finished
+cells are restricted to the window.
 """
 
 from fractions import Fraction
@@ -108,15 +108,13 @@ def psi(x: Monomial, y_mono: Monomial, qorder: int, ywin: int) -> QSeries:
     return QSeries.from_dict(cells, 0, qorder)
 
 
-def _majorants(qorder: int) -> tuple:
-    """Plain-integer majorants (F, H) below q^qorder.
+def _phi_majorant(qorder: int) -> list:
+    """Plain-integer majorant F of phi_product below q^qorder.
 
     F = prod_{n>=1} (1 + q^n)^4 (1 - q^n)^{-4} is phi_product with every
     monomial set to 1 and every factor sign made positive, so F_j bounds
     the sum of the absolute values of the q^j cell of phi_product(k, l),
-    for every k and l.  H_j = j F_j + sum_{0<i<j} H_i F_{j-i} bounds the
-    same sum for h_j = j g_j, g = log phi_product, through the recurrence
-    that log_phi_product runs.
+    for every k and l.
     """
     F = [1] + [0] * (qorder - 1)
     for n in range(1, qorder):
@@ -126,10 +124,24 @@ def _majorants(qorder: int) -> tuple:
         for _ in range(4):
             for j in range(n, qorder):
                 F[j] += F[j - n]
+    return F
+
+
+def _log_majorant(qorder: int) -> list:
+    """H_j = 8 sigma(j) below q^qorder (H_0 = 0), a bound on the sum of
+    the absolute values of h_j = j g_j, g = log phi_product(k, l).
+
+    The eight factors of phi_product at q^n are 1 - m q^n for unit
+    monomials m, and log(1 - m q^n) = -sum_r m^r q^{nr} / r.  So h_j is
+    a sum over the divisors n of j of eight terms +-(j/r) m^r = +-n m^r,
+    r = j/n, and its entries sum in absolute value to at most
+    8 sum_{n | j} n.  Like F, this comes from the factor list alone.
+    """
     H = [0] * qorder
-    for j in range(1, qorder):
-        H[j] = j * F[j] + sum(H[i] * F[j - i] for i in range(1, j))
-    return F, H
+    for n in range(1, qorder):
+        for j in range(n, qorder, n):
+            H[j] += 8 * n
+    return H
 
 
 def _width(bound: int) -> int:
@@ -207,11 +219,12 @@ def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
                        (1-u^{k+l} y q^n)(1-u^{-k-l} y^{-1} q^n)]
 
     Built factor by factor on packed integers (see _Grid), with the byte
-    width taken from the majorant F of _majorants, then restricted to ywin.
+    width taken from the majorant of _phi_majorant, then restricted to
+    ywin.
     """
     if qorder <= 0:
         return QSeries(0, [], "q")
-    grid = _Grid(k, l, qorder, _width(max(_majorants(qorder)[0])))
+    grid = _Grid(k, l, qorder, _width(max(_phi_majorant(qorder))))
     return QSeries(0, [
         YPoly({y: UPoly(d) for y, d in grid.read(v, j, ywin).items()}, ywin)
         if v else 0
@@ -224,13 +237,24 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
     With f = phi_product, q f' = (q g') f gives h_j = j g_j as
     h_j = j f_j - sum_{0<i<j} h_i f_{j-i}, an integer recurrence run on
     the packed cells of _Grid: each product of two packed cells is shifted
-    right by the origin, and the byte width comes from the majorant H of
-    _majorants.  Each h_j is read back and divided by j, so the cells have
-    Fraction entries.
+    right by the origin.  Each h_j is read back and divided by j, so the
+    cells have Fraction entries.
+
+    The byte width only has to decode the finished h_j, not f or the
+    partial products.  The packing sends each cell to its value at
+    X = 256^w times X^origin, a ring homomorphism, and every shift right
+    by the origin divides an exact multiple of X^origin (the supports
+    stay inside the grid), so each packed h_j is that value of the true
+    h_j whatever w is.  Reading back balanced base-X digits is injective
+    and returns the true entries when they all lie below X/2 in absolute
+    value, which the bound 8 sigma(j) of _log_majorant guarantees.  Were
+    that bound too small, the cells read back would not be the cells of
+    log phi_product, and a comparison with the closed forms would fail
+    rather than pass.
     """
     if qorder <= 0:
         raise BadConstantTerm("log needs constant term exactly 1")
-    grid = _Grid(k, l, qorder, _width(max(_majorants(qorder)[1])))
+    grid = _Grid(k, l, qorder, _width(max(_log_majorant(qorder))))
     f = grid.cells()
     h = [0] * qorder
     cols: list = [0] * qorder

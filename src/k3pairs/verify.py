@@ -14,7 +14,6 @@ from .modular import (logphi_sigma_check, mpt_check,
 from .partition import (g_closed, g_via_kernels, g_via_matrices, ky_product,
                         mirror_series)
 from .rings import Monomial, UPoly, YPoly
-from .scalars import GaussianRational
 from .series import QSeries
 from .theta import phi_bilateral, psi
 from .ucomb import verify_ab_identity
@@ -65,17 +64,18 @@ def _duality(n: int, r: int, qorder: int, ywin: int) -> None:
 
 
 def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int) -> None:
-    """The v^s cell at (n, r) lies in i^s Q and is (-1)^s times the one at
-    (n, n - r); odd cells vanish only at n = 1 and 2r = n."""
-    f = v_partition_series(n, r, qorder, vorder)
-    even = n == 1 or 2 * r == n
-    for cell in v_expansion_symmetry_report(n, r, qorder, vorder):
-        s, m = cell["v"], cell["q"]
-        if even or s % 2 == 0 or GaussianRational.coerce(
-                f.coeff(s).coeff(m)).re:
+    """The v^s cell at (n, r) is (-1)^s times the one at (n, n - r); odd
+    cells vanish at n = 1 and 2r = n.  Each cell is stored as the c of
+    its value i^s c, so the mirror is the same sign on the stored cells."""
+    if n == 1 or 2 * r == n:
+        bad = v_expansion_symmetry_report(n, r, qorder, vorder)
+        if bad:
+            cell = bad[0]
             raise Mismatch(
                 f"v-expansion at rank ({n}, {r}) breaks the i^s rule: "
-                f"cell value {cell['value']}", {"v": s, "q": m})
+                f"cell value {cell['value']}", {"v": cell["v"],
+                                                 "q": cell["q"]})
+    f = v_partition_series(n, r, qorder, vorder)
     g = v_partition_series(n, n - r, qorder, vorder)
     mirrored = QSeries(g.lower, [-c if s % 2 else c for s, c in
                                  enumerate(g.coeffs, g.lower)], "v")
@@ -139,10 +139,11 @@ def check_bounds(suite: str, n: int, qorder: int, vorder: int,
     """Raise ValueError naming the first bound under which some check of a
     run of ``suite`` would compare nothing (or fail to start).  The
     log-product checks of the modularity suite compare q^0 cells that are
-    zero on both sides, so they need qorder >= 2."""
-    log_checks = suite in ("modularity", "all")
+    zero on both sides, and the kernel checks of the theta suite compare
+    the window [1, qorder), so both need qorder >= 2."""
+    q_least = 2 if suite in ("theta", "modularity", "all") else 1
     for name, value, least in (("rank n", n, 1),
-                               ("qorder", qorder, 2 if log_checks else 1),
+                               ("qorder", qorder, q_least),
                                ("vorder", vorder, 1), ("cutoff", cutoff, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least} (got {value})")

@@ -39,7 +39,6 @@ from k3pairs.partition import (
     syst_hodge,
 )
 from k3pairs.rings import Monomial, UPoly, YPoly
-from k3pairs.scalars import GaussianRational
 from k3pairs.theta import phi_bilateral, psi
 from k3pairs.ucomb import verify_ab_identity
 
@@ -172,8 +171,9 @@ def test_criterion_09_rank_two_coefficient_fits():
     # odd v-powers vanish at the self-mirror rank r = 1.  The duality
     # G^r_2(q, y) = G^{2-r}_2(q, 1/y) turns v -> -v into r -> 2 - r, so at
     # the boundary ranks the odd columns are mirrored instead: (2, 0) has
-    # the hand-derived v^3 column i (E2^2/288 + E4/1440), and every odd
-    # column of (2, 2) is the negative of the one at (2, 0).
+    # the hand-derived v^3 column i (E2^2/288 + E4/1440), stored as the
+    # rational c of i^3 c = -i c, and every odd column of (2, 2) is the
+    # negative of the one at (2, 0).
     series = {r: v_partition_series(2, r, qorder=31, vorder=7)
               for r in (0, 1, 2)}
     for s in (1, 3, 5):
@@ -185,8 +185,7 @@ def test_criterion_09_rank_two_coefficient_fits():
             f"v^{s} column has q^{bad[0][0]} cell {bad[0][1]}"
             if bad else "")
     e2, e4 = eisenstein_even(2, 31), eisenstein_even(4, 31)
-    v3 = (e2 * e2 * Fraction(1, 288) + e4 * Fraction(1, 1440)) \
-        * GaussianRational.i()
+    v3 = -(e2 * e2 * Fraction(1, 288) + e4 * Fraction(1, 1440))
     series[0].coeff(3).assert_agrees(v3, 0, 31,
                                      what="v^3 column at rank (2, 0)")
     for s in (1, 3, 5):

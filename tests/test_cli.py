@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from k3pairs.cli import FIT_QORDER, TEST_QORDER, build_parser, main
+from k3pairs.errors import Mismatch
 from k3pairs.verify import run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,12 +108,14 @@ def test_rank_zero_is_config_error(capsys, argv):
     "argv, flag",
     [(["--suite", "ucomb", "--cutoff", "-1"], "cutoff"),
      (["--suite", "theta", "--qorder", "0"], "qorder"),
+     (["--suite", "theta", "--qorder", "1"], "qorder"),
      (["--suite", "modularity", "--vorder", "0"], "vorder"),
      (["--suite", "modularity", "--qorder", "0"], "qorder"),
      (["--suite", "modularity", "--qorder", "1"], "qorder"),
      (["--suite", "all", "--qorder", "1"], "qorder")],
-    ids=["ucomb-cutoff", "theta-qorder", "modularity-vorder",
-         "modularity-qorder", "modularity-qorder-1", "all-qorder-1"],
+    ids=["ucomb-cutoff", "theta-qorder", "theta-qorder-1",
+         "modularity-vorder", "modularity-qorder", "modularity-qorder-1",
+         "all-qorder-1"],
 )
 def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
                                                             flag):
@@ -240,8 +243,9 @@ def test_verify_modularity_rank_two_passes(capsys):
     "perturb", [lambda c: c * 2, lambda c: c + 1], ids=["mirror", "i-power"]
 )
 def test_verify_modularity_catches_a_broken_odd_cell(capsys, monkeypatch, perturb):
-    # v^3 q^2 at (2, 0) is 3i: doubling it breaks the mirror with (2, 2),
-    # adding 1 gives it a real part
+    # v^3 q^2 at (2, 0) is 3i, stored as -3 (i^3 = -i): doubling it, or
+    # adding 1 to the stored rational (-i to the value), breaks the mirror
+    # with (2, 2)
     import k3pairs.modular
     import k3pairs.verify
 
@@ -264,6 +268,27 @@ def test_verify_modularity_catches_a_broken_odd_cell(capsys, monkeypatch, pertur
     assert "FAIL modularity: v-expansion mirror symmetry at rank (2, 0)" in out
     assert "'v': 3" in out and "'q': 2" in out
     assert "FAILED" in out
+
+
+def test_mirror_check_catches_a_mirrored_odd_cell_at_rank_one(monkeypatch):
+    # a v^3 q^2 cell put at (1, 0) and its mirror image at (1, 1) passes
+    # the mirror comparison; only the evenness of rank one catches it
+    import k3pairs.modular
+    import k3pairs.verify
+
+    real = k3pairs.modular.v_partition_series
+
+    def broken(n, r, qorder, vorder):
+        f = real(n, r, qorder, vorder)
+        f.coeff(3).coeffs[2] += 1 if r == 0 else -1
+        return f
+
+    monkeypatch.setattr(k3pairs.modular, "v_partition_series", broken)
+    monkeypatch.setattr(k3pairs.verify, "v_partition_series", broken)
+    for r in (0, 1):
+        with pytest.raises(Mismatch, match="i\\^s rule") as e:
+            k3pairs.verify._mirror_symmetry(1, r, 6, 5)
+        assert e.value.location == {"v": 3, "q": 2}
 
 
 def test_verify_unknown_suite_rejected_by_parser():

@@ -5,6 +5,10 @@ brute enumeration, the Bernoulli kernel against a hand-expanded cosine
 series, the rank-one and rank-two boundary columns against elementary
 exponential cross-multiplication, and the closed forms for the
 log-product coefficients against direct substitution y -> exp(iv).
+
+A v^s cell stores the rational c of its value i^s c: the v-series are
+series in w = iv, where v^2 = -w^2.  Expected cells are written as those
+rationals, with the value alongside where it helps.
 """
 
 import json
@@ -21,18 +25,17 @@ from k3pairs.modular import (
     fit_in_R, fit_v_coefficient, logphi_sigma_check, mpt_check,
     psi_kls_derivative, psi_kls_sym, sigma_series,
     v_expansion_symmetry_report, v_partition_series, verify_psi_vs_log)
-from k3pairs.partition import euler_g
+from k3pairs.partition import euler_g, euler_g_column
 from k3pairs.rings import UPoly
-from k3pairs.scalars import GaussianRational
+from k3pairs.scalars import i_power_str
 from k3pairs.series import QSeries, v_substitute_qmajor
 from k3pairs.theta import log_phi_product
 
-I = GaussianRational.i()
 
-
-def _exp_iv(mult: int, vorder: int) -> QSeries:
-    """exp(i * mult * v) straight from the exponential series."""
-    cells = [I ** m * Fraction(mult ** m, factorial(m)) for m in range(vorder)]
+def _exp_w(mult: int, vorder: int) -> QSeries:
+    """exp(mult * w) = exp(i * mult * v) straight from the exponential
+    series, as a series in w = iv."""
+    cells = [Fraction(mult ** m, factorial(m)) for m in range(vorder)]
     return QSeries(0, cells, "v")
 
 
@@ -106,8 +109,8 @@ def test_psi_u1_s0_and_odd_s_vanish():
 
 
 def test_psi_u1_even_s_frozen():
-    p2 = psi_kls_derivative(1, 0, 2, 0, 5)
-    assert [p2.coeff(n) for n in range(1, 5)] == [-2, -6, -8, -14]
+    p2 = psi_kls_derivative(1, 0, 2, 0, 5)          # values -2, -6, ...
+    assert [p2.coeff(n) for n in range(1, 5)] == [2, 6, 8, 14]
     p4 = psi_kls_derivative(2, 1, 4, 0, 4)
     assert [p4.coeff(n) for n in range(1, 4)] == \
         [Fraction(1, 6), Fraction(3, 2), Fraction(14, 3)]
@@ -117,11 +120,11 @@ def test_psi_u1_even_s_frozen():
 
 
 def test_psi_sym_hand_columns():
-    s2 = psi_kls_sym(1, 0, 2, 3)
-    assert s2.coeff(1) == UPoly({2: Fraction(-1, 2), -2: Fraction(-1, 2),
-                                 0: -1})
-    assert s2.coeff(2) == UPoly({4: -1, -4: -1, 2: Fraction(-1, 2),
-                                 -2: Fraction(-1, 2), 0: -3})
+    s2 = psi_kls_sym(1, 0, 2, 3)                    # values i^2 = -1 times
+    assert s2.coeff(1) == UPoly({2: Fraction(1, 2), -2: Fraction(1, 2),
+                                 0: 1})
+    assert s2.coeff(2) == UPoly({4: 1, -4: 1, 2: Fraction(1, 2),
+                                 -2: Fraction(1, 2), 0: 3})
     s0 = psi_kls_sym(1, 1, 0, 3)
     assert s0.coeff(1) == UPoly({4: 1, -4: 1, 0: -2})
     assert s0.coeff(2) == UPoly({8: Fraction(1, 2), -8: Fraction(1, 2),
@@ -216,33 +219,37 @@ def test_log_product_checks_refuse_a_q_order_that_compares_nothing(
 # the v-expansion pipeline
 
 def test_v_partition_rank_one_q0_column():
+    # v^2 y / (1 - y)^2 at y = e^{iv} is -1 - v^2/12 - v^4/240 - ...
     f = v_partition_series(1, 0, 3, 6)
     got = [f.coeff(s).coeff(0) for s in range(6)]
-    assert got == [-1, 0, Fraction(-1, 12), 0, Fraction(-1, 240), 0]
+    assert got == [-1, 0, Fraction(1, 12), 0, Fraction(-1, 240), 0]
 
 
 def test_v_partition_rank_two_boundary_q0_columns():
     f0 = v_partition_series(2, 0, 3, 4)
     got = [f0.coeff(s).coeff(0) for s in range(-1, 4)]
-    assert got == [-I, Fraction(1, 2), 0, Fraction(1, 24),
-                   I * Fraction(1, 240)]
+    assert got == [1, Fraction(1, 2), 0, Fraction(-1, 24), Fraction(-1, 240)]
+    assert [i_power_str(s, c) for s, c in enumerate(got, -1)] == \
+        ["-i", "1/2", "0", "1/24", "1/240i"]
     f2 = v_partition_series(2, 2, 3, 4)
     got = [f2.coeff(s).coeff(0) for s in range(-1, 4)]
-    assert got == [I, Fraction(1, 2), 0, Fraction(1, 24),
-                   I * Fraction(-1, 240)]
+    assert got == [-1, Fraction(1, 2), 0, Fraction(-1, 24), Fraction(1, 240)]
+    assert [i_power_str(s, c) for s, c in enumerate(got, -1)] == \
+        ["i", "1/2", "0", "1/24", "-1/240i"]
 
 
 def test_v_partition_q0_satisfies_cross_multiplied_form():
     # (q^0 column of v^2 g) * (1 - e^{iv})^{n+1} == v^2 e^{inv}: only
     # elementary exponential series on the right, no Bernoulli numbers.
+    # In w = iv the right-hand side is -w^2 e^{nw}.
     vorder = 9
     for n in range(1, 5):
         w = v_partition_series(n, 0, 1, vorder)
         col = QSeries(w.lower, [w.coeff(s).coeff(0)
                                 for s in range(w.lower, vorder)], "v")
-        cross = QSeries.one(vorder, "v") - _exp_iv(1, vorder)
+        cross = QSeries.one(vorder, "v") - _exp_w(1, vorder)
         assert (col * cross ** (n + 1)).first_mismatch(
-            _exp_iv(n, vorder).shift(2)) is None, n
+            -_exp_w(n, vorder).shift(2)) is None, n
 
 
 def test_v_partition_interior_rank_has_no_q0_column():
@@ -252,10 +259,11 @@ def test_v_partition_interior_rank_has_no_q0_column():
 
 
 def test_v_partition_rank_two_q2_cells():
-    # euler column at q^2 for (2, 0) is the single cell 3y
+    # euler column at q^2 for (2, 0) is the single cell 3y: the values
+    # 3 v^2 e^{iv} = 3 v^2 + 3i v^3 - 3/2 v^4 are stored over i^s
     f = v_partition_series(2, 0, 3, 5)
     got = [f.coeff(s).coeff(2) for s in range(-1, 5)]
-    assert got == [0, 0, 0, 3, 3 * I, Fraction(-3, 2)]
+    assert got == [0, 0, 0, -3, -3, Fraction(-3, 2)]
 
 
 @pytest.mark.parametrize("n,r", [(1, 0), (2, 0), (2, 1), (3, 2)])
@@ -266,7 +274,8 @@ def test_v_partition_columns_match_direct_substitution(n, r):
     for s in range(f.lower, vorder):
         col = f.coeff(s)
         for m in range(1, qorder):
-            want = sub.coeff(s - 2).coeff(m) if s >= 2 else 0
+            # v^2 = -w^2 negates the stored cells of the substitution
+            want = -sub.coeff(s - 2).coeff(m) if s >= 2 else 0
             assert col.coeff(m) == want, (s, m)
 
 
@@ -298,10 +307,13 @@ def test_v_expansion_even_and_real_low_rank(n, r):
         return
     assert report
     f = v_partition_series(n, r, 5, 6)
+    odd = [(s, m) for s in range(f.lower, f.order) if s % 2
+           for m in range(5) if f.coeff(s).coeff(m)]
+    assert [(cell["v"], cell["q"]) for cell in report] == odd
     for cell in report:
-        value = GaussianRational.coerce(f.coeff(cell["v"]).coeff(cell["q"]))
-        assert str(value) == cell["value"], cell
-        assert cell["v"] % 2 == 1 and value.re == 0, cell
+        c = f.coeff(cell["v"]).coeff(cell["q"])
+        assert type(c) is Fraction, cell
+        assert cell["value"] == i_power_str(cell["v"], c), cell
     mirror = v_partition_series(n, n - r, 5, 6)
     for s in range(f.lower, f.order):
         for m in range(5):
@@ -314,15 +326,15 @@ def test_v_expansion_even_and_real_low_rank(n, r):
 
 def test_mpt_check_passes_and_v2_column():
     assert mpt_check(8, 6)["ok"]
-    lhs = -v_partition_series(1, 0, 8, 4)
-    assert lhs.coeff(2) == eisenstein_even(2, 8) * Fraction(1, 12)
+    lhs = -v_partition_series(1, 0, 8, 4)            # value E2/12 at v^2
+    assert lhs.coeff(2) == eisenstein_even(2, 8) * Fraction(-1, 12)
 
 
 def test_logphi_sigma_check_and_v2_column():
     assert logphi_sigma_check(8, 7)["ok"]
     direct = v_substitute_qmajor(log_phi_product(0, 0, 6, 5), 5)
-    col = direct.coeff(2)
-    assert [col.coeff(n) for n in range(1, 6)] == [-2, -6, -8, -14, -12]
+    col = direct.coeff(2)                            # values -2, -6, ...
+    assert [col.coeff(n) for n in range(1, 6)] == [2, 6, 8, 14, 12]
     assert all(not direct.coeff(s).coeff(0) for s in range(5))
     for s in (1, 3):
         assert all(direct.coeff(s).coeff(n) == 0 for n in range(6))
@@ -387,10 +399,9 @@ def test_fit_rank_one_v_coefficients():
 
 
 def test_fit_solution_reevaluates_to_target():
-    # a v-coefficient of the counting series, then a target whose real and
-    # imaginary parts are different Eisenstein polynomials
+    # a v-coefficient of the counting series, then a sum of two monomials
     mixed = eisenstein_even(4, 13) * Fraction(1, 3) + \
-        eisenstein_even(2, 13) ** 2 * I
+        eisenstein_even(2, 13) ** 2
     basis = {nm: s for nm, _, s in EisensteinBasis(4, 13).elements}
     for target in (v_partition_series(2, 1, 13, 3).coeff(2), mixed):
         rep = fit_in_R(target, 4, 8, 12)
@@ -398,15 +409,15 @@ def test_fit_solution_reevaluates_to_target():
         for nm, c in rep["combination"]:
             acc = acc + basis[nm] * c
         acc.assert_agrees(target, what="refit and target")
-    assert rep["combination"] == [("E2^2", I), ("E4", Fraction(1, 3))]
+    assert rep["combination"] == [("E2^2", 1), ("E4", Fraction(1, 3))]
 
 
 def test_fit_no_solution_and_validation_failure():
     with pytest.raises(NoSolution):
         fit_in_R(sigma_series(3, 13), 2, 7, 12)
-    # the real part fits (it is E2), the imaginary part does not
+    # E2 fits at weight 2, E2 plus a weight-4 divisor sum does not
     with pytest.raises(NoSolution):
-        fit_in_R(eisenstein_even(2, 13) + sigma_series(3, 13) * I, 2, 7, 12)
+        fit_in_R(eisenstein_even(2, 13) + sigma_series(3, 13), 2, 7, 12)
     bump = QSeries(0, [0] * 9 + [1] + [0] * 3, "q")
     with pytest.raises(ValidationFailure):
         fit_in_R(eisenstein_even(2, 13) + bump, 2, 8, 12)
@@ -432,12 +443,12 @@ def test_fit_report_is_json_ready():
 
 
 # ---------------------------------------------------------------------------
-# the elimination over Z against Gauss-Jordan over Q(i)
+# the elimination over Z against Gauss-Jordan over Q
 
-def _solve_over_qi(rows: list, k: int):
-    """Gauss-Jordan over Q(i) on augmented k+1-column rows: pivots in
-    column order from the first nonzero row below, free coordinates
-    pinned to zero, None if inconsistent."""
+def _solve_over_q(rows: list, k: int):
+    """Gauss-Jordan over Q on augmented k+1-column rows: pivots in column
+    order from the first nonzero row below, free coordinates pinned to
+    zero, None if inconsistent."""
     rows = [list(r) for r in rows]
     m = len(rows)
     pivots = []
@@ -447,7 +458,7 @@ def _solve_over_qi(rows: list, k: int):
         if p is None:
             continue
         rows[rr], rows[p] = rows[p], rows[rr]
-        inv = GaussianRational(1) / rows[rr][col]
+        inv = 1 / rows[rr][col]
         rows[rr] = [v * inv for v in rows[rr]]
         for i in range(m):
             if i != rr and rows[i][col]:
@@ -459,7 +470,7 @@ def _solve_over_qi(rows: list, k: int):
             break
     if any(rows[i][k] for i in range(rr, m)):
         return None
-    x = [GaussianRational(0)] * k
+    x = [Fraction(0)] * k
     for i, col in enumerate(pivots):
         x[col] = rows[i][k]
     return x
@@ -469,10 +480,10 @@ _SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def _real_systems(draw):
-    """A real matrix of at most 6 x 6 with zero and duplicated (scaled)
-    columns, and a complex right-hand side that is consistent, consistent
-    in its real part only, or drawn at random."""
+def _rational_systems(draw):
+    """A rational matrix of at most 6 x 6 with zero and duplicated (scaled)
+    columns, and a right-hand side that is consistent or drawn at
+    random."""
     m = draw(st.integers(1, 6))
     k = draw(st.integers(1, 6))
     cols = []
@@ -486,30 +497,66 @@ def _real_systems(draw):
         else:
             cols.append(draw(st.lists(_SMALL, min_size=m, max_size=m)))
     a = [[col[i] for col in cols] for i in range(m)]
-
-    def image():
+    if draw(st.booleans()):
         x = draw(st.lists(_SMALL, min_size=k, max_size=k))
-        return [sum(c * xi for c, xi in zip(row, x)) for row in a]
-
-    def noise():
-        return draw(st.lists(_SMALL, min_size=m, max_size=m))
-
-    mode = draw(st.sampled_from(("consistent", "real-only", "random")))
-    b_re = noise() if mode == "random" else image()
-    b_im = image() if mode == "consistent" else noise()
-    return a, b_re, b_im
+        b = [sum(c * xi for c, xi in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(_SMALL, min_size=m, max_size=m))
+    return a, b
 
 
 @settings(max_examples=80)
-@given(_real_systems())
-def test_solve_exact_matches_gauss_jordan_over_qi(system):
-    a, b_re, b_im = system
+@given(_rational_systems())
+def test_solve_exact_matches_gauss_jordan_over_q(system):
+    a, b = system
     k = len(a[0])
-    got = _solve_exact([row + [re, im] for row, re, im in zip(a, b_re, b_im)],
-                       k)
-    want = _solve_over_qi([[GaussianRational(c) for c in row]
-                           + [GaussianRational(re, im)]
-                           for row, re, im in zip(a, b_re, b_im)], k)
+    rows = [row + [bi] for row, bi in zip(a, b)]
+    got = _solve_exact(rows, k)
+    want = _solve_over_q(rows, k)
     assert (got is None) == (want is None)
     if want is not None:
-        assert [str(v) for v in got] == [str(v) for v in want]
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+
+# ---------------------------------------------------------------------------
+# the i^s rule against a direct complex sum
+
+def _pmul(a, b):
+    """Product of two (re, im) pairs of Fractions."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ppow(z, e: int):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        out = _pmul(out, z)
+    return out
+
+
+@pytest.mark.parametrize("n,r", [(2, 0), (3, 1)])
+def test_v_cells_match_a_direct_complex_sum(n, r):
+    """At q^m >= 1 the v^s cell of v^2 G(n, r) is the v^{s-2} coefficient
+    of sum_k c_k e^{ikv}, that is sum_k c_k (ik)^{s-2} / (s-2)!, with c_k
+    the Euler column.  Summed here in (re, im) pairs, it is i^s times the
+    stored rational, and purely imaginary at odd s."""
+    vorder = 8
+    f = v_partition_series(n, r, 4, vorder)
+    i_pow = {s: _ppow((0, 1) if s >= 0 else (0, -1), abs(s))
+             for s in range(f.lower, vorder)}
+    nonzero_odd = 0
+    for m in range(1, 4):
+        column = euler_g_column(n, r, m)
+        for s in range(f.lower, vorder):
+            want = (Fraction(0), Fraction(0))
+            if s >= 2:
+                for k, c in column.items():
+                    t = _ppow((0, k), s - 2)
+                    want = (want[0] + c * t[0] / factorial(s - 2),
+                            want[1] + c * t[1] / factorial(s - 2))
+            stored = f.coeff(s).coeff(m)
+            assert _pmul(i_pow[s], (Fraction(stored), 0)) == want, (s, m)
+            if s % 2:
+                assert want[0] == 0, (s, m)
+                nonzero_odd += bool(want[1])
+    assert nonzero_odd

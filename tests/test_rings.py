@@ -5,7 +5,6 @@ import pytest
 
 from k3pairs.errors import NotDivisible
 from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, _dict_mul, _kron_mul
-from k3pairs.scalars import GaussianRational
 
 
 def U(d):
@@ -126,14 +125,6 @@ def test_kronecker_with_half_integer_grid():
     a = {1: 5, 3: -2, 7: 1}                    # odd doubled exponents
     b = {0: 2, 4: 3}
     assert _kron_mul(a, b) == _dict_mul(a, b)
-
-
-def test_upoly_gaussian_coeffs():
-    i = GaussianRational.i()
-    p = U({0: i, 2: 1})
-    assert p * p == U({0: -1, 2: 2 * i, 4: 1})
-    assert str(U({2: i})) == "iu"
-    assert str(U({2: 1 + i})) == "(1+i)u"
 
 
 def test_ttpoly():

@@ -1,10 +1,9 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from k3pairs.scalars import GaussianRational, bernoulli, binomial, \
-    fraction_str, secant_number
+from k3pairs.scalars import bernoulli, binomial, fraction_str, \
+    i_power_str, secant_number
 
 
 def test_bernoulli_small():
@@ -47,51 +46,43 @@ def test_binomial_pascal(n, k):
     assert binomial(n + 1, k) == binomial(n, k) + binomial(n, k - 1)
 
 
-def test_gaussian_arithmetic():
-    i = GaussianRational.i()
-    a = 1 + 2 * i
-    b = 3 - i
-    assert a * b == 5 + 5 * i
-    assert i * i == -1
-    assert (a / b) * b == a
-    assert a - a == 0
-    assert i ** 4 == 1
-    assert i ** -1 == -i
-
-
 def test_gaussian_strings():
-    i = GaussianRational.i()
-    assert str(GaussianRational(Fraction(1, 2), -3)) == "1/2-3i"
-    assert str(i) == "i"
-    assert str(-i) == "-i"
-    assert str(2 * i) == "2i"
-    assert str(GaussianRational(0)) == "0"
-    assert str(GaussianRational(5)) == "5"
-    assert str(GaussianRational(Fraction(1, 2), 1)) == "1/2+i"
-    assert str(GaussianRational(Fraction(-2, 3), Fraction(1, 5))) \
-        == "-2/3+1/5i"
+    # i_power_str(s, c) renders i^s c, the value of a stored v^s cell c,
+    # in every form that fit and the symmetry report print
+    assert i_power_str(0, Fraction(1, 240)) == "1/240"
+    assert i_power_str(4, Fraction(-1, 12)) == "-1/12"
+    assert i_power_str(2, Fraction(-1, 24)) == "1/24"
+    assert i_power_str(2, Fraction(1, 2)) == "-1/2"
+    assert i_power_str(0, 5) == "5"
+    assert i_power_str(6, 0) == "0"
+    assert i_power_str(3, 0) == "0"
+    assert i_power_str(1, 1) == "i"
+    assert i_power_str(3, 1) == "-i"
+    assert i_power_str(-1, 1) == "-i"           # i^-1 = -i
+    assert i_power_str(-1, -1) == "i"
+    assert i_power_str(1, Fraction(2)) == "2i"
+    assert i_power_str(5, -2) == "-2i"
+    assert i_power_str(3, Fraction(-1, 288)) == "1/288i"
+    assert i_power_str(3, Fraction(1, 288)) == "-1/288i"
+    assert i_power_str(7, Fraction(-11, 17280)) == "11/17280i"
+    assert i_power_str(-3, Fraction(1, 5)) == "1/5i"   # i^-3 = i
+    # against the rendering of a (re, im) pair of Fractions that the
+    # fit output has always used: "p/q", "p/qi", "i", "-i", "0"
+    for c in (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-7, 12)):
+        for s in range(-5, 9):
+            re, im = [(c, 0), (0, c), (-c, 0), (0, -c)][s % 4]
+            assert i_power_str(s, Fraction(c)) == _pair_str(re, im), (s, c)
+
+
+def _pair_str(re, im):
+    """re + i im with re = 0 or im = 0, in the "p/q" / "p/qi" style."""
+    if not im:
+        return fraction_str(re)
+    mag = fraction_str(abs(im)) + "i" if abs(im) != 1 else "i"
+    return mag if im > 0 else "-" + mag
 
 
 def test_fraction_str():
     assert fraction_str(Fraction(3, 4)) == "3/4"
     assert fraction_str(Fraction(-3, 1)) == "-3"
     assert fraction_str(7) == "7"
-
-
-small_rat = st.fractions(min_value=-50, max_value=50, max_denominator=9)
-
-
-@given(small_rat, small_rat, small_rat, small_rat)
-def test_gaussian_field_laws(p, q, r, s):
-    a = GaussianRational(p, q)
-    b = GaussianRational(r, s)
-    c = GaussianRational(q, r)
-    assert (a + b) * c == a * c + b * c
-    assert a * b == b * a
-    if b:
-        assert (a / b) * b == a
-
-
-def test_gaussian_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        GaussianRational(1) / GaussianRational(0)

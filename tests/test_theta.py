@@ -186,7 +186,7 @@ def _l1(cell):
 
 def test_majorants_bound_the_cells():
     qorder = 8
-    big, hbig = theta._majorants(qorder)
+    big, hbig = theta._phi_majorant(qorder), theta._log_majorant(qorder)
     for k, l in ((0, 0), (1, 0), (2, -1), (-1, 3)):
         f = _oracle_phi(k, l, qorder, qorder)
         g = f.log()
@@ -197,8 +197,24 @@ def test_majorants_bound_the_cells():
     assert _l1(_oracle_phi(2, -1, 2, 1).coeff(1)) == big[1] == 8
 
 
+@pytest.mark.parametrize("k,l,qorder,ywin", ORACLE_GRID)
+def test_log_cells_are_bounded_by_eight_sigma(k, l, qorder, ywin):
+    """Every entry of h_j = j g_j, g the oracle's log phi_product, is at
+    most 8 sigma(j) in absolute value: the bound log_phi_product packs
+    to, counted here by brute divisor enumeration."""
+    g = _oracle_log_phi(k, l, qorder, ywin)
+    packed_to = theta._log_majorant(qorder)
+    for j in range(1, qorder):
+        bound = 8 * sum(d for d in range(1, j + 1) if j % d == 0)
+        assert packed_to[j] == bound
+        cell = g.coeff(j)
+        for entry in (cell.c.values() if cell else ()):
+            assert all(abs(j * v) <= bound for v in entry.c.values()), j
+
+
+# the last bound, 2442497014756992, needs 7 bytes
 @pytest.mark.parametrize("bound", [0, 1, 127, 128, 255, 2 ** 15 - 1, 2 ** 15,
-                                   theta._majorants(15)[1][-1]])
+                                   2442497014756992])
 def test_packed_width_is_the_least_with_room(bound):
     w = theta._width(bound)
     assert bound < 256 ** w // 2
