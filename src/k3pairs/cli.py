@@ -174,7 +174,7 @@ def cmd_series(cfg: RunConfig) -> int:
     pf = g_closed(cfg.n, cfg.r, cfg.qorder, cfg.ywin)
     cells = []
     for m in range(cfg.qorder):
-        col = pf.series.coeff(m)
+        col = pf.coeff(m)
         if not col:
             continue
         for ye in range(-cfg.ywin, cfg.ywin + 1):

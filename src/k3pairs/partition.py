@@ -19,6 +19,10 @@ The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
 truncations.  ``f_via_matrices`` gives F itself, S times the matrix
 route embedded in the (t, tb) ring.
+
+S, the Hodge series of the Hilbert schemes of points, is Göttsche's
+product formula applied factor by factor in place on {(p, q): int}
+cells; ``euler_s_series`` is its independent Euler-characteristic oracle.
 """
 
 from fractions import Fraction
@@ -35,41 +39,42 @@ from .ucomb import c_table, matrix_entry, matrix_product_entry, u_binomial, \
 # ---------------------------------------------------------------------------
 # Hilbert schemes of points
 
-# (p-exponent, q-exponent, multiplicity) of the monomials a in the
-# factors (1 - a q^m)^{-mult} of the Hodge generating series.  The
-# diagonal variable u = t*tb never appears alone: the five factors are
-# u^{-1}, t^2 u^{-1} = t/tb, 1 (20-fold), tb/t, and u.
-_HODGE_FACTORS = (((-1, -1), 1), ((1, -1), 1), ((0, 0), 20),
-                  ((-1, 1), 1), ((1, 1), 1))
+# (t, tb)-exponent shifts of the monomials a in the factors 1/(1 - a q^m)
+# of the Hodge generating series besides the 20-fold a = 1: u^{-1},
+# t^2 u^{-1} = t/tb, tb/t and u.  The diagonal variable u = t*tb never
+# appears alone.
+_HODGE_SHIFTS = ((-1, -1), (1, -1), (-1, 1), (1, 1))
 
-_hilb_cache: dict = {"order": 0, "series": None}
-
-
-def _tt_geometric(mono: TTPoly, m: int, qorder: int) -> QSeries:
-    """1 / (1 - mono * q^m) truncated at qorder."""
-    cells, acc, j = {}, TTPoly.one(), 0
-    while m * j < qorder:
-        cells[m * j] = acc
-        acc = acc * mono
-        j += 1
-    return QSeries.from_dict(cells, 0, qorder)
+_hilb_cache: dict = {"order": 0, "series": QSeries(0, [])}
 
 
 def _hilbert_series(qorder: int) -> QSeries:
     """Hodge series of the Hilbert schemes, q^m-coefficient c(m)*(t tb)^{-m}.
 
-    Cached and grown on demand; callers get a truncation of one shared
-    computation so repeated table builds stay cheap.
+    Göttsche's product, applied in place: the cells start as the integer
+    series prod (1 - q^m)^{-20}, and each factor 1/(1 - a q^m) is divided
+    out by f_k += a f_{k-m} for k ascending, which on {(p, q): int} cells
+    only shifts the keys.  Cached and grown on demand; callers get a
+    truncation of one shared computation so repeated table builds stay
+    cheap.
     """
     if _hilb_cache["order"] < qorder:
         target = max(qorder, 2 * _hilb_cache["order"], 8)
-        f = QSeries.from_dict({0: TTPoly.one()}, 0, target)
+        seed = [1] + [0] * (target - 1)
         for m in range(1, target):
-            for (p, q), mult in _HODGE_FACTORS:
-                g = _tt_geometric(TTPoly.mono(p, q), m, target)
-                f = f * (g ** mult)
+            for _ in range(20):
+                for k in range(m, target):
+                    seed[k] += seed[k - m]
+        cells = [{(0, 0): v} for v in seed]
+        for m in range(1, target):
+            for dp, dq in _HODGE_SHIFTS:
+                for k in range(m, target):
+                    dst = cells[k]
+                    for (p, q), v in cells[k - m].items():
+                        key = (p + dp, q + dq)
+                        dst[key] = dst.get(key, 0) + v
         _hilb_cache["order"] = target
-        _hilb_cache["series"] = f
+        _hilb_cache["series"] = QSeries(0, [TTPoly(c) for c in cells])
     return _hilb_cache["series"].truncate(qorder)
 
 
@@ -161,32 +166,6 @@ def syst_table(n: int, r: int, gmax: int, kmin: int, kmax: int,
 # ---------------------------------------------------------------------------
 # Partition functions
 
-class PartitionFunction:
-    """A truncated partition function with its route parameters attached.
-
-    ``series`` is q-major with YPoly coefficients; the normalized form G
-    starts at q^0 with u-Laurent values, the raw form F starts at q^{-1}
-    with (t, tb) values.
-    """
-
-    __slots__ = ("n", "r", "qorder", "ywin", "series")
-
-    def __init__(self, n: int, r: int, qorder: int, ywin: int,
-                 series: QSeries):
-        self.n = n
-        self.r = r
-        self.qorder = qorder
-        self.ywin = ywin
-        self.series = series
-
-    def coeff(self, e: int):
-        return self.series.coeff(e)
-
-    def __repr__(self):
-        return (f"PartitionFunction(n={self.n}, r={self.r}, "
-                f"qorder={self.qorder}, ywin={self.ywin})")
-
-
 def _cells_to_series(cells: dict, lower: int, qorder: int,
                      ywin: int) -> QSeries:
     cols = {}
@@ -197,7 +176,7 @@ def _cells_to_series(cells: dict, lower: int, qorder: int,
     return QSeries.from_dict(cols, lower, qorder)
 
 
-def g_closed(n: int, r: int, qorder: int, ywin: int) -> PartitionFunction:
+def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from the closed double sum.
 
     Lattice terms (p, l) with p >= n-r, l >= r contribute at q^{pl},
@@ -228,12 +207,10 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> PartitionFunction:
                 raise NonExactDivision(
                     f"closed-form numerator at q^{qe} y^{ye} not divisible "
                     f"by [{n}]") from exc
-    return PartitionFunction(n, r, qorder, ywin,
-                             _cells_to_series(cells, 0, qorder, ywin))
+    return _cells_to_series(cells, 0, qorder, ywin)
 
 
-def g_via_matrices(n: int, r: int, qorder: int, ywin: int) \
-        -> PartitionFunction:
+def g_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from transfer-matrix entries.
 
     The y^k (k >= 0) and y^{-k} (k >= 1) halves sum matrix entries
@@ -259,24 +236,21 @@ def g_via_matrices(n: int, r: int, qorder: int, ywin: int) \
         add(2 * r, r, +1, k)
     for k in range(1, ywin + 1):
         add(2 * (n - r), n - r, -1, k)
-    return PartitionFunction(n, r, qorder, ywin,
-                             _cells_to_series(cells, 0, qorder, ywin))
+    return _cells_to_series(cells, 0, qorder, ywin)
 
 
-def f_via_matrices(n: int, r: int, qorder: int, ywin: int) \
-        -> PartitionFunction:
+def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Raw partition function F: S times the matrix route of G.
 
-    Coefficients live in the (t, tb) ring via u = t*tb; F starts at
-    q^{-1}, one order below G, because S does.
+    Coefficients live in the (t, tb) ring via u = t*tb, and each TTPoly
+    cell of S scales a y-column of G directly; F starts at q^{-1}, one
+    order below G, because S does.
     """
-    t_ser = to_tt_series(g_via_matrices(n, r, qorder + 1, ywin).series)
-    s_ser = s_series(qorder).map_coeffs(lambda c: YPoly.const(c, ywin))
-    return PartitionFunction(n, r, qorder, ywin, s_ser * t_ser)
+    t_ser = to_tt_series(g_via_matrices(n, r, qorder + 1, ywin))
+    return s_series(qorder) * t_ser
 
 
-def g_via_kernels(n: int, r: int, qorder: int, ywin: int) \
-        -> PartitionFunction:
+def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from the theta-kernel combination.
 
     Sums the weight table against kernels Psi(u^i, u^{j-r} y; q), asserts
@@ -331,8 +305,7 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) \
     for qe, col in cells.items():
         for ye, w in col.items():
             col[ye] = w.div_u_integer(n).shift(shift) if w else w
-    return PartitionFunction(n, r, qorder, ywin,
-                             _cells_to_series(cells, 0, qorder, ywin))
+    return _cells_to_series(cells, 0, qorder, ywin)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +385,7 @@ def ky_product(qorder: int, ywin: int) -> QSeries:
     cross = YPoly({0: UPoly({0: 1, -2: 1}),
                    1: UPoly({0: -1}),
                    -1: UPoly({-2: -1})}, wide)
-    lhs = g_closed(1, 0, qorder, wide).series.map_coeffs(
+    lhs = g_closed(1, 0, qorder, wide).map_coeffs(
         lambda c: (c * cross).restrict(ywin))
     neg_uinv = UPoly({-2: -1})
     rhs = phi_product(1, 0, qorder, wide).map_coeffs(

@@ -11,40 +11,23 @@ Three sparse dict-backed rings:
   supports +, unary -, * and truthiness; carries an optional symmetric
   window |exponent| <= window outside which terms are dropped on purpose.
 
-Multiplication of large integer-coefficient UPolys uses Kronecker
-substitution: each factor is evaluated as one signed big integer at
-X = 256^w (``kron_eval``), the two values are multiplied with CPython's
-native bignum arithmetic, and the base-X digits of the product, read with
-a bias of X/2 per digit, are its coefficients (``kron_digits``).  The byte
-width w is chosen so every product coefficient lies below X/2 in absolute
-value, which makes the round trip exact.  That is the package's compiled
-core in effect.  ``ucomb.verify_ab_identity`` checks A.B = P at the same
-kind of point X = 256^w, but takes its values from closed forms in plain
-integers and never calls ``kron_eval``.
+``kron_eval`` and ``kron_digits`` are the package's one Kronecker kernel:
+an int-coefficient exponent dict evaluated as one signed big integer at
+X = 256^w, and the base-X digits of such an integer, read with a bias of
+X/2 per digit.  The round trip is exact when every digit lies below X/2
+in absolute value.  ``theta`` packs each cell of its product kernels this
+way; ``ucomb.verify_ab_identity`` checks A.B = P at the same kind of point
+X = 256^w, but takes its values from closed forms in plain integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import NotDivisible
 from .scalars import fraction_str
 
 __all__ = ["UPoly", "TTPoly", "YPoly", "Monomial"]
-
-_KRON_THRESHOLD = 2500  # len(a)*len(b) above which packing pays off
-
-
-def _is_int_dict(c: dict) -> bool:
-    return all(type(v) is int for v in c.values())
-
-
-def _grid(c: dict, emin: int) -> int:
-    g = 0
-    for e in c:
-        g = gcd(g, e - emin)
-    return g or 1
 
 
 def kron_eval(c: dict, emin: int, step: int, width: int) -> int:
@@ -79,39 +62,6 @@ def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
         v = int.from_bytes(buf[s * width:(s + 1) * width], "little") - half
         if v:
             out[emin + s * step] = v
-    return out
-
-
-def _kron_mul(a: dict, b: dict) -> dict:
-    """Exact convolution of two int-coefficient exponent dicts."""
-    amin, bmin = min(a), min(b)
-    step = gcd(_grid(a, amin), _grid(b, bmin))
-    slots = ((max(a) - amin) + (max(b) - bmin)) // step + 1
-    maxa = max(map(abs, a.values()))
-    maxb = max(map(abs, b.values()))
-    # each product digit sums at most min(len) terms, so its absolute value
-    # is below 2^(bits(maxa) + bits(maxb) + bits(min len)); one more bit
-    # keeps it below X/2
-    bits = (maxa.bit_length() + maxb.bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    width = (bits + 7) // 8
-    return kron_digits(kron_eval(a, amin, step, width)
-                       * kron_eval(b, bmin, step, width),
-                       amin + bmin, step, width, slots)
-
-
-def _dict_mul(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            e = ea + eb
-            w = out.get(e, 0) + va * vb
-            if w:
-                out[e] = w
-            else:
-                del out[e]
     return out
 
 
@@ -203,13 +153,17 @@ class UPoly:
         if not isinstance(other, UPoly):
             return NotImplemented
         a, b = self.c, other.c
-        if not a or not b:
-            return UPoly.zero()
-        if (len(a) * len(b) >= _KRON_THRESHOLD and _is_int_dict(a)
-                and _is_int_dict(b)):
-            out = _kron_mul(a, b)
-        else:
-            out = _dict_mul(a, b)
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        for ea, va in a.items():
+            for eb, vb in b.items():
+                e = ea + eb
+                w = out.get(e, 0) + va * vb
+                if w:
+                    out[e] = w
+                else:
+                    del out[e]
         r = UPoly.__new__(UPoly)
         r.c = out
         return r

@@ -220,6 +220,10 @@ class QSeries:
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
+        if order < self.lower:
+            raise ValueError(
+                f"truncation order {order} is below the lowest exponent "
+                f"{self.lower}")
         return QSeries(self.lower, self.coeffs[:order - self.lower], self.var)
 
     def map_coeffs(self, fn) -> "QSeries":

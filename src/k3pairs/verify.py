@@ -50,16 +50,16 @@ def _theta_pair(x: Monomial, ym: Monomial, qorder: int, ywin: int) -> None:
 
 
 def _routes_agree(n: int, r: int, qorder: int, ywin: int) -> None:
-    gc = g_closed(n, r, qorder, ywin).series
-    gk = g_via_kernels(n, r, qorder, ywin).series
-    gm = g_via_matrices(n, r, qorder, ywin).series
+    gc = g_closed(n, r, qorder, ywin)
+    gk = g_via_kernels(n, r, qorder, ywin)
+    gm = g_via_matrices(n, r, qorder, ywin)
     gc.assert_agrees(gk, what=f"closed and kernel routes at rank ({n}, {r})")
     gc.assert_agrees(gm, what=f"closed and matrix routes at rank ({n}, {r})")
 
 
 def _duality(n: int, r: int, qorder: int, ywin: int) -> None:
-    a = g_closed(n, r, qorder, ywin).series
-    b = mirror_series(g_closed(n, n - r, qorder, ywin).series)
+    a = g_closed(n, r, qorder, ywin)
+    b = mirror_series(g_closed(n, n - r, qorder, ywin))
     a.assert_agrees(b, what=f"mirror duality at rank ({n}, {r})")
 
 

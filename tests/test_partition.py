@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import k3pairs.partition as partition
 from k3pairs.errors import Mismatch, UnsupportedRank
-from k3pairs.partition import euler_g, euler_g_column, euler_s_series, \
+from k3pairs.partition import _hilbert_series, euler_g, euler_g_column, euler_s_series, \
     f_via_matrices, g_closed, g_via_kernels, g_via_matrices, hilb_hodge, \
     ky_product, mirror_series, s_series, syst_euler, syst_hodge, \
     syst_table, to_tt_series
@@ -25,9 +26,60 @@ def test_hilb_hodge_small():
 
 def test_hilb_hodge_euler_oracle():
     # the (t, tb) product and the eta-power oracle must agree at t=tb=1
-    es = euler_s_series(7)
-    for m in range(7):
+    es = euler_s_series(30)
+    for m in range(31):
         assert hilb_hodge(m).eval_ones() == es.coeff(m - 1)
+
+
+def _hilbert_by_products(qorder):
+    """The Hodge series as whole-series products, one factor at a time."""
+    def geometric(mono, m):
+        cells, acc, j = {}, TTPoly.one(), 0
+        while m * j < qorder:
+            cells[m * j] = acc
+            acc = acc * mono
+            j += 1
+        return QSeries.from_dict(cells, 0, qorder)
+
+    f = QSeries.from_dict({0: TTPoly.one()}, 0, qorder)
+    for m in range(1, qorder):
+        for (p, q), mult in (((-1, -1), 1), ((1, -1), 1), ((0, 0), 20),
+                             ((-1, 1), 1), ((1, 1), 1)):
+            f = f * (geometric(TTPoly.mono(p, q), m) ** mult)
+    return f
+
+
+def _cold_cache(monkeypatch):
+    monkeypatch.setitem(partition._hilb_cache, "order", 0)
+    monkeypatch.setitem(partition._hilb_cache, "series", QSeries(0, []))
+
+
+def test_hilbert_series_matches_whole_series_products():
+    oracle = _hilbert_by_products(17)
+    built = _hilbert_series(17)
+    assert built.order == 17
+    for m in range(17):
+        assert built.coeff(m) == oracle.coeff(m), m
+
+
+def test_hilbert_series_growth_matches_a_cold_build(monkeypatch):
+    _cold_cache(monkeypatch)
+    cold = _hilbert_series(20)
+    _cold_cache(monkeypatch)
+    _hilbert_series(5)
+    assert partition._hilb_cache["order"] == 8
+    assert _hilbert_series(20) == cold
+
+
+def test_s_series_below_its_lowest_exponent(monkeypatch):
+    for warm in (False, True):
+        _cold_cache(monkeypatch)
+        if warm:
+            s_series(3)
+        empty = s_series(-1)
+        assert (empty.lower, empty.order) == (-1, -1), warm
+        with pytest.raises(ValueError):
+            s_series(-5)
 
 
 def test_hilb_hodge_palindromic():
@@ -125,7 +177,7 @@ def test_g_closed_interior_rank_gap():
 
 
 def test_g_closed_integer_u_exponents():
-    g = g_closed(3, 1, 6, 5).series
+    g = g_closed(3, 1, 6, 5)
     for e in range(6):
         col = g.coeff(e)
         if not col:
@@ -143,7 +195,7 @@ def test_g_closed_rejects_bad_rank():
 
 def test_f_via_matrices_bottom_row():
     f = f_via_matrices(1, 0, 5, 4)
-    assert f.series.lower == -1
+    assert f.lower == -1
     # q^{-1} of F equals q^0 of G: S leads with 1.q^{-1}, and the only
     # q^0 lattice entries are the diagonal P[k, k] = [k]
     assert f.coeff(-1) == YPoly(
@@ -153,9 +205,9 @@ def test_f_via_matrices_bottom_row():
 def test_routes_agree():
     for n in (1, 2, 3):
         for r in range(n + 1):
-            gc = g_closed(n, r, 8, 6).series
-            gk = g_via_kernels(n, r, 8, 6).series
-            gm = g_via_matrices(n, r, 8, 6).series
+            gc = g_closed(n, r, 8, 6)
+            gk = g_via_kernels(n, r, 8, 6)
+            gm = g_via_matrices(n, r, 8, 6)
             assert gc == gk, (n, r)
             assert gc == gm, (n, r)
 
@@ -163,25 +215,25 @@ def test_routes_agree():
 def test_f_divided_by_s_is_the_matrix_route():
     # F = S * G exactly: dividing the matrix-route F by S in the (t, tb)
     # ring gives back the matrix route of G embedded via u = t*tb
-    s_inv = s_series(9).map_coeffs(lambda c: YPoly.const(c, 6)).invert()
+    s_inv = s_series(9).invert()
     for n in (1, 2, 3):
         for r in range(n + 1):
-            g = (f_via_matrices(n, r, 8, 6).series * s_inv).truncate(8)
-            assert g == to_tt_series(g_via_matrices(n, r, 8, 6).series), \
+            g = (f_via_matrices(n, r, 8, 6) * s_inv).truncate(8)
+            assert g == to_tt_series(g_via_matrices(n, r, 8, 6)), \
                 (n, r)
 
 
 def test_duality():
     for n in (1, 2, 3, 4):
         for r in range(n + 1):
-            a = g_closed(n, r, 6, 6).series
-            b = mirror_series(g_closed(n, n - r, 6, 6).series)
+            a = g_closed(n, r, 6, 6)
+            b = mirror_series(g_closed(n, n - r, 6, 6))
             assert a == b, (n, r)
 
 
 def test_duality_at_f_level():
-    a = f_via_matrices(2, 0, 6, 5).series
-    b = mirror_series(f_via_matrices(2, 2, 6, 5).series)
+    a = f_via_matrices(2, 0, 6, 5)
+    b = mirror_series(f_via_matrices(2, 2, 6, 5))
     assert a == b
 
 
@@ -208,7 +260,7 @@ def test_euler_g_frozen_columns():
 
 def test_euler_g_matches_g_closed():
     for (n, r) in [(1, 0), (2, 0), (2, 1), (3, 2), (3, 3)]:
-        a = g_closed(n, r, 6, 5).series.map_coeffs(
+        a = g_closed(n, r, 6, 5).map_coeffs(
             lambda col: col.map_coeffs(lambda v: Fraction(v.eval_one())))
         assert a == euler_g(n, r, 6, 5)
 

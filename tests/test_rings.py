@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from k3pairs.errors import NotDivisible
-from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, _dict_mul, _kron_mul
+from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_digits, \
+    kron_eval
 
 
 def U(d):
@@ -78,53 +79,17 @@ def test_eval_and_derivative_at_one():
 
 _EDGES = (127, -127, 128, -128, 255, -255, 256, -256, 2 ** 63, -2 ** 63)
 
-# (name, a, b): signs, byte-boundary digits, cancellation, mixed grids
-_SIGNED_CASES = [
-    ("all negative", {0: -3, 2: -1, 6: -7}, {-2: -5, 4: -1}),
-    ("unit times unit", {0: 1}, {0: 1}),
-    ("unit times minus unit", {4: 1}, {-6: -1}),
-    ("minus unit squared", {3: -1}, {3: -1}),
-    ("byte boundaries", {2 * k: v for k, v in enumerate(_EDGES)},
-     {2 * k: -v for k, v in enumerate(reversed(_EDGES))}),
-    ("byte boundary squares", {2 * k: v for k, v in enumerate(_EDGES)},
-     {2 * k: v for k, v in enumerate(_EDGES)}),
-    ("single boundary digits", {0: -2 ** 63}, {0: 2 ** 63, 2: -256}),
-    # three 11-bit products fill 24 bits: the digit needs the sign bit
-    ("digit above X/2 without a sign bit", {0: 2047, 2: 2047, 4: 2047},
-     {0: 2047, 2: 2047, 4: 2047}),
-    ("digit below -X/2 without a sign bit", {0: -2047, 2: -2047, 4: -2047},
-     {0: 2047, 2: 2047, 4: 2047}),
-    ("middle cell cancels", {0: 1, 2: 1}, {0: 1, 2: -1}),
-    ("middle cells cancel", {0: 1, 2: 1, 4: 1}, {0: -1, 2: 1}),
-    ("wide cancellation", {2 * k: 255 for k in range(9)},
-     {0: 2 ** 63, 2: -2 ** 63}),
-    ("mixed half-integer grid", {1: 5, 2: -3, 7: 1}, {-3: 2, 0: -1, 5: 4}),
-    ("half-integer grid of step 3", {1: 2, 4: -128, 7: 3},
-     {0: 127, 6: -2}),
-]
 
-
-def test_kronecker_agrees_with_dict_mul():
-    rng = random.Random(42)
-    for trial in range(8):
-        a = {rng.randrange(-40, 300): rng.randrange(-10 ** 9, 10 ** 9)
-             for _ in range(120)}
-        b = {rng.randrange(-40, 300): rng.randrange(-10 ** 9, 10 ** 9)
-             for _ in range(95)}
-        a = {e: v for e, v in a.items() if v}
-        b = {e: v for e, v in b.items() if v}
-        assert _kron_mul(a, b) == _dict_mul(a, b)
-        neg_a = {e: -abs(v) for e, v in a.items()}
-        neg_b = {e: -abs(v) for e, v in b.items()}
-        assert _kron_mul(neg_a, neg_b) == _dict_mul(neg_a, neg_b)
-    for name, a, b in _SIGNED_CASES:
-        assert _kron_mul(a, b) == _dict_mul(a, b), name
-
-
-def test_kronecker_with_half_integer_grid():
-    a = {1: 5, 3: -2, 7: 1}                    # odd doubled exponents
-    b = {0: 2, 4: 3}
-    assert _kron_mul(a, b) == _dict_mul(a, b)
+def test_kron_digits_inverts_kron_eval():
+    # signed digits at byte boundaries, on integer and half-integer grids;
+    # 9 bytes keep every |v| <= 2^63 within [-X/2, X/2)
+    for emin, step in ((0, 1), (-3, 2), (1, 3)):
+        c = {emin + step * k: v for k, v in enumerate(_EDGES)}
+        packed = kron_eval(c, emin, step, 9)
+        assert kron_digits(packed, emin, step, 9, len(_EDGES)) == c
+    # one byte holds -128..127; an empty middle slot reads back as absent
+    c = {0: 127, 1: -128, 3: -1, 4: 1}
+    assert kron_digits(kron_eval(c, 0, 1, 1), 0, 1, 1, 5) == c
 
 
 def test_ttpoly():

@@ -93,6 +93,15 @@ def test_coeff_beyond_order_is_an_error():
     assert f.coeff(-3) == 0                    # below lower: exactly zero
 
 
+def test_truncate_stays_within_the_known_window():
+    f = QSeries(0, list(range(10)))
+    assert f.truncate(0).order == 0
+    with pytest.raises(ValueError):
+        f.truncate(11)
+    with pytest.raises(ValueError):
+        f.truncate(-3)
+
+
 def test_agrees_and_mismatch_location():
     a = QSeries(0, [YPoly({0: UPoly.one()}), YPoly({1: UPoly({2: 1})})])
     b = QSeries(0, [YPoly({0: UPoly.one()}), YPoly({1: UPoly({4: 1})})])
