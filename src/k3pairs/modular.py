@@ -5,11 +5,11 @@ After substituting y -> e^{iv}, each power of v in v^2 * G(n, r; q, y)
 carries a power series in q.  This module builds those series exactly
 (the q^0 column from a closed rational form, the rest from the
 full-support integer columns of the Euler specialization), provides the
-divisor-sum and Eisenstein generators of the ring the coefficients are
-expected to live in, the closed forms for the v-coefficients of the
-log-product kernel together with their u-derivatives at u = 1, two
-independent product-side consistency checks, and an exact linear fitter
-with a held-out validation window.  Every v^s cell is i^s times a
+divisor sums, the Eisenstein series and the ring of quasimodular forms
+Q[E2, E4, E6] the coefficients are expected to live in, the closed forms
+for the v-coefficients of the log-product kernel together with their
+u-derivatives at u = 1, two independent product-side consistency checks,
+and an exact linear fitter with a held-out validation window.  Every v^s cell is i^s times a
 rational, and the cells store that rational (the series in w = iv, see
 series.v_substitute_qmajor), so the closed forms fold i^s into real
 signs and the fitter eliminates over Z on one rational right-hand side.
@@ -25,15 +25,14 @@ from math import factorial, gcd, lcm
 from .errors import Mismatch, NoSolution, ValidationFailure
 from .partition import _check_rank, euler_g_column
 from .rings import UPoly, YPoly
-from .scalars import bernoulli, binomial, i_power_str, secant_number
+from .scalars import bernoulli, binomial, i_power_str
 from .series import QSeries, locate_mismatch, v_substitute_qmajor
 from .theta import log_phi_product
 
 __all__ = [
-    "EisensteinBasis", "eisenstein_even", "eisenstein_odd_q2", "fit_in_R",
-    "fit_v_coefficient", "logphi_sigma_check", "mpt_check",
-    "psi_kls_derivative", "psi_kls_sym", "sigma_series",
-    "v_expansion_symmetry_report", "v_partition_series",
+    "EisensteinBasis", "eisenstein_even", "fit_in_R", "fit_v_coefficient",
+    "logphi_sigma_check", "mpt_check", "psi_kls_derivative", "psi_kls_sym",
+    "sigma_series", "v_expansion_symmetry_report", "v_partition_series",
     "verify_psi_vs_log",
 ]
 
@@ -64,23 +63,6 @@ def eisenstein_even(weight: int, qorder: int) -> QSeries:
         raise ValueError("qorder must be positive")
     sig = sigma_series(weight - 1, qorder)
     c = Fraction(-2 * weight) / bernoulli(weight)
-    return QSeries(0, [Fraction(1)] + [c * sig.coeff(n)
-                                       for n in range(1, qorder)], "q")
-
-
-def eisenstein_odd_q2(weight: int, qorder: int) -> QSeries:
-    """Odd-weight companion series, already taken at q^2.
-
-    Normalized by the secant numbers: weight 2g + 1 carries the factor
-    4 (-1)^g / e_{2g} on the divisor sums sigma_{2g-1}.
-    """
-    if weight < 3 or weight % 2 == 0:
-        raise ValueError("odd Eisenstein weight must be odd and >= 3")
-    if qorder < 1:
-        raise ValueError("qorder must be positive")
-    g = (weight - 1) // 2
-    sig = sigma_series(weight - 2, qorder)
-    c = Fraction(4 * (-1) ** g, secant_number(2 * g))
     return QSeries(0, [Fraction(1)] + [c * sig.coeff(n)
                                        for n in range(1, qorder)], "q")
 
@@ -178,6 +160,13 @@ def _check_log_qorder(qorder: int) -> None:
             f"qorder must be >= 2 for a log-product check (got {qorder})")
 
 
+def _check_vorder(vorder: int) -> None:
+    """A v-expansion check below v^vorder compares nothing at vorder < 1."""
+    if vorder < 1:
+        raise ValueError(
+            f"vorder must be >= 1 for a v-expansion check (got {vorder})")
+
+
 def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
                       tmax: int = 3) -> dict:
     """Cross-check every closed form against the direct log expansion.
@@ -188,9 +177,11 @@ def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
     against their closed binomial sums.  Raises Mismatch with the first
     differing (v, q[, du]) location; returns a check count on success.
     Raises ValueError for qorder < 2, where only the q^0 cell, zero on
-    both sides, would be compared.
+    both sides, would be compared, and for vorder < 1, where no v-power
+    would be.
     """
     _check_log_qorder(qorder)
+    _check_vorder(vorder)
     ywin = qorder - 1
     direct = v_substitute_qmajor(log_phi_product(k, l, qorder, ywin), vorder)
     checks = 0
@@ -288,17 +279,14 @@ def v_expansion_symmetry_report(n: int, r: int, qorder: int,
     G^{n-r}_n(q, 1/y) makes the v^s cell at r equal (-1)^s times the one
     at n - r.  The offending cells are listed rather than rounded away.
     """
-    f = v_partition_series(n, r, qorder, vorder)
-    bad = []
-    for s in range(f.lower, f.order):
-        if s % 2 == 0:
-            continue
-        col = f.coeff(s)
-        for m in range(qorder):
-            c = col.coeff(m)
-            if c:
-                bad.append({"v": s, "q": m, "value": i_power_str(s, c)})
-    return bad
+    return _odd_cells(v_partition_series(n, r, qorder, vorder))
+
+
+def _odd_cells(f: QSeries) -> list:
+    """The nonzero odd-v cells of a v-expansion, each with its value."""
+    return [{"v": s, "q": m, "value": i_power_str(s, c)}
+            for s in range(f.lower, f.order) if s % 2
+            for m, c in enumerate(f.coeff(s).coeffs) if c]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +299,9 @@ def mpt_check(qorder: int, vorder: int) -> dict:
     |B_{2g}| / (g (2g)!) E_{2g}(q)) coefficient-exactly; the exponential
     is taken in the ring of q-series.  Both sides are series in w = iv,
     as the cells are stored, so v^{2g} is (-1)^g w^{2g}.  Mismatch
-    carries the (v, q) location.
+    carries the (v, q) location.  Raises ValueError for vorder < 1.
     """
+    _check_vorder(vorder)
     lhs = -v_partition_series(1, 0, qorder, vorder)
     rows: list = [0] * vorder
     for g in range(1, (vorder - 1) // 2 + 1):
@@ -330,9 +319,10 @@ def logphi_sigma_check(qorder: int, vorder: int) -> dict:
     gives 4 sum_{k >= 1} (-1)^k v^{2k} / (2k)! * sigma_{2k-1}-series,
     with nothing at odd or zero v-powers; the stored v^{2k} cell is that
     value over i^{2k} = (-1)^k.  Mismatch carries (v, q).  Raises
-    ValueError for qorder < 2, as verify_psi_vs_log does.
+    ValueError for qorder < 2 and vorder < 1, as verify_psi_vs_log does.
     """
     _check_log_qorder(qorder)
+    _check_vorder(vorder)
     ywin = qorder - 1
     direct = v_substitute_qmajor(log_phi_product(0, 0, qorder, ywin), vorder)
     rows: list = [0] * vorder
@@ -347,12 +337,6 @@ def logphi_sigma_check(qorder: int, vorder: int) -> dict:
 # ---------------------------------------------------------------------------
 # the bounded-weight ring and the exact fitter
 
-def _scaled(ser: QSeries) -> tuple:
-    """(d, ints) with ser = ints / d and d the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in ser.coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in ser.coeffs]
-
-
 def _int_mul(f: list, g: list) -> list:
     """Product of two integer coefficient lists, truncated to len(f)."""
     n = len(f)
@@ -364,19 +348,17 @@ def _int_mul(f: list, g: list) -> list:
 
 
 class EisensteinBasis:
-    """Monomials of bounded total weight in the Eisenstein generators.
+    """The quasimodular monomials E2^a E4^b E6^c of weight <= weight_bound.
 
-    Generators: even weights w >= 2 give "E{w}"; odd weights w >= 3 give
-    "E{w}q2", the odd-weight series taken at q^2.  weight(E_w) = w and
-    weights add over products.  ``elements`` holds one (name, weight,
-    expansion) triple per monomial of total weight <= weight_bound, the
-    empty product "1" included, sorted by (weight, name); expansions
-    are exact below q^qorder.  Monomials are multiplied as integer lists,
-    each generator scaled by the lcm of its denominators (691 for E12),
-    and turned into Fractions once per element.
+    These span the quasimodular forms of weight <= weight_bound and are
+    linearly independent (Kaneko-Zagier): weight(E_w) = w and weights add
+    over products.  ``elements`` holds one (name, weight, expansion)
+    triple per monomial, the empty product "1" included, sorted by
+    (weight, name); expansions are exact below q^qorder.  E2, E4 and E6
+    have integer coefficients, so every expansion is an integer list.
     """
 
-    __slots__ = ("weight_bound", "qorder", "generators", "elements")
+    __slots__ = ("weight_bound", "qorder", "elements")
 
     def __init__(self, weight_bound: int, qorder: int):
         if weight_bound < 0:
@@ -385,37 +367,26 @@ class EisensteinBasis:
             raise ValueError("qorder must be positive")
         self.weight_bound = weight_bound
         self.qorder = qorder
-        self.generators = []
-        for w in range(2, weight_bound + 1):
-            if w % 2 == 0:
-                self.generators.append(
-                    (f"E{w}", w, eisenstein_even(w, qorder)))
-            else:
-                self.generators.append(
-                    (f"E{w}q2", w, eisenstein_odd_q2(w, qorder)))
-        scaled = [_scaled(gen) for _, _, gen in self.generators]
+        gens = [(f"E{w}", w,
+                 [int(c) for c in eisenstein_even(w, qorder).coeffs])
+                for w in (2, 4, 6)]
         self.elements: list = []
-        self._emit(scaled, 0, 0, [], 1, [1] + [0] * (qorder - 1))
+        self._emit(gens, 0, [], [1] + [0] * (qorder - 1))
         self.elements.sort(key=lambda e: (e[1], e[0]))
 
-    def _emit(self, scaled: list, gi: int, weight: int, parts: list,
-              den: int, ints: list):
-        if gi == len(self.generators):
+    def _emit(self, gens: list, weight: int, parts: list, ints: list):
+        if not gens:
             name = "*".join(f"{nm}^{e}" if e > 1 else nm
                             for nm, e in parts) or "1"
-            self.elements.append(
-                (name, weight, QSeries(0, [Fraction(c, den) for c in ints],
-                                       "q")))
+            self.elements.append((name, weight, QSeries(0, ints, "q")))
             return
-        name, w, _ = self.generators[gi]
-        gden, gints = scaled[gi]
+        (name, w, gints), rest = gens[0], gens[1:]
         e = 0
         while weight + e * w <= self.weight_bound:
-            self._emit(scaled, gi + 1, weight + e * w,
-                       parts + ([(name, e)] if e else []), den, ints)
+            self._emit(rest, weight + e * w,
+                       parts + ([(name, e)] if e else []), ints)
             e += 1
             if weight + e * w <= self.weight_bound:
-                den *= gden
                 ints = _int_mul(ints, gints)
 
     def __len__(self):

@@ -293,9 +293,6 @@ class UPoly:
             out[(e2 // 2, e2 // 2)] = v
         return TTPoly(out)
 
-    def max_abs_int(self) -> int:
-        return max(map(abs, self.c.values()), default=0)
-
     # -- rendering -------------------------------------------------------
     def __str__(self):
         if not self.c:
@@ -428,28 +425,6 @@ class TTPoly:
 
     def coeff(self, p: int, q: int):
         return self.c.get((p, q), 0)
-
-    def all_nonneg_int(self) -> bool:
-        return all(type(v) is int and v >= 0 for v in self.c.values())
-
-    def palindromic_twist(self):
-        """Return d such that coeff(p,q) == coeff(d-p, d-q) everywhere.
-
-        The twist is read off the support (d = min+max exponent, equal in
-        both variables); returns None if no such d works.
-        """
-        if not self.c:
-            return 0
-        ps = [p for p, _ in self.c]
-        qs = [q for _, q in self.c]
-        d1 = min(ps) + max(ps)
-        d2 = min(qs) + max(qs)
-        if d1 != d2:
-            return None
-        for (p, q), v in self.c.items():
-            if self.c.get((d1 - p, d1 - q), 0) != v:
-                return None
-        return d1
 
     def __str__(self):
         if not self.c:

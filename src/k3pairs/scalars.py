@@ -1,13 +1,10 @@
-"""Exact scalar arithmetic: Bernoulli numbers, secant numbers, generalized
-binomials, and the rendering of the Gaussian rationals i^s * c.
+"""Exact scalar arithmetic: Bernoulli numbers, generalized binomials, and
+the rendering of the Gaussian rationals i^s * c.
 
 Conventions fixed here and relied on everywhere else:
 
 * Bernoulli numbers use B_1 = -1/2 (the "first" convention), so that
   sum_{k=0}^{m} binom(m+1, k) B_k = 0 for m >= 1.
-* Secant numbers e_n are the coefficients of 1/cos:
-  sec t = sum_{n>=0} e_n t^n / n!   (e_0, e_2, e_4, e_6 = 1, 1, 5, 61;
-  odd ones vanish).
 * binomial(n, k) is the falling-factorial binomial, defined for every
   integer n and k >= 0, so e.g. binomial(-3, 2) = 6.
 * A v^s cell of a v-expansion is stored as the rational c whose value
@@ -22,7 +19,6 @@ from functools import lru_cache
 
 __all__ = [
     "bernoulli",
-    "secant_number",
     "binomial",
     "fraction_str",
     "i_power_str",
@@ -43,22 +39,6 @@ def bernoulli(m: int) -> Fraction:
     for k in range(m):
         acc += binomial(m + 1, k) * bernoulli(k)
     return -acc / binomial(m + 1, m)
-
-
-@lru_cache(maxsize=None)
-def secant_number(m: int) -> int:
-    """Coefficient e_m in sec t = sum e_m t^m / m! (0 for odd m)."""
-    if m < 0:
-        raise ValueError("secant numbers are indexed by n >= 0")
-    if m % 2 == 1:
-        return 0
-    if m == 0:
-        return 1
-    # cos t * sec t = 1:  sum_{j even, 0<=j<=m} (-1)^(j/2) C(m,j) e_{m-j} = 0.
-    acc = 0
-    for j in range(2, m + 1, 2):
-        acc += (-1) ** (j // 2) * binomial(m, j) * secant_number(m - j)
-    return -acc
 
 
 def binomial(n: int, k: int) -> int:

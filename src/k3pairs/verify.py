@@ -8,9 +8,8 @@ structured results for the caller to render and turn into an exit code.
 """
 
 from .errors import K3PairsError, Mismatch
-from .modular import (logphi_sigma_check, mpt_check,
-                      v_expansion_symmetry_report, v_partition_series,
-                      verify_psi_vs_log)
+from .modular import (_odd_cells, logphi_sigma_check, mpt_check,
+                      v_partition_series, verify_psi_vs_log)
 from .partition import (g_closed, g_via_kernels, g_via_matrices, ky_product,
                         mirror_series)
 from .rings import Monomial, UPoly, YPoly
@@ -67,16 +66,16 @@ def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int) -> None:
     """The v^s cell at (n, r) is (-1)^s times the one at (n, n - r); odd
     cells vanish at n = 1 and 2r = n.  Each cell is stored as the c of
     its value i^s c, so the mirror is the same sign on the stored cells."""
+    f = v_partition_series(n, r, qorder, vorder)
     if n == 1 or 2 * r == n:
-        bad = v_expansion_symmetry_report(n, r, qorder, vorder)
+        bad = _odd_cells(f)
         if bad:
             cell = bad[0]
             raise Mismatch(
                 f"v-expansion at rank ({n}, {r}) breaks the i^s rule: "
                 f"cell value {cell['value']}", {"v": cell["v"],
                                                  "q": cell["q"]})
-    f = v_partition_series(n, r, qorder, vorder)
-    g = v_partition_series(n, n - r, qorder, vorder)
+    g = f if 2 * r == n else v_partition_series(n, n - r, qorder, vorder)
     mirrored = QSeries(g.lower, [-c if s % 2 else c for s, c in
                                  enumerate(g.coeffs, g.lower)], "v")
     f.assert_agrees(mirrored, what=f"v-expansions at ranks ({n}, {r}) and "

@@ -1,0 +1,32 @@
+"""Coefficient properties of ring elements that only the tests ask about."""
+
+
+def max_abs_int(p) -> int:
+    """Largest absolute coefficient of a UPoly (0 for the zero poly)."""
+    return max(map(abs, p.c.values()), default=0)
+
+
+def all_nonneg_int(h) -> bool:
+    """Whether every coefficient of a TTPoly is a nonnegative int."""
+    return all(type(v) is int and v >= 0 for v in h.c.values())
+
+
+def palindromic_twist(h):
+    """Return d such that coeff(p,q) == coeff(d-p, d-q) everywhere in the
+    TTPoly h.
+
+    The twist is read off the support (d = min+max exponent, equal in
+    both variables); returns None if no such d works.
+    """
+    if not h.c:
+        return 0
+    ps = [p for p, _ in h.c]
+    qs = [q for _, q in h.c]
+    d1 = min(ps) + max(ps)
+    d2 = min(qs) + max(qs)
+    if d1 != d2:
+        return None
+    for (p, q), v in h.c.items():
+        if h.c.get((d1 - p, d1 - q), 0) != v:
+            return None
+    return d1

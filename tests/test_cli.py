@@ -291,6 +291,25 @@ def test_mirror_check_catches_a_mirrored_odd_cell_at_rank_one(monkeypatch):
         assert e.value.location == {"v": 3, "q": 2}
 
 
+def test_modularity_suite_expands_each_v_series_once(monkeypatch):
+    # nine ranks (n, r) with n <= 3, the mirror of each rank with 2r != n
+    # (eight more) and the rank-one series of the Eisenstein exponential
+    import k3pairs.modular
+    import k3pairs.verify
+
+    real = k3pairs.modular.v_partition_series
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(k3pairs.modular, "v_partition_series", counted)
+    monkeypatch.setattr(k3pairs.verify, "v_partition_series", counted)
+    assert run_suite("modularity", n=3)["ok"]
+    assert len(calls) == 9 + 8 + 1
+
+
 def test_verify_unknown_suite_rejected_by_parser():
     with pytest.raises(SystemExit) as e:
         main(["verify", "--suite", "bogus"])

@@ -21,8 +21,8 @@ from hypothesis import assume, given, settings, strategies as st
 from k3pairs.errors import Mismatch, NoSolution, UnsupportedRank, \
     ValidationFailure
 from k3pairs.modular import (
-    EisensteinBasis, _solve_exact, eisenstein_even, eisenstein_odd_q2,
-    fit_in_R, fit_v_coefficient, logphi_sigma_check, mpt_check,
+    EisensteinBasis, _solve_exact, eisenstein_even, fit_in_R,
+    fit_v_coefficient, logphi_sigma_check, mpt_check,
     psi_kls_derivative, psi_kls_sym, sigma_series,
     v_expansion_symmetry_report, v_partition_series, verify_psi_vs_log)
 from k3pairs.partition import euler_g, euler_g_column
@@ -80,22 +80,6 @@ def test_eisenstein_even_rejects_bad_weight():
     for w in (0, -2, 3):
         with pytest.raises(ValueError):
             eisenstein_even(w, 4)
-
-
-def test_eisenstein_odd_frozen_rows():
-    e3 = eisenstein_odd_q2(3, 5)
-    assert [e3.coeff(n) for n in range(5)] == [1, -4, -12, -16, -28]
-    e5 = eisenstein_odd_q2(5, 4)
-    assert [e5.coeff(n) for n in range(4)] == \
-        [1, Fraction(4, 5), Fraction(36, 5), Fraction(112, 5)]
-    # weight seven runs through the e_6 = 61 secant constant
-    assert eisenstein_odd_q2(7, 2).coeff(1) == Fraction(-4, 61)
-
-
-def test_eisenstein_odd_rejects_bad_weight():
-    for w in (1, 2, 4, -3):
-        with pytest.raises(ValueError):
-            eisenstein_odd_q2(w, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +197,17 @@ def test_log_product_checks_refuse_a_q_order_that_compares_nothing(
     with pytest.raises(Mismatch) as e:
         modular.logphi_sigma_check(2, 8)
     assert e.value.location["q"] == 1
+
+
+def test_modular_checks_refuse_a_v_order_that_compares_nothing():
+    for vorder in (0, -1):
+        for check in (lambda: mpt_check(5, vorder),
+                      lambda: logphi_sigma_check(5, vorder),
+                      lambda: verify_psi_vs_log(1, 0, 5, vorder)):
+            with pytest.raises(ValueError, match="vorder"):
+                check()
+    assert mpt_check(5, 1)["ok"] and logphi_sigma_check(5, 1)["ok"]
+    assert verify_psi_vs_log(1, 0, 5, 1)["checks"] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -346,38 +341,45 @@ def test_logphi_sigma_check_and_v2_column():
 def test_basis_enumeration_and_names():
     b = EisensteinBasis(6, 8)
     names = [nm for nm, _, _ in b.elements]
-    assert names[0] == "1"
-    assert len(names) == len(set(names)) == 11
-    for nm in ("E2^2", "E2*E3q2", "E3q2^2", "E2^3", "E6"):
-        assert nm in names, nm
+    assert names == ["1", "E2", "E2^2", "E4", "E2*E4", "E2^3", "E6"]
+    assert len(b) == 7
     weights = {nm: w for nm, w, _ in b.elements}
-    assert weights["E2*E4"] == 6 and weights["E5q2"] == 5
-    series = {nm: s for nm, _, s in b.elements}
-    assert series["1"] == QSeries.one(8, "q")
-    assert series["E2^2"] == eisenstein_even(2, 8) * eisenstein_even(2, 8)
-    assert series["E2*E3q2"] == \
-        eisenstein_even(2, 8) * eisenstein_odd_q2(3, 8)
+    assert weights["E2*E4"] == 6 and weights["E2^2"] == 4
     assert len(EisensteinBasis(0, 4).elements) == 1
-    # the fitter's real size: E12 carries 691, the odd generators carry
-    # the secant numbers 5, 61, 1385, 50521 in their denominators
+    # the fitter's real size: the quasimodular monomials of weight <= 12
     qorder = 31
-    gens = {}
-    for w in range(2, 13):
-        if w % 2:
-            gens[f"E{w}q2"] = eisenstein_odd_q2(w, qorder)
-        else:
-            gens[f"E{w}"] = eisenstein_even(w, qorder)
+    gens = {f"E{w}": eisenstein_even(w, qorder) for w in (2, 4, 6)}
     big = EisensteinBasis(12, qorder)
-    assert len(big) == 77
+    assert len(big) == 23
+    assert len({nm for nm, _, _ in big.elements}) == 23
     for nm, weight, ser in big.elements:
         want = QSeries.one(qorder, "q")
         total = 0
         for part in nm.split("*") if nm != "1" else ():
             gen, _, e = part.partition("^")
             want = want * gens[gen] ** int(e or 1)
-            total += int(gen[1:].removesuffix("q2")) * int(e or 1)
+            total += int(gen[1:]) * int(e or 1)
         assert total == weight, nm
         assert ser == want, nm
+
+
+def test_fit_writes_higher_eisenstein_in_e4_and_e6():
+    e8, e10, e12 = (eisenstein_even(w, 41) for w in (8, 10, 12))
+    assert fit_in_R(e8, 8, 30, 40)["combination"] == [("E4^2", 1)]
+    assert fit_in_R(e10, 10, 30, 40)["combination"] == [("E4*E6", 1)]
+    assert fit_in_R(e12, 12, 30, 40)["combination"] == [
+        ("E4^3", Fraction(441, 691)), ("E6^2", Fraction(250, 691))]
+
+
+def test_solve_exact_pivots_every_weight_12_column():
+    # 23 columns over q^0 .. q^30; a target using each column with a
+    # distinct nonzero coefficient comes back whole only if no
+    # coordinate is free, that is if all 23 columns are pivots
+    cols = [ser.coeffs for _, _, ser in EisensteinBasis(12, 31).elements]
+    x = list(range(1, len(cols) + 1))
+    rows = [[c[m] for c in cols] + [sum(xi * c[m] for xi, c in zip(x, cols))]
+            for m in range(31)]
+    assert _solve_exact(rows, len(cols)) == x
 
 
 def test_fit_recovers_a_pure_monomial():

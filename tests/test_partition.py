@@ -12,6 +12,8 @@ from k3pairs.rings import TTPoly, UPoly, YPoly
 from k3pairs.series import QSeries
 from k3pairs.ucomb import matrix_product_entry, u_integer
 
+from ring_helpers import all_nonneg_int, palindromic_twist
+
 
 # -- Hilbert schemes of points ----------------------------------------------
 
@@ -84,8 +86,8 @@ def test_s_series_below_its_lowest_exponent(monkeypatch):
 
 def test_hilb_hodge_palindromic():
     for m in range(5):
-        assert hilb_hodge(m).palindromic_twist() == 2 * m
-        assert hilb_hodge(m).all_nonneg_int()
+        assert palindromic_twist(hilb_hodge(m)) == 2 * m
+        assert all_nonneg_int(hilb_hodge(m))
 
 
 def test_s_series_shape():
@@ -148,8 +150,8 @@ def test_syst_hodge_positive_palindromic():
             for g in range(5):
                 for k in range(-3, 4):
                     h = syst_hodge(n, r, g, k)
-                    assert h.all_nonneg_int()
-                    assert h.palindromic_twist() is not None
+                    assert all_nonneg_int(h)
+                    assert palindromic_twist(h) is not None
 
 
 def test_syst_table_rows():

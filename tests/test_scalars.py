@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from k3pairs.scalars import bernoulli, binomial, fraction_str, \
-    i_power_str, secant_number
+    i_power_str
 
 
 def test_bernoulli_small():
@@ -24,10 +24,6 @@ def test_bernoulli_defining_recurrence():
     for m in range(1, 12):
         assert sum(binomial(m + 1, k) * bernoulli(k)
                    for k in range(m + 1)) == 0
-
-
-def test_secant_numbers():
-    assert [secant_number(n) for n in range(8)] == [1, 0, 1, 0, 5, 0, 61, 0]
 
 
 def test_binomial_generalized():

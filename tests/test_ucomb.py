@@ -7,6 +7,8 @@ from k3pairs.ucomb import _at_x, _bound, _width, c_table, k_series, \
     matrix_entry, matrix_product_entry, u_binomial, u_integer, \
     verify_ab_identity
 
+from ring_helpers import max_abs_int
+
 
 def U(d):
     return UPoly(d)
@@ -202,12 +204,12 @@ def test_values_at_x_match_the_upoly_oracle():
             width = _width(n_max, i, j)
             for n in range(n_max + 1):
                 target = matrix_entry("P", i, j, n)
-                built = target.max_abs_int()
+                built = max_abs_int(target)
                 entries = [("P", i, j, n)]
                 for m in range(i, j + 1, 2):
                     a, b = matrix_entry("A", i, m, n), matrix_entry("B", m, j)
                     if a and b:
-                        built += (a.max_abs_int() * b.max_abs_int()
+                        built += (max_abs_int(a) * max_abs_int(b)
                                   * min(len(a.c), len(b.c)))
                     entries += [("A", i, m, n), ("B", m, j, None)]
                 assert built <= _bound(n, i, j) < 1 << 8 * width - 1, (n, i, j)
