@@ -12,8 +12,11 @@ series S):
 
 * ``g_closed``       -- the double-sum closed form over a (p, l) lattice;
 * ``g_via_matrices`` -- sums of genuine transfer-matrix product entries;
-* ``g_via_kernels``  -- theta-kernel combination, with the headline
-                        (u-1)^(2n-1) divisibility check built in.
+* ``g_via_kernels``  -- theta-kernel combination, contracted against
+                        the weight table one lattice point of Psi at a
+                        time, with the headline (u-1)^(2n-1)
+                        divisibility check built in as one exact
+                        division chain per cell.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
@@ -29,9 +32,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NonExactDivision, NotDivisible, UnsupportedRank
-from .rings import Monomial, TTPoly, UPoly, YPoly
+from .rings import TTPoly, UPoly, YPoly
 from .series import QSeries
-from .theta import phi_product, psi
+from .theta import phi_product
 from .ucomb import c_table, matrix_entry, matrix_product_entry, u_binomial, \
     u_integer
 
@@ -253,10 +256,19 @@ def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
 def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from the theta-kernel combination.
 
-    Sums the weight table against kernels Psi(u^i, u^{j-r} y; q), asserts
-    every (q, y)-coefficient is exactly divisible by (u-1)^(2n-1) --
-    NotDivisible here is the headline consistency check -- then divides
-    by [n] ([n-1]!)^2 and scales by u^{r(n-r)}.
+    The kernels Psi(u^i, u^{j-r} y; q) are summed against the weight
+    table w_ij one lattice point at a time.  Psi has a term at (p, 0)
+    for 1 <= p <= ywin and at (p, l) for l >= 1, pl < qorder, kept when
+    |p - l| <= ywin; the map (p, l) -> (q^{pl}, y^{p-l}) is one-to-one,
+    so each cell is the single contraction
+
+        sum_ij w_ij (u^{ip} - u^{-il}) u^{(j-r)(p-l)},
+
+    built as two key-shifted copies of each weight.  Each cell must be
+    exactly divisible by (u-1) prod_{m<n} (u^m - 1)^2, which is
+    (u-1)^(2n-1) ([n-1]!)^2 -- the headline consistency check, run as
+    2n-1 linear division passes and raising NonExactDivision that names
+    the cell -- and is then divided by [n] and scaled by u^{r(n-r)}.
 
     Two boundary notes, both forced by matching the closed double sum:
 
@@ -274,23 +286,29 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
       the row subtracted, term by term, before the final division.
     """
     _check_rank(n, r)
+    table = [(2 * i, 2 * (j - r), w.c) for (i, j), w in c_table(n, r).items()]
+    points = [(p, 0) for p in range(1, ywin + 1)] if qorder > 0 else []
+    points += [(p, l) for l in range(1, qorder)
+               for p in range(1, (qorder - 1) // l + 1) if abs(p - l) <= ywin]
     cells: dict = {}
-    for (i, j), w in c_table(n, r).items():
-        part = psi(Monomial(2 * i, 0), Monomial(2 * (j - r), 1),
-                   qorder, ywin)
-        for qe in range(part.lower, part.order):
-            col = part.coeff(qe)
-            if not col:
-                continue
-            dst = cells.setdefault(qe, {})
-            for ye, v in col.c.items():
-                dst[ye] = dst.get(ye, UPoly.zero()) + v * w
-    for qe, col in cells.items():
-        for ye, w in col.items():
-            w = w.div_u_minus_one(2 * n - 1)
-            for m in range(2, n):
-                w = w.div_u_integer(m).div_u_integer(m)
-            col[ye] = w
+    for p, l in points:
+        qe, ye = p * l, p - l
+        acc: dict = {}
+        for i2, j2, w in table:
+            up, dn = i2 * p + j2 * ye, j2 * ye - i2 * l
+            for e, v in w.items():
+                acc[e + up] = acc.get(e + up, 0) + v
+                acc[e + dn] = acc.get(e + dn, 0) - v
+        num = UPoly(acc)
+        try:
+            num = num.div_u_pow_minus_one(2)
+            for m in range(1, n):
+                num = num.div_u_pow_minus_one(2 * m).div_u_pow_minus_one(2 * m)
+        except NotDivisible as exc:
+            raise NonExactDivision(
+                f"kernel-route numerator at q^{qe} y^{ye} not divisible by "
+                f"(u-1)^{2 * n - 1} ([{n - 1}]!)^2") from exc
+        cells.setdefault(qe, {})[ye] = num
     if r == n:
         col = cells.setdefault(0, {})
         for l in range(n, ywin + 1):
@@ -304,7 +322,12 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     shift = 2 * r * (n - r)
     for qe, col in cells.items():
         for ye, w in col.items():
-            col[ye] = w.div_u_integer(n).shift(shift) if w else w
+            try:
+                col[ye] = w.div_u_integer(n).shift(shift) if w else w
+            except NotDivisible as exc:
+                raise NonExactDivision(
+                    f"kernel-route numerator at q^{qe} y^{ye} not divisible "
+                    f"by [{n}]") from exc
     return _cells_to_series(cells, 0, qorder, ywin)
 
 

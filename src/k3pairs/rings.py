@@ -209,8 +209,9 @@ class UPoly:
         r.c = out
         return r
 
-    def _div_u_pow_minus_one(self, d2: int) -> "UPoly":
-        """Exact division by u^{d2/2} - 1 (d2 > 0 doubled exponent)."""
+    def div_u_pow_minus_one(self, d2: int) -> "UPoly":
+        """Exact division by u^{d2/2} - 1 (d2 > 0 doubled exponent) in
+        linear time; NotDivisible on any remainder."""
         h = self.c
         if not h:
             return UPoly.zero()
@@ -223,19 +224,12 @@ class UPoly:
                 if ge:
                     if e > hi - d2:
                         raise NotDivisible(
-                            f"remainder in division by u^{d2}/2 - 1")
+                            f"remainder in division by {_u_mono(d2)} - 1")
                     out[e] = ge
                 e += 2
         r = UPoly.__new__(UPoly)
         r.c = out
         return r
-
-    def div_u_minus_one(self, t: int = 1) -> "UPoly":
-        """Exact division by (u - 1)^t; NotDivisible on any remainder."""
-        out = self
-        for _ in range(t):
-            out = out._div_u_pow_minus_one(2)
-        return out
 
     def div_u_integer(self, m: int) -> "UPoly":
         """Exact division by [m] = (u^m - 1)/(u - 1), linear time."""
@@ -258,7 +252,7 @@ class UPoly:
                 del h[e]
         hp = UPoly.__new__(UPoly)
         hp.c = h
-        return hp._div_u_pow_minus_one(2 * m)
+        return hp.div_u_pow_minus_one(2 * m)
 
     # -- evaluations ----------------------------------------------------
     def eval_one(self):
@@ -299,16 +293,8 @@ class UPoly:
             return "0"
         parts = []
         for e in sorted(self.c):
-            v = self.c[e]
-            if e == 0:
-                mono = ""
-            elif e == 2:
-                mono = "u"
-            elif e % 2 == 0:
-                mono = f"u^{e // 2}"
-            else:
-                mono = f"u^{e}/2"
-            parts.append((_coeff_str(v, bool(mono)), mono))
+            mono = _u_mono(e)
+            parts.append((_coeff_str(self.c[e], bool(mono)), mono))
         out = ""
         first = True
         for cs, mono in parts:
@@ -322,6 +308,17 @@ class UPoly:
 
     def __repr__(self):
         return f"UPoly({self.c!r})"
+
+
+def _u_mono(e2: int) -> str:
+    """u^{e2/2} as printed: empty at e2 = 0, else u, u^k or u^k/2."""
+    if e2 == 0:
+        return ""
+    if e2 == 2:
+        return "u"
+    if e2 % 2 == 0:
+        return f"u^{e2 // 2}"
+    return f"u^{e2}/2"
 
 
 def _coeff_str(v, has_mono: bool) -> str:

@@ -3,14 +3,17 @@ from fractions import Fraction
 import pytest
 
 import k3pairs.partition as partition
-from k3pairs.errors import Mismatch, UnsupportedRank
+from k3pairs.errors import Mismatch, NonExactDivision, UnsupportedRank
 from k3pairs.partition import _hilbert_series, euler_g, euler_g_column, euler_s_series, \
     f_via_matrices, g_closed, g_via_kernels, g_via_matrices, hilb_hodge, \
     ky_product, mirror_series, s_series, syst_euler, syst_hodge, \
     syst_table, to_tt_series
-from k3pairs.rings import TTPoly, UPoly, YPoly
+from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly
 from k3pairs.series import QSeries
-from k3pairs.ucomb import matrix_product_entry, u_integer
+from k3pairs.theta import psi
+from k3pairs.ucomb import c_table, matrix_product_entry, u_binomial, \
+    u_integer
+from k3pairs.verify import run_suite
 
 from ring_helpers import all_nonneg_int, palindromic_twist
 
@@ -212,6 +215,84 @@ def test_routes_agree():
             gm = g_via_matrices(n, r, 8, 6)
             assert gc == gk, (n, r)
             assert gc == gm, (n, r)
+
+
+def _kernels_by_psi(n, r, qorder, ywin):
+    """The kernel route as whole-series sums: one Psi(u^i, u^{j-r} y; q)
+    per weight, added cell by cell, then divided by (u-1)^(2n-1),
+    ([n-1]!)^2 and [n] with the r = n repair of the q^0 column."""
+    cells = {}
+    for (i, j), w in c_table(n, r).items():
+        part = psi(Monomial(2 * i, 0), Monomial(2 * (j - r), 1),
+                   qorder, ywin)
+        for qe in range(part.lower, part.order):
+            col = part.coeff(qe)
+            if not col:
+                continue
+            dst = cells.setdefault(qe, {})
+            for ye, v in col.c.items():
+                dst[ye] = dst.get(ye, UPoly.zero()) + v * w
+    for col in cells.values():
+        for ye, w in col.items():
+            for _ in range(2 * n - 1):
+                w = w.div_u_pow_minus_one(2)
+            for m in range(2, n):
+                w = w.div_u_integer(m).div_u_integer(m)
+            col[ye] = w
+    if r == n:
+        col = cells.setdefault(0, {})
+        for l in range(n, ywin + 1):
+            col[-l] = col.get(-l, UPoly.zero()) \
+                + u_integer(l) * u_binomial(l - 1, n - 1)
+        sgn = 1 if n % 2 else -1
+        for p in range(1, ywin + 1):
+            w = (u_integer(p) * u_binomial(p + n - 1, n - 1)).shift(
+                -2 * n * p - n * (n - 1))
+            col[p] = col.get(p, UPoly.zero()) - sgn * w
+    for col in cells.values():
+        for ye, w in col.items():
+            col[ye] = w.div_u_integer(n).shift(2 * r * (n - r))
+    return QSeries.from_dict(
+        {qe: YPoly(col, ywin) for qe, col in cells.items()}, 0, qorder)
+
+
+def test_g_via_kernels_matches_psi_sums():
+    for n in range(1, 6):
+        for r in range(n + 1):
+            for qorder in (0, 1, 2, 8, 12):
+                for ywin in (0, 1, 8):
+                    want = _kernels_by_psi(n, r, qorder, ywin)
+                    got = g_via_kernels(n, r, qorder, ywin)
+                    key = (n, r, qorder, ywin)
+                    assert (got.lower, got.order) == (0, max(qorder, 0)), key
+                    for qe in range(qorder):
+                        a, b = want.coeff(qe), got.coeff(qe)
+                        assert a == b, key + (qe,)
+                        for ye, v in (b.c.items() if b else ()):
+                            assert a.c[ye].c == v.c, key + (qe, ye)
+                            assert [type(x) for x in a.c[ye].c.values()] \
+                                == [type(x) for x in v.c.values()], key
+
+
+def test_g_via_kernels_names_the_cell_that_fails(monkeypatch):
+    real = partition.c_table
+
+    def perturbed(n, r):
+        table = real(n, r)
+        if n == 2:
+            key = min(table)
+            table[key] = table[key] + UPoly.u()
+        return table
+
+    monkeypatch.setattr(partition, "c_table", perturbed)
+    with pytest.raises(NonExactDivision) as exc:
+        g_via_kernels(2, 0, 8, 6)
+    assert "at q^0 y^1 not divisible by (u-1)^3" in str(exc.value)
+    out = run_suite("routes", n=2)
+    assert not out["ok"]
+    bad = out["results"][-1]
+    assert bad["check"] == "three-route agreement at rank (2, 0)"
+    assert "kernel-route numerator at q^0 y^1" in bad["message"]
 
 
 def test_f_divided_by_s_is_the_matrix_route():

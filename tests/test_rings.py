@@ -64,9 +64,18 @@ def test_div_u_minus_one():
     um1 = U({2: 1, 0: -1})
     f = U({-2: 4, 0: -1, 2: 3, 6: -5})
     g = f * um1 * um1
-    assert g.div_u_minus_one(2) == f
+    assert g.div_u_pow_minus_one(2).div_u_pow_minus_one(2) == f
     with pytest.raises(NotDivisible):
-        (f * um1 + UPoly.one()).div_u_minus_one()
+        (f * um1 + UPoly.one()).div_u_pow_minus_one(2)
+
+
+def test_div_u_pow_minus_one_names_the_divisor():
+    one = UPoly.one()
+    for d2, divisor in ((2, "u - 1"), (6, "u^3 - 1"), (3, "u^3/2 - 1")):
+        assert U({d2: 1, 0: -1}).div_u_pow_minus_one(d2) == one
+        with pytest.raises(NotDivisible) as exc:
+            one.div_u_pow_minus_one(d2)
+        assert str(exc.value) == f"remainder in division by {divisor}"
 
 
 def test_eval_and_derivative_at_one():
