@@ -492,8 +492,12 @@ def fit_v_coefficient(n: int, r: int, s: int, fit_qorder: int = 20,
     starts there (capped by the ceiling) and widens on NoSolution until
     the ceiling is exhausted; an explicit weight_bound disables the
     widening.  Each coefficient c of the stored v^s column is reported
-    as the exact string of its value i^s c.
+    as the exact string of its value i^s c.  The v-series starts at the
+    polar depth 1 - n, so s below it raises ValueError.
     """
+    _check_rank(n, r)
+    if s < 1 - n:
+        raise ValueError(f"need s >= 1 - n = {1 - n} (got s = {s})")
     series = v_partition_series(n, r, test_qorder + 1, s + 1)
     return _fit_column(n, r, s, series.coeff(s), fit_qorder, test_qorder,
                        weight_bound, weight_ceiling)

@@ -1,6 +1,10 @@
 """Exact Laurent-polynomial rings.
 
-Three sparse dict-backed rings:
+Three sparse dict-backed rings on one private core, ``_Sparse``, which
+holds what they share: the exponent-key -> nonzero-coefficient dict,
+equality (with int and Fraction read as constants), truthiness and
+coefficient access.  ``UPoly`` and ``TTPoly`` also take its +, -, scalar
+scaling and value at 1, and keep their own products:
 
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
@@ -65,23 +69,92 @@ def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
     return out
 
 
-class UPoly:
-    """Sparse Laurent polynomial in u; exponent keys are doubled."""
+class _Sparse:
+    """The arithmetic the rings share: ``c`` maps an exponent key to a
+    nonzero coefficient, and ``KEY0`` is the key of the constant term.
+    The int and Fraction scalars act as constants."""
 
     __slots__ = ("c",)
     __hash__ = None
+    KEY0 = 0
 
     def __init__(self, coeffs: dict | None = None):
         self.c = {e: v for e, v in (coeffs or {}).items() if v}
 
-    # -- constructors -------------------------------------------------
+    @classmethod
+    def _of(cls, c: dict):
+        """Wrap a dict that already holds no zero coefficient."""
+        r = cls.__new__(cls)
+        r.c = c
+        return r
+
     @classmethod
     def zero(cls):
         return cls()
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls({cls.KEY0: 1})
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.c == other.c
+        if isinstance(other, (int, Fraction)):
+            return self.c == ({self.KEY0: other} if other else {})
+        return NotImplemented
+
+    def coeff(self, e):
+        return self.c.get(e, 0)
+
+    def __add__(self, other):
+        # the ring's own type is tested first: Fraction is an ABC, so the
+        # scalar test runs Python-level code on every miss
+        if not isinstance(other, type(self)):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self._of({self.KEY0: other} if other else {})
+        out = dict(self.c)
+        for e, v in other.c.items():
+            w = out.get(e, 0) + v
+            if w:
+                out[e] = w
+            else:
+                del out[e]
+        return self._of(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of({e: -v for e, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, k):
+        """Multiply by the scalar k."""
+        return self._of({e: v * k for e, v in self.c.items()} if k else {})
+
+    def eval_one(self):
+        """Value with every variable set to 1."""
+        s = 0
+        for v in self.c.values():
+            s = s + v
+        return s
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.c!r})"
+
+
+class UPoly(_Sparse):
+    """Sparse Laurent polynomial in u; exponent keys are doubled."""
+
+    __slots__ = ()
 
     @classmethod
     def const(cls, v):
@@ -92,66 +165,14 @@ class UPoly:
         """The monomial v * u^{e2/2} (e2 is the doubled exponent)."""
         return cls({e2: v})
 
-    # -- predicates / access ------------------------------------------
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, UPoly):
-            return self.c == other.c
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.c
-            return set(self.c) == {0} and self.c[0] == other
-        return NotImplemented
-
-    def coeff(self, e2: int):
-        return self.c.get(e2, 0)
-
     def is_monomial(self) -> bool:
         return len(self.c) == 1
 
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly.const(other)
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        out = dict(self.c)
-        for e, v in other.c.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-        r = UPoly.__new__(UPoly)
-        r.c = out
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = UPoly.__new__(UPoly)
-        r.c = {e: -v for e, v in self.c.items()}
-        return r
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return UPoly.zero()
-            r = UPoly.__new__(UPoly)
-            r.c = {e: v * other for e, v in self.c.items()}
-            return r
         if not isinstance(other, UPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scale(other)
         a, b = self.c, other.c
         if len(a) > len(b):
             a, b = b, a
@@ -164,9 +185,7 @@ class UPoly:
                     out[e] = w
                 else:
                     del out[e]
-        r = UPoly.__new__(UPoly)
-        r.c = out
-        return r
+        return UPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -184,9 +203,7 @@ class UPoly:
 
     def shift(self, e2: int) -> "UPoly":
         """Multiply by u^{e2/2}."""
-        r = UPoly.__new__(UPoly)
-        r.c = {e + e2: v for e, v in self.c.items()}
-        return r
+        return UPoly._of({e + e2: v for e, v in self.c.items()})
 
     def mul_u_integer(self, m: int) -> "UPoly":
         """Multiply by [m] = 1 + u + ... + u^{m-1} in linear time."""
@@ -205,9 +222,7 @@ class UPoly:
                 if prev:
                     out[e] = prev
                 e += 2
-        r = UPoly.__new__(UPoly)
-        r.c = out
-        return r
+        return UPoly._of(out)
 
     def div_u_pow_minus_one(self, d2: int) -> "UPoly":
         """Exact division by u^{d2/2} - 1 (d2 > 0 doubled exponent) in
@@ -227,9 +242,7 @@ class UPoly:
                             f"remainder in division by {_u_mono(d2)} - 1")
                     out[e] = ge
                 e += 2
-        r = UPoly.__new__(UPoly)
-        r.c = out
-        return r
+        return UPoly._of(out)
 
     def div_u_integer(self, m: int) -> "UPoly":
         """Exact division by [m] = (u^m - 1)/(u - 1), linear time."""
@@ -250,17 +263,7 @@ class UPoly:
                 h[e] = w
             else:
                 del h[e]
-        hp = UPoly.__new__(UPoly)
-        hp.c = h
-        return hp.div_u_pow_minus_one(2 * m)
-
-    # -- evaluations ----------------------------------------------------
-    def eval_one(self):
-        """Value at u = 1."""
-        s = 0
-        for v in self.c.values():
-            s = s + v
-        return s
+        return UPoly._of(h).div_u_pow_minus_one(2 * m)
 
     def deriv_at_one(self, t: int):
         """t-th u-derivative evaluated at u = 1 (integer exponents only)."""
@@ -285,9 +288,8 @@ class UPoly:
             if e2 % 2:
                 raise ValueError("u -> t*tb embedding needs integer exponents")
             out[(e2 // 2, e2 // 2)] = v
-        return TTPoly(out)
+        return TTPoly._of(out)
 
-    # -- rendering -------------------------------------------------------
     def __str__(self):
         if not self.c:
             return "0"
@@ -305,9 +307,6 @@ class UPoly:
                 term = ("+" if not cs.startswith("-") else "") + cs + mono
             out += term
         return out
-
-    def __repr__(self):
-        return f"UPoly({self.c!r})"
 
 
 def _u_mono(e2: int) -> str:
@@ -330,73 +329,24 @@ def _coeff_str(v, has_mono: bool) -> str:
     return fraction_str(v) if not isinstance(v, int) else str(v)
 
 
-class TTPoly:
+class TTPoly(_Sparse):
     """Sparse Laurent polynomial in the Hodge variables (t, tb)."""
 
-    __slots__ = ("c",)
-    __hash__ = None
-
-    def __init__(self, coeffs: dict | None = None):
-        self.c = {e: v for e, v in (coeffs or {}).items() if v}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
+    __slots__ = ()
+    KEY0 = (0, 0)
 
     @classmethod
     def mono(cls, p: int, q: int, v=1):
         return cls({(p, q): v})
 
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, TTPoly):
-            return self.c == other.c
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.c
-            return set(self.c) == {(0, 0)} and self.c[(0, 0)] == other
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TTPoly({(0, 0): other})
-        if not isinstance(other, TTPoly):
-            return NotImplemented
-        out = dict(self.c)
-        for e, v in other.c.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-        return TTPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TTPoly({e: -v for e, v in self.c.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TTPoly({(0, 0): other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def coeff(self, p: int, q: int):
+        return self.c.get((p, q), 0)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return TTPoly.zero()
-            return TTPoly({e: v * other for e, v in self.c.items()})
         if not isinstance(other, TTPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scale(other)
         a, b = self.c, other.c
         if len(a) > len(b):
             a, b = b, a
@@ -409,19 +359,12 @@ class TTPoly:
                     out[e] = w
                 else:
                     del out[e]
-        return TTPoly(out)
+        return TTPoly._of(out)
 
     __rmul__ = __mul__
 
-    def eval_ones(self):
-        """Euler-characteristic specialization t = tb = 1."""
-        s = 0
-        for v in self.c.values():
-            s = s + v
-        return s
-
-    def coeff(self, p: int, q: int):
-        return self.c.get((p, q), 0)
+    # the Euler-characteristic specialization t = tb = 1
+    eval_ones = _Sparse.eval_one
 
     def __str__(self):
         if not self.c:
@@ -447,20 +390,17 @@ class TTPoly:
             out += t if t.startswith("-") else "+" + t
         return out
 
-    def __repr__(self):
-        return f"TTPoly({self.c!r})"
 
-
-class YPoly:
+class YPoly(_Sparse):
     """Sparse Laurent polynomial in y over an arbitrary coefficient ring.
 
     ``window`` (None = unbounded) is a symmetric truncation bound: terms
     with |exponent| > window are dropped on construction and after every
-    operation.  Windows combine by min.
+    operation.  Windows combine by min.  A scalar carries no window, so
+    only a YPoly is added to a YPoly.
     """
 
-    __slots__ = ("c", "window")
-    __hash__ = None
+    __slots__ = ("window",)
 
     def __init__(self, coeffs: dict | None = None, window: int | None = None):
         self.window = window
@@ -477,21 +417,6 @@ class YPoly:
     @classmethod
     def const(cls, v, window=None):
         return cls({0: v}, window)
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, YPoly):
-            return self.c == other.c
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.c
-            return set(self.c) == {0} and self.c[0] == other
-        return NotImplemented
-
-    def coeff(self, e: int):
-        return self.c.get(e, 0)
 
     @staticmethod
     def _merge_window(a, b):
@@ -513,11 +438,12 @@ class YPoly:
                 del out[e]
         return YPoly(out, self._merge_window(self.window, other.window))
 
+    def __radd__(self, other):
+        # the core's reflected + would lift a scalar into a windowless YPoly
+        return NotImplemented
+
     def __neg__(self):
         return YPoly({e: -v for e, v in self.c.items()}, self.window)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, YPoly):
@@ -555,26 +481,6 @@ class YPoly:
 
     def restrict(self, window: int) -> "YPoly":
         return YPoly(self.c, window)
-
-    def __str__(self):
-        if not self.c:
-            return "0"
-        parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
-            mono = "" if e == 0 else ("y" if e == 1 else f"y^{e}")
-            vs = str(v)
-            if mono and ("+" in vs[1:] or "-" in vs[1:] or " " in vs):
-                vs = f"({vs})"
-            elif mono and vs == "1":
-                vs = ""
-            elif mono and vs == "-1":
-                vs = "-"
-            parts.append((vs + mono) if mono else vs)
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
 
     def __repr__(self):
         return f"YPoly({self.c!r}, window={self.window!r})"

@@ -23,9 +23,8 @@ from fractions import Fraction
 
 from .errors import BadConstantTerm, Mismatch, NonUnitLeading
 from .rings import TTPoly, UPoly, YPoly
-from .scalars import fraction_str
 
-__all__ = ["QSeries", "v_substitute_qmajor", "locate_mismatch", "coeff_str"]
+__all__ = ["QSeries", "v_substitute_qmajor", "locate_mismatch"]
 
 
 def _cadd(a, b):
@@ -40,18 +39,6 @@ def _cmul(a, b):
     if (isinstance(a, int) and a == 0) or (isinstance(b, int) and b == 0):
         return 0
     return a * b
-
-
-def _czero(c) -> bool:
-    return not c
-
-
-def _is_one(c) -> bool:
-    if isinstance(c, (int, Fraction, UPoly, TTPoly)):
-        return c == 1
-    if isinstance(c, YPoly):
-        return set(c.c) == {0} and c.c[0] == 1
-    return False
 
 
 def _ring_inv(c):
@@ -125,7 +112,7 @@ class QSeries:
         return e < self.order
 
     def __bool__(self):
-        return any(not _czero(c) for c in self.coeffs)
+        return any(self.coeffs)
 
     def __eq__(self, other):
         """Structural equality (same var, same known window, same values)."""
@@ -148,7 +135,7 @@ class QSeries:
                            [_cadd(self.coeff(e), other.coeff(e))
                             for e in range(lower, order)], self.var)
         # scalar: only touches the constant coefficient
-        if _czero(other):
+        if not other:
             return self
         if self.lower > 0 or self.order <= 0:
             raise ValueError("cannot add a constant beyond the known window")
@@ -159,7 +146,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.lower, [-c if not _czero(c) else 0
+        return QSeries(self.lower, [-c if c else 0
                                     for c in self.coeffs], self.var)
 
     def __sub__(self, other):
@@ -180,16 +167,16 @@ class QSeries:
             out = [0] * n
             f, g = self.coeffs, other.coeffs
             for i, fc in enumerate(f):
-                if _czero(fc):
+                if not fc:
                     continue
                 jmax = min(len(g), n - i)
                 for j in range(jmax):
                     gc = g[j]
-                    if _czero(gc):
+                    if not gc:
                         continue
                     out[i + j] = _cadd(out[i + j], fc * gc)
             return QSeries(lower, out, self.var)
-        if _czero(other):
+        if not other:
             return QSeries.zero(self.order, self.var, self.lower)
         return QSeries(self.lower,
                        [_cmul(c, other) for c in self.coeffs], self.var)
@@ -228,13 +215,13 @@ class QSeries:
 
     def map_coeffs(self, fn) -> "QSeries":
         return QSeries(self.lower,
-                       [fn(c) if not _czero(c) else 0 for c in self.coeffs],
+                       [fn(c) if c else 0 for c in self.coeffs],
                        self.var)
 
     def invert(self) -> "QSeries":
         """Exact multiplicative inverse; NonUnitLeading if not a unit."""
         L = self.lower
-        while L < self.order and _czero(self.coeff(L)):
+        while L < self.order and not self.coeff(L):
             L += 1
         if L >= self.order:
             raise NonUnitLeading("cannot invert a series with no known "
@@ -251,18 +238,18 @@ class QSeries:
         for j in range(1, m):
             acc = 0
             for t in range(1, j + 1):
-                if not _czero(a[t]) and not _czero(b[j - t]):
+                if a[t] and b[j - t]:
                     acc = _cadd(acc, a[t] * b[j - t])
-            if not _czero(acc):
+            if acc:
                 b[j] = -(acc * c0i) if not isinstance(acc, int) else -(c0i * acc)
         return QSeries(-L, b, self.var)
 
     def log(self) -> "QSeries":
         """Exact log; requires constant term 1 and no lower terms."""
         for e in range(self.lower, min(0, self.order)):
-            if not _czero(self.coeff(e)):
+            if self.coeff(e):
                 raise BadConstantTerm("log needs support in [0, oo)")
-        if not self.known(0) or not _is_one(self.coeff(0)):
+        if not self.known(0) or self.coeff(0) != 1:
             raise BadConstantTerm("log needs constant term exactly 1")
         n = self.order
         f = [self.coeff(e) for e in range(0, n)]
@@ -270,9 +257,9 @@ class QSeries:
         for k in range(1, n):
             acc = _cmul(f[k], k)
             for j in range(1, k):
-                if not _czero(g[j]) and not _czero(f[k - j]):
+                if g[j] and f[k - j]:
                     acc = _cadd(acc, -_cmul(g[j] * f[k - j], j))
-            g[k] = _cmul(acc, Fraction(1, k)) if not _czero(acc) else 0
+            g[k] = _cmul(acc, Fraction(1, k)) if acc else 0
         g[0] = 0
         return QSeries(0, g, self.var)
 
@@ -283,9 +270,9 @@ class QSeries:
         (pass e.g. a unit QSeries for nested series coefficients).
         """
         for e in range(self.lower, min(0, self.order)):
-            if not _czero(self.coeff(e)):
+            if self.coeff(e):
                 raise BadConstantTerm("exp needs support in [0, oo)")
-        if self.known(0) and not _czero(self.coeff(0)):
+        if self.known(0) and self.coeff(0):
             raise BadConstantTerm("exp needs constant term exactly 0")
         n = self.order
         f = [self.coeff(e) if self.known(e) else 0 for e in range(0, n)]
@@ -294,9 +281,9 @@ class QSeries:
         for k in range(1, n):
             acc = 0
             for j in range(1, k + 1):
-                if not _czero(f[j]) and not _czero(g[k - j]):
+                if f[j] and g[k - j]:
                     acc = _cadd(acc, _cmul(f[j] * g[k - j], j))
-            g[k] = _cmul(acc, Fraction(1, k)) if not _czero(acc) else 0
+            g[k] = _cmul(acc, Fraction(1, k)) if acc else 0
         return QSeries(0, g, self.var)
 
     # -- comparison -------------------------------------------------------
@@ -329,23 +316,13 @@ class QSeries:
             loc.update(locate_mismatch(self.coeff(e), other.coeff(e)))
             raise Mismatch(f"{what} disagree", loc)
 
-    def __str__(self):
-        terms = []
-        for e in range(self.lower, self.order):
-            c = self.coeff(e)
-            if _czero(c):
-                continue
-            terms.append(f"({coeff_str(c)})*{self.var}^{e}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O({self.var}^{self.order})"
-
     def __repr__(self):
         return (f"QSeries(var={self.var!r}, lower={self.lower}, "
                 f"order={self.order})")
 
 
 def _ceq(a, b) -> bool:
-    if _czero(a) and _czero(b):
+    if not a and not b:
         return True
     r = (a == b)
     if r is NotImplemented:
@@ -402,18 +379,10 @@ def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
         pref = Fraction(1, fact)
         for idx, e in enumerate(range(f.lower, f.order)):
             c = f.coeff(e)
-            if _czero(c):
+            if not c:
                 continue
             terms = [v * k ** s for k, v in c.c.items() if k or not s]
             if terms:
                 cols[s][idx] = sum(terms[1:], terms[0]) * pref
     return QSeries(0, [QSeries(f.lower, col, f.var) for col in cols], "v")
-
-
-# -- serialization ------------------------------------------------------------
-
-def coeff_str(c) -> str:
-    if isinstance(c, (int, Fraction)):
-        return fraction_str(c)
-    return str(c)
 

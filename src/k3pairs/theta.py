@@ -36,26 +36,24 @@ def _term(m: Monomial, window) -> YPoly:
     return YPoly({m.y: UPoly.u(m.u2, 1)}, window)
 
 
-def _axis_bound(m: Monomial, ywin: int, uwin: int | None) -> int:
+def _axis_bound(m: Monomial, ywin: int) -> int:
     if m.y != 0:
         return ywin // abs(m.y)
     if m.u2 != 0:
-        if uwin is None:
-            raise ValueError(
-                "a pure u-power axis monomial makes the bilateral sum "
-                "unbounded at fixed q-order; pass uwin")
-        return (2 * uwin) // abs(m.u2)
+        raise ValueError(
+            "a pure u-power axis monomial makes the bilateral sum "
+            "unbounded at fixed q-order")
     raise ValueError("bilateral sum diverges for a trivial monomial")
 
 
-def phi_bilateral(a: Monomial, b: Monomial, qorder: int, ywin: int,
-                  uwin: int | None = None) -> QSeries:
+def phi_bilateral(a: Monomial, b: Monomial, qorder: int,
+                  ywin: int) -> QSeries:
     """sum over sign(i) = sign(j) of sign(i) a^i b^j q^{ij}, truncated.
 
     sign(0) = +1, so the two boundary rays i = 0, j >= 0 and
     j = 0, i >= 0 belong to the positive quadrant while the negative
-    quadrant is open.  Terms whose y-exponent (or u-exponent, when uwin
-    is given) leaves the window are dropped; everything kept is exact.
+    quadrant is open.  Terms whose y-exponent leaves the window are
+    dropped; everything kept is exact.
     """
     if qorder <= 0:
         return QSeries(0, [], "q")
@@ -64,15 +62,13 @@ def phi_bilateral(a: Monomial, b: Monomial, qorder: int, ywin: int,
     def push(qe: int, m: Monomial, sign: int):
         if abs(m.y) > ywin:
             return
-        if uwin is not None and abs(m.u2) > 2 * uwin:
-            return
         t = _term(m, ywin)
         cells[qe] = cells.get(qe, YPoly.zero(ywin)) + (t if sign > 0 else -t)
 
     push(0, Monomial(), +1)
-    for i in range(1, _axis_bound(a, ywin, uwin) + 1):
+    for i in range(1, _axis_bound(a, ywin) + 1):
         push(0, a ** i, +1)
-    for j in range(1, _axis_bound(b, ywin, uwin) + 1):
+    for j in range(1, _axis_bound(b, ywin) + 1):
         push(0, b ** j, +1)
     for i in range(1, qorder):
         for j in range(1, (qorder - 1) // i + 1):

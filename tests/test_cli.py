@@ -367,6 +367,18 @@ def test_fit_matches_golden_file(capsys, tmp_path):
     assert target.read_bytes() == golden
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["table", "--n", "3", "--r", "1", "--gmax", "8", "--hodge"],
+     "table_n3_r1_g8_hodge.csv"),
+    (["series", "--n", "3", "--r", "3", "--qorder", "10", "--ywin", "8"],
+     "series_n3_r3_q10_y8.csv"),
+], ids=["table", "series"])
+def test_printed_rings_match_golden_files(capsys, argv, name):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_fit_repeat_runs_byte_identical(capsys, tmp_path):
     argv = ["fit", "--n", "1", "--r", "1", "--vmax", "3"]
     first = _run(capsys, argv)

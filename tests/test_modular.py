@@ -434,6 +434,15 @@ def test_fit_weight_ceiling_exhaustion():
                           weight_bound=0)
 
 
+def test_fit_below_the_polar_depth_names_it():
+    for n, r, s in ((2, 1, -2), (1, 0, -1), (2, 1, -3)):
+        with pytest.raises(ValueError, match="s >= 1 - n"):
+            fit_v_coefficient(n, r, s)
+    # s = 1 - n is the polar column itself: a valid, zero column
+    rep = fit_v_coefficient(2, 1, -1)
+    assert (rep["s"], rep["combination"]) == (-1, [])
+
+
 def test_fit_report_is_json_ready():
     rep = fit_v_coefficient(2, 1, 2, fit_qorder=8, test_qorder=12)
     assert set(rep) == {"n", "r", "s", "weight_bound", "combination",

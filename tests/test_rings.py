@@ -141,3 +141,54 @@ def test_monomial():
     m = Monomial(u2=2, y=1)
     assert m * m.inverse() == Monomial()
     assert m ** 3 == Monomial(6, 3)
+
+
+# One table for the semantics the three rings share: each entry is a
+# constructor from {key: value}, the constant key, one non-constant key,
+# and whether a plain scalar may be added (a YPoly carries a window, so
+# scalar + and - are refused there).
+_RINGS = {
+    "UPoly": (UPoly, 0, 3, True),
+    "TTPoly": (TTPoly, (0, 0), (2, -1), True),
+    "YPoly": (lambda d: YPoly(d, window=4), 0, -2, False),
+}
+
+
+@pytest.mark.parametrize("make, k0, k1, scalar_add", _RINGS.values(),
+                         ids=_RINGS.keys())
+def test_shared_ring_semantics(make, k0, k1, scalar_add):
+    p = make({k0: 3, k1: -2})
+    key = (lambda k: k if isinstance(k, tuple) else (k,))
+    assert (p.coeff(*key(k0)), p.coeff(*key(k1))) == (3, -2)
+    assert make({k1: 1}).coeff(*key(k0)) == 0
+    assert -p == make({k0: -3, k1: 2})
+    assert p - p == make({}) and not (p - p) and p
+    assert make({}) == 0 and not p == 0
+    for s in (0, 5, Fraction(-1, 2)):
+        assert (make({k0: s}) == s) is True
+        assert (make({k0: s, k1: 1}) == s) is False
+        if scalar_add:
+            assert p + s == s + p == make({k0: 3 + s, k1: -2})
+            assert p - s == make({k0: 3 - s, k1: -2})
+            assert s - p == make({k0: s - 3, k1: 2})
+        else:
+            for op in (lambda: s + p, lambda: p + s,
+                       lambda: p - s, lambda: s - p):
+                with pytest.raises(TypeError):
+                    op()
+
+
+def test_rings_do_not_mix():
+    assert (UPoly.one() == TTPoly.one()) is False
+    with pytest.raises(TypeError):
+        UPoly.one() + TTPoly.one()
+
+
+def test_ypoly_sum_takes_the_smaller_window():
+    a = YPoly({0: 1, 3: 2, -4: 5}, window=4)
+    b = YPoly({1: 7, -3: 1}, window=3)
+    assert (a + b).window == (b + a).window == 3
+    assert (a + b).c == {0: 1, 3: 2, 1: 7, -3: 1}
+    assert (a - b).c == {0: 1, 3: 2, 1: -7, -3: -1}
+    assert (-a).window == 4 and (-a).c == {0: -1, 3: -2, -4: -5}
+    assert (a + YPoly({4: 1})).window == 4

@@ -35,10 +35,6 @@ def test_phi_bilateral_window_zero():
 def test_phi_bilateral_pure_u_axis():
     with pytest.raises(ValueError):
         phi_bilateral(U, YINV, 4, 3)
-    f = phi_bilateral(U, YINV, 4, 3, uwin=2)
-    assert f.coeff(0) == YPoly({
-        0: UPoly({0: 1, 2: 1, 4: 1}),
-        -1: UPoly.one(), -2: UPoly.one(), -3: UPoly.one()})
 
 
 def test_phi_bilateral_rejects_trivial():
