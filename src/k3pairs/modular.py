@@ -77,33 +77,32 @@ def psi_kls_sym(k: int, l: int, s: int, qorder: int) -> QSeries:
     u supported on exponents (k+l)r, l r (and their negatives) over the
     divisors r of n, with s = 0 picking up the balancing terms that make
     the whole cell vanish at u = 1.  The cell stores the rational c of
-    the value i^s c, as v_substitute_qmajor does.
+    the value i^s c, as v_substitute_qmajor does.  Each cell is summed
+    over Z, over the denominator n at s = 0 (the weight 1/r is n/r over
+    n) and over s! at s >= 1 (the weight is r^(s-1) over s!); its nonzero
+    entries are Fractions, keyed in the order the terms first reach them.
     """
     if s < 0:
         raise ValueError("v-power must be nonnegative")
     cols = []
-    if s == 0:
-        terms = ((k + l, 1), (-(k + l), 1), (l, 1), (-l, 1),
-                 (0, -2), (k, -1), (-k, -1))
-        for n in range(1, qorder):
-            cell: dict = {}
-            for r in _divisors(n):
-                w = Fraction(1, r)
-                for e, c in terms:
-                    key = 2 * e * r
-                    cell[key] = cell.get(key, 0) + c * w
-            cols.append(UPoly(cell))
-    else:
-        sgn = -1 if s % 2 else 1
-        pref = Fraction(1, factorial(s))
-        for n in range(1, qorder):
-            cell = {}
-            for r in _divisors(n):
-                w = pref * r ** (s - 1)
-                for e, c in (((k + l) * r, 1), (-(k + l) * r, sgn),
-                             (l * r, 1), (-l * r, sgn)):
-                    cell[2 * e] = cell.get(2 * e, 0) + c * w
-            cols.append(UPoly(cell))
+    sgn = -1 if s % 2 else 1
+    for n in range(1, qorder):
+        cell: dict = {}
+        for r in _divisors(n):
+            if s == 0:
+                w = n // r
+                terms = ((k + l, w), (-(k + l), w), (l, w), (-l, w),
+                         (0, -2 * w), (k, -w), (-k, -w))
+            else:
+                w = r ** (s - 1)
+                terms = ((k + l, w), (-(k + l), sgn * w), (l, w),
+                         (-l, sgn * w))
+            for e, c in terms:
+                key = 2 * e * r
+                cell[key] = cell.get(key, 0) + c
+        den = n if s == 0 else factorial(s)
+        cols.append(UPoly._of({e: Fraction(c, den)
+                               for e, c in cell.items() if c}))
     return QSeries(1, cols, "q")
 
 
@@ -113,7 +112,9 @@ def psi_kls_derivative(k: int, l: int, s: int, t: int,
 
     Differentiating u^m picks up the falling factorial t! * C(m, t), so
     each q^n cell collapses to a signed binomial sum over the divisors
-    of n.  Exact rational cells, each standing for i^s times itself.
+    of n, taken over Z: over the denominator n at s = 0, where each
+    divisor r weighs n/r, and over s! at s >= 1.  A nonzero cell is one
+    Fraction standing for i^s times itself; a zero cell is the int 0.
     """
     if s < 0 or t < 0:
         raise ValueError("v-power and derivative order must be nonnegative")
@@ -123,17 +124,16 @@ def psi_kls_derivative(k: int, l: int, s: int, t: int,
                  (k, -1), (-k, -1))
         tf = factorial(t)
         for n in range(1, qorder):
-            acc = Fraction(0)
+            acc = 0
             for r in _divisors(n):
                 inner = sum(c * binomial(e * r, t) for e, c in terms)
                 if t == 0:
                     inner -= 2
-                if inner:
-                    acc += Fraction(inner, r)
-            cols.append(tf * acc if acc else 0)
+                acc += inner * (n // r)
+            cols.append(Fraction(tf * acc, n) if acc else 0)
     else:
         sgn = -1 if s % 2 else 1
-        pref = Fraction(factorial(t), factorial(s))
+        tf, sf = factorial(t), factorial(s)
         for n in range(1, qorder):
             acc = 0
             for r in _divisors(n):
@@ -142,7 +142,7 @@ def psi_kls_derivative(k: int, l: int, s: int, t: int,
                          + binomial(l * r, t) + sgn * binomial(-l * r, t))
                 if inner:
                     acc += r ** (s - 1) * inner
-            cols.append(pref * acc if acc else 0)
+            cols.append(Fraction(tf * acc, sf) if acc else 0)
     return QSeries(1, cols, "q")
 
 

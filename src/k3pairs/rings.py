@@ -27,6 +27,7 @@ X = 256^w, but takes its values from closed forms in plain integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, perm
 
 from .errors import NotDivisible
 from .scalars import fraction_str
@@ -266,20 +267,35 @@ class UPoly(_Sparse):
         return UPoly._of(h).div_u_pow_minus_one(2 * m)
 
     def deriv_at_one(self, t: int):
-        """t-th u-derivative evaluated at u = 1 (integer exponents only)."""
-        if t == 0:
-            return self.eval_one()
-        s = 0
+        """t-th u-derivative evaluated at u = 1 (integer exponents only
+        when t >= 1).
+
+        Each u^n contributes n(n-1)...(n-t+1) times its coefficient (1 at
+        t = 0, where this is eval_one).  The sum runs over Z on the
+        numerators over a common denominator, widened as entries come, and
+        is an int exactly when every entry with a nonzero falling factorial
+        is an int; otherwise it is one Fraction, Fraction(0) included.
+        """
+        sgn = -1 if t % 2 else 1
+        num, d, frac = 0, 1, False
         for e2, v in self.c.items():
-            if e2 % 2:
+            if e2 % 2 and t:
                 raise ValueError("derivative at u=1 needs integer exponents")
             n = e2 // 2
-            ff = 1
-            for j in range(t):
-                ff *= n - j
-            if ff:
-                s = s + v * ff
-        return s
+            ff = perm(n, t) if n >= 0 else sgn * perm(t - n - 1, t)
+            if not ff:
+                continue
+            if isinstance(v, int):
+                num += v * ff * d
+                continue
+            frac = True
+            q = v.denominator
+            if d % q:
+                m = lcm(d, q)
+                num *= m // d
+                d = m
+            num += v.numerator * (d // q) * ff
+        return Fraction(num, d) if frac else num
 
     def to_tt(self) -> "TTPoly":
         """Embed via u -> t*tb (integer exponents required)."""

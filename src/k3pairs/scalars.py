@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 __all__ = [
     "bernoulli",
@@ -44,19 +45,15 @@ def bernoulli(m: int) -> Fraction:
 def binomial(n: int, k: int) -> int:
     """Generalized binomial: n(n-1)...(n-k+1)/k! for any integer n, k >= 0.
 
-    Vanishes for k < 0.  For n >= 0 it agrees with math.comb.
+    Vanishes for k < 0.  For n >= 0 it is math.comb(n, k); for n < 0 it
+    is (-1)^k * math.comb(k - n - 1, k), the same product with its k
+    factors negated.
     """
     if k < 0:
         return 0
-    num = 1
-    for j in range(k):
-        num *= n - j
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    if n >= 0:
+        return comb(n, k)
+    return -comb(k - n - 1, k) if k % 2 else comb(k - n - 1, k)
 
 
 def fraction_str(x) -> str:

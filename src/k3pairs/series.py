@@ -20,6 +20,8 @@ it is the series in w = iv, so products of v-series stay index-additive.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import BadConstantTerm, Mismatch, NonUnitLeading
 from .rings import TTPoly, UPoly, YPoly
@@ -322,12 +324,7 @@ class QSeries:
 
 
 def _ceq(a, b) -> bool:
-    if not a and not b:
-        return True
-    r = (a == b)
-    if r is NotImplemented:
-        r = (b == a)
-    return bool(r)
+    return not a and not b or a == b
 
 
 # -- mismatch localisation ---------------------------------------------------
@@ -368,21 +365,91 @@ def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
     Returns a QSeries in v whose coefficients are QSeries in q.  The v^s
     coefficient of column q^m is i^s/s! * sum_k c_{m,k} k^s, and the cell
     stores the rational part 1/s! * sum_k c_{m,k} k^s: i^s is carried by
-    the index s.  The sum is taken in the entries' own ring, so scalar
-    entries stay rational and UPoly entries keep their u-structure.
+    the index s.  The entries c_{m,k} are int, Fraction or UPoly.  Each
+    cell is summed over Z, on numerators over one common denominator d,
+    with one Fraction(sum, d * s!) per output entry; the types are those
+    of a sum in the entries' own ring, so a cell with only y^0 is the int
+    0 at s >= 1.  A nonzero cell that is not a YPoly raises TypeError.
     """
-    fact = 1
-    cols: list[list] = [[0] * (f.order - f.lower) for _ in range(vorder)]
-    for s in range(vorder):
-        if s:
-            fact *= s
-        pref = Fraction(1, fact)
-        for idx, e in enumerate(range(f.lower, f.order)):
-            c = f.coeff(e)
-            if not c:
-                continue
-            terms = [v * k ** s for k, v in c.c.items() if k or not s]
-            if terms:
-                cols[s][idx] = sum(terms[1:], terms[0]) * pref
+    cols: list[list] = [[0] * len(f.coeffs) for _ in range(vorder)]
+    for idx, c in enumerate(f.coeffs):
+        if not c:
+            continue
+        if not isinstance(c, YPoly):
+            raise TypeError(
+                f"y -> e^{{iv}} needs YPoly cells, but the cell at "
+                f"{f.var}^{f.lower + idx} is {type(c).__name__}")
+        for s, cell in enumerate(_v_cell_sums(c, vorder, f.var,
+                                              f.lower + idx)):
+            cols[s][idx] = cell
     return QSeries(0, [QSeries(f.lower, col, f.var) for col in cols], "v")
 
+
+def _v_cell_sums(c: YPoly, vorder: int, var: str, m: int) -> list:
+    """The cells 1/s! * sum_k c_k k^s of the YPoly c at var^m, s < vorder."""
+    has_u = False
+    dens = []
+    for k, v in c.c.items():
+        if isinstance(v, UPoly):
+            has_u = True
+            dens.extend(x.denominator for x in v.c.values())
+        elif isinstance(v, (int, Fraction)):
+            dens.append(v.denominator)
+        else:
+            raise TypeError(
+                f"y -> e^{{iv}} needs int, Fraction or UPoly entries, but "
+                f"the entry at {var}^{m} y^{k} is {type(v).__name__}")
+    d = lcm(*dens)
+    # a term is the numerator of a scalar entry or the (u-key, numerator)
+    # pairs of a UPoly entry; pows holds the running powers k^s
+    terms = [[(e, x.numerator * (d // x.denominator))
+              for e, x in v.c.items()] if isinstance(v, UPoly)
+             else v.numerator * (d // v.denominator)
+             for v in c.c.values()]
+    ks = list(c.c)
+    pows = [1] * len(ks)
+    out = []
+    fact = 1
+    for s in range(vorder):
+        if s == 1:
+            terms = [t for k, t in zip(ks, terms) if k]
+            pows = ks = [k for k in ks if k]
+        elif s:
+            pows = [p * k for p, k in zip(pows, ks)]
+        fact *= s or 1
+        if not terms:
+            out.append(0)
+        elif has_u:
+            out.append(_upoly_sum(terms, pows, d * fact))
+        else:
+            out.append(Fraction(sum(map(mul, terms, pows)), d * fact))
+    return out
+
+
+def _upoly_sum(terms: list, pows: list, den: int):
+    """sum_k c_k k^s / den for pows = k^s, summed as ``sum`` over the ring
+    values would: scalars add up until the first UPoly, which takes them
+    in at u^0, and a u-key that cancels is deleted (and goes last if it
+    comes back)."""
+    acc = 0
+    out = None
+    for x, p in zip(terms, pows):
+        if isinstance(x, int):
+            if out is None:
+                acc += x * p
+                continue
+            x = ((0, x),)
+        elif out is None:
+            out = {e: n * p for e, n in x}
+            if not acc:
+                continue
+            x, p = ((0, acc),), 1
+        for e, n in x:
+            w = out.get(e, 0) + n * p
+            if w:
+                out[e] = w
+            else:
+                del out[e]
+    if out is None:
+        return Fraction(acc, den)
+    return UPoly._of({e: Fraction(w, den) for e, w in out.items()})

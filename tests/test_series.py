@@ -146,6 +146,13 @@ def test_v_substitution_upoly_cells():
     assert cell == UPoly({2: 2})
 
 
+def test_v_substitute_refuses_a_scalar_cell():
+    with pytest.raises(TypeError, match=r"q\^0"):
+        v_substitute_qmajor(QSeries(0, [1, YPoly({1: 2})]), 3)
+    with pytest.raises(TypeError, match=r"q\^3"):
+        v_substitute_qmajor(QSeries(2, [YPoly({1: 2}), Fraction(1, 2)]), 3)
+
+
 def test_pow():
     f = QSeries(0, [1, 1, 0, 0, 0, 0])
     assert (f ** 3).coeff(2) == 3
