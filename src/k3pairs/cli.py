@@ -19,18 +19,13 @@ import sys
 from dataclasses import dataclass
 
 from .errors import NoSolution, ValidationFailure
-from .modular import _fit_column, v_partition_series
+from .modular import FIT_QORDER, TEST_QORDER, _fit_column, \
+    v_partition_series
 from .partition import g_closed, syst_table
 from .verify import SUITES, check_bounds, run_suite
 
 __all__ = ["RunConfig", "build_parser", "main",
            "cmd_table", "cmd_verify", "cmd_fit", "cmd_series"]
-
-# fitting windows for cmd_fit: fixed, and deliberately wider than the
-# qorder default used by the verification suites — a fit needs enough
-# held-out coefficients to be trusted
-FIT_QORDER = 20
-TEST_QORDER = 30
 
 
 @dataclass
@@ -154,7 +149,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     for s in range(cfg.vmax + 1):
         try:
             fits.append(_fit_column(cfg.n, cfg.r, s, series.coeff(s),
-                                    FIT_QORDER, TEST_QORDER, None,
+                                    FIT_QORDER, TEST_QORDER,
                                     cfg.weight_bound))
         except (NoSolution, ValidationFailure) as ex:
             sys.stderr.write(

@@ -32,8 +32,7 @@ from .theta import log_phi_product
 __all__ = [
     "EisensteinBasis", "eisenstein_even", "fit_in_R", "fit_v_coefficient",
     "logphi_sigma_check", "mpt_check", "psi_kls_derivative", "psi_kls_sym",
-    "sigma_series", "v_expansion_symmetry_report", "v_partition_series",
-    "verify_psi_vs_log",
+    "sigma_series", "v_partition_series", "verify_psi_vs_log",
 ]
 
 def _divisors(n: int) -> list:
@@ -266,24 +265,19 @@ def v_partition_series(n: int, r: int, qorder: int, vorder: int) -> QSeries:
                         for d in cols], "v")
 
 
-def v_expansion_symmetry_report(n: int, r: int, qorder: int,
-                                vorder: int) -> list:
-    """Cells of the v-expansion that break the even/real pattern.
+def _odd_cells(f: QSeries) -> list:
+    """The nonzero odd-v cells of a v-expansion, each with its value.
 
     Every v^s cell has the value i^s c for a rational c, so the cells
-    that break it are the nonzero ones at odd v-powers, whose values are
-    imaginary; each is listed with its value rendered by i_power_str.
-    The pattern holds exactly at n = 1 and at r = n/2.  At every other
-    rank, interior ones such as (3, 1) included, the odd cells survive,
-    mirrored between r and n - r: the duality G^r_n(q, y) =
-    G^{n-r}_n(q, 1/y) makes the v^s cell at r equal (-1)^s times the one
-    at n - r.  The offending cells are listed rather than rounded away.
+    that break the even/real pattern are the nonzero ones at odd
+    v-powers, whose values are imaginary; each is listed with its value
+    rendered by i_power_str.  On v_partition_series(n, r) the pattern
+    holds exactly at n = 1 and at r = n/2.  At every other rank, interior
+    ones such as (3, 1) included, the odd cells survive, mirrored between
+    r and n - r: the duality G^r_n(q, y) = G^{n-r}_n(q, 1/y) makes the
+    v^s cell at r equal (-1)^s times the one at n - r.  The offending
+    cells are listed rather than rounded away.
     """
-    return _odd_cells(v_partition_series(n, r, qorder, vorder))
-
-
-def _odd_cells(f: QSeries) -> list:
-    """The nonzero odd-v cells of a v-expansion, each with its value."""
     return [{"v": s, "q": m, "value": i_power_str(s, c)}
             for s in range(f.lower, f.order) if s % 2
             for m, c in enumerate(f.coeff(s).coeffs) if c]
@@ -337,6 +331,12 @@ def logphi_sigma_check(qorder: int, vorder: int) -> dict:
 # ---------------------------------------------------------------------------
 # the bounded-weight ring and the exact fitter
 
+# fit and held-out windows: wider than the verify suites' qorder, since a
+# fit needs enough held-out coefficients to be trusted
+FIT_QORDER = 20
+TEST_QORDER = 30
+
+
 def _int_mul(f: list, g: list) -> list:
     """Product of two integer coefficient lists, truncated to len(f)."""
     n = len(f)
@@ -354,8 +354,9 @@ class EisensteinBasis:
     linearly independent (Kaneko-Zagier): weight(E_w) = w and weights add
     over products.  ``elements`` holds one (name, weight, expansion)
     triple per monomial, the empty product "1" included, sorted by
-    (weight, name); expansions are exact below q^qorder.  E2, E4 and E6
-    have integer coefficients, so every expansion is an integer list.
+    (weight, name); expansions are exact below q^qorder.  Each generator
+    is E_w = 1 + c sum_{n >= 1} sigma_{w-1}(n) q^n with the integer
+    c = -2w/B_w (-24, 240, -504), so every expansion is an integer list.
     """
 
     __slots__ = ("weight_bound", "qorder", "elements")
@@ -368,8 +369,8 @@ class EisensteinBasis:
         self.weight_bound = weight_bound
         self.qorder = qorder
         gens = [(f"E{w}", w,
-                 [int(c) for c in eisenstein_even(w, qorder).coeffs])
-                for w in (2, 4, 6)]
+                 [1] + [c * m for m in sigma_series(w - 1, qorder).coeffs])
+                for w, c in ((2, -24), (4, 240), (6, -504))]
         self.elements: list = []
         self._emit(gens, 0, [], [1] + [0] * (qorder - 1))
         self.elements.sort(key=lambda e: (e[1], e[0]))
@@ -391,10 +392,6 @@ class EisensteinBasis:
 
     def __len__(self):
         return len(self.elements)
-
-    def __repr__(self):
-        return (f"EisensteinBasis(weight_bound={self.weight_bound}, "
-                f"qorder={self.qorder}, size={len(self.elements)})")
 
 
 def _primitive(row: list) -> list:
@@ -483,39 +480,38 @@ def fit_in_R(target: QSeries, weight_bound: int, fit_qorder: int,
             "combination": [(nm, xi) for nm, xi in zip(names, x) if xi]}
 
 
-def fit_v_coefficient(n: int, r: int, s: int, fit_qorder: int = 20,
-                      test_qorder: int = 30, weight_bound: int | None = None,
+def fit_v_coefficient(n: int, r: int, s: int,
+                      fit_qorder: int = FIT_QORDER,
+                      test_qorder: int = TEST_QORDER,
                       weight_ceiling: int = 12) -> dict:
     """Fit one v-coefficient of v^2 G(n, r) and return a JSON-ready report.
 
     The expected weight of the v^s coefficient is s + 2, so the search
     starts there (capped by the ceiling) and widens on NoSolution until
-    the ceiling is exhausted; an explicit weight_bound disables the
-    widening.  Each coefficient c of the stored v^s column is reported
-    as the exact string of its value i^s c.  The v-series starts at the
-    polar depth 1 - n, so s below it raises ValueError.
+    the ceiling is exhausted.  Each coefficient c of the stored v^s
+    column is reported as the exact string of its value i^s c.  The
+    v-series starts at the polar depth 1 - n, so s below it raises
+    ValueError.
     """
     _check_rank(n, r)
     if s < 1 - n:
         raise ValueError(f"need s >= 1 - n = {1 - n} (got s = {s})")
     series = v_partition_series(n, r, test_qorder + 1, s + 1)
     return _fit_column(n, r, s, series.coeff(s), fit_qorder, test_qorder,
-                       weight_bound, weight_ceiling)
+                       weight_ceiling)
 
 
 def _fit_column(n: int, r: int, s: int, target: QSeries, fit_qorder: int,
-                test_qorder: int, weight_bound: int | None,
-                weight_ceiling: int) -> dict:
+                test_qorder: int, weight_ceiling: int) -> dict:
     """fit_v_coefficient on the v^s column ``target`` of v^2 G(n, r),
     known through q^test_qorder; one expansion can serve every s."""
-    bound = min(s + 2, weight_ceiling) if weight_bound is None \
-        else weight_bound
+    bound = min(s + 2, weight_ceiling)
     while True:
         try:
             res = fit_in_R(target, bound, fit_qorder, test_qorder)
             break
         except NoSolution:
-            if weight_bound is not None or bound >= weight_ceiling:
+            if bound >= weight_ceiling:
                 raise
             bound += 1
     return {"n": n, "r": r, "s": s, "weight_bound": res["weight_bound"],

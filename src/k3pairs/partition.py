@@ -334,10 +334,6 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # Euler specialization
 
-def _binom(m: int, k: int) -> int:
-    return comb(m, k) if 0 <= k <= m else 0
-
-
 def euler_g(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """u = 1 shadow of g_closed, from the integer closed form directly.
 
@@ -352,8 +348,8 @@ def euler_g(n: int, r: int, qorder: int, ywin: int) -> QSeries:
         for p in range(n - r, n - r + hi):
             if p * l >= qorder or abs(p - l) > ywin:
                 continue
-            w = (p + l) * _binom(n + l - r - 1, n - 1) \
-                * _binom(p + r - 1, n - 1)
+            w = (p + l) * comb(n + l - r - 1, n - 1) \
+                * comb(p + r - 1, n - 1)
             if not w:
                 continue
             col = cells.setdefault(p * l, {})
@@ -379,8 +375,8 @@ def euler_g_column(n: int, r: int, m: int) -> dict:
         p = m // l
         if p < n - r:
             continue
-        w = (p + l) * _binom(n + l - r - 1, n - 1) \
-            * _binom(p + r - 1, n - 1)
+        w = (p + l) * comb(n + l - r - 1, n - 1) \
+            * comb(p + r - 1, n - 1)
         if w:
             ye = p - l
             out[ye] = out.get(ye, Fraction(0)) + Fraction(w, n)

@@ -190,18 +190,6 @@ class UPoly(_Sparse):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a UPoly; invert explicitly")
-        out = UPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def shift(self, e2: int) -> "UPoly":
         """Multiply by u^{e2/2}."""
         return UPoly._of({e + e2: v for e, v in self.c.items()})

@@ -54,19 +54,11 @@ def _ring_inv(c):
             (e2, v), = c.c.items()
             vi = _ring_inv(v)
             return None if vi is None else UPoly({-e2: vi})
-        return None
     if isinstance(c, TTPoly):
         if len(c.c) == 1:
             ((p, q), v), = c.c.items()
             vi = _ring_inv(v)
             return None if vi is None else TTPoly({(-p, -q): vi})
-        return None
-    if isinstance(c, YPoly):
-        if len(c.c) == 1:
-            (e, v), = c.c.items()
-            vi = _ring_inv(v)
-            return None if vi is None else YPoly({-e: vi}, c.window)
-        return None
     return None
 
 
@@ -136,14 +128,15 @@ class QSeries:
             return QSeries(lower,
                            [_cadd(self.coeff(e), other.coeff(e))
                             for e in range(lower, order)], self.var)
-        # scalar: only touches the constant coefficient
+        # scalar: only touches the constant term, known once order > 0
         if not other:
             return self
-        if self.lower > 0 or self.order <= 0:
+        if self.order <= 0:
             raise ValueError("cannot add a constant beyond the known window")
-        out = list(self.coeffs)
-        out[0 - self.lower] = _cadd(out[0 - self.lower], other)
-        return QSeries(self.lower, out, self.var)
+        lower = min(self.lower, 0)
+        out = [0] * (self.lower - lower) + self.coeffs
+        out[-lower] = _cadd(out[-lower], other)
+        return QSeries(lower, out, self.var)
 
     __radd__ = __add__
 
@@ -152,8 +145,6 @@ class QSeries:
                                     for c in self.coeffs], self.var)
 
     def __sub__(self, other):
-        if isinstance(other, QSeries):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -21,10 +21,9 @@ from hypothesis import assume, given, settings, strategies as st
 from k3pairs.errors import Mismatch, NoSolution, UnsupportedRank, \
     ValidationFailure
 from k3pairs.modular import (
-    EisensteinBasis, _solve_exact, eisenstein_even, fit_in_R,
-    fit_v_coefficient, logphi_sigma_check, mpt_check,
-    psi_kls_derivative, psi_kls_sym, sigma_series,
-    v_expansion_symmetry_report, v_partition_series, verify_psi_vs_log)
+    EisensteinBasis, _odd_cells, _solve_exact, eisenstein_even, fit_in_R,
+    fit_v_coefficient, logphi_sigma_check, mpt_check, psi_kls_derivative,
+    psi_kls_sym, sigma_series, v_partition_series, verify_psi_vs_log)
 from k3pairs.partition import euler_g, euler_g_column
 from k3pairs.rings import UPoly
 from k3pairs.scalars import i_power_str
@@ -296,7 +295,7 @@ def test_v_expansion_even_and_real_low_rank(n, r):
     # is even only where the rank is its own mirror (r = n/2) or where the
     # Euler weight is symmetric anyway (n = 1); elsewhere its odd cells
     # survive, and rational y-coefficients put each v^s cell in i^s Q.
-    report = v_expansion_symmetry_report(n, r, 5, 6)
+    report = _odd_cells(v_partition_series(n, r, 5, 6))
     if n == 1 or 2 * r == n:
         assert report == []
         return
@@ -429,9 +428,32 @@ def test_fit_weight_ceiling_exhaustion():
     with pytest.raises(NoSolution):
         fit_v_coefficient(1, 0, 2, fit_qorder=6, test_qorder=10,
                           weight_ceiling=0)
+
+
+@pytest.mark.parametrize("r,s", [(0, 2), (1, 3)])
+def test_fit_widens_past_the_expected_weight(r, s, monkeypatch):
+    # the v^2 column at (3, 0) and the v^3 column at (3, 1) need weight 6,
+    # past s + 2, so the search widens from 4 (even) or 5 (odd) to 6
+    import k3pairs.modular as modular
+    tried = []
+    fit = modular.fit_in_R
+
+    def spy(target, weight_bound, *rest):
+        tried.append(weight_bound)
+        return fit(target, weight_bound, *rest)
+
+    monkeypatch.setattr(modular, "fit_in_R", spy)
+    rep = fit_v_coefficient(3, r, s)
+    assert tried == list(range(s + 2, 7))
+    assert rep["weight_bound"] == 6
+    if s == 2:
+        assert [c["monomial"] for c in rep["combination"]] == [
+            "E2", "E2^2", "E4", "E2*E4", "E2^3", "E6"]
+
+
+def test_fit_widening_stops_at_the_ceiling():
     with pytest.raises(NoSolution):
-        fit_v_coefficient(1, 0, 2, fit_qorder=6, test_qorder=10,
-                          weight_bound=0)
+        fit_v_coefficient(3, 0, 2, weight_ceiling=5)
 
 
 def test_fit_below_the_polar_depth_names_it():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from k3pairs.errors import BadConstantTerm, Mismatch, NonUnitLeading
+from k3pairs.modular import sigma_series
 from k3pairs.rings import UPoly, YPoly
 from k3pairs.series import QSeries, v_substitute_qmajor
 
@@ -84,6 +85,22 @@ def test_add_scalar_and_shift():
     assert (f + 3).coeff(0) == 4
     assert f.shift(2).coeff(2) == 1
     assert f.shift(2).order == 6
+
+
+def test_add_scalar_pads_down_to_the_constant_term():
+    # q^0 is known (zero) below a positive lower whenever the order is
+    # positive, so a scalar lands there
+    sig = sigma_series(3, 6)
+    assert sig.lower == 1
+    plus = sig + 1
+    assert (plus.lower, plus.coeffs) == (0, [1, 1, 9, 28, 73, 126])
+    minus = 1 - sig
+    assert (minus.lower, minus.coeffs) == (0, [1, -1, -9, -28, -73, -126])
+    assert sig.coeffs == [1, 9, 28, 73, 126]
+    # with the order at or below 0 the constant term is not known
+    for f in (QSeries(0, []), QSeries(-3, [1, 2])):
+        with pytest.raises(ValueError, match="beyond the known window"):
+            f + 1
 
 
 def test_coeff_beyond_order_is_an_error():
