@@ -21,7 +21,9 @@ series S):
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
 truncations.  ``f_via_matrices`` gives F itself, S times the matrix
-route embedded in the (t, tb) ring.
+route embedded in the (t, tb) ring, and the coherent-system table reads
+each of its cells off F: the (g, k) cell is (t tb)^g times F's
+q^(g-1) y^k coefficient.
 
 S, the Hodge series of the Hilbert schemes of points, is Göttsche's
 product formula applied factor by factor in place on {(p, q): int}
@@ -35,8 +37,7 @@ from .errors import NonExactDivision, NotDivisible, UnsupportedRank
 from .rings import TTPoly, UPoly, YPoly
 from .series import QSeries
 from .theta import phi_product
-from .ucomb import c_table, matrix_entry, matrix_product_entry, u_binomial, \
-    u_integer
+from .ucomb import c_table, matrix_product_entry, u_binomial, u_integer
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +82,9 @@ def _hilbert_series(qorder: int) -> QSeries:
     return _hilb_cache["series"].truncate(qorder)
 
 
-def hilb_hodge(m: int) -> TTPoly:
-    """Hodge polynomial of the Hilbert scheme of m points on a K3.
-
-    Negative m counts an empty moduli space and gives 0.
-    """
-    if m < 0:
-        return TTPoly.zero()
-    return _hilbert_series(m + 1).coeff(m) * TTPoly.mono(m, m)
-
-
 def s_series(qorder: int) -> QSeries:
-    """The series S: coefficient of q^(g-1) is hilb_hodge(g) * (t tb)^{-g}."""
+    """The series S: the coefficient of q^(g-1) is (t tb)^{-g} times the
+    Hodge polynomial of the Hilbert scheme of g points on a K3."""
     return _hilbert_series(qorder + 1).shift(-1)
 
 
@@ -121,28 +113,24 @@ def _check_rank(n: int, r: int) -> None:
             f"sheaf rank r={r} outside 0..{n}: table undefined there")
 
 
-def syst_hodge(n: int, r: int, g: int, k: int) -> TTPoly:
-    """Hodge polynomial of the coherent-system moduli at lattice spot (g, k).
+def _hodge_cells(n: int, r: int, gmax: int, kmin: int, kmax: int) -> list:
+    """(g, k, Hodge polynomial) for 0 <= g <= gmax, kmin <= k <= kmax.
 
-    Finite sum of transfer-matrix entries against Hilbert-scheme Hodge
-    polynomials; negative k is folded to (−k, n−r) by the dual-system
-    isomorphism before summing, since the sum is only derived for k >= 0.
+    Each cell is (t tb)^g times the q^(g-1) y^k cell of one F = S*G,
+    built through q^(gmax-1) on the y-columns kmin..kmax.
     """
     _check_rank(n, r)
-    if g < 0:
+    if gmax < 0:
         raise ValueError("genus must be nonnegative")
-    if k < 0:
-        k, r = -k, n - r
-    total = TTPoly.zero()
-    l = r
-    while l * l + l * k <= g:
-        c = hilb_hodge(g - l * l - l * k)
-        if c:
-            p = matrix_entry("P", k + 2 * r, k + 2 * l, n)
-            if p:
-                total = total + p.to_tt() * c
-        l += 1
-    return total
+    f = _s_times_g(n, r, gmax, kmin, kmax)
+    zero = TTPoly.zero()
+    return [(g, k, TTPoly.mono(g, g) * f.get(g - 1, {}).get(k, zero))
+            for g in range(gmax + 1) for k in range(kmin, kmax + 1)]
+
+
+def syst_hodge(n: int, r: int, g: int, k: int) -> TTPoly:
+    """Hodge polynomial of the coherent-system moduli at the spot (g, k)."""
+    return _hodge_cells(n, r, g, k, k)[-1][2]
 
 
 def syst_euler(n: int, r: int, g: int, k: int) -> int:
@@ -157,13 +145,9 @@ def syst_table(n: int, r: int, gmax: int, kmin: int, kmax: int,
     ``value`` is the integer Euler characteristic, or the Hodge
     polynomial rendered as a string when ``hodge`` is set.
     """
-    rows = []
-    for g in range(gmax + 1):
-        for k in range(kmin, kmax + 1):
-            h = syst_hodge(n, r, g, k)
-            rows.append({"n": n, "r": r, "g": g, "k": k,
-                         "value": str(h) if hodge else h.eval_ones()})
-    return rows
+    return [{"n": n, "r": r, "g": g, "k": k,
+             "value": str(h) if hodge else h.eval_ones()}
+            for g, k, h in _hodge_cells(n, r, gmax, kmin, kmax)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +197,23 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     return _cells_to_series(cells, 0, qorder, ywin)
 
 
+def _g_matrix_cells(n: int, r: int, qorder: int, kmin: int,
+                    kmax: int) -> dict:
+    """{q-exponent: {k: UPoly}} cells of the matrix route, kmin <= k <= kmax;
+    the term l of the y^k column sits at q^{l^2+l|k|}, one entry a cell."""
+    cells: dict = {}
+    for k in range(kmin, kmax + 1):
+        a, l = abs(k), (r if k >= 0 else n - r)
+        row = a + 2 * l
+        while l * l + l * a < qorder:
+            w = matrix_product_entry(n, row, a + 2 * l)
+            if w:
+                qe = l * l + l * a
+                cells.setdefault(qe, {})[k] = w.shift(-2 * qe)
+            l += 1
+    return cells
+
+
 def g_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from transfer-matrix entries.
 
@@ -222,35 +223,38 @@ def g_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     g_closed.
     """
     _check_rank(n, r)
+    return _cells_to_series(_g_matrix_cells(n, r, qorder, -ywin, ywin), 0,
+                            qorder, ywin)
+
+
+def _s_times_g(n: int, r: int, qorder: int, kmin: int, kmax: int) -> dict:
+    """{q-exponent: {k: TTPoly}} cells of F = S*G below q^qorder on the
+    y-columns kmin..kmax: a y-column of F is S times the same column of
+    G alone, and S is needed only up to qorder minus G's lowest q-power."""
+    g = _g_matrix_cells(n, r, qorder + 1, kmin, kmax)
+    s = s_series(qorder - min(g, default=0))
     cells: dict = {}
-
-    def add(row_shift: int, l_min: int, ysign: int, k: int) -> None:
-        l = l_min
-        while l * l + l * k < qorder:
-            w = matrix_product_entry(n, k + row_shift, k + 2 * l)
-            if w:
-                qe = l * l + l * k
-                col = cells.setdefault(qe, {})
-                ye = ysign * k
-                col[ye] = col.get(ye, UPoly.zero()) + w.shift(-2 * qe)
-            l += 1
-
-    for k in range(0, ywin + 1):
-        add(2 * r, r, +1, k)
-    for k in range(1, ywin + 1):
-        add(2 * (n - r), n - r, -1, k)
-    return _cells_to_series(cells, 0, qorder, ywin)
+    for qe, col in g.items():
+        col = [(k, w.to_tt()) for k, w in col.items()]
+        for m in range(-1, qorder - qe):
+            c = s.coeff(m)
+            if not c:
+                continue
+            dst = cells.setdefault(m + qe, {})
+            for k, w in col:
+                dst[k] = dst[k] + c * w if k in dst else c * w
+    return cells
 
 
 def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Raw partition function F: S times the matrix route of G.
 
-    Coefficients live in the (t, tb) ring via u = t*tb, and each TTPoly
-    cell of S scales a y-column of G directly; F starts at q^{-1}, one
-    order below G, because S does.
+    Coefficients live in the (t, tb) ring via u = t*tb; F starts at
+    q^{-1}, one order below G, because S does.
     """
-    t_ser = to_tt_series(g_via_matrices(n, r, qorder + 1, ywin))
-    return s_series(qorder) * t_ser
+    _check_rank(n, r)
+    return _cells_to_series(_s_times_g(n, r, qorder, -ywin, ywin), -1,
+                            qorder, ywin)
 
 
 def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
@@ -415,11 +419,6 @@ def ky_product(qorder: int, ywin: int) -> QSeries:
 
 # ---------------------------------------------------------------------------
 # Comparison helpers
-
-def to_tt_series(f: QSeries) -> QSeries:
-    """Embed a u-Laurent-valued q-series into the (t, tb) ring."""
-    return f.map_coeffs(lambda col: col.map_coeffs(lambda v: v.to_tt()))
-
 
 def mirror_series(f: QSeries) -> QSeries:
     """Columnwise y -> 1/y."""

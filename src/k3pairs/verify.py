@@ -123,7 +123,7 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
                 f"log-product closed forms at (k, l) = ({k}, {l})",
                 lambda k=k, l=l: verify_psi_vs_log(
                     k, l, qorder, min(vorder, 6), tmax=2)))
-        for nn in range(1, min(n, 3) + 1):
+        for nn in range(1, n + 1):
             for rr in range(nn + 1):
                 checks.append((
                     "modularity",

@@ -239,6 +239,16 @@ def test_verify_modularity_rank_two_passes(capsys):
     assert "all passed" in out
 
 
+def test_verify_modularity_checks_every_rank_up_to_n(capsys):
+    # the mirror checks run for every rank up to --n, n = 4 included:
+    # five checks more than the fourteen of --n 3
+    code, out, _ = _run(capsys, ["verify", "--suite", "modularity", "--n", "4"])
+    assert code == 0
+    for r in range(5):
+        assert f"ok   modularity: v-expansion mirror symmetry at rank (4, {r})\n" in out
+    assert out.endswith("all passed (19 checks)\n")
+
+
 @pytest.mark.parametrize(
     "perturb", [lambda c: c * 2, lambda c: c + 1], ids=["mirror", "i-power"]
 )
@@ -372,7 +382,9 @@ def test_fit_matches_golden_file(capsys, tmp_path):
      "table_n3_r1_g8_hodge.csv"),
     (["series", "--n", "3", "--r", "3", "--qorder", "10", "--ywin", "8"],
      "series_n3_r3_q10_y8.csv"),
-], ids=["table", "series"])
+    (["table", "--n", "4", "--r", "1", "--gmax", "12", "--kmin", "-4",
+      "--kmax", "1", "--hodge"], "table_n4_r1_g12_km4_1_hodge.csv"),
+], ids=["table", "series", "table-negative-k"])
 def test_printed_rings_match_golden_files(capsys, argv, name):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")

@@ -5,20 +5,26 @@ import pytest
 import k3pairs.partition as partition
 from k3pairs.errors import Mismatch, NonExactDivision, UnsupportedRank
 from k3pairs.partition import _hilbert_series, euler_g, euler_g_column, euler_s_series, \
-    f_via_matrices, g_closed, g_via_kernels, g_via_matrices, hilb_hodge, \
-    ky_product, mirror_series, s_series, syst_euler, syst_hodge, \
-    syst_table, to_tt_series
+    f_via_matrices, g_closed, g_via_kernels, g_via_matrices, ky_product, \
+    mirror_series, s_series, syst_euler, syst_hodge, syst_table
 from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly
 from k3pairs.series import QSeries
 from k3pairs.theta import psi
-from k3pairs.ucomb import c_table, matrix_product_entry, u_binomial, \
-    u_integer
+from k3pairs.ucomb import c_table, matrix_entry, u_binomial, u_integer
 from k3pairs.verify import run_suite
 
 from ring_helpers import all_nonneg_int, palindromic_twist
 
 
 # -- Hilbert schemes of points ----------------------------------------------
+
+def hilb_hodge(m):
+    """Hodge polynomial of the Hilbert scheme of m points on a K3, read
+    off S; negative m counts an empty moduli space and gives 0."""
+    if m < 0:
+        return TTPoly.zero()
+    return s_series(m).coeff(m - 1) * TTPoly.mono(m, m)
+
 
 def test_hilb_hodge_small():
     assert hilb_hodge(0) == TTPoly.one()
@@ -133,18 +139,37 @@ def test_syst_hodge_negative_k_rewrite():
     assert syst_hodge(1, 0, 3, -1) == syst_hodge(1, 1, 3, 1)
 
 
+def _syst_hodge_by_p_sum(n, r, g, k):
+    """The table cell as a finite sum of closed-form P entries against
+    Hilbert-scheme Hodge polynomials, negative k folded to (-k, n - r)
+    by the dual-system isomorphism."""
+    if k < 0:
+        k, r = -k, n - r
+    total = TTPoly.zero()
+    l = r
+    while l * l + l * k <= g:
+        p = matrix_entry("P", k + 2 * r, k + 2 * l, n)
+        if p:
+            total = total + p.to_tt() * hilb_hodge(g - l * l - l * k)
+        l += 1
+    return total
+
+
 def test_syst_hodge_matches_product_route():
-    # same sum with matrix entries taken from the genuine A.B product
-    for (n, r, g, k) in [(1, 0, 0, 1), (1, 0, 1, 1), (2, 1, 3, 0),
-                         (2, 0, 4, 2), (3, 2, 5, 1)]:
-        total = TTPoly.zero()
-        l = r
-        while l * l + l * k <= g:
-            p = matrix_product_entry(n, k + 2 * r, k + 2 * l)
-            if p:
-                total = total + p.to_tt() * hilb_hodge(g - l * l - l * k)
-            l += 1
-        assert total == syst_hodge(n, r, g, k)
+    # the table is read off F = S * G with G's entries from the genuine
+    # A.B product; the oracle sums the closed-form P entries cell by cell
+    cells = 0
+    for n in range(1, 5):
+        for r in range(n + 1):
+            rows = syst_table(n, r, 10, -4, 4, hodge=True)
+            assert len(rows) == 11 * 9, (n, r)
+            for row in rows:
+                g, k = row["g"], row["k"]
+                want = _syst_hodge_by_p_sum(n, r, g, k)
+                assert row["value"] == str(want), (n, r, g, k)
+                assert syst_hodge(n, r, g, k) == want, (n, r, g, k)
+                cells += 1
+    assert cells == 1386
 
 
 def test_syst_hodge_positive_palindromic():
@@ -293,6 +318,11 @@ def test_g_via_kernels_names_the_cell_that_fails(monkeypatch):
     bad = out["results"][-1]
     assert bad["check"] == "three-route agreement at rank (2, 0)"
     assert "kernel-route numerator at q^0 y^1" in bad["message"]
+
+
+def to_tt_series(f):
+    """Embed a u-Laurent-valued q-series into the (t, tb) ring."""
+    return f.map_coeffs(lambda col: col.map_coeffs(lambda v: v.to_tt()))
 
 
 def test_f_divided_by_s_is_the_matrix_route():
