@@ -153,13 +153,12 @@ def syst_table(n: int, r: int, gmax: int, kmin: int, kmax: int,
 # ---------------------------------------------------------------------------
 # Partition functions
 
-def _cells_to_series(cells: dict, lower: int, qorder: int,
-                     ywin: int) -> QSeries:
+def _cells_to_series(cells: dict, lower: int, qorder: int) -> QSeries:
     cols = {}
     for qe, col in cells.items():
-        y = {e: v for e, v in col.items() if v}
+        y = YPoly(col)
         if y:
-            cols[qe] = YPoly(y, ywin)
+            cols[qe] = y
     return QSeries.from_dict(cols, lower, qorder)
 
 
@@ -194,7 +193,7 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
                 raise NonExactDivision(
                     f"closed-form numerator at q^{qe} y^{ye} not divisible "
                     f"by [{n}]") from exc
-    return _cells_to_series(cells, 0, qorder, ywin)
+    return _cells_to_series(cells, 0, qorder)
 
 
 def _g_matrix_cells(n: int, r: int, qorder: int, kmin: int,
@@ -224,7 +223,7 @@ def g_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """
     _check_rank(n, r)
     return _cells_to_series(_g_matrix_cells(n, r, qorder, -ywin, ywin), 0,
-                            qorder, ywin)
+                            qorder)
 
 
 def _s_times_g(n: int, r: int, qorder: int, kmin: int, kmax: int) -> dict:
@@ -232,7 +231,9 @@ def _s_times_g(n: int, r: int, qorder: int, kmin: int, kmax: int) -> dict:
     y-columns kmin..kmax: a y-column of F is S times the same column of
     G alone, and S is needed only up to qorder minus G's lowest q-power."""
     g = _g_matrix_cells(n, r, qorder + 1, kmin, kmax)
-    s = s_series(qorder - min(g, default=0))
+    if not g:
+        return {}
+    s = s_series(qorder - min(g))
     cells: dict = {}
     for qe, col in g.items():
         col = [(k, w.to_tt()) for k, w in col.items()]
@@ -254,7 +255,7 @@ def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """
     _check_rank(n, r)
     return _cells_to_series(_s_times_g(n, r, qorder, -ywin, ywin), -1,
-                            qorder, ywin)
+                            qorder)
 
 
 def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
@@ -332,7 +333,7 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
                 raise NonExactDivision(
                     f"kernel-route numerator at q^{qe} y^{ye} not divisible "
                     f"by [{n}]") from exc
-    return _cells_to_series(cells, 0, qorder, ywin)
+    return _cells_to_series(cells, 0, qorder)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,7 @@ def euler_g(n: int, r: int, qorder: int, ywin: int) -> QSeries:
                 continue
             col = cells.setdefault(p * l, {})
             col[p - l] = col.get(p - l, Fraction(0)) + Fraction(w, n)
-    return _cells_to_series(cells, 0, qorder, ywin)
+    return _cells_to_series(cells, 0, qorder)
 
 
 def euler_g_column(n: int, r: int, m: int) -> dict:
@@ -407,7 +408,7 @@ def ky_product(qorder: int, ywin: int) -> QSeries:
     wide = ywin + 1
     cross = YPoly({0: UPoly({0: 1, -2: 1}),
                    1: UPoly({0: -1}),
-                   -1: UPoly({-2: -1})}, wide)
+                   -1: UPoly({-2: -1})})
     lhs = g_closed(1, 0, qorder, wide).map_coeffs(
         lambda c: (c * cross).restrict(ywin))
     neg_uinv = UPoly({-2: -1})

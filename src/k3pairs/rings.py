@@ -2,9 +2,10 @@
 
 Three sparse dict-backed rings on one private core, ``_Sparse``, which
 holds what they share: the exponent-key -> nonzero-coefficient dict,
-equality (with int and Fraction read as constants), truthiness and
-coefficient access.  ``UPoly`` and ``TTPoly`` also take its +, -, scalar
-scaling and value at 1, and keep their own products:
+equality (with int and Fraction read as constants), truthiness,
+coefficient access, +, -, scalar scaling and value at 1.  ``UPoly`` and
+``YPoly`` multiply through its one loop on int exponent keys; ``TTPoly``,
+whose keys are pairs, keeps its own:
 
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
@@ -12,8 +13,9 @@ scaling and value at 1, and keep their own products:
 * ``TTPoly`` — Laurent polynomials in two variables (t, tb), the Hodge
   variables.  u embeds as t*tb.
 * ``YPoly`` — Laurent polynomials in y with coefficients in any ring that
-  supports +, unary -, * and truthiness; carries an optional symmetric
-  window |exponent| <= window outside which terms are dropped on purpose.
+  supports +, unary -, * and truthiness.  A product keeps every term;
+  callers that want a y-window truncate where they make the terms, or
+  with ``restrict``.
 
 ``kron_eval`` and ``kron_digits`` are the package's one Kronecker kernel:
 an int-coefficient exponent dict evaluated as one signed big integer at
@@ -94,6 +96,10 @@ class _Sparse:
         return cls()
 
     @classmethod
+    def const(cls, v):
+        return cls({cls.KEY0: v})
+
+    @classmethod
     def one(cls):
         return cls({cls.KEY0: 1})
 
@@ -137,6 +143,22 @@ class _Sparse:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _conv(self, other):
+        """The product with other, of the same ring, on int exponent keys."""
+        a, b = self.c, other.c
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        for ea, va in a.items():
+            for eb, vb in b.items():
+                e = ea + eb
+                w = out.get(e, 0) + va * vb
+                if w:
+                    out[e] = w
+                else:
+                    del out[e]
+        return self._of(out)
+
     def _scale(self, k):
         """Multiply by the scalar k."""
         return self._of({e: v * k for e, v in self.c.items()} if k else {})
@@ -158,10 +180,6 @@ class UPoly(_Sparse):
     __slots__ = ()
 
     @classmethod
-    def const(cls, v):
-        return cls({0: v})
-
-    @classmethod
     def u(cls, e2: int = 2, v=1):
         """The monomial v * u^{e2/2} (e2 is the doubled exponent)."""
         return cls({e2: v})
@@ -170,23 +188,11 @@ class UPoly(_Sparse):
         return len(self.c) == 1
 
     def __mul__(self, other):
-        if not isinstance(other, UPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
+        if isinstance(other, UPoly):
+            return self._conv(other)
+        if isinstance(other, (int, Fraction)):
             return self._scale(other)
-        a, b = self.c, other.c
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = ea + eb
-                w = out.get(e, 0) + va * vb
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        return UPoly._of(out)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -330,7 +336,7 @@ def _coeff_str(v, has_mono: bool) -> str:
             return ""
         if v == -1:
             return "-"
-    return fraction_str(v) if not isinstance(v, int) else str(v)
+    return fraction_str(v)
 
 
 class TTPoly(_Sparse):
@@ -398,96 +404,30 @@ class TTPoly(_Sparse):
 class YPoly(_Sparse):
     """Sparse Laurent polynomial in y over an arbitrary coefficient ring.
 
-    ``window`` (None = unbounded) is a symmetric truncation bound: terms
-    with |exponent| > window are dropped on construction and after every
-    operation.  Windows combine by min.  A scalar carries no window, so
-    only a YPoly is added to a YPoly.
+    Anything that is not a YPoly multiplies as a scalar: an element of the
+    coefficient ring, or an int or Fraction.
     """
 
-    __slots__ = ("window",)
-
-    def __init__(self, coeffs: dict | None = None, window: int | None = None):
-        self.window = window
-        if window is None:
-            self.c = {e: v for e, v in (coeffs or {}).items() if v}
-        else:
-            self.c = {e: v for e, v in (coeffs or {}).items()
-                      if v and abs(e) <= window}
-
-    @classmethod
-    def zero(cls, window=None):
-        return cls({}, window)
-
-    @classmethod
-    def const(cls, v, window=None):
-        return cls({0: v}, window)
-
-    @staticmethod
-    def _merge_window(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
-    def __add__(self, other):
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        out = dict(self.c)
-        for e, v in other.c.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-        return YPoly(out, self._merge_window(self.window, other.window))
-
-    def __radd__(self, other):
-        # the core's reflected + would lift a scalar into a windowless YPoly
-        return NotImplemented
-
-    def __neg__(self):
-        return YPoly({e: -v for e, v in self.c.items()}, self.window)
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, YPoly):
-            w = self._merge_window(self.window, other.window)
-            a, b = self.c, other.c
-            if len(a) > len(b):
-                a, b = b, a
-            out = {}
-            for ea, va in a.items():
-                for eb, vb in b.items():
-                    e = ea + eb
-                    if w is not None and abs(e) > w:
-                        continue
-                    x = out.get(e, 0) + va * vb
-                    if x:
-                        out[e] = x
-                    else:
-                        out.pop(e, None)
-            r = YPoly.__new__(YPoly)
-            r.c, r.window = out, w
-            return r
-        # scalar (int / Fraction / coefficient ring)
-        if not other:
-            return YPoly({}, self.window)
-        return YPoly({e: v * other for e, v in self.c.items()}, self.window)
+            return self._conv(other)
+        return self._scale(other)
 
     __rmul__ = __mul__
 
     def mirror(self) -> "YPoly":
         """Substitute y -> 1/y."""
-        return YPoly({-e: v for e, v in self.c.items()}, self.window)
+        return YPoly._of({-e: v for e, v in self.c.items()})
 
     def map_coeffs(self, fn) -> "YPoly":
-        return YPoly({e: fn(v) for e, v in self.c.items()}, self.window)
+        return YPoly({e: fn(v) for e, v in self.c.items()})
 
     def restrict(self, window: int) -> "YPoly":
-        return YPoly(self.c, window)
-
-    def __repr__(self):
-        return f"YPoly({self.c!r}, window={self.window!r})"
+        """The terms with |exponent| <= window."""
+        return YPoly._of({e: v for e, v in self.c.items()
+                          if abs(e) <= window})
 
 
 class Monomial:

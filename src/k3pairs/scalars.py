@@ -58,6 +58,8 @@ def binomial(n: int, k: int) -> int:
 
 def fraction_str(x) -> str:
     """Canonical "p/q" (or "p" when q = 1) rendering of an exact rational."""
+    if isinstance(x, int):
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)

@@ -10,16 +10,16 @@ verification suites:
 * ``phi_product`` / ``log_phi_product`` -- the eight-factor product
   kernel and its exact series logarithm.
 
-Every function returns a q-series whose coefficients are windowed
-y-Laurent polynomials with u-Laurent entries, and every returned
-coefficient is exact on the stated window.  The lattice sums drop the
-terms outside it.  The product kernels work on the full support of each
-cell, which is finite below q^qorder: every cell is one big integer, the
-Kronecker packing of its (y, u) entries at X = 256^w, and each factor
-1 - m q^n is applied in place as a shift and an add.  The byte width w
-comes from a plain-integer majorant of the cells read back, never from
-the closed forms the verifiers compare against, and only the finished
-cells are restricted to the window.
+Every function returns a q-series whose coefficients are y-Laurent
+polynomials with u-Laurent entries, cut to the window |y| <= ywin, and
+every returned coefficient is exact on that window.  The lattice sums
+drop the terms outside it as they make them.  The product kernels work
+on the full support of each cell, which is finite below q^qorder: every
+cell is one big integer, the Kronecker packing of its (y, u) entries at
+X = 256^w, and each factor 1 - m q^n is applied in place as a shift and
+an add.  The byte width w comes from a plain-integer majorant of the
+cells read back, never from the closed forms the verifiers compare
+against, and only the finished cells are cut to the window.
 """
 
 from fractions import Fraction
@@ -31,9 +31,15 @@ from .series import QSeries
 __all__ = ["phi_bilateral", "psi", "phi_product", "log_phi_product"]
 
 
-def _term(m: Monomial, window) -> YPoly:
-    """The monomial m as a one-term y-polynomial (empty if windowed out)."""
-    return YPoly({m.y: UPoly.u(m.u2, 1)}, window)
+def _term(m: Monomial, ywin: int) -> YPoly:
+    """The monomial m as a one-term y-polynomial, empty when |m.y| > ywin.
+
+    This is where the lattice sums drop the terms outside the window.
+    In psi a y-part of x moves the term x^p y_mono^(p-l) into or out of
+    the window whatever y_mono^(p-l) alone does, so only the finished
+    monomial can be tested.
+    """
+    return YPoly._of({m.y: UPoly.u(m.u2, 1)} if abs(m.y) <= ywin else {})
 
 
 def _axis_bound(m: Monomial, ywin: int) -> int:
@@ -60,10 +66,9 @@ def phi_bilateral(a: Monomial, b: Monomial, qorder: int,
     cells: dict[int, YPoly] = {}
 
     def push(qe: int, m: Monomial, sign: int):
-        if abs(m.y) > ywin:
-            return
         t = _term(m, ywin)
-        cells[qe] = cells.get(qe, YPoly.zero(ywin)) + (t if sign > 0 else -t)
+        if t:
+            cells[qe] = cells.get(qe, YPoly()) + (t if sign > 0 else -t)
 
     push(0, Monomial(), +1)
     for i in range(1, _axis_bound(a, ywin) + 1):
@@ -90,11 +95,9 @@ def psi(x: Monomial, y_mono: Monomial, qorder: int, ywin: int) -> QSeries:
 
     def push(qe: int, p: int, el: int):
         d = y_mono ** (p - el)
-        if abs(d.y) > ywin:
-            return
         t = _term((x ** p) * d, ywin) - _term((x ** -el) * d, ywin)
         if t:
-            cells[qe] = cells.get(qe, YPoly.zero(ywin)) + t
+            cells[qe] = cells.get(qe, YPoly()) + t
 
     for p in range(1, ywin // abs(y_mono.y) + 1):
         push(0, p, 0)
@@ -222,7 +225,7 @@ def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
         return QSeries(0, [], "q")
     grid = _Grid(k, l, qorder, _width(max(_phi_majorant(qorder))))
     return QSeries(0, [
-        YPoly({y: UPoly(d) for y, d in grid.read(v, j, ywin).items()}, ywin)
+        YPoly({y: UPoly(d) for y, d in grid.read(v, j, ywin).items()})
         if v else 0
         for j, v in enumerate(grid.cells())], "q")
 
@@ -260,6 +263,5 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
         if h[j]:
             cols[j] = YPoly({y: UPoly({u2: Fraction(c, j)
                                        for u2, c in d.items()})
-                             for y, d in grid.read(h[j], j, ywin).items()},
-                            ywin)
+                             for y, d in grid.read(h[j], j, ywin).items()})
     return QSeries(0, cols, "q")

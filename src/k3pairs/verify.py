@@ -27,14 +27,14 @@ def _bilateral_unit(mono: Monomial, ywin: int) -> YPoly:
     the kernel quotient differ by exactly this unit."""
     if mono.y == 0:
         raise ValueError("bilateral unit needs a genuine y-power")
-    out = YPoly.zero(ywin)
+    out = YPoly()
     k = 0
     while abs(k * mono.y) <= ywin:
         mk = mono ** k
-        out = out + YPoly({mk.y: UPoly.u(mk.u2, 1)}, ywin)
+        out = out + YPoly({mk.y: UPoly.u(mk.u2, 1)})
         if k > 0:
             mk = mono ** -k
-            out = out + YPoly({mk.y: UPoly.u(mk.u2, 1)}, ywin)
+            out = out + YPoly({mk.y: UPoly.u(mk.u2, 1)})
         k += 1
     return out
 

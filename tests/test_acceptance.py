@@ -56,13 +56,13 @@ def test_criterion_01_matrix_inverse_and_product_forms():
 
 
 def _bilateral_unit(mono, ywin):
-    out = YPoly.zero(ywin)
+    out = YPoly.zero()
     k = 0
     while abs(k * mono.y) <= ywin:
-        out = out + YPoly({(mono ** k).y: UPoly.u((mono ** k).u2, 1)}, ywin)
+        out = out + YPoly({(mono ** k).y: UPoly.u((mono ** k).u2, 1)})
         if k > 0:
             mk = mono ** -k
-            out = out + YPoly({mk.y: UPoly.u(mk.u2, 1)}, ywin)
+            out = out + YPoly({mk.y: UPoly.u(mk.u2, 1)})
         k += 1
     return out
 

@@ -8,16 +8,18 @@ output for identical arguments.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3pairs.cli import FIT_QORDER, TEST_QORDER, build_parser, main
 from k3pairs.errors import Mismatch
-from k3pairs.verify import run_suite
+from k3pairs.verify import SUITES, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -205,7 +207,7 @@ def test_verify_theta_catches_a_broken_bilateral_unit(capsys, monkeypatch):
     real = k3pairs.verify._bilateral_unit
 
     def broken(mono, ywin):
-        return real(mono, ywin) + YPoly({1: UPoly.u(2)}, ywin)  # plus u*y
+        return real(mono, ywin) + YPoly({1: UPoly.u(2)})  # plus u*y
 
     monkeypatch.setattr(k3pairs.verify, "_bilateral_unit", broken)
     code, out, _ = _run(
@@ -458,3 +460,40 @@ def test_parser_defaults_match_documented_values():
     assert args.qorder == 10 and args.ywin == 8 and args.vorder == 8
     args = build_parser().parse_args(["fit", "--n", "1", "--r", "0"])
     assert args.vmax == 6 and args.weight_bound == 12
+
+
+# Every integer flag of each subcommand; the fuzz below passes all of them.
+_INT_FLAGS = {
+    "table": ("--n", "--r", "--gmax", "--kmin", "--kmax"),
+    "verify": ("--n", "--qorder", "--ywin", "--vorder", "--cutoff"),
+    "fit": ("--n", "--r", "--vmax", "--weight"),
+    "series": ("--n", "--r", "--qorder", "--ywin"),
+}
+
+
+@st.composite
+def _small_argv(draw):
+    command = draw(st.sampled_from(sorted(_INT_FLAGS)))
+    argv = [command]
+    for flag in _INT_FLAGS[command]:
+        argv += [flag, str(draw(st.integers(-2, 3)))]
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(SUITES))]
+    if command == "table" and draw(st.booleans()):
+        argv.append("--hodge")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_argv())
+def test_main_fuzz_exits_cleanly(argv):
+    """Small, often invalid flag values end in exit code 0, 1 or 2 and
+    never in an escaped exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:  # argparse refusing the command line
+            code = ex.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

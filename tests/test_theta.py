@@ -12,9 +12,9 @@ YINV = Monomial(0, -1)
 U = Monomial(2, 0)
 
 
-def ypoly(d, window=None):
+def ypoly(d):
     return YPoly({e: UPoly.const(v) if isinstance(v, int) else v
-                  for e, v in d.items()}, window)
+                  for e, v in d.items()})
 
 
 def test_phi_bilateral_axes():
@@ -60,14 +60,36 @@ def test_psi_needs_y_part():
         psi(U, Monomial(2, 0), 4, 4)
 
 
+@pytest.mark.parametrize("x,ym", [
+    (Monomial(2, -1), Y),          # x^p pulls y^(p-l) back into the window
+    (Monomial(-2, 2), YINV),
+    (Monomial(3, 0), Monomial(2, 1)),
+])
+def test_psi_keeps_every_term_inside_the_window(x, ym):
+    """Above q^0, psi is the lattice sum cut to |y| <= ywin term by term,
+    however far y_mono^(p-l) alone lies outside the window."""
+    qorder, ywin = 9, 2
+    want = {}
+    for el in range(1, qorder):
+        for p in range(1, (qorder - 1) // el + 1):
+            d = ym ** (p - el)
+            for m, sign in (((x ** p) * d, 1), ((x ** -el) * d, -1)):
+                if abs(m.y) <= ywin:
+                    want[p * el] = want.get(p * el, YPoly()) + sign * YPoly(
+                        {m.y: UPoly.u(m.u2, 1)})
+    f = psi(x, ym, qorder, ywin)
+    for qe in range(1, qorder):
+        assert f.coeff(qe) == want.get(qe, 0), qe
+
+
 def bilateral_unit(mono, ywin):
-    out = YPoly.zero(ywin)
+    out = YPoly.zero()
     k = 0
     while abs(k * mono.y) <= ywin:
-        out = out + YPoly({(mono ** k).y: UPoly.u((mono ** k).u2, 1)}, ywin)
+        out = out + YPoly({(mono ** k).y: UPoly.u((mono ** k).u2, 1)})
         if k > 0:
             mk = mono ** -k
-            out = out + YPoly({mk.y: UPoly.u(mk.u2, 1)}, ywin)
+            out = out + YPoly({mk.y: UPoly.u(mk.u2, 1)})
         k += 1
     return out
 
@@ -125,15 +147,14 @@ def test_rank_one_bridge():
 # ---------------------------------------------------------------------------
 # the packed product kernels against the generic series route
 
-def _oracle_term(m, win):
-    return YPoly({m.y: UPoly.u(m.u2, 1)}, win)
+def _oracle_term(m):
+    return YPoly({m.y: UPoly.u(m.u2, 1)})
 
 
 def _oracle_phi(k, l, qorder, ywin):
-    """phi_product as QSeries products, factor by factor, in a y-window
-    wide enough that nothing folds back into |y| <= ywin."""
-    win = max(ywin, (qorder + ywin) // 2 + 1)
-    one = YPoly({0: UPoly.one()}, win)
+    """phi_product as QSeries products, factor by factor, on the full
+    support of each cell, then cut to |y| <= ywin."""
+    one = YPoly({0: UPoly.one()})
     out = QSeries.from_dict({0: one}, 0, qorder)
     num = [Monomial(), Monomial(), Monomial(2 * k, 0), Monomial(-2 * k, 0)]
     den = [Monomial(2 * l, 1), Monomial(-2 * l, -1),
@@ -141,17 +162,17 @@ def _oracle_phi(k, l, qorder, ywin):
     for n in range(1, qorder):
         for m in num:
             out = out * QSeries.from_dict(
-                {0: one, n: -_oracle_term(m, win)}, 0, qorder)
+                {0: one, n: -_oracle_term(m)}, 0, qorder)
         for m in den:
             out = out * QSeries.from_dict(
-                {n * j: _oracle_term(m ** j, win)
+                {n * j: _oracle_term(m ** j)
                  for j in range((qorder - 1) // n + 1)}, 0, qorder)
     return out.map_coeffs(lambda c: c.restrict(ywin))
 
 
 def _oracle_log_phi(k, l, qorder, ywin):
-    win = max(ywin, (qorder + ywin) // 2 + 1)
-    return _oracle_phi(k, l, qorder, win).log().map_coeffs(
+    # below q^qorder every cell has |y| < qorder, so this is the full phi
+    return _oracle_phi(k, l, qorder, qorder).log().map_coeffs(
         lambda c: c.restrict(ywin))
 
 
@@ -170,7 +191,7 @@ def test_product_kernels_match_the_series_route(k, l, qorder, ywin):
         for j in range(qorder):
             assert got.coeff(j) == want.coeff(j), j
             if got.coeff(j):
-                assert got.coeff(j).window == ywin
+                assert max(map(abs, got.coeff(j).c)) <= ywin
     for j in range(1, qorder):
         for entry in log_phi_product(k, l, qorder, ywin).coeff(j).c.values():
             assert all(type(v) is Fraction for v in entry.c.values())
