@@ -166,33 +166,30 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from the closed double sum.
 
     Lattice terms (p, l) with p >= n-r, l >= r contribute at q^{pl},
-    y^{p-l}; the assembled numerator must be exactly divisible by the
-    u-integer [n] (NonExactDivision otherwise), and the result is scaled
-    by u^{r(n-r)}.
+    y^{p-l}, a map that is one-to-one, so each term is its own cell; each
+    must be exactly divisible by the u-integer [n] (NonExactDivision
+    otherwise), and the result is scaled by u^{r(n-r)}.
     """
     _check_rank(n, r)
     cells: dict = {}
     hi = qorder + ywin + 1
     for l in range(r, r + hi):
         for p in range(n - r, n - r + hi):
-            if p * l >= qorder or abs(p - l) > ywin:
+            qe, ye = p * l, p - l
+            if qe >= qorder or abs(ye) > ywin:
                 continue
-            w = u_integer(p + l) * u_binomial(n + l - r - 1, n - 1) \
-                * u_binomial(p + r - 1, n - 1)
+            w = (u_binomial(n + l - r - 1, n - 1)
+                 * u_binomial(p + r - 1, n - 1)).mul_u_integer(p + l)
             if not w:
                 continue
-            w = w.shift(-2 * (n * l + (p - l) * r))
-            col = cells.setdefault(p * l, {})
-            col[p - l] = col.get(p - l, UPoly.zero()) + w
-    shift = 2 * r * (n - r)
-    for qe, col in cells.items():
-        for ye, w in col.items():
             try:
-                col[ye] = w.div_u_integer(n).shift(shift)
+                w = w.div_u_integer(n)
             except NotDivisible as exc:
                 raise NonExactDivision(
                     f"closed-form numerator at q^{qe} y^{ye} not divisible "
                     f"by [{n}]") from exc
+            cells.setdefault(qe, {})[ye] = w.shift(
+                2 * (r * (n - r) - n * l - ye * r))
     return _cells_to_series(cells, 0, qorder)
 
 
@@ -272,8 +269,10 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     built as two key-shifted copies of each weight.  Each cell must be
     exactly divisible by (u-1) prod_{m<n} (u^m - 1)^2, which is
     (u-1)^(2n-1) ([n-1]!)^2 -- the headline consistency check, run as
-    2n-1 linear division passes and raising NonExactDivision that names
-    the cell -- and is then divided by [n] and scaled by u^{r(n-r)}.
+    one call of UPoly.div_u_pow_minus_one over the 2n-1 factors, a dense
+    in-place pass per factor on one list per cell, and raising
+    NonExactDivision that names the cell -- and is then divided by [n]
+    and scaled by u^{r(n-r)}.
 
     Two boundary notes, both forced by matching the closed double sum:
 
@@ -295,6 +294,7 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     points = [(p, 0) for p in range(1, ywin + 1)] if qorder > 0 else []
     points += [(p, l) for l in range(1, qorder)
                for p in range(1, (qorder - 1) // l + 1) if abs(p - l) <= ywin]
+    chain = (2,) + tuple(2 * m for m in range(1, n) for _ in range(2))
     cells: dict = {}
     for p, l in points:
         qe, ye = p * l, p - l
@@ -304,11 +304,8 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
             for e, v in w.items():
                 acc[e + up] = acc.get(e + up, 0) + v
                 acc[e + dn] = acc.get(e + dn, 0) - v
-        num = UPoly(acc)
         try:
-            num = num.div_u_pow_minus_one(2)
-            for m in range(1, n):
-                num = num.div_u_pow_minus_one(2 * m).div_u_pow_minus_one(2 * m)
+            num = UPoly(acc).div_u_pow_minus_one(*chain)
         except NotDivisible as exc:
             raise NonExactDivision(
                 f"kernel-route numerator at q^{qe} y^{ye} not divisible by "

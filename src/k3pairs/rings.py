@@ -9,7 +9,9 @@ whose keys are pairs, keeps its own:
 
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
-  u^{3/2}); coefficients are int or Fraction and may mix.
+  u^{3/2}); coefficients are int or Fraction and may mix.  Its exact
+  divisions by u^{d/2} - 1 and by [m] turn the dict into one dense list
+  and divide in place, one pass per factor.
 * ``TTPoly`` — Laurent polynomials in two variables (t, tb), the Hodge
   variables.  u embeds as t*tb.
 * ``YPoly`` — Laurent polynomials in y with coefficients in any ring that
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, perm
+from operator import neg, sub
 
 from .errors import NotDivisible
 from .scalars import fraction_str
@@ -219,25 +222,23 @@ class UPoly(_Sparse):
                 e += 2
         return UPoly._of(out)
 
-    def div_u_pow_minus_one(self, d2: int) -> "UPoly":
-        """Exact division by u^{d2/2} - 1 (d2 > 0 doubled exponent) in
-        linear time; NotDivisible on any remainder."""
+    def _dense(self) -> tuple:
+        """(lo, f): the lowest doubled key and the coefficients as one list
+        over every doubled key from lo up."""
         h = self.c
-        if not h:
+        lo = min(h)
+        f = [0] * (max(h) - lo + 1)
+        for e, v in h.items():
+            f[e - lo] = v
+        return lo, f
+
+    def div_u_pow_minus_one(self, *d2s: int) -> "UPoly":
+        """Exact division by u^{d/2} - 1 for each doubled exponent d > 0
+        of d2s in turn, in one dense pass per factor (see _dense_quotient);
+        NotDivisible names the first factor that leaves a remainder."""
+        if not self.c:
             return UPoly.zero()
-        lo, hi = min(h), max(h)
-        out = {}
-        for rho in set(e % 2 for e in h):
-            e = lo + ((rho - lo) % 2)
-            while e <= hi:
-                ge = out.get(e - d2, 0) - h.get(e, 0)
-                if ge:
-                    if e > hi - d2:
-                        raise NotDivisible(
-                            f"remainder in division by {_u_mono(d2)} - 1")
-                    out[e] = ge
-                e += 2
-        return UPoly._of(out)
+        return _dense_quotient(*self._dense(), d2s)
 
     def div_u_integer(self, m: int) -> "UPoly":
         """Exact division by [m] = (u^m - 1)/(u - 1), linear time."""
@@ -245,20 +246,10 @@ class UPoly(_Sparse):
             raise ZeroDivisionError("division by [m] needs m >= 1")
         if m == 1 or not self.c:
             return self
-        # f/[m] = f*(u-1)/(u^m - 1)
-        h = {}
-        for e, v in self.c.items():
-            w = h.get(e + 2, 0) + v
-            if w:
-                h[e + 2] = w
-            else:
-                del h[e + 2]
-            w = h.get(e, 0) - v
-            if w:
-                h[e] = w
-            else:
-                del h[e]
-        return UPoly._of(h).div_u_pow_minus_one(2 * m)
+        # f/[m] = f*(u-1)/(u^m - 1), and u*f is f two doubled keys up
+        lo, f = self._dense()
+        return _dense_quotient(lo, list(map(sub, [0, 0] + f, f + [0, 0])),
+                               (2 * m,))
 
     def deriv_at_one(self, t: int):
         """t-th u-derivative evaluated at u = 1 (integer exponents only
@@ -328,6 +319,35 @@ def _u_mono(e2: int) -> str:
     if e2 % 2 == 0:
         return f"u^{e2 // 2}"
     return f"u^{e2}/2"
+
+
+def _dense_quotient(lo: int, f: list, d2s: tuple) -> UPoly:
+    """The exact quotient of sum_k f[k] u^{(lo+k)/2} by the product of
+    u^{d/2} - 1 over the doubled exponents d > 0 of d2s.
+
+    The list runs over every doubled key; it is halved to every other key
+    when its odd places are empty and every d is even.  Dividing by
+    u^d - 1 is minus dividing by 1 - u^d, the in-place pass
+    f[k] += f[k-d] for k ascending, so each factor flips the sign once.  A
+    quotient exists only if the top d entries of the pass are zero (the
+    first factor where they are not is named by NotDivisible); they are
+    cut off, and the dict is built once at the end.
+    """
+    step = 1
+    if not any(f[1::2]) and not any(d % 2 for d in d2s):
+        f, step = f[::2], 2
+    top = len(f)
+    for d2 in d2s:
+        d = d2 // step
+        for k in range(d, top):
+            f[k] += f[k - d]
+        if any(f[max(top - d, 0):top]):
+            raise NotDivisible(f"remainder in division by {_u_mono(d2)} - 1")
+        top -= d
+    if len(d2s) % 2:
+        f = map(neg, f)
+    return UPoly._of({e: v for e, v in zip(range(lo, lo + step * top, step), f)
+                      if v})
 
 
 def _coeff_str(v, has_mono: bool) -> str:

@@ -84,13 +84,22 @@ def phi_bilateral(a: Monomial, b: Monomial, qorder: int,
 
 def psi(x: Monomial, y_mono: Monomial, qorder: int, ywin: int) -> QSeries:
     """sum_{l >= 0} sum_{p >= 1} (x^p - x^{-l}) y^{p-l} q^{pl} with the
-    formal variables replaced by the given monomials."""
+    formal variables replaced by the given monomials.
+
+    The l = 0 row at q^0 is finite on the window only when both y_mono
+    and x*y_mono carry a y-part; otherwise ValueError names the one that
+    lacks it.
+    """
     if qorder <= 0:
         return QSeries(0, [], "q")
     if y_mono.y == 0:
         raise ValueError(
             "the second argument needs a y-part; a pure u-power makes "
             "the l = 0 row unbounded at q^0")
+    if x.y + y_mono.y == 0:
+        raise ValueError(
+            "the product of the two arguments needs a y-part; when their "
+            "y-parts cancel, the l = 0 row is unbounded at q^0")
     cells: dict[int, YPoly] = {}
 
     def push(qe: int, p: int, el: int):

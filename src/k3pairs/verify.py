@@ -5,6 +5,13 @@ caller's truncation orders.  A check either returns quietly or raises a
 K3PairsError — identity failures carry the first differing exponent
 location — and the runner stops at the first failure, returning
 structured results for the caller to render and turn into an exit code.
+
+One run holds one memo, made with its checks and dropped with them: the
+closed form ``g_closed`` and the v-expansion ``v_partition_series`` of
+each rank (n, r) are built once at the run's fixed bounds and shared by
+the checks that read them (route agreement and duality; the mirror
+checks).  The kernel and matrix routes read nothing from it, so the three
+routes stay independent.
 """
 
 from .errors import K3PairsError, Mismatch
@@ -48,25 +55,37 @@ def _theta_pair(x: Monomial, ym: Monomial, qorder: int, ywin: int) -> None:
         what="theta-kernel q^0 gap and bilateral unit")
 
 
-def _routes_agree(n: int, r: int, qorder: int, ywin: int) -> None:
-    gc = g_closed(n, r, qorder, ywin)
+def _once(memo: dict, build, n: int, r: int, *bounds):
+    """build(n, r, *bounds), made once per builder and rank (n, r) in memo:
+    the bounds are fixed for the run that owns the memo."""
+    key = (build, n, r)
+    if key not in memo:
+        memo[key] = build(n, r, *bounds)
+    return memo[key]
+
+
+def _routes_agree(n: int, r: int, qorder: int, ywin: int,
+                  memo: dict) -> None:
+    gc = _once(memo, g_closed, n, r, qorder, ywin)
     gk = g_via_kernels(n, r, qorder, ywin)
     gm = g_via_matrices(n, r, qorder, ywin)
     gc.assert_agrees(gk, what=f"closed and kernel routes at rank ({n}, {r})")
     gc.assert_agrees(gm, what=f"closed and matrix routes at rank ({n}, {r})")
 
 
-def _duality(n: int, r: int, qorder: int, ywin: int) -> None:
-    a = g_closed(n, r, qorder, ywin)
-    b = mirror_series(g_closed(n, n - r, qorder, ywin))
+def _duality(n: int, r: int, qorder: int, ywin: int, memo: dict) -> None:
+    a = _once(memo, g_closed, n, r, qorder, ywin)
+    b = mirror_series(_once(memo, g_closed, n, n - r, qorder, ywin))
     a.assert_agrees(b, what=f"mirror duality at rank ({n}, {r})")
 
 
-def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int) -> None:
+def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int,
+                     memo: dict | None = None) -> None:
     """The v^s cell at (n, r) is (-1)^s times the one at (n, n - r); odd
     cells vanish at n = 1 and 2r = n.  Each cell is stored as the c of
     its value i^s c, so the mirror is the same sign on the stored cells."""
-    f = v_partition_series(n, r, qorder, vorder)
+    memo = {} if memo is None else memo
+    f = _once(memo, v_partition_series, n, r, qorder, vorder)
     if n == 1 or 2 * r == n:
         bad = _odd_cells(f)
         if bad:
@@ -75,7 +94,7 @@ def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int) -> None:
                 f"v-expansion at rank ({n}, {r}) breaks the i^s rule: "
                 f"cell value {cell['value']}", {"v": cell["v"],
                                                  "q": cell["q"]})
-    g = f if 2 * r == n else v_partition_series(n, n - r, qorder, vorder)
+    g = _once(memo, v_partition_series, n, n - r, qorder, vorder)
     mirrored = QSeries(g.lower, [-c if s % 2 else c for s, c in
                                  enumerate(g.coeffs, g.lower)], "v")
     f.assert_agrees(mirrored, what=f"v-expansions at ranks ({n}, {r}) and "
@@ -84,6 +103,7 @@ def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int) -> None:
 
 def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
                   cutoff: int) -> list:
+    memo: dict = {}  # this run's closed forms and v-expansions by rank
     checks: list = []
     if suite in ("ucomb", "all"):
         checks.append((
@@ -105,13 +125,15 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
             for rr in range(nn + 1):
                 checks.append((
                     "routes", f"three-route agreement at rank ({nn}, {rr})",
-                    lambda nn=nn, rr=rr: _routes_agree(nn, rr, qorder, ywin)))
+                    lambda nn=nn, rr=rr: _routes_agree(
+                        nn, rr, qorder, ywin, memo)))
     if suite in ("duality", "all"):
         for nn in range(1, n + 1):
             for rr in range(nn + 1):
                 checks.append((
                     "duality", f"mirror duality at rank ({nn}, {rr})",
-                    lambda nn=nn, rr=rr: _duality(nn, rr, qorder, ywin)))
+                    lambda nn=nn, rr=rr: _duality(
+                        nn, rr, qorder, ywin, memo)))
     if suite in ("modularity", "all"):
         checks.append(("modularity", "rank-one Eisenstein exponential",
                        lambda: mpt_check(qorder, vorder)))
@@ -129,7 +151,7 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
                     "modularity",
                     f"v-expansion mirror symmetry at rank ({nn}, {rr})",
                     lambda nn=nn, rr=rr: _mirror_symmetry(
-                        nn, rr, qorder, vorder)))
+                        nn, rr, qorder, vorder, memo)))
     return checks
 
 

@@ -304,8 +304,9 @@ def test_mirror_check_catches_a_mirrored_odd_cell_at_rank_one(monkeypatch):
 
 
 def test_modularity_suite_expands_each_v_series_once(monkeypatch):
-    # nine ranks (n, r) with n <= 3, the mirror of each rank with 2r != n
-    # (eight more) and the rank-one series of the Eisenstein exponential
+    # nine ranks (n, r) with n <= 3, each expanded once for the run whether
+    # its check or its mirror's asks first, and the rank-one series of the
+    # Eisenstein exponential
     import k3pairs.modular
     import k3pairs.verify
 
@@ -319,7 +320,35 @@ def test_modularity_suite_expands_each_v_series_once(monkeypatch):
     monkeypatch.setattr(k3pairs.modular, "v_partition_series", counted)
     monkeypatch.setattr(k3pairs.verify, "v_partition_series", counted)
     assert run_suite("modularity", n=3)["ok"]
-    assert len(calls) == 9 + 8 + 1
+    assert len(calls) == 9 + 1
+
+
+def test_a_run_builds_each_closed_form_and_v_series_once(monkeypatch):
+    # fourteen ranks (n, r) with n <= 4: route agreement and duality share
+    # one g_closed per rank, the mirror checks one v-expansion per rank,
+    # and a second run builds its own
+    import k3pairs.verify
+
+    calls = {"g_closed": [], "v_partition_series": []}
+
+    def spy(name):
+        real = getattr(k3pairs.verify, name)
+
+        def counted(*args):
+            calls[name].append(args)
+            return real(*args)
+        monkeypatch.setattr(k3pairs.verify, name, counted)
+
+    spy("g_closed")
+    spy("v_partition_series")
+    report = run_suite("all", n=4)
+    assert report["ok"] and len(report["results"]) == 52
+    assert all(row["ok"] for row in report["results"])
+    ranks = sorted((n, r) for n in range(1, 5) for r in range(n + 1))
+    for log in calls.values():
+        assert sorted(a[:2] for a in log) == ranks
+    assert run_suite("duality", n=4, qorder=8)["ok"]
+    assert len(calls["g_closed"]) == 28
 
 
 def test_verify_unknown_suite_rejected_by_parser():

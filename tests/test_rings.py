@@ -77,6 +77,51 @@ def test_div_u_pow_minus_one_names_the_divisor():
         assert str(exc.value) == f"remainder in division by {divisor}"
 
 
+def test_div_u_pow_minus_one_chain_equals_the_single_divisions():
+    # odd keys, half-integer divisors (d2 = 3) and mixed parities take the
+    # doubled-key list; even keys with even divisors the halved one
+    rng = random.Random(11)
+    for trial in range(300):
+        odd = trial % 3 == 0
+        f = U({rng.randrange(-7, 9) * (1 if odd else 2): rng.randrange(-5, 6)
+               for _ in range(rng.randrange(1, 6))})
+        if not f:
+            continue
+        d2s = [rng.choice((1, 3, 2, 4, 6) if odd else (2, 4, 6, 8))
+               for _ in range(rng.randrange(1, 5))]
+        g = f
+        for d2 in d2s:
+            g = g * U({d2: 1, 0: -1})
+        q = g
+        for d2 in d2s:
+            q = q.div_u_pow_minus_one(d2)
+        assert g.div_u_pow_minus_one(*d2s) == q == f, (f, d2s)
+
+
+def test_div_u_pow_minus_one_with_both_parities_and_an_odd_divisor():
+    # (u^3/2 - 1)(1 + u^1/2): the quotient mixes integer and half-integer
+    # powers, so the recurrence couples the two parities
+    assert U({3: 1, 4: 1, 0: -1, 1: -1}).div_u_pow_minus_one(3) \
+        == U({0: 1, 1: 1})
+
+
+def test_div_u_pow_minus_one_chain_names_the_failing_factor():
+    um1 = U({2: 1, 0: -1})
+    # a dividend shorter than the divisor, at the first factor or later
+    for f, d2s in ((UPoly.one(), (6, 2)), (um1, (2, 6))):
+        with pytest.raises(NotDivisible) as exc:
+            f.div_u_pow_minus_one(*d2s)
+        assert str(exc.value) == "remainder in division by u^3 - 1"
+    # divisible by the first factors but not by the last: a is 1 at u = 1
+    a = U({-2: 4, 0: -1, 2: 3, 6: -5})
+    f = a * um1 * U({4: 1, 0: -1})
+    assert f.div_u_pow_minus_one(4, 2) == a
+    for d2s, divisor in (((4, 2, 2), "u - 1"), ((2, 4, 6), "u^3 - 1")):
+        with pytest.raises(NotDivisible) as exc:
+            f.div_u_pow_minus_one(*d2s)
+        assert str(exc.value) == f"remainder in division by {divisor}"
+
+
 def test_eval_and_derivative_at_one():
     p = U({6: 1})                              # u^3
     assert p.eval_one() == 1

@@ -60,8 +60,18 @@ def test_psi_needs_y_part():
         psi(U, Monomial(2, 0), 4, 4)
 
 
+def test_psi_refuses_arguments_whose_y_parts_cancel():
+    # x = u y^-1 and y_mono = y: every term x^p y^p = u^p of the l = 0 row
+    # sits at q^0 y^0, so no window bounds that row
+    with pytest.raises(ValueError, match="product of the two arguments"):
+        psi(Monomial(2, -1), Y, 4, 2)
+    with pytest.raises(ValueError, match="product of the two arguments"):
+        psi(Monomial(-2, 2), Monomial(0, -2), 4, 5)
+
+
 @pytest.mark.parametrize("x,ym", [
-    (Monomial(2, -1), Y),          # x^p pulls y^(p-l) back into the window
+    (Monomial(2, -1), Monomial(0, 2)),  # x^p pulls y^(p-l) back into
+                                        # the window
     (Monomial(-2, 2), YINV),
     (Monomial(3, 0), Monomial(2, 1)),
 ])
