@@ -25,7 +25,8 @@ X = 256^w, and the base-X digits of such an integer, read with a bias of
 X/2 per digit.  The round trip is exact when every digit lies below X/2
 in absolute value.  ``theta`` packs each cell of its product kernels this
 way; ``ucomb.verify_ab_identity`` checks A.B = P at the same kind of point
-X = 256^w, but takes its values from closed forms in plain integers.
+X = 256^w, but takes its values from closed forms in plain integers, with
+w sized by the exact l1 norms of its nonnegative entries.
 """
 
 from __future__ import annotations

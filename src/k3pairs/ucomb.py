@@ -18,7 +18,16 @@ is generally not a polynomial); a failed division is a bug and raises
 InternalNonExactDivision.  ``matrix_entry``, the form the partition routes
 use, divides in linear time via the u-integer division trick in
 rings.UPoly.  ``verify_ab_identity`` builds no UPoly: it takes the same
-closed forms as integers at X = 256^w, dividing with one exact divmod.
+closed forms as integers at X = 256^w, all entries of a cell in one
+evaluation, dividing with one exact divmod.  Each B and P core is also a
+sum of two products of u-binomials,
+
+    B core = qbinom(k+l, l) + u^(k+l) qbinom(k+l-1, l-1)          (l >= 1)
+    P core = qbinom(n+l, n) qbinom(k+l-1, n-1)
+             + u^(n+l) qbinom(n+l-1, l) qbinom(k+l-1, n)            (n >= 1),
+
+so its coefficients are nonnegative and sum to ordinary binomials; the
+check sizes w from those sums.
 """
 
 from __future__ import annotations
@@ -184,68 +193,83 @@ def _values_at(width: int, size: int) -> tuple:
     return rep, tuple(rows)
 
 
-def _at_x(kind: str, i: int, j: int, n: int | None, width: int,
-          size: int) -> tuple:
-    """Entry (i, j) of A(n), B or P(n) at X = 256^width, as (e, f, g) with
-    value X^e * f * g.
+def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int) -> tuple:
+    """Every entry cell (i, j) of verify_ab_identity reads, at X = 256^width,
+    as (a, b, p); each entry is a triple (e, f, g) with value X^e * f * g.
 
-    A is returned as its two Gaussian binomials f = [i+l, n](X) and
-    g = [j, l](X); B and P as X^e times their core (f, with g = 1), the
-    core being one exact division of the numerator's value by [i+l](X)
-    or [n+l](X).  Needs size >= j and size >= n + l.
+    With m = i + 2t: a[n][t] = A(n)[i, m] as its two Gaussian binomials
+    f = [i+t, n](X) and g = [m, t](X); b[t] = B[m, j] and p[n] = P(n)[i, j]
+    as X^e times their core (f, with g = 1), the core being one exact
+    division of the numerator's value by [m+l'](X) (l' = (j - m)/2) or
+    [n+l](X).  Needs size >= j and size >= n_max + (j - i)/2.
     """
     rep, rows = _values_at(width, size)
-
-    def qbinom(big_n, k):
-        return rows[big_n][k] if 0 <= k <= big_n else 0
-
     l = (j - i) // 2
-    if kind == "A":
-        return 0, qbinom(i + l, n), qbinom(j, l)
-    if kind == "B":
-        if l == 0:
-            return 0, 1, 1
-        core, rest = divmod(rep[j] * qbinom(i + l, l), rep[i + l])
+    b = []
+    for t in range(l + 1):
+        m, lb = i + 2 * t, l - t
+        if lb == 0:
+            b.append((0, 1, 1))
+            continue
+        core, rest = divmod(rep[j] * rows[m + lb][lb], rep[m + lb])
         if rest:
-            raise InternalNonExactDivision(f"B entry ({i},{j})")
-        return l * (l - 1) // 2, -core if l % 2 else core, 1
-    if n == 0:
-        return 0, int(l == 0), 1
-    core, rest = divmod(rep[j] * qbinom(n + l, n) * qbinom(i + l - 1, n - 1),
-                        rep[n + l])
-    if rest:
-        raise InternalNonExactDivision(f"P({n}) entry ({i},{j})")
-    return l * l + l * (i - n), core, 1
+            raise InternalNonExactDivision(f"B entry ({m},{j})")
+        b.append((lb * (lb - 1) // 2, -core if lb % 2 else core, 1))
+    a = [[(0, rows[i + t][n] if n <= i + t else 0, rows[i + 2 * t][t])
+          for t in range(l + 1)] for n in range(n_max + 1)]
+    p = [(0, int(l == 0), 1)]
+    for n in range(1, n_max + 1):
+        e = l * l + l * (i - n)
+        if n > i + l:       # [i+l-1, n-1] = 0
+            p.append((e, 0, 1))
+            continue
+        core, rest = divmod(rep[j] * rows[n + l][n] * rows[i + l - 1][n - 1],
+                            rep[n + l])
+        if rest:
+            raise InternalNonExactDivision(f"P({n}) entry ({i},{j})")
+        p.append((e, core, 1))
+    return a, b, p
 
 
-def _bound(n: int, i: int, j: int) -> int:
-    """Closed-form bound on every coefficient of
-    D = sum_m A(n)[i, m] B[m, j] - P(n)[i, j]; see verify_ab_identity."""
+def _bounds(n_max: int, i: int, j: int) -> list:
+    """For each n <= n_max, sum_m A(n)[i, m](1) |B[m, j]|(1) + P(n)[i, j](1),
+    a bound on every coefficient of D = sum_m A(n)[i, m] B[m, j] - P(n)[i, j];
+    see verify_ab_identity."""
     l = (j - i) // 2
-    out = 1 if n == 0 else \
-        2 * j * comb(n + l, n) * (comb(i + l - 1, n - 1) if i + l else 0)
-    for m in range(i, j + 1, 2):
-        la, lb = (m - i) // 2, (j - m) // 2
-        out += comb(i + la, n) * comb(m, la) \
-            * (2 * j * comb(m + lb, lb) if lb else 1)
+    # per m = i + 2t: the top i+t of A's n-dependent factor [i+t, n](1), and
+    # the n-free rest [m, t](1) |B[m, j]|(1) = C(m, t) (C(m+l', l')
+    # + C(m+l'-1, l'-1)) with l' = l - t
+    terms = [(i + t, comb(i + 2 * t, t) * (comb(i + l + t, l - t) + (
+        comb(i + l + t - 1, l - t - 1) if t < l else 0)))
+        for t in range(l + 1)]
+    out = []
+    for n in range(n_max + 1):
+        if n == 0:
+            p = int(l == 0)         # P(0) is the identity
+        elif i + l == 0:
+            p = 0                   # [i+l-1, n-1] = [-1, n-1] = 0
+        else:
+            p = comb(n + l, n) * comb(i + l - 1, n - 1) \
+                + comb(n + l - 1, l) * comb(i + l - 1, n)
+        out.append(p + sum([comb(top, n) * w for top, w in terms]))
     return out
 
 
 def _width(n_max: int, i: int, j: int) -> int:
-    """Smallest byte width w with _bound(n, i, j) < 256^w / 2 for every
-    n <= n_max."""
-    bound = max(_bound(n, i, j) for n in range(n_max + 1))
-    return bound.bit_length() // 8 + 1
+    """Smallest byte width w with every bound of _bounds(n_max, i, j)
+    below 256^w / 2."""
+    return max(_bounds(n_max, i, j)).bit_length() // 8 + 1
 
 
 def verify_ab_identity(n_max: int, index_max: int) -> int:
     """Assert A(n).B == P(n) entrywise for 0 <= n <= n_max on the index
     square [0, index_max]; returns the number of entries checked.
 
-    Each cell (i, j) is checked on integers: every entry is evaluated at
-    X = 256^w from its closed form (``_at_x``), no polynomial is built,
-    and the cell passes when sum_m a(X) b(X) = p(X), both sides times the
-    same power of X.  This is exact for two reasons.
+    Each cell (i, j) is checked on integers: every entry it reads is
+    evaluated at X = 256^w from its closed form, in one call per cell
+    (``_cell_at_x``), no polynomial is built, and the cell passes when
+    sum_m a(X) b(X) = p(X), both sides times the same power of X.  This
+    is exact for two reasons.
 
     Polynomiality: the B and P cores lie in Z[u].  [N] is the product of
     the cyclotomic Phi_d over d | N, d > 1, each once, and Phi_d divides
@@ -259,22 +283,29 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     core(X) [m](X), so each core is one exact divmod by [m](X), and a
     nonzero remainder is a bug (InternalNonExactDivision).
 
-    Width: A has nonnegative coefficients, so its l1 norm is a(1).  A
-    quotient q = num/[m] with num >= 0 satisfies q (1 - u^m) =
-    num (1 - u), so every |q_k| <= |num (1 - u)|_1 <= 2 num(1).  So no
-    coefficient of D = sum_m A(n)[i, m] B[m, j] - P(n)[i, j] exceeds
-    sum_m a(1) 2 b_num(1) + 2 p_num(1), ordinary binomials only
-    (``_bound``; an entry equal to 1 counts 1).  ``_width`` is the
-    smallest w with that bound below X/2 for every n of the cell, so each
-    base-X digit of D lies in (-X/2, X/2), where digits are unique: D(X) = 0
-    only if D = 0.
+    Width: write [N, k] for [N choose k].  From [k+2l] = [k+l] +
+    u^{k+l} [l] and [l] [k+l, l] = [k+l] [k+l-1, l-1], the B core is
+    [k+l, l] + u^{k+l} [k+l-1, l-1].  From [k+2l] = [n+l] +
+    u^{n+l} [k+l-n], [k+l-n] [k+l-1, n-1] = [n] [k+l-1, n] and
+    [n] [n+l, n] = [n+l] [n+l-1, l], the P core (n >= 1) is
+    [n+l, n] [k+l-1, n-1] + u^{n+l} [n+l-1, l] [k+l-1, n].  So A, the
+    B cores and P have nonnegative coefficients, and each l1 norm is the
+    value at 1, a sum of products of ordinary binomials.  No coefficient
+    of D = sum_m A(n)[i, m] B[m, j] - P(n)[i, j] then exceeds
+    sum_m A(n)[i, m](1) |B[m, j]|(1) + P(n)[i, j](1) (``_bounds``).
+    ``_width`` is the smallest w with that bound below X/2 for every n of
+    the cell, so each base-X digit of D lies in (-X/2, X/2), where digits
+    are unique: D(X) = 0 only if D = 0.  The check still divides each
+    numerator as displayed; the two-term forms only size the digits.
 
     [k](X) and [N choose k](X) are cached per (w, size).  In a cell,
-    g B[m, j](X) is formed once for all n, as A(n)[i, m] = [i+l, n] g
-    with g = [m choose l].  Only on a failure is the UPoly difference
-    built, for the Mismatch location.  Raises ValueError for negative
-    bounds, and Mismatch with the failing row, column and lowest
-    differing doubled u-exponent.
+    g B[m, j](X) is formed once for all n, as A(n)[i, m] = [i+t, n] g
+    with g = [m, t], t = (m - i)/2.  Only on a failure is the UPoly
+    difference built, for the Mismatch location.  Raises ValueError for
+    negative bounds, and Mismatch with the failing n, row and column, plus
+    the lowest differing doubled u-exponent ``u2`` when the UPoly entries
+    differ too (when they agree, the fault is in the evaluation and there
+    is no such exponent).
     """
     if n_max < 0 or index_max < 0:
         raise ValueError(f"n_max and index_max must be >= 0 "
@@ -285,29 +316,24 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
         for j in range(i, index_max + 1, 2):
             width = _width(n_max, i, j)
             bits = 8 * width
-            ms = range(i, j + 1, 2)
-            bs = []
-            for m in ms:
-                e, f, g = _at_x("B", m, j, None, width, size)
-                bs.append((f * g) << bits * e)
-            # (m, g) -> g * B[m, j](X), keyed by the g that _at_x gives
+            a, b, p = _cell_at_x(n_max, i, j, width, size)
+            bs = [(f * g) << bits * e for e, f, g in b]
+            # (t, g) -> g * B[i + 2t, j](X), keyed by the g the cell gives
             gbs: dict = {}
-            for n in range(n_max + 1):
+            for n, (an, (e, f, g)) in enumerate(zip(a, p)):
                 acc = 0
-                for m, b in zip(ms, bs):
-                    e, f, g = _at_x("A", i, m, n, width, size)
-                    if f:
-                        gb = gbs.get((m, g))
+                for t, (ea, fa, ga) in enumerate(an):
+                    if fa:
+                        gb = gbs.get((t, ga))
                         if gb is None:
-                            gb = gbs[m, g] = g * b
-                        acc += (f * gb) << bits * e
-                e, f, g = _at_x("P", i, j, n, width, size)
+                            gb = gbs[t, ga] = ga * bs[t]
+                        acc += (fa * gb) << bits * ea
                 if acc << bits * max(-e, 0) != (f * g) << bits * max(e, 0):
                     diff = matrix_product_entry(n, i, j) \
                         - matrix_entry("P", i, j, n)
-                    raise Mismatch(
-                        f"A({n}).B differs from P({n})",
-                        {"row": i, "col": j,
-                         "u2": min(diff.c) if diff else 0})
+                    location = {"n": n, "row": i, "col": j}
+                    if diff:
+                        location["u2"] = min(diff.c)
+                    raise Mismatch(f"A({n}).B differs from P({n})", location)
                 checked += 1
     return checked

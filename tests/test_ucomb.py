@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from k3pairs.errors import Mismatch
 from k3pairs.rings import UPoly, kron_eval
-from k3pairs.ucomb import _at_x, _bound, _width, c_table, matrix_entry, \
-    matrix_product_entry, u_binomial, u_integer, verify_ab_identity
+from k3pairs.ucomb import _bounds, _cell_at_x, _width, c_table, \
+    matrix_entry, matrix_product_entry, u_binomial, u_integer, \
+    verify_ab_identity
 
 from ring_helpers import max_abs_int
 
@@ -101,6 +102,42 @@ def test_verify_ab_identity_small():
         verify_ab_identity(1, -1)
 
 
+def test_b_and_p_cores_are_two_nonnegative_products():
+    """The identities the width of verify_ab_identity rests on:
+    B core = [k+l, l] + u^{k+l} [k+l-1, l-1] and
+    P core = [n+l, n] [k+l-1, n-1] + u^{n+l} [n+l-1, l] [k+l-1, n],
+    both with nonnegative coefficients only."""
+    for k in range(32):
+        for l in range(1, 17):
+            core = u_binomial(k + l, l) \
+                + u_binomial(k + l - 1, l - 1).shift(2 * (k + l))
+            assert all(v > 0 for v in core.c.values()), (k, l)
+            core = core.shift(l * (l - 1))
+            assert matrix_entry("B", k, k + 2 * l) \
+                == (-core if l % 2 else core), (k, l)
+            for n in range(1, 7):
+                core = u_binomial(n + l, n) * u_binomial(k + l - 1, n - 1) \
+                    + (u_binomial(n + l - 1, l) * u_binomial(k + l - 1, n)) \
+                    .shift(2 * (n + l))
+                assert all(v > 0 for v in core.c.values()), (n, k, l)
+                assert matrix_entry("P", k, k + 2 * l, n) \
+                    == core.shift(2 * (l * l + l * (k - n))), (n, k, l)
+
+
+def _map_cell(real, fn):
+    """The per-cell evaluator ``real`` with fn(entry, value, width) applied
+    to each value it returns, entry being (kind, i, j, n) as matrix_entry
+    takes it."""
+    def cell(n_max, i, j, width, size):
+        a, b, p = real(n_max, i, j, width, size)
+        ms = range(i, j + 1, 2)
+        return ([[fn(("A", i, m, n), v, width) for m, v in zip(ms, row)]
+                 for n, row in enumerate(a)],
+                [fn(("B", m, j, None), v, width) for m, v in zip(ms, b)],
+                [fn(("P", i, j, n), v, width) for n, v in enumerate(p)])
+    return cell
+
+
 def _plus(sign, d):
     """A lie adding sign * X^d to an (e, f, g) value X^e * f * g."""
     def lie(value, width):
@@ -111,69 +148,90 @@ def _plus(sign, d):
 
 
 @pytest.mark.parametrize(
-    "lie, entry, row, col",
-    [(_plus(1, 0), ("P", 1, 3, 1), 1, 3),
+    "lie, entry, n, row, col",
+    [(_plus(1, 0), ("P", 1, 3, 1), 1, 1, 3),
      (_plus(-1, max(matrix_entry("P", 2, 4, 1).c) // 2), ("P", 2, 4, 1),
-      2, 4),
-     (_plus(1, 1), ("A", 1, 3, 1), 1, 3),
-     (_plus(1, 1), ("B", 2, 4, None), 0, 4)],
+      1, 2, 4),
+     (_plus(1, 1), ("A", 1, 3, 1), 1, 1, 3),
+     (_plus(1, 1), ("B", 2, 4, None), 0, 0, 4)],
     ids=["p-constant-plus-one", "p-top-minus-one", "a-plus-u", "b-plus-u"],
 )
-def test_verify_ab_identity_catches_lies(monkeypatch, lie, entry, row, col):
+def test_verify_ab_identity_catches_lies(monkeypatch, lie, entry, n, row,
+                                         col):
+    """A lie in one evaluated entry fails the first cell that reads it.
+    The closed forms themselves agree, so the location has no u2."""
     import k3pairs.ucomb as uc
-    real = uc._at_x
-
-    def liar(kind, i, j, n, width, size):
-        out = real(kind, i, j, n, width, size)
-        return lie(out, width) if (kind, i, j, n) == entry else out
-
-    monkeypatch.setattr(uc, "_at_x", liar)
+    monkeypatch.setattr(uc, "_cell_at_x", _map_cell(
+        uc._cell_at_x,
+        lambda key, v, width: lie(v, width) if key == entry else v))
     with pytest.raises(Mismatch) as err:
         uc.verify_ab_identity(1, 4)
-    assert err.value.location["row"] == row
-    assert err.value.location["col"] == col
+    assert err.value.location == {"n": n, "row": row, "col": col}
+
+
+def test_verify_ab_identity_locates_a_difference_of_the_closed_forms(
+        monkeypatch):
+    """When the UPoly product route differs too, the location adds the
+    lowest differing doubled u-exponent."""
+    import k3pairs.ucomb as uc
+    entry = ("P", 1, 3, 1)
+    monkeypatch.setattr(uc, "_cell_at_x", _map_cell(
+        uc._cell_at_x,
+        lambda key, v, width: _plus(1, 1)(v, width) if key == entry else v))
+    real = uc.matrix_entry
+
+    def plus_u(kind, i, j, n=None):
+        out = real(kind, i, j, n)
+        return out + U({2: 1}) if (kind, i, j, n) == entry else out
+
+    monkeypatch.setattr(uc, "matrix_entry", plus_u)
+    with pytest.raises(Mismatch) as err:
+        uc.verify_ab_identity(1, 4)
+    assert err.value.location == {"n": 1, "row": 1, "col": 3, "u2": 2}
 
 
 def test_verify_ab_identity_reads_values_not_factors(monkeypatch):
-    """The check uses X^e * f * g whatever split _at_x returns: A as one
-    factor from n = 1 on, B with f and g swapped, and P with one power of
-    X as f and its core as g."""
+    """The check uses X^e * f * g whatever split the cell evaluator
+    returns: A as one factor from n = 1 on, B with f and g swapped, and P
+    with one power of X as f and its core as g."""
     import k3pairs.ucomb as uc
-    real = uc._at_x
 
-    def refactored(kind, i, j, n, width, size):
-        e, f, g = real(kind, i, j, n, width, size)
-        if kind == "A":
-            return (e, f * g, 1) if n else (e, f, g)
-        if kind == "B":
+    def refactored(entry, value, width):
+        e, f, g = value
+        if entry[0] == "A":
+            return (e, f * g, 1) if entry[3] else (e, f, g)
+        if entry[0] == "B":
             return e, g, f
         return e - 1, 1 << 8 * width, f * g
 
-    monkeypatch.setattr(uc, "_at_x", refactored)
+    monkeypatch.setattr(uc, "_cell_at_x", _map_cell(uc._cell_at_x,
+                                                    refactored))
     assert uc.verify_ab_identity(3, 10) == 4 * 36
 
 
 def test_values_at_x_match_the_upoly_oracle():
     """Each A, B, P value verify_ab_identity uses equals the UPoly entry
-    evaluated by kron_eval at the cell's width, and the closed-form bound
-    covers the bound read off the built polynomials and stays below X/2."""
+    evaluated by kron_eval at the cell's width; the closed-form bound is
+    sum_m A(1) |B|(1) + P(1) read off the built entries, the largest
+    coefficient of sum_m A |B| + P, built in UPoly, is at most the bound,
+    and the bound stays below X/2."""
     n_max, index_max = 3, 12
     for i in range(index_max + 1):
         for j in range(i, index_max + 1, 2):
             width = _width(n_max, i, j)
+            bounds = _bounds(n_max, i, j)
+            oracle = _map_cell(_cell_at_x, lambda entry, v, w: (entry, v))
+            a, b, p = oracle(n_max, i, j, width, index_max)
             for n in range(n_max + 1):
-                target = matrix_entry("P", i, j, n)
-                built = max_abs_int(target)
-                entries = [("P", i, j, n)]
+                total = matrix_entry("P", i, j, n)
                 for m in range(i, j + 1, 2):
-                    a, b = matrix_entry("A", i, m, n), matrix_entry("B", m, j)
-                    if a and b:
-                        built += (max_abs_int(a) * max_abs_int(b)
-                                  * min(len(a.c), len(b.c)))
-                    entries += [("A", i, m, n), ("B", m, j, None)]
-                assert built <= _bound(n, i, j) < 1 << 8 * width - 1, (n, i, j)
-                for entry in entries:
-                    e, f, g = _at_x(*entry, width, index_max)
+                    bm = matrix_entry("B", m, j)
+                    total += matrix_entry("A", i, m, n) \
+                        * UPoly({k: abs(v) for k, v in bm.c.items()})
+                assert total.eval_one() == bounds[n], (n, i, j)
+                assert max_abs_int(total) <= bounds[n] \
+                    < 1 << 8 * width - 1, (n, i, j)
+                for entry, (e, f, g) in a[n] + b + [p[n]]:
                     poly = matrix_entry(*entry)
                     lo = min([e] + [k // 2 for k in poly.c])
                     assert (f * g) << 8 * width * (e - lo) \
