@@ -69,8 +69,8 @@ class RunConfig:
         if self.vorder < 0:
             raise ValueError(f"vorder must be >= 0 (got {self.vorder})")
         if self.command == "verify":
-            check_bounds(self.suite, self.n, self.qorder, self.vorder,
-                         self.cutoff)
+            check_bounds(self.suite, self.n, self.qorder, self.ywin,
+                         self.vorder, self.cutoff)
         if self.vmax < 0:
             raise ValueError(f"vmax must be >= 0 (got {self.vmax})")
         if self.weight_bound < 0:

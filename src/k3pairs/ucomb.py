@@ -18,9 +18,10 @@ is generally not a polynomial); a failed division is a bug and raises
 InternalNonExactDivision.  ``matrix_entry``, the form the partition routes
 use, divides in linear time via the u-integer division trick in
 rings.UPoly.  ``verify_ab_identity`` builds no UPoly: it takes the same
-closed forms as integers at X = 256^w, all entries of a cell in one
-evaluation, dividing with one exact divmod.  Each B and P core is also a
-sum of two products of u-binomials,
+closed forms as integers at X = 256^w, column by column, dividing with
+one exact divmod: each P core once per cell, each B core once per width
+and column.  Each B and P core is also a sum of two products of
+u-binomials,
 
     B core = qbinom(k+l, l) + u^(k+l) qbinom(k+l-1, l-1)          (l >= 1)
     P core = qbinom(n+l, n) qbinom(k+l-1, n-1)
@@ -77,7 +78,7 @@ def _entry_B(k: int, l: int) -> UPoly:
     if l == 0:
         return UPoly.one()
     try:
-        core = (u_integer(k + 2 * l) * u_binomial(k + l, l)) \
+        core = u_binomial(k + l, l).mul_u_integer(k + 2 * l) \
             .div_u_integer(k + l)
     except NotDivisible as e:  # pragma: no cover - contract guarantee
         raise InternalNonExactDivision(f"B entry ({k},{k + 2 * l})") from e
@@ -88,8 +89,8 @@ def _entry_B(k: int, l: int) -> UPoly:
 def _entry_P(n: int, k: int, l: int) -> UPoly:
     if n == 0:
         return UPoly.one() if l == 0 else UPoly.zero()
-    num = u_integer(k + 2 * l) * u_binomial(n + l, n) \
-        * u_binomial(k + l - 1, n - 1)
+    num = (u_binomial(n + l, n) * u_binomial(k + l - 1, n - 1)) \
+        .mul_u_integer(k + 2 * l)
     if not num:
         return UPoly.zero()
     try:
@@ -193,41 +194,53 @@ def _values_at(width: int, size: int) -> tuple:
     return rep, tuple(rows)
 
 
-def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int) -> tuple:
-    """Every entry cell (i, j) of verify_ab_identity reads, at X = 256^width,
-    as (a, b, p); each entry is a triple (e, f, g) with value X^e * f * g.
+def _b_at_x(m: int, j: int, width: int, size: int) -> tuple:
+    """B[m, j](X) for m < j at X = 256^width, as (e, v) with value X^e v:
+    the core v is one exact division of the numerator's value by
+    [m+l'](X), l' = (j - m)/2, and e = l'(l'-1)/2.  Needs size >= j."""
+    rep, rows = _values_at(width, size)
+    lb = (j - m) // 2
+    core, rest = divmod(rep[j] * rows[m + lb][lb], rep[m + lb])
+    if rest:
+        raise InternalNonExactDivision(f"B entry ({m},{j})")
+    return lb * (lb - 1) // 2, -core if lb % 2 else core
 
-    With m = i + 2t: a[n][t] = A(n)[i, m] as its two Gaussian binomials
-    f = [i+t, n](X) and g = [m, t](X); b[t] = B[m, j] and p[n] = P(n)[i, j]
-    as X^e times their core (f, with g = 1), the core being one exact
-    division of the numerator's value by [m+l'](X) (l' = (j - m)/2) or
-    [n+l](X).  Needs size >= j and size >= n_max + (j - i)/2.
+
+def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int,
+               bcol: dict) -> tuple:
+    """Every entry cell (i, j) of verify_ab_identity reads, at X = 256^width,
+    as (a, b, p).  With m = i + 2t:
+
+    a[t] = (top, g): A(n)[i, m](X) = top[n] g, where top is the binomial
+    row [i+t, *](X), read for n <= i+t only ([i+t, n] = 0 beyond), and
+    g = [m, t](X);
+    b[t] = (e, v): B[m, j](X) = X^e v, taken from bcol, the column's
+    table keyed by (width, m), and divided by _b_at_x on a miss;
+    p[n] = (e, v): P(n)[i, j](X) = X^e v, the core v being one exact
+    division of the numerator's value by [n+l](X).
+
+    Needs size >= j and size >= n_max + (j - i)/2.
     """
     rep, rows = _values_at(width, size)
     l = (j - i) // 2
+    a = [(rows[i + t], rows[i + 2 * t][t]) for t in range(l + 1)]
     b = []
-    for t in range(l + 1):
-        m, lb = i + 2 * t, l - t
-        if lb == 0:
-            b.append((0, 1, 1))
-            continue
-        core, rest = divmod(rep[j] * rows[m + lb][lb], rep[m + lb])
-        if rest:
-            raise InternalNonExactDivision(f"B entry ({m},{j})")
-        b.append((lb * (lb - 1) // 2, -core if lb % 2 else core, 1))
-    a = [[(0, rows[i + t][n] if n <= i + t else 0, rows[i + 2 * t][t])
-          for t in range(l + 1)] for n in range(n_max + 1)]
-    p = [(0, int(l == 0), 1)]
+    for m in range(i, j, 2):
+        if (width, m) not in bcol:
+            bcol[width, m] = _b_at_x(m, j, width, size)
+        b.append(bcol[width, m])
+    b.append((0, 1))        # B[j, j] = 1
+    p = [(0, int(l == 0))]
     for n in range(1, n_max + 1):
         e = l * l + l * (i - n)
         if n > i + l:       # [i+l-1, n-1] = 0
-            p.append((e, 0, 1))
+            p.append((e, 0))
             continue
         core, rest = divmod(rep[j] * rows[n + l][n] * rows[i + l - 1][n - 1],
                             rep[n + l])
         if rest:
             raise InternalNonExactDivision(f"P({n}) entry ({i},{j})")
-        p.append((e, core, 1))
+        p.append((e, core))
     return a, b, p
 
 
@@ -271,6 +284,13 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     sum_m a(X) b(X) = p(X), both sides times the same power of X.  This
     is exact for two reasons.
 
+    Cells go column by column, j outer and i inner.  B[m, j](X) is read
+    by every cell (i, j) with i <= m, so each column keeps a table of
+    its B values keyed by (w, m), dropped after the column: each B core
+    is divided once per (w, m, j) of the run (359 times at (5, 31),
+    where cells read B[m, j] with m < j 1,360 times).  The key holds w
+    because one column can mix widths.
+
     Polynomiality: the B and P cores lie in Z[u].  [N] is the product of
     the cyclotomic Phi_d over d | N, d > 1, each once, and Phi_d divides
     [N choose k] when floor(N/d) > floor(k/d) + floor((N-k)/d).  For B,
@@ -298,11 +318,17 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     are unique: D(X) = 0 only if D = 0.  The check still divides each
     numerator as displayed; the two-term forms only size the digits.
 
-    [k](X) and [N choose k](X) are cached per (w, size).  In a cell,
-    g B[m, j](X) is formed once for all n, as A(n)[i, m] = [i+t, n] g
-    with g = [m, t], t = (m - i)/2.  Only on a failure is the UPoly
-    difference built, for the Mismatch location.  Raises ValueError for
-    negative bounds, and Mismatch with the failing n, row and column, plus
+    [k](X) and [N choose k](X) are cached per (w, size), and A is read
+    straight off those binomial rows.  In a cell, g B[m, j](X) is formed
+    once for all n, as A(n)[i, m] = [i+t, n] g with g = [m, t],
+    t = (m - i)/2; it leaves out B's factor X^e, so each product
+    [i+t, n] g v is shifted instead of multiplying e zero digits, and
+    the terms with [i+t, n] = 0, t < n - i, are left out of the loop
+    range.
+
+    Only on a failure is the UPoly difference built, for the Mismatch
+    location.  Raises ValueError for negative bounds, and Mismatch at the
+    first failing cell in column order with its n, row and column, plus
     the lowest differing doubled u-exponent ``u2`` when the UPoly entries
     differ too (when they agree, the fault is in the evaluation and there
     is no such exponent).
@@ -312,23 +338,21 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
                          f"(got {n_max}, {index_max})")
     size = max(index_max, n_max + index_max // 2)
     checked = 0
-    for i in range(index_max + 1):
-        for j in range(i, index_max + 1, 2):
+    for j in range(index_max + 1):
+        bcol: dict = {}     # B[m, j](X) by (width, m), for this column only
+        for i in range(j % 2, j + 1, 2):
             width = _width(n_max, i, j)
             bits = 8 * width
-            a, b, p = _cell_at_x(n_max, i, j, width, size)
-            bs = [(f * g) << bits * e for e, f, g in b]
-            # (t, g) -> g * B[i + 2t, j](X), keyed by the g the cell gives
-            gbs: dict = {}
-            for n, (an, (e, f, g)) in enumerate(zip(a, p)):
+            a, b, p = _cell_at_x(n_max, i, j, width, size, bcol)
+            tops = [top for top, _ in a]
+            # g B[m, j](X) without its X^e, and the shift by X^e
+            gbs = [(g * v, bits * e) for (_, g), (e, v) in zip(a, b)]
+            for n, (e, v) in enumerate(p):
                 acc = 0
-                for t, (ea, fa, ga) in enumerate(an):
-                    if fa:
-                        gb = gbs.get((t, ga))
-                        if gb is None:
-                            gb = gbs[t, ga] = ga * bs[t]
-                        acc += (fa * gb) << bits * ea
-                if acc << bits * max(-e, 0) != (f * g) << bits * max(e, 0):
+                for t in range(max(n - i, 0), len(a)):
+                    gb, shift = gbs[t]
+                    acc += (tops[t][n] * gb) << shift
+                if acc << bits * max(-e, 0) != v << bits * max(e, 0):
                     diff = matrix_product_entry(n, i, j) \
                         - matrix_entry("P", i, j, n)
                     location = {"n": n, "row": i, "col": j}

@@ -155,19 +155,36 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
     return checks
 
 
-def check_bounds(suite: str, n: int, qorder: int, vorder: int,
+def check_bounds(suite: str, n: int, qorder: int, ywin: int, vorder: int,
                  cutoff: int) -> None:
     """Raise ValueError naming the first bound under which some check of a
     run of ``suite`` would compare nothing (or fail to start).  The
     log-product checks of the modularity suite compare q^0 cells that are
     zero on both sides, and the kernel checks of the theta suite compare
-    the window [1, qorder), so both need qorder >= 2."""
+    the window [1, qorder), so both need qorder >= 2.  The route and
+    duality checks at rank (n, r) compare the lattice terms (p, l) with
+    p >= n - r, l >= r, pl < qorder and |p - l| <= ywin, so each rank
+    needs one."""
     q_least = 2 if suite in ("theta", "modularity", "all") else 1
     for name, value, least in (("rank n", n, 1),
                                ("qorder", qorder, q_least),
                                ("vorder", vorder, 1), ("cutoff", cutoff, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least} (got {value})")
+    if suite not in ("routes", "duality", "all"):
+        return
+    if ywin < 0:
+        raise ValueError(f"ywin must be >= 0 (got {ywin})")
+    # the lowest lattice term of each rank: p and l at their least with
+    # |p - l| <= ywin
+    lowest = {(nn, rr): max(nn - rr, rr - ywin) * max(rr, nn - rr - ywin)
+              for nn in range(1, n + 1) for rr in range(nn + 1)}
+    empty = [rank for rank, qe in lowest.items() if qe >= qorder]
+    if empty:
+        raise ValueError(
+            f"qorder must be >= {max(lowest.values()) + 1} at ywin {ywin} "
+            f"(got {qorder}): rank {empty[0]} has no lattice term below "
+            f"q^{qorder}, so its route and duality checks compare nothing")
 
 
 def run_suite(suite: str, n: int = 2, qorder: int = 10, ywin: int = 8,
@@ -182,7 +199,7 @@ def run_suite(suite: str, n: int = 2, qorder: int = 10, ywin: int = 8,
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of "
                          + ", ".join(SUITES))
-    check_bounds(suite, n, qorder, vorder, cutoff)
+    check_bounds(suite, n, qorder, ywin, vorder, cutoff)
     results = []
     for group, name, thunk in _build_checks(suite, n, qorder, ywin, vorder,
                                             cutoff):

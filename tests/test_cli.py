@@ -12,6 +12,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -114,10 +115,11 @@ def test_rank_zero_is_config_error(capsys, argv):
      (["--suite", "modularity", "--vorder", "0"], "vorder"),
      (["--suite", "modularity", "--qorder", "0"], "qorder"),
      (["--suite", "modularity", "--qorder", "1"], "qorder"),
-     (["--suite", "all", "--qorder", "1"], "qorder")],
+     (["--suite", "all", "--qorder", "1"], "qorder"),
+     (["--suite", "routes", "--ywin", "-1"], "ywin")],
     ids=["ucomb-cutoff", "theta-qorder", "theta-qorder-1",
          "modularity-vorder", "modularity-qorder", "modularity-qorder-1",
-         "all-qorder-1"],
+         "all-qorder-1", "routes-ywin-negative"],
 )
 def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
                                                             flag):
@@ -128,6 +130,43 @@ def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
     assert "Traceback" not in err
     with pytest.raises(ValueError, match=flag):
         run_suite(argv[1], **{flag: int(argv[3])})
+
+
+@pytest.mark.parametrize(
+    "argv, rank, need",
+    [(["--suite", "routes", "--n", "4", "--qorder", "4"], (4, 2), 5),
+     (["--suite", "duality", "--n", "4", "--qorder", "4"], (4, 2), 5),
+     (["--suite", "all", "--n", "4", "--qorder", "4"], (4, 2), 5),
+     (["--suite", "routes", "--n", "1", "--qorder", "1", "--ywin", "0"],
+      (1, 0), 2),
+     (["--suite", "routes", "--n", "4", "--qorder", "4", "--ywin", "1"],
+      (3, 0), 13)],
+    ids=["routes-n4-qorder-4", "duality-n4-qorder-4", "all-n4-qorder-4",
+         "routes-n1-qorder-1-ywin-0", "routes-n4-qorder-4-ywin-1"],
+)
+def test_verify_rank_whose_routes_are_empty_is_config_error(capsys, argv,
+                                                            rank, need):
+    """A rank with no lattice term p >= n - r, l >= r, pl < qorder,
+    |p - l| <= ywin leaves all three routes empty, so its route and
+    duality checks would compare nothing: the run exits 2 naming the
+    first such rank and the least qorder that gives every rank a term
+    (at ywin 1, rank (4, 0) needs more than the first empty one)."""
+    from k3pairs.partition import g_closed, g_via_kernels, g_via_matrices
+
+    opts = dict(zip(argv[::2], argv[1::2]))
+    suite, n = opts["--suite"], int(opts["--n"])
+    qorder, ywin = int(opts["--qorder"]), int(opts.get("--ywin", 8))
+    code, out, err = _run(capsys, ["verify"] + argv)
+    assert code == 2
+    assert out == ""
+    assert f"qorder must be >= {need} at ywin {ywin} (got {qorder})" in err
+    assert f"rank {rank} has no lattice term" in err
+    assert "Traceback" not in err
+    for route in (g_closed, g_via_kernels, g_via_matrices):
+        assert not any(route(*rank, qorder, ywin).coeffs), route.__name__
+    with pytest.raises(ValueError, match=re.escape(f"rank {rank}")):
+        run_suite(suite, n=n, qorder=qorder, ywin=ywin)
+    assert run_suite(suite, n=n, qorder=need, ywin=ywin)["ok"]
 
 
 @pytest.mark.parametrize(

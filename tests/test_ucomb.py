@@ -126,24 +126,33 @@ def test_b_and_p_cores_are_two_nonnegative_products():
 
 def _map_cell(real, fn):
     """The per-cell evaluator ``real`` with fn(entry, value, width) applied
-    to each value it returns, entry being (kind, i, j, n) as matrix_entry
-    takes it."""
-    def cell(n_max, i, j, width, size):
-        a, b, p = real(n_max, i, j, width, size)
+    to each value it returns: entry is ("A", i, m) for the pair (top, g)
+    of A(n)[i, m] over all n, and (kind, i, j, n) as matrix_entry takes
+    it for the (e, v) of B and P."""
+    def cell(n_max, i, j, width, size, bcol):
+        a, b, p = real(n_max, i, j, width, size, bcol)
         ms = range(i, j + 1, 2)
-        return ([[fn(("A", i, m, n), v, width) for m, v in zip(ms, row)]
-                 for n, row in enumerate(a)],
+        return ([fn(("A", i, m), v, width) for m, v in zip(ms, a)],
                 [fn(("B", m, j, None), v, width) for m, v in zip(ms, b)],
                 [fn(("P", i, j, n), v, width) for n, v in enumerate(p)])
     return cell
 
 
 def _plus(sign, d):
-    """A lie adding sign * X^d to an (e, f, g) value X^e * f * g."""
+    """A lie adding sign * X^d to an (e, v) value X^e * v."""
     def lie(value, width):
-        e, f, g = value
+        e, v = value
         lo, bits = min(e, d), 8 * width
-        return lo, ((f * g) << bits * (e - lo)) + (sign << bits * (d - lo)), 1
+        return lo, (v << bits * (e - lo)) + (sign << bits * (d - lo))
+    return lie
+
+
+def _top_plus(n, sign, d):
+    """A lie adding sign * X^d to the factor [i+t, n](X) of A(n)[i, i+2t],
+    leaving A at every other n as it is."""
+    def lie(value, width):
+        top, g = value
+        return top[:n] + (top[n] + (sign << 8 * width * d),) + top[n + 1:], g
     return lie
 
 
@@ -152,14 +161,15 @@ def _plus(sign, d):
     [(_plus(1, 0), ("P", 1, 3, 1), 1, 1, 3),
      (_plus(-1, max(matrix_entry("P", 2, 4, 1).c) // 2), ("P", 2, 4, 1),
       1, 2, 4),
-     (_plus(1, 1), ("A", 1, 3, 1), 1, 1, 3),
+     (_top_plus(1, 1, 1), ("A", 1, 3), 1, 1, 3),
      (_plus(1, 1), ("B", 2, 4, None), 0, 0, 4)],
     ids=["p-constant-plus-one", "p-top-minus-one", "a-plus-u", "b-plus-u"],
 )
 def test_verify_ab_identity_catches_lies(monkeypatch, lie, entry, n, row,
                                          col):
-    """A lie in one evaluated entry fails the first cell that reads it.
-    The closed forms themselves agree, so the location has no u2."""
+    """A lie in one evaluated entry fails the first cell that reads it;
+    the A lie adds u to the factor [2, 1] of A(1)[1, 3] only.  The closed
+    forms themselves agree, so the location has no u2."""
     import k3pairs.ucomb as uc
     monkeypatch.setattr(uc, "_cell_at_x", _map_cell(
         uc._cell_at_x,
@@ -191,22 +201,45 @@ def test_verify_ab_identity_locates_a_difference_of_the_closed_forms(
 
 
 def test_verify_ab_identity_reads_values_not_factors(monkeypatch):
-    """The check uses X^e * f * g whatever split the cell evaluator
-    returns: A as one factor from n = 1 on, B with f and g swapped, and P
-    with one power of X as f and its core as g."""
+    """The check uses each entry's value whatever split the cell evaluator
+    returns: A off the diagonal with g folded into its row, B with one
+    power of X moved from e into v where e >= 1, and P with one power
+    moved everywhere, so with e < 0 where l = 0."""
     import k3pairs.ucomb as uc
 
     def refactored(entry, value, width):
-        e, f, g = value
         if entry[0] == "A":
-            return (e, f * g, 1) if entry[3] else (e, f, g)
-        if entry[0] == "B":
-            return e, g, f
-        return e - 1, 1 << 8 * width, f * g
+            top, g = value
+            return (tuple(f * g for f in top), 1) if entry[2] > entry[1] \
+                else value
+        e, v = value
+        if entry[0] == "B" and e < 1:
+            return value
+        return e - 1, v << 8 * width
 
     monkeypatch.setattr(uc, "_cell_at_x", _map_cell(uc._cell_at_x,
                                                     refactored))
     assert uc.verify_ab_identity(3, 10) == 4 * 36
+
+
+def test_each_b_core_is_divided_once_per_width_and_column(monkeypatch):
+    """verify_ab_identity divides B[m, j] once per distinct (width, m, j)
+    of the run: 359 times at (5, 31), where its cells read a B[m, j] with
+    m < j 1,360 times."""
+    import k3pairs.ucomb as uc
+    real, calls = uc._b_at_x, []
+
+    def spy(m, j, width, size):
+        calls.append((width, m, j))
+        return real(m, j, width, size)
+
+    monkeypatch.setattr(uc, "_b_at_x", spy)
+    assert uc.verify_ab_identity(5, 31) == 1632
+    reads = [(_width(5, i, j), m, j) for i in range(32)
+             for j in range(i, 32, 2) for m in range(i, j, 2)]
+    assert len(reads) == 1360
+    assert sorted(calls) == sorted(set(reads))
+    assert len(calls) == 359
 
 
 def test_values_at_x_match_the_upoly_oracle():
@@ -214,14 +247,24 @@ def test_values_at_x_match_the_upoly_oracle():
     evaluated by kron_eval at the cell's width; the closed-form bound is
     sum_m A(1) |B|(1) + P(1) read off the built entries, the largest
     coefficient of sum_m A |B| + P, built in UPoly, is at most the bound,
-    and the bound stays below X/2."""
+    and the bound stays below X/2.  Cells go in the check's column order,
+    sharing each column's B table.  The cells of columns 6, 7, 8, 11 and
+    12 mix two widths, and the B tables of 6, 11 and 12 do, so a table
+    that ignores the width fails here."""
     n_max, index_max = 3, 12
-    for i in range(index_max + 1):
-        for j in range(i, index_max + 1, 2):
+    oracle = _map_cell(_cell_at_x, lambda entry, v, w: (entry, v))
+    mixed, mixed_b = set(), set()
+    for j in range(index_max + 1):
+        bcol: dict = {}
+        widths = [_width(n_max, i, j) for i in range(j % 2, j + 1, 2)]
+        if len(set(widths)) > 1:
+            mixed.add(j)
+        if len(set(widths[:-1])) > 1:     # the cells with m < j
+            mixed_b.add(j)
+        for i in range(j % 2, j + 1, 2):
             width = _width(n_max, i, j)
             bounds = _bounds(n_max, i, j)
-            oracle = _map_cell(_cell_at_x, lambda entry, v, w: (entry, v))
-            a, b, p = oracle(n_max, i, j, width, index_max)
+            a, b, p = oracle(n_max, i, j, width, index_max, bcol)
             for n in range(n_max + 1):
                 total = matrix_entry("P", i, j, n)
                 for m in range(i, j + 1, 2):
@@ -231,11 +274,16 @@ def test_values_at_x_match_the_upoly_oracle():
                 assert total.eval_one() == bounds[n], (n, i, j)
                 assert max_abs_int(total) <= bounds[n] \
                     < 1 << 8 * width - 1, (n, i, j)
-                for entry, (e, f, g) in a[n] + b + [p[n]]:
+                values = [((kind, i, m, n), (0, top[n] * g if n < len(top)
+                                             else 0))
+                          for (kind, i, m), (top, g) in a]
+                for entry, (e, v) in values + b + [p[n]]:
                     poly = matrix_entry(*entry)
                     lo = min([e] + [k // 2 for k in poly.c])
-                    assert (f * g) << 8 * width * (e - lo) \
+                    assert v << 8 * width * (e - lo) \
                         == kron_eval(poly.c, 2 * lo, 2, width), (entry, width)
+    assert mixed == {6, 7, 8, 11, 12}
+    assert mixed_b == {6, 11, 12}
 
 
 def test_c_table_frozen_levels():
