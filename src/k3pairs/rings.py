@@ -19,14 +19,16 @@ whose keys are pairs, keeps its own:
   callers that want a y-window truncate where they make the terms, or
   with ``restrict``.
 
-``kron_eval`` and ``kron_digits`` are the package's one Kronecker kernel:
-an int-coefficient exponent dict evaluated as one signed big integer at
-X = 256^w, and the base-X digits of such an integer, read with a bias of
-X/2 per digit.  The round trip is exact when every digit lies below X/2
-in absolute value.  ``theta`` packs each cell of its product kernels this
-way; ``ucomb.verify_ab_identity`` checks A.B = P at the same kind of point
-X = 256^w, but takes its values from closed forms in plain integers, with
-w sized by the exact l1 norms of its nonnegative entries.
+``kron_digits`` reads a signed big integer back as its base-X digits at
+X = 256^w, with a bias of X/2 per digit; it is exact when every digit
+lies below X/2 in absolute value.  ``theta`` packs each cell of its
+product kernels as such an integer, built in place by its factor
+recurrences, and reads the cells back with it.
+``ucomb.verify_ab_identity`` checks A.B = P at the same kind of point
+X = 256^w, but never reads digits back: it takes its values from closed
+forms in plain integers, sums A.B by Horner's rule in the q-Pascal step,
+and sizes w by the exact l1 norms of its nonnegative entries, so one
+integer comparison per entry decides.
 """
 
 from __future__ import annotations
@@ -41,25 +43,9 @@ from .scalars import fraction_str
 __all__ = ["UPoly", "TTPoly", "YPoly", "Monomial"]
 
 
-def kron_eval(c: dict, emin: int, step: int, width: int) -> int:
-    """The exact signed integer sum v * X^((e - emin) / step) at X = 256^width.
-
-    ``c`` maps exponents on the grid emin + step*k (k >= 0) to int
-    coefficients, each of absolute value below 256^width.
-    """
-    slots = (max(c, default=emin) - emin) // step + 1
-    pos, neg = bytearray(slots * width), bytearray(slots * width)
-    for e, v in c.items():
-        off = (e - emin) // step * width
-        if v > 0:
-            pos[off:off + width] = v.to_bytes(width, "little")
-        else:
-            neg[off:off + width] = (-v).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
-    """Inverse of :func:`kron_eval`: the nonzero base-X digits of n.
+    """The nonzero base-X digits of n at X = 256^width, as a map from the
+    exponent emin + step*s of digit s to its value.
 
     Exact when every digit has absolute value below X/2: adding X/2 to each
     of the ``slots`` digits makes them all lie in [0, X), where base-X

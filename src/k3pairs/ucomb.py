@@ -20,8 +20,10 @@ use, divides in linear time via the u-integer division trick in
 rings.UPoly.  ``verify_ab_identity`` builds no UPoly: it takes the same
 closed forms as integers at X = 256^w, column by column, dividing with
 one exact divmod: each P core once per cell, each B core once per width
-and column.  Each B and P core is also a sum of two products of
-u-binomials,
+and column.  It sums A(n).B for every n of a cell at once, by Horner's
+rule in the q-Pascal step that takes one binomial row to the next, so
+with one multiply per term of the sum, not per term and n.  Each B and
+P core is also a sum of two products of u-binomials,
 
     B core = qbinom(k+l, l) + u^(k+l) qbinom(k+l-1, l-1)          (l >= 1)
     P core = qbinom(n+l, n) qbinom(k+l-1, n-1)
@@ -211,9 +213,8 @@ def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int,
     """Every entry cell (i, j) of verify_ab_identity reads, at X = 256^width,
     as (a, b, p).  With m = i + 2t:
 
-    a[t] = (top, g): A(n)[i, m](X) = top[n] g, where top is the binomial
-    row [i+t, *](X), read for n <= i+t only ([i+t, n] = 0 beyond), and
-    g = [m, t](X);
+    a[t] = g = [m, t](X), the n-free factor of A(n)[i, m] = [i+t, n] g;
+    the factor [i+t, n](X) is left to _ab_at_x;
     b[t] = (e, v): B[m, j](X) = X^e v, taken from bcol, the column's
     table keyed by (width, m), and divided by _b_at_x on a miss;
     p[n] = (e, v): P(n)[i, j](X) = X^e v, the core v being one exact
@@ -223,7 +224,7 @@ def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int,
     """
     rep, rows = _values_at(width, size)
     l = (j - i) // 2
-    a = [(rows[i + t], rows[i + 2 * t][t]) for t in range(l + 1)]
+    a = [rows[i + 2 * t][t] for t in range(l + 1)]
     b = []
     for m in range(i, j, 2):
         if (width, m) not in bcol:
@@ -242,6 +243,36 @@ def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int,
             raise InternalNonExactDivision(f"P({n}) entry ({i},{j})")
         p.append((e, core))
     return a, b, p
+
+
+def _q_pascal(w: list, bits: int, top: int) -> None:
+    """One q-Pascal step M in place at X = 2^bits: w[n] becomes
+    w[n-1] + X^n w[n] for 1 <= n <= top, and w[0] stays.  M takes the
+    binomial row [N, *](X) to [N+1, *](X).  The entries above top stay,
+    which is M only if top is the last index or w[n] = 0 for n >= top."""
+    for n in range(top, 0, -1):
+        w[n] = w[n - 1] + (w[n] << bits * n)
+
+
+def _ab_at_x(n_max: int, i: int, a: list, b: list, bits: int) -> list:
+    """acc[n] = sum_m A(n)[i, m](X) B[m, j](X) for n <= n_max, at
+    X = 2^bits, from the a and b of _cell_at_x.
+
+    With m = i + 2t and h_t = a[t] B[m, j](X), the row [i+t, *](X) is
+    M^(i+t) applied to the unit vector e_0, so acc = M^i (h_0 e_0 +
+    M (h_1 e_0 + M (h_2 e_0 + ...))): Horner over t from the top down,
+    then i more steps, all shifts and adds, and one multiply per t.
+    After k steps, w[n] = 0 for n > k, so step k runs to min(k, n_max).
+    """
+    l = len(a) - 1
+    w = [0] * (n_max + 1)
+    for t in range(l, -1, -1):
+        _q_pascal(w, bits, min(l - t, n_max))
+        e, v = b[t]
+        w[0] += (a[t] * v) << bits * e
+    for steps in range(l + 1, l + i + 1):
+        _q_pascal(w, bits, min(steps, n_max))
+    return w
 
 
 def _bounds(n_max: int, i: int, j: int) -> list:
@@ -278,11 +309,12 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     """Assert A(n).B == P(n) entrywise for 0 <= n <= n_max on the index
     square [0, index_max]; returns the number of entries checked.
 
-    Each cell (i, j) is checked on integers: every entry it reads is
-    evaluated at X = 256^w from its closed form, in one call per cell
+    Each cell (i, j) is checked on integers: every B and P entry it
+    reads, and the n-free factor of each A entry, is evaluated at
+    X = 256^w from its closed form, in one call per cell
     (``_cell_at_x``), no polynomial is built, and the cell passes when
-    sum_m a(X) b(X) = p(X), both sides times the same power of X.  This
-    is exact for two reasons.
+    sum_m A(n)[i, m](X) B[m, j](X) = P(n)[i, j](X) at every n, both
+    sides times the same power of X.  This is exact for two reasons.
 
     Cells go column by column, j outer and i inner.  B[m, j](X) is read
     by every cell (i, j) with i <= m, so each column keeps a table of
@@ -318,13 +350,17 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     are unique: D(X) = 0 only if D = 0.  The check still divides each
     numerator as displayed; the two-term forms only size the digits.
 
-    [k](X) and [N choose k](X) are cached per (w, size), and A is read
-    straight off those binomial rows.  In a cell, g B[m, j](X) is formed
-    once for all n, as A(n)[i, m] = [i+t, n] g with g = [m, t],
-    t = (m - i)/2; it leaves out B's factor X^e, so each product
-    [i+t, n] g v is shifted instead of multiplying e zero digits, and
-    the terms with [i+t, n] = 0, t < n - i, are left out of the loop
-    range.
+    [k](X) and [N choose k](X) are cached per (w, size); B, P and the
+    n-free factor g = [m, t] of A(n)[i, m] = [i+t, n] g, t = (m - i)/2,
+    are read off them.  The factor [i+t, n](X) is never formed.  The
+    q-Pascal step M, w[n] -> w[n-1] + X^n w[n], takes the row
+    [N, *](X) to [N+1, *](X), and [0, *] is the unit vector e_0, so the
+    sums of a cell, sum_t [i+t, n] h_t with h_t = g B[m, j](X), are
+    the entries of M^i (h_0 e_0 + M (h_1 e_0 + M (h_2 e_0 + ...))) for
+    n <= n_max (``_ab_at_x``).  Each step is shifts and adds; the one
+    multiply per t is g v, shifted by B's X^e instead of multiplying e
+    zero digits.  The sums are the same integers as term by term, so
+    the comparison and the argument above are unchanged.
 
     Only on a failure is the UPoly difference built, for the Mismatch
     location.  Raises ValueError for negative bounds, and Mismatch at the
@@ -344,14 +380,9 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
             width = _width(n_max, i, j)
             bits = 8 * width
             a, b, p = _cell_at_x(n_max, i, j, width, size, bcol)
-            tops = [top for top, _ in a]
-            # g B[m, j](X) without its X^e, and the shift by X^e
-            gbs = [(g * v, bits * e) for (_, g), (e, v) in zip(a, b)]
+            accs = _ab_at_x(n_max, i, a, b, bits)
             for n, (e, v) in enumerate(p):
-                acc = 0
-                for t in range(max(n - i, 0), len(a)):
-                    gb, shift = gbs[t]
-                    acc += (tops[t][n] * gb) << shift
+                acc = accs[n]
                 if acc << bits * max(-e, 0) != v << bits * max(e, 0):
                     diff = matrix_product_entry(n, i, j) \
                         - matrix_entry("P", i, j, n)

@@ -1,4 +1,5 @@
-"""Coefficient properties of ring elements that only the tests ask about."""
+"""Coefficient properties of ring elements, and the Kronecker evaluation
+of an exponent dict at X = 256^w, that only the tests ask about."""
 
 
 def max_abs_int(p) -> int:
@@ -30,3 +31,20 @@ def palindromic_twist(h):
         if h.c.get((d1 - p, d1 - q), 0) != v:
             return None
     return d1
+
+
+def kron_eval(c: dict, emin: int, step: int, width: int) -> int:
+    """The exact signed integer sum v * X^((e - emin) / step) at X = 256^width.
+
+    ``c`` maps exponents on the grid emin + step*k (k >= 0) to int
+    coefficients, each of absolute value below 256^width.
+    """
+    slots = (max(c, default=emin) - emin) // step + 1
+    pos, neg = bytearray(slots * width), bytearray(slots * width)
+    for e, v in c.items():
+        off = (e - emin) // step * width
+        if v > 0:
+            pos[off:off + width] = v.to_bytes(width, "little")
+        else:
+            neg[off:off + width] = (-v).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")

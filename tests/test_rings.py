@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from k3pairs.errors import NotDivisible
-from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_digits, \
-    kron_eval
+from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_digits
 
-from ring_helpers import palindromic_twist
+from ring_helpers import kron_eval, palindromic_twist
 
 
 def U(d):

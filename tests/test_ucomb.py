@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3pairs.errors import Mismatch
-from k3pairs.rings import UPoly, kron_eval
-from k3pairs.ucomb import _bounds, _cell_at_x, _width, c_table, \
-    matrix_entry, matrix_product_entry, u_binomial, u_integer, \
-    verify_ab_identity
+from k3pairs.rings import UPoly
+from k3pairs.ucomb import _ab_at_x, _bounds, _cell_at_x, _q_pascal, \
+    _values_at, _width, c_table, matrix_entry, matrix_product_entry, \
+    u_binomial, u_integer, verify_ab_identity
 
-from ring_helpers import max_abs_int
+from ring_helpers import kron_eval, max_abs_int
 
 
 def U(d):
@@ -126,9 +126,10 @@ def test_b_and_p_cores_are_two_nonnegative_products():
 
 def _map_cell(real, fn):
     """The per-cell evaluator ``real`` with fn(entry, value, width) applied
-    to each value it returns: entry is ("A", i, m) for the pair (top, g)
-    of A(n)[i, m] over all n, and (kind, i, j, n) as matrix_entry takes
-    it for the (e, v) of B and P."""
+    to each value it returns: entry is ("A", i, m) for the factor
+    g = [m, t](X) that A(n)[i, m] = [i+t, n](X) g has at every n, with
+    t = (m - i)/2, and (kind, i, j, n) as matrix_entry takes it for the
+    (e, v) of B and P."""
     def cell(n_max, i, j, width, size, bcol):
         a, b, p = real(n_max, i, j, width, size, bcol)
         ms = range(i, j + 1, 2)
@@ -147,12 +148,11 @@ def _plus(sign, d):
     return lie
 
 
-def _top_plus(n, sign, d):
-    """A lie adding sign * X^d to the factor [i+t, n](X) of A(n)[i, i+2t],
-    leaving A at every other n as it is."""
-    def lie(value, width):
-        top, g = value
-        return top[:n] + (top[n] + (sign << 8 * width * d),) + top[n + 1:], g
+def _g_plus(sign, d):
+    """A lie adding sign * X^d to the factor g = [m, t](X) of A(n)[i, m],
+    and so to A(n)[i, m] at every n."""
+    def lie(g, width):
+        return g + (sign << 8 * width * d)
     return lie
 
 
@@ -161,21 +161,43 @@ def _top_plus(n, sign, d):
     [(_plus(1, 0), ("P", 1, 3, 1), 1, 1, 3),
      (_plus(-1, max(matrix_entry("P", 2, 4, 1).c) // 2), ("P", 2, 4, 1),
       1, 2, 4),
-     (_top_plus(1, 1, 1), ("A", 1, 3), 1, 1, 3),
+     (_g_plus(1, 1), ("A", 1, 3), 0, 1, 3),
      (_plus(1, 1), ("B", 2, 4, None), 0, 0, 4)],
     ids=["p-constant-plus-one", "p-top-minus-one", "a-plus-u", "b-plus-u"],
 )
 def test_verify_ab_identity_catches_lies(monkeypatch, lie, entry, n, row,
                                          col):
     """A lie in one evaluated entry fails the first cell that reads it;
-    the A lie adds u to the factor [2, 1] of A(1)[1, 3] only.  The closed
-    forms themselves agree, so the location has no u2."""
+    the A lie adds u to the factor g = [3, 1] of A(n)[1, 3], which
+    A(0)[1, 3] = g already reads.  The closed forms themselves agree, so
+    the location has no u2."""
     import k3pairs.ucomb as uc
     monkeypatch.setattr(uc, "_cell_at_x", _map_cell(
         uc._cell_at_x,
         lambda key, v, width: lie(v, width) if key == entry else v))
     with pytest.raises(Mismatch) as err:
         uc.verify_ab_identity(1, 4)
+    assert err.value.location == {"n": n, "row": row, "col": col}
+
+
+@pytest.mark.parametrize("n, row, col", [(1, 1, 1), (2, 2, 2)])
+def test_verify_ab_identity_catches_a_lie_in_the_q_pascal_step(
+        monkeypatch, n, row, col):
+    """A q-Pascal step that adds u to its entry n, whenever it reaches n,
+    fails the first cell that takes that step: (1, 1) takes one step, and
+    (2, 2) is the first cell whose second step reaches n = 2.  The closed
+    forms agree, so the location has no u2."""
+    import k3pairs.ucomb as uc
+    real = uc._q_pascal
+
+    def lying_step(w, bits, top):
+        real(w, bits, top)
+        if n <= top:
+            w[n] += 1 << bits
+
+    monkeypatch.setattr(uc, "_q_pascal", lying_step)
+    with pytest.raises(Mismatch) as err:
+        uc.verify_ab_identity(2, 4)
     assert err.value.location == {"n": n, "row": row, "col": col}
 
 
@@ -201,24 +223,21 @@ def test_verify_ab_identity_locates_a_difference_of_the_closed_forms(
 
 
 def test_verify_ab_identity_reads_values_not_factors(monkeypatch):
-    """The check uses each entry's value whatever split the cell evaluator
-    returns: A off the diagonal with g folded into its row, B with one
-    power of X moved from e into v where e >= 1, and P with one power
-    moved everywhere, so with e < 0 where l = 0."""
+    """The check uses each product's value whatever split the cell
+    evaluator returns: A's factor g folded into B's core, so that every
+    g reads 1, B with one power of X moved from e into v where e >= 1,
+    and P with one power moved everywhere, so with e < 0 where l = 0."""
     import k3pairs.ucomb as uc
+    real = uc._cell_at_x
 
-    def refactored(entry, value, width):
-        if entry[0] == "A":
-            top, g = value
-            return (tuple(f * g for f in top), 1) if entry[2] > entry[1] \
-                else value
-        e, v = value
-        if entry[0] == "B" and e < 1:
-            return value
-        return e - 1, v << 8 * width
+    def refactored(n_max, i, j, width, size, bcol):
+        a, b, p = real(n_max, i, j, width, size, bcol)
+        bits = 8 * width
+        b = [(e - 1, g * v << bits) if e >= 1 else (e, g * v)
+             for g, (e, v) in zip(a, b)]
+        return [1] * len(a), b, [(e - 1, v << bits) for e, v in p]
 
-    monkeypatch.setattr(uc, "_cell_at_x", _map_cell(uc._cell_at_x,
-                                                    refactored))
+    monkeypatch.setattr(uc, "_cell_at_x", refactored)
     assert uc.verify_ab_identity(3, 10) == 4 * 36
 
 
@@ -242,9 +261,21 @@ def test_each_b_core_is_divided_once_per_width_and_column(monkeypatch):
     assert len(calls) == 359
 
 
+def _pascal_rows(n_max, top, bits):
+    """The binomial rows [N, n](X) for N <= top, n <= n_max, at X = 2^bits,
+    each made from the last by one q-Pascal step, from [0, *] = e_0."""
+    w = [1] + [0] * n_max
+    rows = [tuple(w)]
+    for big_n in range(1, top + 1):
+        _q_pascal(w, bits, min(big_n, n_max))
+        rows.append(tuple(w))
+    return rows
+
+
 def test_values_at_x_match_the_upoly_oracle():
     """Each A, B, P value verify_ab_identity uses equals the UPoly entry
-    evaluated by kron_eval at the cell's width; the closed-form bound is
+    evaluated by kron_eval at the cell's width, A(n)[i, m] as the
+    q-Pascal row [i+t, n](X) times the cell's g; the closed-form bound is
     sum_m A(1) |B|(1) + P(1) read off the built entries, the largest
     coefficient of sum_m A |B| + P, built in UPoly, is at most the bound,
     and the bound stays below X/2.  Cells go in the check's column order,
@@ -264,6 +295,7 @@ def test_values_at_x_match_the_upoly_oracle():
         for i in range(j % 2, j + 1, 2):
             width = _width(n_max, i, j)
             bounds = _bounds(n_max, i, j)
+            rows = _pascal_rows(n_max, j, 8 * width)
             a, b, p = oracle(n_max, i, j, width, index_max, bcol)
             for n in range(n_max + 1):
                 total = matrix_entry("P", i, j, n)
@@ -274,9 +306,8 @@ def test_values_at_x_match_the_upoly_oracle():
                 assert total.eval_one() == bounds[n], (n, i, j)
                 assert max_abs_int(total) <= bounds[n] \
                     < 1 << 8 * width - 1, (n, i, j)
-                values = [((kind, i, m, n), (0, top[n] * g if n < len(top)
-                                             else 0))
-                          for (kind, i, m), (top, g) in a]
+                values = [((kind, i, m, n), (0, rows[(i + m) // 2][n] * g))
+                          for (kind, i, m), g in a]
                 for entry, (e, v) in values + b + [p[n]]:
                     poly = matrix_entry(*entry)
                     lo = min([e] + [k // 2 for k in poly.c])
@@ -284,6 +315,40 @@ def test_values_at_x_match_the_upoly_oracle():
                         == kron_eval(poly.c, 2 * lo, 2, width), (entry, width)
     assert mixed == {6, 7, 8, 11, 12}
     assert mixed_b == {6, 11, 12}
+
+
+def _per_n_sums(n_max, i, a, b, width, size):
+    """The sums of _ab_at_x term by term: for each n, sum_t [i+t, n](X)
+    g v X^e over the t with [i+t, n] != 0, reading the binomial rows of
+    _values_at, with one multiply per (t, n)."""
+    _, rows = _values_at(width, size)
+    bits = 8 * width
+    out = []
+    for n in range(n_max + 1):
+        acc = 0
+        for t in range(max(n - i, 0), len(a)):
+            e, v = b[t]
+            acc += (rows[i + t][n] * a[t] * v) << bits * e
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("n_max, index_max", [(3, 12), (5, 31)])
+def test_horner_sum_matches_the_per_n_sums(n_max, index_max):
+    """_ab_at_x equals the per-n sums at every cell, in the check's column
+    order with a shared B table; (3, 12) has the mixed-width columns 6,
+    7, 8, 11 and 12."""
+    size = max(index_max, n_max + index_max // 2)
+    cells = 0
+    for j in range(index_max + 1):
+        bcol: dict = {}
+        for i in range(j % 2, j + 1, 2):
+            width = _width(n_max, i, j)
+            a, b, _ = _cell_at_x(n_max, i, j, width, size, bcol)
+            assert _ab_at_x(n_max, i, a, b, 8 * width) \
+                == _per_n_sums(n_max, i, a, b, width, size), (i, j)
+            cells += 1
+    assert cells * (n_max + 1) == verify_ab_identity(n_max, index_max)
 
 
 def test_c_table_frozen_levels():
