@@ -14,9 +14,8 @@ from .modular import EisensteinBasis, eisenstein_even, fit_in_R, \
     fit_v_coefficient, logphi_sigma_check, mpt_check, \
     psi_kls_derivative, psi_kls_sym, sigma_series, v_partition_series, \
     verify_psi_vs_log  # noqa: F401
-from .partition import euler_g, f_via_matrices, g_closed, \
-    g_via_kernels, g_via_matrices, ky_product, s_series, syst_euler, \
-    syst_hodge  # noqa: F401
+from .partition import f_via_matrices, g_closed, g_via_kernels, \
+    g_via_matrices, ky_product, s_series, syst_euler, syst_hodge  # noqa: F401
 from .rings import Monomial, TTPoly, UPoly, YPoly  # noqa: F401
 from .scalars import bernoulli, binomial  # noqa: F401
 from .series import QSeries  # noqa: F401

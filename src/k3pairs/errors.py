@@ -4,13 +4,13 @@ Every exactness contract in the library fails loudly through one of these;
 nothing is ever rounded, truncated silently, or coerced to floating point.
 """
 
+__all__ = ["K3PairsError", "BadConstantTerm", "NotDivisible",
+           "InternalNonExactDivision", "NonExactDivision", "UnsupportedRank",
+           "Mismatch", "NoSolution", "ValidationFailure"]
+
 
 class K3PairsError(Exception):
     """Base class for all library errors."""
-
-
-class NonUnitLeading(K3PairsError):
-    """Series inversion requires an invertible leading coefficient."""
 
 
 class BadConstantTerm(K3PairsError):
@@ -40,7 +40,7 @@ class Mismatch(K3PairsError):
     """Two routes to the same series disagree.
 
     Carries the first differing location as a dict of exponents, e.g.
-    ``{"q": 3, "y": -1, "u": 2}``.
+    ``{"q": 3, "y": -1, "u2": 2}``.
     """
 
     def __init__(self, message, location=None):

@@ -27,7 +27,7 @@ q^(g-1) y^k coefficient.
 
 S, the Hodge series of the Hilbert schemes of points, is Göttsche's
 product formula applied factor by factor in place on {(p, q): int}
-cells; ``euler_s_series`` is its independent Euler-characteristic oracle.
+cells.
 """
 
 from fractions import Fraction
@@ -38,6 +38,10 @@ from .rings import TTPoly, UPoly, YPoly
 from .series import QSeries
 from .theta import phi_product
 from .ucomb import c_table, matrix_product_entry, u_binomial, u_integer
+
+__all__ = ["s_series", "syst_hodge", "syst_euler", "syst_table", "g_closed",
+           "g_via_matrices", "f_via_matrices", "g_via_kernels",
+           "euler_g_column", "ky_product", "mirror_series"]
 
 
 # ---------------------------------------------------------------------------
@@ -86,20 +90,6 @@ def s_series(qorder: int) -> QSeries:
     """The series S: the coefficient of q^(g-1) is (t tb)^{-g} times the
     Hodge polynomial of the Hilbert scheme of g points on a K3."""
     return _hilbert_series(qorder + 1).shift(-1)
-
-
-def euler_s_series(qorder: int) -> QSeries:
-    """Euler-characteristic shadow of S, with integer coefficients.
-
-    Computed independently of the Hodge product (as the inverse 24th
-    power of the q-Pochhammer (q;q), shifted by q^{-1}) so it can serve
-    as an oracle for the t = tb = 1 specialization: 1, 24, 324, 3200, ...
-    """
-    ord1 = qorder + 1
-    f = QSeries.one(ord1)
-    for m in range(1, ord1):
-        f = f * (QSeries.from_dict({0: 1, m: -1}, 0, ord1) ** 24)
-    return f.invert().truncate(ord1).shift(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,31 +326,8 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # Euler specialization
 
-def euler_g(n: int, r: int, qorder: int, ywin: int) -> QSeries:
-    """u = 1 shadow of g_closed, from the integer closed form directly.
-
-    Must equal the coefficientwise u -> 1 evaluation of g_closed; the
-    weights are (p+l)/n times two ordinary binomials, so the values are
-    rationals with denominator dividing n.
-    """
-    _check_rank(n, r)
-    cells: dict = {}
-    hi = qorder + ywin + 1
-    for l in range(r, r + hi):
-        for p in range(n - r, n - r + hi):
-            if p * l >= qorder or abs(p - l) > ywin:
-                continue
-            w = (p + l) * comb(n + l - r - 1, n - 1) \
-                * comb(p + r - 1, n - 1)
-            if not w:
-                continue
-            col = cells.setdefault(p * l, {})
-            col[p - l] = col.get(p - l, Fraction(0)) + Fraction(w, n)
-    return _cells_to_series(cells, 0, qorder)
-
-
 def euler_g_column(n: int, r: int, m: int) -> dict:
-    """Full (unwindowed) q^m coefficient of euler_g, m >= 1.
+    """Full (unwindowed) q^m coefficient of g_closed at u = 1, m >= 1.
 
     Finite because p*l = m >= 1 has finitely many factorizations; the
     q^0 column has unbounded y-support and is handled analytically by

@@ -174,9 +174,6 @@ class UPoly(_Sparse):
         """The monomial v * u^{e2/2} (e2 is the doubled exponent)."""
         return cls({e2: v})
 
-    def is_monomial(self) -> bool:
-        return len(self.c) == 1
-
     def __mul__(self, other):
         if isinstance(other, UPoly):
             return self._conv(other)
@@ -355,9 +352,6 @@ class TTPoly(_Sparse):
     @classmethod
     def mono(cls, p: int, q: int, v=1):
         return cls({(p, q): v})
-
-    def coeff(self, p: int, q: int):
-        return self.c.get((p, q), 0)
 
     def __mul__(self, other):
         if not isinstance(other, TTPoly):

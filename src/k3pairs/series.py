@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import BadConstantTerm, Mismatch, NonUnitLeading
-from .rings import TTPoly, UPoly, YPoly
+from .errors import BadConstantTerm, Mismatch
+from .rings import UPoly, YPoly
 
 __all__ = ["QSeries", "v_substitute_qmajor", "locate_mismatch"]
 
@@ -41,25 +41,6 @@ def _cmul(a, b):
     if (isinstance(a, int) and a == 0) or (isinstance(b, int) and b == 0):
         return 0
     return a * b
-
-
-def _ring_inv(c):
-    """Multiplicative inverse of a unit coefficient, or None."""
-    if isinstance(c, int):
-        return c if c in (1, -1) else None
-    if isinstance(c, Fraction):
-        return 1 / c if c else None
-    if isinstance(c, UPoly):
-        if c.is_monomial():
-            (e2, v), = c.c.items()
-            vi = _ring_inv(v)
-            return None if vi is None else UPoly({-e2: vi})
-    if isinstance(c, TTPoly):
-        if len(c.c) == 1:
-            ((p, q), v), = c.c.items()
-            vi = _ring_inv(v)
-            return None if vi is None else TTPoly({(-p, -q): vi})
-    return None
 
 
 class QSeries:
@@ -178,7 +159,7 @@ class QSeries:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.invert() ** (-n)
+            raise ValueError(f"series power {n} is negative; need n >= 0")
         out = None
         base = self
         while True:
@@ -210,51 +191,6 @@ class QSeries:
         return QSeries(self.lower,
                        [fn(c) if c else 0 for c in self.coeffs],
                        self.var)
-
-    def invert(self) -> "QSeries":
-        """Exact multiplicative inverse; NonUnitLeading if not a unit."""
-        L = self.lower
-        while L < self.order and not self.coeff(L):
-            L += 1
-        if L >= self.order:
-            raise NonUnitLeading("cannot invert a series with no known "
-                                 "nonzero coefficient")
-        c0 = self.coeff(L)
-        c0i = _ring_inv(c0)
-        if c0i is None:
-            raise NonUnitLeading(
-                f"leading coefficient at {self.var}^{L} is not a unit")
-        m = self.order - L  # number of valid coefficients from the lead
-        a = [self.coeff(L + j) for j in range(m)]
-        b = [0] * m
-        b[0] = c0i
-        for j in range(1, m):
-            acc = 0
-            for t in range(1, j + 1):
-                if a[t] and b[j - t]:
-                    acc = _cadd(acc, a[t] * b[j - t])
-            if acc:
-                b[j] = -(acc * c0i) if not isinstance(acc, int) else -(c0i * acc)
-        return QSeries(-L, b, self.var)
-
-    def log(self) -> "QSeries":
-        """Exact log; requires constant term 1 and no lower terms."""
-        for e in range(self.lower, min(0, self.order)):
-            if self.coeff(e):
-                raise BadConstantTerm("log needs support in [0, oo)")
-        if not self.known(0) or self.coeff(0) != 1:
-            raise BadConstantTerm("log needs constant term exactly 1")
-        n = self.order
-        f = [self.coeff(e) for e in range(0, n)]
-        g = [0] * n
-        for k in range(1, n):
-            acc = _cmul(f[k], k)
-            for j in range(1, k):
-                if g[j] and f[k - j]:
-                    acc = _cadd(acc, -_cmul(g[j] * f[k - j], j))
-            g[k] = _cmul(acc, Fraction(1, k)) if acc else 0
-        g[0] = 0
-        return QSeries(0, g, self.var)
 
     def exp(self, one=1) -> "QSeries":
         """Exact exp; requires constant term 0 and no lower terms.

@@ -1,5 +1,6 @@
-"""Coefficient properties of ring elements, and the Kronecker evaluation
-of an exponent dict at X = 256^w, that only the tests ask about."""
+"""Coefficient properties of ring elements, the Kronecker evaluation of
+an exponent dict at X = 256^w, and the Euler-characteristic oracle of S,
+that only the tests ask about."""
 
 
 def max_abs_int(p) -> int:
@@ -48,3 +49,14 @@ def kron_eval(c: dict, emin: int, step: int, width: int) -> int:
         else:
             neg[off:off + width] = (-v).to_bytes(width, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def inverse_pochhammer_24(order: int) -> list:
+    """Coefficients a_0..a_{order-1} of prod_{n>=1} (1 - q^n)^-24, by the
+    recurrence n a_n = 24 sum_{k=1..n} sigma(k) a_{n-k}."""
+    sigma = [sum(d for d in range(1, k + 1) if k % d == 0)
+             for k in range(order)]
+    a = [1]
+    for n in range(1, order):
+        a.append(24 * sum(sigma[k] * a[n - k] for k in range(1, n + 1)) // n)
+    return a

@@ -24,7 +24,7 @@ from k3pairs.modular import (
     EisensteinBasis, _odd_cells, _solve_exact, eisenstein_even, fit_in_R,
     fit_v_coefficient, logphi_sigma_check, mpt_check, psi_kls_derivative,
     psi_kls_sym, sigma_series, v_partition_series, verify_psi_vs_log)
-from k3pairs.partition import euler_g, euler_g_column
+from k3pairs.partition import euler_g_column, g_closed
 from k3pairs.rings import UPoly
 from k3pairs.scalars import i_power_str
 from k3pairs.series import QSeries, v_substitute_qmajor
@@ -264,7 +264,11 @@ def test_v_partition_rank_two_q2_cells():
 def test_v_partition_columns_match_direct_substitution(n, r):
     qorder, vorder = 6, 7
     f = v_partition_series(n, r, qorder, vorder)
-    sub = v_substitute_qmajor(euler_g(n, r, qorder, qorder), vorder - 2)
+    # the direct route: g_closed at u = 1, not the euler_g_column cells
+    # that v_partition_series reads
+    euler = g_closed(n, r, qorder, qorder).map_coeffs(
+        lambda col: col.map_coeffs(lambda v: Fraction(v.eval_one())))
+    sub = v_substitute_qmajor(euler, vorder - 2)
     for s in range(f.lower, vorder):
         col = f.coeff(s)
         for m in range(1, qorder):

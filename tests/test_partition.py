@@ -4,7 +4,7 @@ import pytest
 
 import k3pairs.partition as partition
 from k3pairs.errors import Mismatch, NonExactDivision, UnsupportedRank
-from k3pairs.partition import _hilbert_series, euler_g, euler_g_column, euler_s_series, \
+from k3pairs.partition import _hilbert_series, euler_g_column, \
     f_via_matrices, g_closed, g_via_kernels, g_via_matrices, ky_product, \
     mirror_series, s_series, syst_euler, syst_hodge, syst_table
 from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly
@@ -13,7 +13,8 @@ from k3pairs.theta import psi
 from k3pairs.ucomb import c_table, matrix_entry, u_binomial, u_integer
 from k3pairs.verify import run_suite
 
-from ring_helpers import all_nonneg_int, palindromic_twist
+from ring_helpers import all_nonneg_int, inverse_pochhammer_24, \
+    palindromic_twist
 
 
 # -- Hilbert schemes of points ----------------------------------------------
@@ -37,9 +38,10 @@ def test_hilb_hodge_small():
 
 def test_hilb_hodge_euler_oracle():
     # the (t, tb) product and the eta-power oracle must agree at t=tb=1
-    es = euler_s_series(30)
+    es = inverse_pochhammer_24(31)
+    assert es[:4] == [1, 24, 324, 3200]
     for m in range(31):
-        assert hilb_hodge(m).eval_ones() == es.coeff(m - 1)
+        assert hilb_hodge(m).eval_ones() == es[m]
 
 
 def _hilbert_by_products(qorder):
@@ -105,12 +107,6 @@ def test_s_series_shape():
     assert s.coeff(-1) == TTPoly.one()
     for g in range(6):
         assert s.coeff(g - 1) == hilb_hodge(g) * TTPoly.mono(-g, -g)
-
-
-def test_euler_s_series_frozen():
-    es = euler_s_series(3)
-    assert es.lower == -1
-    assert [es.coeff(e) for e in range(-1, 3)] == [1, 24, 324, 3200]
 
 
 # -- coherent-system tables --------------------------------------------------
@@ -336,14 +332,13 @@ def to_tt_series(f):
 
 
 def test_f_divided_by_s_is_the_matrix_route():
-    # F = S * G exactly: dividing the matrix-route F by S in the (t, tb)
-    # ring gives back the matrix route of G embedded via u = t*tb
-    s_inv = s_series(9).invert()
+    # F = S * G exactly: the generic series product of S with the matrix
+    # route of G, embedded via u = t*tb, is F on q^-1..q^7
+    s = s_series(9)
     for n in (1, 2, 3):
         for r in range(n + 1):
-            g = (f_via_matrices(n, r, 8, 6) * s_inv).truncate(8)
-            assert g == to_tt_series(g_via_matrices(n, r, 8, 6)), \
-                (n, r)
+            sg = s * to_tt_series(g_via_matrices(n, r, 9, 6))
+            assert sg == f_via_matrices(n, r, 8, 6), (n, r)
 
 
 def test_duality():
@@ -362,37 +357,43 @@ def test_duality_at_f_level():
 
 # -- Euler specialization ------------------------------------------------------
 
+def at_u_one(f):
+    """g_closed's series with every u set to 1, cells as Fractions."""
+    return f.map_coeffs(
+        lambda col: col.map_coeffs(lambda v: Fraction(v.eval_one())))
+
+
 def test_euler_g_frozen_examples():
-    e = euler_g(1, 0, 6, 5)
-    assert e.coeff(1).coeff(0) == 2
-    assert e.coeff(0).coeff(1) == 1
-    assert euler_g(2, 1, 5, 6).coeff(1).coeff(0) == 1
+    assert euler_g_column(1, 0, 1) == {0: 2}
+    assert at_u_one(g_closed(1, 0, 1, 5)).coeff(0).coeff(1) == 1
+    assert euler_g_column(2, 1, 1) == {0: 1}
 
 
 def test_euler_g_frozen_columns():
-    e20 = euler_g(2, 0, 6, 6)
-    assert e20.coeff(2) == YPoly({1: Fraction(3)})
-    assert e20.coeff(3) == YPoly({2: Fraction(8)})
-    assert e20.coeff(4) == YPoly({0: Fraction(6), 3: Fraction(15)})
-    assert e20.coeff(5) == YPoly({4: Fraction(24)})
-    e21 = euler_g(2, 1, 5, 6)
-    assert e21.coeff(2) == YPoly({1: Fraction(3), -1: Fraction(3)})
-    assert e21.coeff(4) == YPoly({3: Fraction(10), 0: Fraction(8),
-                                  -3: Fraction(10)})
+    assert euler_g_column(2, 0, 2) == {1: Fraction(3)}
+    assert euler_g_column(2, 0, 3) == {2: Fraction(8)}
+    assert euler_g_column(2, 0, 4) == {0: Fraction(6), 3: Fraction(15)}
+    assert euler_g_column(2, 0, 5) == {4: Fraction(24)}
+    assert euler_g_column(2, 1, 2) == {1: Fraction(3), -1: Fraction(3)}
+    assert euler_g_column(2, 1, 4) == {3: Fraction(10), 0: Fraction(8),
+                                       -3: Fraction(10)}
 
 
 def test_euler_g_matches_g_closed():
+    # below q^6 every column with m >= 1 has |y| < 5, so ywin 5 is full
     for (n, r) in [(1, 0), (2, 0), (2, 1), (3, 2), (3, 3)]:
-        a = g_closed(n, r, 6, 5).map_coeffs(
-            lambda col: col.map_coeffs(lambda v: Fraction(v.eval_one())))
-        assert a == euler_g(n, r, 6, 5)
+        a = at_u_one(g_closed(n, r, 6, 5))
+        for m in range(1, 6):
+            col = a.coeff(m)
+            assert (col.c if col else {}) == euler_g_column(n, r, m), \
+                (n, r, m)
 
 
 def test_euler_g_column_full_support():
     assert euler_g_column(2, 0, 4) == {0: Fraction(6), 3: Fraction(15)}
     # the windowed series is the restriction of the full column
     col = euler_g_column(1, 0, 6)
-    win = euler_g(1, 0, 7, 3).coeff(6)
+    win = at_u_one(g_closed(1, 0, 7, 3)).coeff(6)
     for e in range(-3, 4):
         assert win.coeff(e) == col.get(e, 0)
     assert any(abs(e) > 3 for e in col)

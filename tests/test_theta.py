@@ -157,6 +157,9 @@ def test_rank_one_bridge():
 # ---------------------------------------------------------------------------
 # the packed product kernels against the generic series route
 
+ONE = YPoly({0: UPoly.one()})
+
+
 def _oracle_term(m):
     return YPoly({m.y: UPoly.u(m.u2, 1)})
 
@@ -164,26 +167,19 @@ def _oracle_term(m):
 def _oracle_phi(k, l, qorder, ywin):
     """phi_product as QSeries products, factor by factor, on the full
     support of each cell, then cut to |y| <= ywin."""
-    one = YPoly({0: UPoly.one()})
-    out = QSeries.from_dict({0: one}, 0, qorder)
+    out = QSeries.from_dict({0: ONE}, 0, qorder)
     num = [Monomial(), Monomial(), Monomial(2 * k, 0), Monomial(-2 * k, 0)]
     den = [Monomial(2 * l, 1), Monomial(-2 * l, -1),
            Monomial(2 * (k + l), 1), Monomial(-2 * (k + l), -1)]
     for n in range(1, qorder):
         for m in num:
             out = out * QSeries.from_dict(
-                {0: one, n: -_oracle_term(m)}, 0, qorder)
+                {0: ONE, n: -_oracle_term(m)}, 0, qorder)
         for m in den:
             out = out * QSeries.from_dict(
                 {n * j: _oracle_term(m ** j)
                  for j in range((qorder - 1) // n + 1)}, 0, qorder)
     return out.map_coeffs(lambda c: c.restrict(ywin))
-
-
-def _oracle_log_phi(k, l, qorder, ywin):
-    # below q^qorder every cell has |y| < qorder, so this is the full phi
-    return _oracle_phi(k, l, qorder, qorder).log().map_coeffs(
-        lambda c: c.restrict(ywin))
 
 
 ORACLE_GRID = [(0, 0, 1, 0), (1, 0, 2, 0), (1, 1, 2, 1), (0, 0, 7, 6),
@@ -192,18 +188,30 @@ ORACLE_GRID = [(0, 0, 1, 0), (1, 0, 2, 0), (1, 1, 2, 1), (0, 0, 7, 6),
 
 
 @pytest.mark.parametrize("k,l,qorder,ywin", ORACLE_GRID)
+def test_log_phi_product_exponentiates_to_the_series_route(k, l, qorder, ywin):
+    # below q^qorder every cell has |y| < qorder, so at ywin = qorder both
+    # sides are the full series; exp is one-to-one on series with zero
+    # constant term, so this pins log_phi_product down as log phi
+    full = log_phi_product(k, l, qorder, qorder)
+    assert full.exp(one=ONE) == _oracle_phi(k, l, qorder, qorder)
+    assert log_phi_product(k, l, qorder, ywin) == full.map_coeffs(
+        lambda c: c.restrict(ywin))
+
+
+@pytest.mark.parametrize("k,l,qorder,ywin", ORACLE_GRID)
 def test_product_kernels_match_the_series_route(k, l, qorder, ywin):
-    for got, want in ((phi_product(k, l, qorder, ywin),
-                       _oracle_phi(k, l, qorder, ywin)),
-                      (log_phi_product(k, l, qorder, ywin),
-                       _oracle_log_phi(k, l, qorder, ywin))):
-        assert got.order == want.order == qorder
+    got, want = phi_product(k, l, qorder, ywin), _oracle_phi(k, l, qorder, ywin)
+    assert got.order == want.order == qorder
+    for j in range(qorder):
+        assert got.coeff(j) == want.coeff(j), j
+    logs = log_phi_product(k, l, qorder, ywin)
+    assert logs.order == qorder
+    for f in (got, logs):
         for j in range(qorder):
-            assert got.coeff(j) == want.coeff(j), j
-            if got.coeff(j):
-                assert max(map(abs, got.coeff(j).c)) <= ywin
+            if f.coeff(j):
+                assert max(map(abs, f.coeff(j).c)) <= ywin
     for j in range(1, qorder):
-        for entry in log_phi_product(k, l, qorder, ywin).coeff(j).c.values():
+        for entry in logs.coeff(j).c.values():
             assert all(type(v) is Fraction for v in entry.c.values())
 
 
@@ -216,7 +224,8 @@ def test_majorants_bound_the_cells():
     big, hbig = theta._phi_majorant(qorder), theta._log_majorant(qorder)
     for k, l in ((0, 0), (1, 0), (2, -1), (-1, 3)):
         f = _oracle_phi(k, l, qorder, qorder)
-        g = f.log()
+        g = log_phi_product(k, l, qorder, qorder)
+        assert g.exp(one=ONE) == f
         for j in range(1, qorder):
             assert _l1(f.coeff(j)) <= big[j]
             assert j * _l1(g.coeff(j)) <= hbig[j]
@@ -226,10 +235,11 @@ def test_majorants_bound_the_cells():
 
 @pytest.mark.parametrize("k,l,qorder,ywin", ORACLE_GRID)
 def test_log_cells_are_bounded_by_eight_sigma(k, l, qorder, ywin):
-    """Every entry of h_j = j g_j, g the oracle's log phi_product, is at
+    """Every entry of h_j = j g_j, g the full log phi_product that
+    test_log_phi_product_exponentiates_to_the_series_route checks, is at
     most 8 sigma(j) in absolute value: the bound log_phi_product packs
     to, counted here by brute divisor enumeration."""
-    g = _oracle_log_phi(k, l, qorder, ywin)
+    g = log_phi_product(k, l, qorder, qorder)
     packed_to = theta._log_majorant(qorder)
     for j in range(1, qorder):
         bound = 8 * sum(d for d in range(1, j + 1) if j % d == 0)
