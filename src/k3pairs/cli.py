@@ -19,8 +19,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import NoSolution, ValidationFailure
-from .modular import FIT_QORDER, TEST_QORDER, _fit_column, \
-    v_partition_series
+from .modular import FIT_QORDER, TEST_QORDER, EisensteinBasis, \
+    _fit_column, v_partition_series
 from .partition import g_closed, syst_table
 from .verify import SUITES, check_bounds, run_suite
 
@@ -145,12 +145,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_fit(cfg: RunConfig) -> int:
     series = v_partition_series(cfg.n, cfg.r, TEST_QORDER + 1, cfg.vmax + 1)
+    # one basis at the highest bound a column starts at; a column that
+    # widens past it leaves the wider basis to the columns after it
+    basis = EisensteinBasis(min(cfg.vmax + 2, cfg.weight_bound),
+                            TEST_QORDER + 1)
     fits = []
     for s in range(cfg.vmax + 1):
         try:
-            fits.append(_fit_column(cfg.n, cfg.r, s, series.coeff(s),
-                                    FIT_QORDER, TEST_QORDER,
-                                    cfg.weight_bound))
+            fit, basis = _fit_column(cfg.n, cfg.r, s, series.coeff(s),
+                                     FIT_QORDER, TEST_QORDER,
+                                     cfg.weight_bound, basis)
+            fits.append(fit)
         except (NoSolution, ValidationFailure) as ex:
             sys.stderr.write(
                 f"fit failed at v-power s={s}: "

@@ -443,7 +443,7 @@ def _solve_exact(rows: list, k: int):
 
 
 def fit_in_R(target: QSeries, weight_bound: int, fit_qorder: int,
-             test_qorder: int) -> dict:
+             test_qorder: int, basis: EisensteinBasis | None = None) -> dict:
     """Express a rational q-series exactly in the bounded-weight monomials.
 
     Solves the linear system on the coefficients q^0 .. q^fit_qorder by
@@ -453,14 +453,23 @@ def fit_in_R(target: QSeries, weight_bound: int, fit_qorder: int,
     i^s times it), so it is fitted as it is.  Raises NoSolution if the
     window system is inconsistent and ValidationFailure if a window fit
     breaks beyond it; returns the nonzero combination otherwise.
+
+    A given ``basis`` must reach weight_bound and q^test_qorder; its
+    elements of weight <= weight_bound, a prefix since they are sorted by
+    weight, are the basis built here otherwise, in the same order.
     """
     if not 0 <= fit_qorder < test_qorder:
         raise ValueError("need 0 <= fit_qorder < test_qorder")
     if target.order <= test_qorder:
         raise ValueError("target must be known through the validation order")
-    basis = EisensteinBasis(weight_bound, test_qorder + 1)
-    names = [nm for nm, _, _ in basis.elements]
-    cols = [ser.coeffs for _, _, ser in basis.elements]
+    if basis is None:
+        basis = EisensteinBasis(weight_bound, test_qorder + 1)
+    elif basis.weight_bound < weight_bound or basis.qorder <= test_qorder:
+        raise ValueError("the basis must reach the weight bound and the "
+                         "validation order")
+    elements = [e for e in basis.elements if e[1] <= weight_bound]
+    names = [nm for nm, _, _ in elements]
+    cols = [ser.coeffs for _, _, ser in elements]
     k = len(cols)
     tgt = [target.coeff(m) for m in range(test_qorder + 1)]
     rows = [[c[m] for c in cols] + [tgt[m]] for m in range(fit_qorder + 1)]
@@ -497,18 +506,28 @@ def fit_v_coefficient(n: int, r: int, s: int,
     if s < 1 - n:
         raise ValueError(f"need s >= 1 - n = {1 - n} (got s = {s})")
     series = v_partition_series(n, r, test_qorder + 1, s + 1)
+    basis = EisensteinBasis(min(s + 2, weight_ceiling), test_qorder + 1)
     return _fit_column(n, r, s, series.coeff(s), fit_qorder, test_qorder,
-                       weight_ceiling)
+                       weight_ceiling, basis)[0]
 
 
 def _fit_column(n: int, r: int, s: int, target: QSeries, fit_qorder: int,
-                test_qorder: int, weight_ceiling: int) -> dict:
+                test_qorder: int, weight_ceiling: int,
+                basis: EisensteinBasis) -> tuple:
     """fit_v_coefficient on the v^s column ``target`` of v^2 G(n, r),
-    known through q^test_qorder; one expansion can serve every s."""
+    known through q^test_qorder; one expansion can serve every s.
+
+    Each try fits in the prefix of ``basis`` up to its weight bound, and a
+    bound past basis.weight_bound builds the wider basis.  Returns the
+    report and the widest basis built, so that the columns of one fit
+    command share their bases.
+    """
     bound = min(s + 2, weight_ceiling)
     while True:
+        if bound > basis.weight_bound:
+            basis = EisensteinBasis(bound, basis.qorder)
         try:
-            res = fit_in_R(target, bound, fit_qorder, test_qorder)
+            res = fit_in_R(target, bound, fit_qorder, test_qorder, basis)
             break
         except NoSolution:
             if bound >= weight_ceiling:
@@ -517,4 +536,4 @@ def _fit_column(n: int, r: int, s: int, target: QSeries, fit_qorder: int,
     return {"n": n, "r": r, "s": s, "weight_bound": res["weight_bound"],
             "combination": [{"monomial": nm, "coeff": i_power_str(s, c)}
                             for nm, c in res["combination"]],
-            "validated_to_qorder": res["validated_to_qorder"]}
+            "validated_to_qorder": res["validated_to_qorder"]}, basis

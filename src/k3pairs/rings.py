@@ -19,10 +19,13 @@ whose keys are pairs, keeps its own:
   callers that want a y-window truncate where they make the terms, or
   with ``restrict``.
 
-``kron_digits`` reads a signed big integer back as its base-X digits at
-X = 256^w, with a bias of X/2 per digit; it is exact when every digit
-lies below X/2 in absolute value.  ``theta`` packs each cell of its
-product kernels as such an integer, built in place by its factor
+``kron_digits`` reads a signed big integer back as its nonzero base-X
+digits at X = 256^w, with a bias of X/2 per digit; it is exact when every
+digit lies below X/2 in absolute value.  The zero digits are skipped in C:
+the biased integer XOR the bias is zero on exactly their bytes, and a byte
+regex finds the nonzero runs, so its Python loop runs once per nonzero
+digit, however many slots the integer spans.  ``theta`` packs each cell
+of its product kernels as such an integer, built in place by its factor
 recurrences, and reads the cells back with it.
 ``ucomb.verify_ab_identity`` checks A.B = P at the same kind of point
 X = 256^w, but never reads digits back: it takes its values from closed
@@ -33,6 +36,7 @@ integer comparison per entry decides.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm, perm
 from operator import neg, sub
@@ -42,6 +46,8 @@ from .scalars import fraction_str
 
 __all__ = ["UPoly", "TTPoly", "YPoly", "Monomial"]
 
+_NONZERO = re.compile(rb"[^\x00]+")
+
 
 def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
     """The nonzero base-X digits of n at X = 256^width, as a map from the
@@ -49,16 +55,22 @@ def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
 
     Exact when every digit has absolute value below X/2: adding X/2 to each
     of the ``slots`` digits makes them all lie in [0, X), where base-X
-    digits are unique.
+    digits are unique.  A digit is zero exactly where its biased bytes
+    equal the bias, so the biased integer XOR the bias has a zero byte
+    wherever a zero digit lies, and a nonzero run of its bytes covers only
+    nonzero digits.  The runs are found by a byte regex, and the loop
+    below runs once per nonzero digit, not once per slot.
     """
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-    buf = (n + bias).to_bytes(slots * width, "little")
+    size = slots * width
+    biased = n + bias
+    buf = biased.to_bytes(size, "little")
     out = {}
-    for s in range(slots):
-        v = int.from_bytes(buf[s * width:(s + 1) * width], "little") - half
-        if v:
-            out[emin + s * step] = v
+    for run in _NONZERO.finditer((biased ^ bias).to_bytes(size, "little")):
+        for s in range(run.start() // width, (run.end() - 1) // width + 1):
+            out[emin + s * step] = int.from_bytes(
+                buf[s * width:(s + 1) * width], "little") - half
     return out
 
 

@@ -14,12 +14,18 @@ Every function returns a q-series whose coefficients are y-Laurent
 polynomials with u-Laurent entries, cut to the window |y| <= ywin, and
 every returned coefficient is exact on that window.  The lattice sums
 drop the terms outside it as they make them.  The product kernels work
-on the full support of each cell, which is finite below q^qorder: every
-cell is one big integer, the Kronecker packing of its (y, u) entries at
-X = 256^w, and each factor 1 - m q^n is applied in place as a shift and
-an add.  The byte width w comes from a plain-integer majorant of the
-cells read back, never from the closed forms the verifiers compare
-against, and only the finished cells are cut to the window.
+on the full support of each cell, which is finite below q^qorder.  They
+do not pack a cell in y and u, where a row's width grows with k and l,
+but in the exponents (a, b) of its factor monomials Y = u^l y and
+K = u^|k|: the eight factors are 1 - m q^n with m among 1, K^(+-1),
+Y^(+-1) and (K Y)^(+-1) or (K^-1 Y)^(+-1), whatever k and l are.  So
+every cell is one big integer, the Kronecker packing of its (a, b)
+entries at X = 256^w, with rows of 2 qorder - 1 digits (one digit at
+k = 0), and each factor is applied in place as a shift and an add.
+Digit (a, b) reads back as the entry of y^a u^(l a + |k| b).  The byte
+width w comes from a plain-integer majorant of the cells read back,
+never from the closed forms the verifiers compare against, and only the
+finished cells are cut to the window.
 """
 
 from fractions import Fraction
@@ -120,9 +126,13 @@ def _phi_majorant(qorder: int) -> list:
     """Plain-integer majorant F of phi_product below q^qorder.
 
     F = prod_{n>=1} (1 + q^n)^4 (1 - q^n)^{-4} is phi_product with every
-    monomial set to 1 and every factor sign made positive, so F_j bounds
-    the sum of the absolute values of the q^j cell of phi_product(k, l),
-    for every k and l.
+    monomial set to 1 and every factor sign made positive.  So F_j bounds
+    the sum of the absolute values of the q^j cell as a polynomial in the
+    factor monomials Y and K of _Grid, before Y = u^l y and K = u^|k| are
+    specialised, for every k and l.  That is the bound the byte width
+    needs, since _Grid packs the entries of that polynomial as its
+    digits; at k = 0, where K = 1, a digit is a sum of such entries, and
+    F_j bounds it too.
     """
     F = [1] + [0] * (qorder - 1)
     for n in range(1, qorder):
@@ -143,7 +153,10 @@ def _log_majorant(qorder: int) -> list:
     monomials m, and log(1 - m q^n) = -sum_r m^r q^{nr} / r.  So h_j is
     a sum over the divisors n of j of eight terms +-(j/r) m^r = +-n m^r,
     r = j/n, and its entries sum in absolute value to at most
-    8 sum_{n | j} n.  Like F, this comes from the factor list alone.
+    8 sum_{n | j} n.  Like F, this comes from the factor list alone, so
+    it bounds h_j as a polynomial in the factor monomials Y and K of
+    _Grid, before they are specialised: the polynomial whose entries are
+    the packed digits (at k = 0, sums of them).
     """
     H = [0] * qorder
     for n in range(1, qorder):
@@ -158,24 +171,29 @@ def _width(bound: int) -> int:
 
 
 class _Grid:
-    """Kronecker packing of the (y, u) cells of phi_product(k, l).
+    """Kronecker packing of the cells of phi_product(k, l) in the exponents
+    of its factor monomials Y = u^l y and K = u^|k|.
 
-    Below q^qorder a cell at q^j has |y| <= j and |u-exponent| <= j*reach,
-    reach = max(|k|, |l|, |k + l|), since every factor 1 - m q^n moves y
-    by at most n and u by at most n*reach.  The cell sum c_{y,a} y^y u^a
-    is packed as sum c_{y,a} X^(origin + y*row + a) at X = 256^width, one
-    y-row of ``row`` digits after another, with the point y = u = 0 at
-    digit ``origin``.  The whole support fits, so no window is needed,
-    and a monomial y^b u^a is a shift by b*row + a digits.
+    With s the sign of k, the eight factors are 1 - q^n (twice),
+    1 - K^(+-1) q^n, 1 - Y^(+-1) q^n and 1 - (K^s Y)^(+-1) q^n, whatever k
+    and l are.  So below q^qorder a cell at q^j is a sum c_{a,b} Y^a K^b
+    with |a| <= j and |b| <= j.  It is packed as
+    sum c_{a,b} X^(origin + a*row + b) at X = 256^width: one Y-row of
+    row = 2*bspan + 1 digits after another, with Y^0 K^0 at digit
+    ``origin``.  The K-span bspan is qorder - 1, or 0 at k = 0, where
+    K = 1 and a row is one digit.  The whole support fits, so no window is
+    needed, and a monomial Y^a K^b is a shift by a*row + b digits.
+    Digit (a, b) is the entry of y^a u^(l*a + |k|*b), which is one-to-one
+    when k != 0, and its u-exponent ascends with b.
     """
 
     def __init__(self, k: int, l: int, qorder: int, width: int):
-        self.k, self.l, self.qorder = k, l, qorder
-        self.reach = max(abs(k), abs(l), abs(k + l))
+        self.l, self.kabs, self.qorder = l, abs(k), qorder
+        self.ks = (k > 0) - (k < 0)
         self.yspan = qorder - 1
-        self.umax = self.yspan * self.reach
-        self.row = 2 * self.umax + 1
-        self.origin = self.yspan * self.row + self.umax
+        self.bspan = self.yspan * abs(self.ks)
+        self.row = 2 * self.bspan + 1
+        self.origin = self.yspan * self.row + self.bspan
         self.width = width
         self.bits = 8 * width
 
@@ -191,9 +209,9 @@ class _Grid:
         Multiplying by 1 - m q^n is f_j -= m f_{j-n} for j descending;
         dividing by it is f_j += m f_{j-n} for j ascending.
         """
-        k, l, qorder, row = self.k, self.l, self.qorder, self.row
-        num = (0, 0, k, -k)
-        den = (row + l, -row - l, row + k + l, -row - k - l)
+        qorder, row, ks = self.qorder, self.row, self.ks
+        num = (0, 0, ks, -ks)
+        den = (row, -row, row + ks, -row - ks)
         f = [0] * qorder
         f[0] = 1 << (self.bits * self.origin)
         for n in range(1, qorder):
@@ -207,15 +225,15 @@ class _Grid:
 
     def read(self, v: int, j: int, ywin: int) -> dict:
         """{y: {u2: digit}} of the packed q^j cell v, for |y| <= ywin."""
-        row = self.row
+        row, l, kabs, bspan = self.row, self.l, self.kabs, self.bspan
         low = (self.yspan - j) * row  # rows below y = -j are empty
         out: dict = {}
         for i, c in kron_digits(v >> (self.bits * low), 0, 1, self.width,
                                 (2 * j + 1) * row).items():
-            y, a = divmod(i, row)
-            y -= j
-            if abs(y) <= ywin:
-                out.setdefault(y, {})[2 * (a - self.umax)] = c
+            a, b = divmod(i, row)
+            a -= j
+            if abs(a) <= ywin:
+                out.setdefault(a, {})[2 * (l * a + kabs * (b - bspan))] = c
         return out
 
 
@@ -244,21 +262,23 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
 
     With f = phi_product, q f' = (q g') f gives h_j = j g_j as
     h_j = j f_j - sum_{0<i<j} h_i f_{j-i}, an integer recurrence run on
-    the packed cells of _Grid: each product of two packed cells is shifted
-    right by the origin.  Each h_j is read back and divided by j, so the
-    cells have Fraction entries.
+    the packed cells of _Grid, in the factor monomials Y and K: each
+    product of two packed cells is shifted right by the origin.  Each h_j
+    is read back, only its nonzero digits visited, and divided by j, so
+    the cells have Fraction entries.
 
     The byte width only has to decode the finished h_j, not f or the
-    partial products.  The packing sends each cell to its value at
-    X = 256^w times X^origin, a ring homomorphism, and every shift right
-    by the origin divides an exact multiple of X^origin (the supports
-    stay inside the grid), so each packed h_j is that value of the true
-    h_j whatever w is.  Reading back balanced base-X digits is injective
-    and returns the true entries when they all lie below X/2 in absolute
-    value, which the bound 8 sigma(j) of _log_majorant guarantees.  Were
-    that bound too small, the cells read back would not be the cells of
-    log phi_product, and a comparison with the closed forms would fail
-    rather than pass.
+    partial products.  The packing sends each cell, a polynomial in Y and
+    K, to its value at Y = X^row, K = X, times X^origin, a ring
+    homomorphism, and every shift right by the origin divides an exact
+    multiple of X^origin (at q^j the Y- and K-exponents stay within j, so
+    the supports stay inside the grid).  So each packed h_j is that value
+    of the true h_j whatever w is.  Reading back balanced base-X digits is
+    injective and returns the true entries when they all lie below X/2 in
+    absolute value, which the bound 8 sigma(j) of _log_majorant
+    guarantees.  Were that bound too small, the cells read back would not
+    be the cells of log phi_product, and a comparison with the closed
+    forms would fail rather than pass.
     """
     if qorder <= 0:
         raise BadConstantTerm("log needs constant term exactly 1")

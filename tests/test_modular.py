@@ -392,6 +392,46 @@ def test_fit_recovers_a_pure_monomial():
     assert rep["validated_to_qorder"] == 12
 
 
+def test_fit_in_a_wider_basis_takes_its_prefix():
+    mixed = eisenstein_even(4, 13) * Fraction(1, 3) + \
+        eisenstein_even(2, 13) ** 2
+    assert fit_in_R(mixed, 4, 8, 12, EisensteinBasis(8, 13)) == \
+        fit_in_R(mixed, 4, 8, 12)
+    # E2^2 E4 is in the weight-8 basis but past the bound 4
+    with pytest.raises(NoSolution):
+        fit_in_R(mixed * eisenstein_even(4, 13), 4, 8, 12,
+                 EisensteinBasis(8, 13))
+    for short in (EisensteinBasis(2, 13), EisensteinBasis(4, 12)):
+        with pytest.raises(ValueError, match="must reach"):
+            fit_in_R(mixed, 4, 8, 12, short)
+
+
+def test_fit_command_builds_one_basis(monkeypatch, capsys):
+    import k3pairs.modular as modular
+    from k3pairs.cli import main
+    sizes = []
+    init = modular.EisensteinBasis.__init__
+
+    def recording_init(basis, *args):
+        init(basis, *args)
+        sizes.append(len(basis))
+
+    monkeypatch.setattr(modular.EisensteinBasis, "__init__", recording_init)
+    # every column of (2, 1) fits at its starting bound s + 2 <= 8
+    assert main(["fit", "--n", "2", "--r", "1", "--vmax", "6"]) == 0
+    assert sizes == [11]
+    # (3, 0) widens from 4 to 6 at s = 2, inside the first basis, and
+    # from 8 to 10 at s = 6, past it: two more builds, at 9 and 10
+    sizes.clear()
+    assert main(["fit", "--n", "3", "--r", "0", "--vmax", "6"]) == 0
+    assert sizes == [11, 11, 16]
+    # a single column builds from its own starting bound, as it widens
+    sizes.clear()
+    fit_v_coefficient(3, 0, 2)
+    assert sizes == [4, 4, 7]
+    capsys.readouterr()
+
+
 def test_fit_rank_one_v_coefficients():
     rep0 = fit_v_coefficient(1, 0, 0, fit_qorder=6, test_qorder=10)
     assert rep0["combination"] == [{"monomial": "1", "coeff": "-1"}]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3pairs.errors import NotDivisible
 from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_digits
@@ -144,6 +145,50 @@ def test_kron_digits_inverts_kron_eval():
     # one byte holds -128..127; an empty middle slot reads back as absent
     c = {0: 127, 1: -128, 3: -1, 4: 1}
     assert kron_digits(kron_eval(c, 0, 1, 1), 0, 1, 1, 5) == c
+
+
+def _digits(width):
+    half = 1 << (8 * width - 1)
+    return st.integers(-half, half - 1).filter(bool)
+
+
+_SLOTS = 40
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda w: st.tuples(
+           st.just(w),
+           st.dictionaries(st.integers(0, _SLOTS - 1), _digits(w),
+                           max_size=6))),
+       st.integers(-4, 4), st.integers(1, 3))
+def test_kron_digits_reads_sparse_digits_back(packed, emin, step):
+    width, at = packed
+    c = {emin + step * s: v for s, v in at.items()}
+    assert kron_digits(kron_eval(c, emin, step, width), emin, step, width,
+                       _SLOTS) == c
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_kron_digits_edge_slots(width):
+    half = 1 << (8 * width - 1)
+    assert kron_digits(0, 0, 1, width, 1000) == {}
+    for v in (1, -1, half - 1, -half):
+        for s in (0, _SLOTS - 1):  # bottom and top slot
+            assert kron_digits(kron_eval({s: v}, 0, 1, width), 0, 1, width,
+                               _SLOTS) == {s: v}
+    # adjacent nonzero slots form one run of nonzero bytes
+    c = {5: 1, 6: -1, 7: half - 1, 8: -half, 9: 2}
+    assert kron_digits(kron_eval(c, 0, 1, width), 0, 1, width, _SLOTS) == c
+
+
+def test_kron_digits_bytes_that_look_like_the_bias():
+    # at width 2 the bias is the bytes 00 80 per digit: 128 biases to
+    # 80 80, -128 to 80 7f, 256 to 00 81 and -32768 to 00 00, so each has
+    # a byte equal to a bias byte, or a zero byte after the XOR
+    c = {0: 128, 1: -128, 2: 256, 4: -32768, 5: 32767, 6: -256, 8: 128}
+    assert kron_digits(kron_eval(c, 0, 1, 2), 0, 1, 2, 9) == c
+    e = {-3 + 2 * s: v for s, v in c.items()}
+    assert kron_digits(kron_eval(e, -3, 2, 2), -3, 2, 2, 9) == e
 
 
 def test_ttpoly():

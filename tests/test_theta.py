@@ -184,7 +184,9 @@ def _oracle_phi(k, l, qorder, ywin):
 
 ORACLE_GRID = [(0, 0, 1, 0), (1, 0, 2, 0), (1, 1, 2, 1), (0, 0, 7, 6),
                (1, 0, 8, 8), (2, -2, 6, 3), (-1, 1, 5, 5), (-1, 2, 7, 3),
-               (3, -1, 5, 0), (-2, -1, 6, 4), (0, 3, 6, 2), (2, 1, 8, 7)]
+               (3, -1, 5, 0), (-2, -1, 6, 4), (0, 3, 6, 2), (2, 1, 8, 7),
+               # where a (y, u) grid of the cells would be widest
+               (3, 3, 7, 6), (-3, -3, 6, 5), (3, 0, 7, 6)]
 
 
 @pytest.mark.parametrize("k,l,qorder,ywin", ORACLE_GRID)
@@ -222,7 +224,8 @@ def _l1(cell):
 def test_majorants_bound_the_cells():
     qorder = 8
     big, hbig = theta._phi_majorant(qorder), theta._log_majorant(qorder)
-    for k, l in ((0, 0), (1, 0), (2, -1), (-1, 3)):
+    for k, l in ((0, 0), (1, 0), (2, -1), (-1, 3),
+                 (3, 3), (-3, -3), (3, 0)):
         f = _oracle_phi(k, l, qorder, qorder)
         g = log_phi_product(k, l, qorder, qorder)
         assert g.exp(one=ONE) == f
