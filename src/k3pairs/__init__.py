@@ -10,7 +10,7 @@ anywhere.
 __version__ = "0.1.0"
 
 from . import errors  # noqa: F401
-from .modular import EisensteinBasis, eisenstein_even, fit_in_R, \
+from .modular import EisensteinBasis, eisenstein_even, \
     fit_v_coefficient, logphi_sigma_check, mpt_check, \
     psi_kls_derivative, psi_kls_sym, sigma_series, v_partition_series, \
     verify_psi_vs_log  # noqa: F401

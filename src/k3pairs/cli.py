@@ -2,10 +2,11 @@
 
 Four subcommands: ``table`` writes invariant tables of the coherent-
 system moduli, ``verify`` drives the named identity suites, ``fit``
-expresses v-expansion coefficients in the bounded-weight Eisenstein
-ring, and ``series`` dumps the coefficients of the normalized counting
-series itself.  Output is CSV or JSON, deterministic byte for byte for
-a fixed configuration.
+writes each v-expansion coefficient as the polynomial in E2, E4 and E6
+that the closed form gives, checked against the series and refused
+above the weight ceiling, and ``series`` dumps the coefficients of the
+normalized counting series itself.  Output is CSV or JSON,
+deterministic byte for byte for a fixed configuration.
 
 Exit codes: 0 success, 1 identity or fit failure, 2 configuration
 error (the message names the violated constraint).
@@ -19,13 +20,16 @@ import sys
 from dataclasses import dataclass
 
 from .errors import NoSolution, ValidationFailure
-from .modular import FIT_QORDER, TEST_QORDER, EisensteinBasis, \
-    _fit_column, v_partition_series
+from .modular import TEST_QORDER, _fit_columns
 from .partition import g_closed, syst_table
 from .verify import SUITES, check_bounds, run_suite
 
 __all__ = ["RunConfig", "build_parser", "main",
            "cmd_table", "cmd_verify", "cmd_fit", "cmd_series"]
+
+# the fit report's "fit_qorder" key: the window of the elimination that fit
+# ran before it read the closed form, kept so the report's format stays
+FIT_QORDER = 20
 
 
 @dataclass
@@ -144,23 +148,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    series = v_partition_series(cfg.n, cfg.r, TEST_QORDER + 1, cfg.vmax + 1)
-    # one basis at the highest bound a column starts at; a column that
-    # widens past it leaves the wider basis to the columns after it
-    basis = EisensteinBasis(min(cfg.vmax + 2, cfg.weight_bound),
-                            TEST_QORDER + 1)
     fits = []
-    for s in range(cfg.vmax + 1):
-        try:
-            fit, basis = _fit_column(cfg.n, cfg.r, s, series.coeff(s),
-                                     FIT_QORDER, TEST_QORDER,
-                                     cfg.weight_bound, basis)
+    try:
+        for fit in _fit_columns(cfg.n, cfg.r, range(cfg.vmax + 1),
+                                TEST_QORDER, cfg.weight_bound):
             fits.append(fit)
-        except (NoSolution, ValidationFailure) as ex:
-            sys.stderr.write(
-                f"fit failed at v-power s={s}: "
-                f"{type(ex).__name__}: {ex}\n")
-            return 1
+    except (NoSolution, ValidationFailure) as ex:
+        # the columns run from s = 0, so the one that failed is the next
+        sys.stderr.write(
+            f"fit failed at v-power s={len(fits)}: "
+            f"{type(ex).__name__}: {ex}\n")
+        return 1
     out = json.dumps({
         "n": cfg.n, "r": cfg.r, "vmax": cfg.vmax,
         "weight_ceiling": cfg.weight_bound,
@@ -250,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", dest="output", default=None,
                    help="output path (default: standard output)")
 
-    f = sub.add_parser("fit", help="fit v-expansion coefficients in the "
-                                   "bounded-weight Eisenstein ring")
+    f = sub.add_parser("fit", help="v-expansion coefficients as "
+                                   "polynomials in E2, E4 and E6")
     _add_rank_flags(f)
     f.add_argument("--vmax", type=int, default=6,
                    help="largest v-power fitted (default 6)")
     f.add_argument("--weight", dest="weight_bound", type=int, default=12,
-                   help="weight ceiling for the search (default 12)")
+                   help="weight ceiling (default 12)")
     f.add_argument("--out", dest="output", default=None,
                    help="output path (default: standard output)")
 

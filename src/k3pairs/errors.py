@@ -50,8 +50,8 @@ class Mismatch(K3PairsError):
 
 
 class NoSolution(K3PairsError):
-    """The exact linear fit has no solution in the allowed basis."""
+    """No combination of monomials within the weight bound gives the series."""
 
 
 class ValidationFailure(K3PairsError):
-    """A fit matched the fitting window but failed beyond it."""
+    """A combination disagrees with the series it must equal."""

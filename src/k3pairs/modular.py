@@ -1,18 +1,18 @@
 """Eisenstein layer: the v-expansion of the counting series and its
-recognition inside a bounded-weight ring of q-series.
+closed form in the ring of quasimodular forms Q[E2, E4, E6].
 
 After substituting y -> e^{iv}, each power of v in v^2 * G(n, r; q, y)
 carries a power series in q.  This module builds those series exactly
 (the q^0 column from a closed rational form, the rest from the
 full-support integer columns of the Euler specialization), provides the
-divisor sums, the Eisenstein series and the ring of quasimodular forms
-Q[E2, E4, E6] the coefficients are expected to live in, the closed forms
-for the v-coefficients of the log-product kernel together with their
+divisor sums and the Eisenstein series, the closed forms for the
+v-coefficients of the log-product kernel together with their
 u-derivatives at u = 1, two independent product-side consistency checks,
-and an exact linear fitter with a held-out validation window.  Every v^s cell is i^s times a
-rational, and the cells store that rational (the series in w = iv, see
-series.v_substitute_qmajor), so the closed forms fold i^s into real
-signs and the fitter eliminates over Z on one rational right-hand side.
+and each v^s column as a polynomial in E2, E4 and E6, derived from the
+paper's theorem at u = 1, G^r_n = (1/n) Q_{n,r}(D_q, D_y) T^-2, and
+checked against the series.  Every v^s cell is i^s times a rational, and
+the cells store that rational (the series in w = iv, see
+series.v_substitute_qmajor), so the closed forms fold i^s into real signs.
 
 No floats, no numerics: every comparison is coefficient-exact, and every
 verifier raises Mismatch with the first differing exponent location
@@ -20,7 +20,8 @@ instead of returning a best effort.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
+from operator import add
 
 from .errors import Mismatch, NoSolution, ValidationFailure
 from .partition import _check_rank, euler_g_column
@@ -30,7 +31,7 @@ from .series import QSeries, locate_mismatch, v_substitute_qmajor
 from .theta import log_phi_product
 
 __all__ = [
-    "EisensteinBasis", "eisenstein_even", "fit_in_R", "fit_v_coefficient",
+    "EisensteinBasis", "eisenstein_even", "fit_v_coefficient",
     "logphi_sigma_check", "mpt_check", "psi_kls_derivative", "psi_kls_sym",
     "sigma_series", "v_partition_series", "verify_psi_vs_log",
 ]
@@ -328,13 +329,110 @@ def logphi_sigma_check(qorder: int, vorder: int) -> dict:
     return {"qorder": qorder, "vorder": vorder, "ok": True}
 
 
-# ---------------------------------------------------------------------------
-# the bounded-weight ring and the exact fitter
 
-# fit and held-out windows: wider than the verify suites' qorder, since a
-# fit needs enough held-out coefficients to be trusted
-FIT_QORDER = 20
+
+# ---------------------------------------------------------------------------
+# the closed form at u = 1: G^r_n = (1/n) Q_{n,r}(D_q, D_y) T^-2
+
+# each closed column is checked against the series through q^TEST_QORDER
 TEST_QORDER = 30
+
+
+def _weight(m: tuple) -> int:
+    return 2 * m[0] + 4 * m[1] + 6 * m[2]
+
+
+def _monomial_name(m: tuple) -> str:
+    """"E2^2*E4" for (2, 1, 0), and "1" for the empty product."""
+    return "*".join(f"E{w}^{e}" if e > 1 else f"E{w}"
+                    for w, e in zip((2, 4, 6), m) if e) or "1"
+
+
+def _poly_add(acc: dict, f: dict, scale) -> None:
+    """acc += scale * f for polynomials stored as {exponent tuple: Fraction},
+    in place; over Q[E2, E4, E6] the tuple (a, b, c) is E2^a E4^b E6^c."""
+    for m, c in f.items():
+        v = acc.get(m, 0) + scale * c
+        if v:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
+
+
+def _poly_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for m, c in f.items():
+        _poly_add(out, {tuple(map(add, m, k)): d for k, d in g.items()}, c)
+    return out
+
+
+def _ramanujan(f: dict) -> dict:
+    """D_q = q d/dq on Q[E2, E4, E6]: D E2 = (E2^2 - E4)/12,
+    D E4 = (E2 E4 - E6)/3 and D E6 = (E2 E6 - E4^2)/2."""
+    out: dict = {}
+    for (a, b, c), x in f.items():
+        _poly_add(out, {(a + 1, b, c): Fraction(a + 4 * b + 6 * c, 12),
+                        (a - 1, b + 1, c): Fraction(-a, 12),
+                        (a, b - 1, c + 1): Fraction(-b, 3),
+                        (a, b + 2, c - 1): Fraction(-c, 2)}, x)
+    return out
+
+
+def _rank_one_columns(mmax: int) -> list:
+    """[g_-2, g_-1, ..., g_mmax], where G^0_1 = 1/T^2 = sum g_m w^m.
+
+    In w = iv, where D_y = d/dw, T = -w - w^3/24 - ... is odd, and the
+    heat equation D_q T = D_y^2 T / 2 - E2 T / 8 gives t_{s+2} =
+    2 (D_q t_s + E2 t_s / 8) / ((s + 1)(s + 2)) from t_1 = -1.  With
+    T = -w U(w^2) and u_k = -t_{2k+1}, V = U^-2 obeys
+    k V_k = -sum_{j=1}^k (j + k) u_j V_{k-j}, and 1/T^2 = w^-2 V.
+    """
+    u = [{(0, 0, 0): Fraction(1)}]
+    vs = [{(0, 0, 0): Fraction(1)}]
+    for k in range(1, mmax // 2 + 2):
+        du = _ramanujan(u[-1])
+        _poly_add(du, {(a + 1, b, c): x for (a, b, c), x in u[-1].items()},
+                  Fraction(1, 8))
+        u.append({m: x / (k * (2 * k + 1)) for m, x in du.items()})
+        vk: dict = {}
+        for j in range(1, k + 1):
+            _poly_add(vk, _poly_mul(u[j], vs[k - j]), Fraction(-(j + k), k))
+        vs.append(vk)
+    return [{} if m % 2 else vs[m // 2 + 1] for m in range(-2, mmax + 1)]
+
+
+def _closed_v_columns(n: int, r: int, ss) -> dict:
+    """{s: polynomial in E2, E4, E6} for the v^s columns of v^2 G(n, r),
+    s in ss, from the paper's theorem at u = 1.
+
+    For r < n the lattice sum of g_closed at u = 1 is
+    G^r_n = (1/n) Q_{n,r}(D_q, D_y) G^0_1 with G^0_1 = sum (p + l)
+    q^{pl} y^{p-l}: Q_{n,r}(p, l) = C(p + r - 1, n - 1) C(l + n - r - 1,
+    n - 1) vanishes on the rank-one lattice points outside p >= n - r,
+    l >= r, and D_q multiplies the (p, l) term by pl, D_y by p - l.
+    Pairing the factor p + c of the first binomial with l - c of the
+    second, for c = r - 1, ..., r - n + 1, gives (p + c)(l - c) =
+    pl - c (p - l) - c^2, so Q_{n,r}(D_q, D_y) is (n - 1)!^-2 times the
+    product of the D_q - c D_y - c^2.  The stored v^s cell of v^2 G is
+    minus the w^{s-2} coefficient of G, since v^2 = -w^2, and r = n is
+    the mirror y -> 1/y of r = 0, which puts (-1)^s on the cells.  The
+    polynomial is unique: E2, E4 and E6 are algebraically independent
+    (Kaneko-Zagier).
+    """
+    # f[i] is the coefficient of w^(i - n - 1), from the polar depth up
+    f = [{}] * (n - 1) + _rank_one_columns(max(ss) + n - 3)
+    r0 = 0 if r == n else r
+    for c in range(r0 - n + 1, r0):
+        nxt = []
+        for i in range(len(f) - 1):
+            t = _ramanujan(f[i])
+            _poly_add(t, f[i + 1], -c * (i - n))
+            _poly_add(t, f[i], -c * c)
+            nxt.append(t)
+        f = nxt
+    scale = Fraction(-1, n * factorial(n - 1) ** 2)
+    return {s: {m: x * (-scale if r == n and s % 2 else scale)
+                for m, x in f[s + n - 1].items()} for s in ss}
 
 
 def _int_mul(f: list, g: list) -> list:
@@ -348,192 +446,94 @@ def _int_mul(f: list, g: list) -> list:
 
 
 class EisensteinBasis:
-    """The quasimodular monomials E2^a E4^b E6^c of weight <= weight_bound.
+    """The q-expansions of the monomials E2^a E4^b E6^c of weight
+    <= weight_bound, exact below q^qorder.
 
-    These span the quasimodular forms of weight <= weight_bound and are
-    linearly independent (Kaneko-Zagier): weight(E_w) = w and weights add
-    over products.  ``elements`` holds one (name, weight, expansion)
-    triple per monomial, the empty product "1" included, sorted by
-    (weight, name); expansions are exact below q^qorder.  Each generator
-    is E_w = 1 + c sum_{n >= 1} sigma_{w-1}(n) q^n with the integer
+    ``elements`` holds one (name, weight, expansion) triple per monomial,
+    the empty product "1" included, sorted by (weight, name): weight(E_w)
+    = w and weights add over products.  Each generator is
+    E_w = 1 + c sum_{n >= 1} sigma_{w-1}(n) q^n with the integer
     c = -2w/B_w (-24, 240, -504), so every expansion is an integer list.
     """
 
-    __slots__ = ("weight_bound", "qorder", "elements")
+    __slots__ = ("elements",)
 
     def __init__(self, weight_bound: int, qorder: int):
         if weight_bound < 0:
             raise ValueError("weight bound must be nonnegative")
         if qorder < 1:
             raise ValueError("qorder must be positive")
-        self.weight_bound = weight_bound
-        self.qorder = qorder
-        gens = [(f"E{w}", w,
-                 [1] + [c * m for m in sigma_series(w - 1, qorder).coeffs])
-                for w, c in ((2, -24), (4, 240), (6, -504))]
+        e2, e4, e6 = (
+            [1] + [c * m for m in sigma_series(w - 1, qorder).coeffs]
+            for w, c in ((2, -24), (4, 240), (6, -504)))
         self.elements: list = []
-        self._emit(gens, 0, [], [1] + [0] * (qorder - 1))
+        p6 = [1] + [0] * (qorder - 1)
+        for c in range(weight_bound // 6 + 1):
+            p6 = _int_mul(p6, e6) if c else p6
+            p4 = p6
+            for b in range((weight_bound - 6 * c) // 4 + 1):
+                p4 = _int_mul(p4, e4) if b else p4
+                p2 = p4
+                for a in range((weight_bound - 6 * c - 4 * b) // 2 + 1):
+                    p2 = _int_mul(p2, e2) if a else p2
+                    m = (a, b, c)
+                    self.elements.append((_monomial_name(m), _weight(m),
+                                          QSeries(0, p2, "q")))
         self.elements.sort(key=lambda e: (e[1], e[0]))
-
-    def _emit(self, gens: list, weight: int, parts: list, ints: list):
-        if not gens:
-            name = "*".join(f"{nm}^{e}" if e > 1 else nm
-                            for nm, e in parts) or "1"
-            self.elements.append((name, weight, QSeries(0, ints, "q")))
-            return
-        (name, w, gints), rest = gens[0], gens[1:]
-        e = 0
-        while weight + e * w <= self.weight_bound:
-            self._emit(rest, weight + e * w,
-                       parts + ([(name, e)] if e else []), ints)
-            e += 1
-            if weight + e * w <= self.weight_bound:
-                ints = _int_mul(ints, gints)
 
     def __len__(self):
         return len(self.elements)
 
 
-def _primitive(row: list) -> list:
-    """The integer row divided by its content (the gcd of its entries)."""
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
-def _solve_exact(rows: list, k: int):
-    """Solve A x = b for a rational matrix A and rational b.
-
-    Each row holds k rational entries of A followed by its right-hand
-    side.  One Gauss-Jordan elimination over Z: every row is cleared of
-    denominators, pivots are taken in column order from the first
-    nonzero row below, and every updated row is divided by its content.
-    Returns the particular solution (Fraction coordinates) with every
-    free coordinate pinned to zero, or None if inconsistent.
-    """
-    work = []
-    for row in rows:
-        d = lcm(*(c.denominator for c in row))
-        work.append(_primitive([c.numerator * (d // c.denominator)
-                                for c in row]))
-    m = len(work)
-    pivots = []
-    rr = 0
-    for col in range(k):
-        p = next((i for i in range(rr, m) if work[i][col]), None)
-        if p is None:
-            continue
-        work[rr], work[p] = work[p], work[rr]
-        prow = work[rr]
-        piv = prow[col]
-        for i in range(m):
-            f = work[i][col]
-            if i != rr and f:
-                work[i] = _primitive([piv * a - f * b
-                                      for a, b in zip(work[i], prow)])
-        pivots.append(col)
-        rr += 1
-        if rr == m:
-            break
-    if any(row[k] for row in work[rr:]):
-        return None
-    x = [Fraction(0)] * k
-    for row, col in zip(work, pivots):
-        x[col] = Fraction(row[k], row[col])
-    return x
-
-
-def fit_in_R(target: QSeries, weight_bound: int, fit_qorder: int,
-             test_qorder: int, basis: EisensteinBasis | None = None) -> dict:
-    """Express a rational q-series exactly in the bounded-weight monomials.
-
-    Solves the linear system on the coefficients q^0 .. q^fit_qorder by
-    exact elimination over Z, and then demands a literally zero residual
-    on the held-out window q^{fit_qorder+1} .. q^{test_qorder}.  A v^s
-    column of v_partition_series is rational as stored (its values are
-    i^s times it), so it is fitted as it is.  Raises NoSolution if the
-    window system is inconsistent and ValidationFailure if a window fit
-    breaks beyond it; returns the nonzero combination otherwise.
-
-    A given ``basis`` must reach weight_bound and q^test_qorder; its
-    elements of weight <= weight_bound, a prefix since they are sorted by
-    weight, are the basis built here otherwise, in the same order.
-    """
-    if not 0 <= fit_qorder < test_qorder:
-        raise ValueError("need 0 <= fit_qorder < test_qorder")
-    if target.order <= test_qorder:
-        raise ValueError("target must be known through the validation order")
-    if basis is None:
-        basis = EisensteinBasis(weight_bound, test_qorder + 1)
-    elif basis.weight_bound < weight_bound or basis.qorder <= test_qorder:
-        raise ValueError("the basis must reach the weight bound and the "
-                         "validation order")
-    elements = [e for e in basis.elements if e[1] <= weight_bound]
-    names = [nm for nm, _, _ in elements]
-    cols = [ser.coeffs for _, _, ser in elements]
-    k = len(cols)
-    tgt = [target.coeff(m) for m in range(test_qorder + 1)]
-    rows = [[c[m] for c in cols] + [tgt[m]] for m in range(fit_qorder + 1)]
-    x = _solve_exact(rows, k)
-    if x is None:
-        raise NoSolution(
-            f"no combination of weight <= {weight_bound} matches the "
-            f"window up to q^{fit_qorder}")
-    used = [(xi, c) for xi, c in zip(x, cols) if xi]
-    for m in range(fit_qorder + 1, test_qorder + 1):
-        if sum(xi * c[m] for xi, c in used) != tgt[m]:
+def _fit_columns(n: int, r: int, ss, test_qorder: int,
+                 weight_ceiling: int):
+    """Yield the fit_v_coefficient report of each v^s column of
+    v^2 G(n, r), s in ss ascending; one expansion and one basis serve
+    them all.  A polynomial is unique, so no combination below its top
+    weight gives the column."""
+    closed = _closed_v_columns(n, r, ss)
+    series = v_partition_series(n, r, test_qorder + 1, ss[-1] + 1)
+    top = {s: max(map(_weight, col), default=0) for s, col in closed.items()}
+    basis = EisensteinBasis(max(top.values()), test_qorder + 1)
+    for s in ss:
+        named = {_monomial_name(m): c for m, c in closed[s].items()}
+        combination = [(nm, named[nm], ser) for nm, _, ser in basis.elements
+                       if nm in named]
+        expansion = QSeries.zero(test_qorder + 1)
+        for _, c, ser in combination:
+            expansion = expansion + ser * c
+        e = series.coeff(s).first_mismatch(expansion)
+        if e is not None:
             raise ValidationFailure(
-                f"combination matches through q^{fit_qorder} but fails "
-                f"at q^{m}")
-    return {"weight_bound": weight_bound, "fit_qorder": fit_qorder,
-            "validated_to_qorder": test_qorder,
-            "combination": [(nm, xi) for nm, xi in zip(names, x) if xi]}
+                f"the closed form of the v^{s} column disagrees with the "
+                f"series at q^{e}")
+        if top[s] > weight_ceiling:
+            raise NoSolution(
+                f"no combination of weight <= {weight_ceiling} gives the "
+                f"v^{s} column, whose closed form has weight {top[s]}")
+        yield {"n": n, "r": r, "s": s,
+               "weight_bound": max(min(s + 2, weight_ceiling), top[s]),
+               "combination": [{"monomial": nm, "coeff": i_power_str(s, c)}
+                               for nm, c, _ in combination],
+               "validated_to_qorder": test_qorder}
 
 
 def fit_v_coefficient(n: int, r: int, s: int,
-                      fit_qorder: int = FIT_QORDER,
                       test_qorder: int = TEST_QORDER,
                       weight_ceiling: int = 12) -> dict:
-    """Fit one v-coefficient of v^2 G(n, r) and return a JSON-ready report.
+    """The v^s coefficient of v^2 G(n, r) in E2, E4 and E6, as a
+    JSON-ready report.
 
-    The expected weight of the v^s coefficient is s + 2, so the search
-    starts there (capped by the ceiling) and widens on NoSolution until
-    the ceiling is exhausted.  Each coefficient c of the stored v^s
-    column is reported as the exact string of its value i^s c.  The
-    v-series starts at the polar depth 1 - n, so s below it raises
-    ValueError.
+    The closed polynomial is checked against v_partition_series through
+    q^test_qorder, and a difference raises ValidationFailure naming the
+    q-power; a top weight above weight_ceiling raises NoSolution.  The
+    monomials are listed by (weight, name), each coefficient c of the
+    stored column as the string of its value i^s c; weight_bound is
+    max(min(s + 2, weight_ceiling), top weight), where a zero column has
+    top weight 0.  The v-series starts at the polar depth 1 - n, so s
+    below it raises ValueError.
     """
     _check_rank(n, r)
     if s < 1 - n:
         raise ValueError(f"need s >= 1 - n = {1 - n} (got s = {s})")
-    series = v_partition_series(n, r, test_qorder + 1, s + 1)
-    basis = EisensteinBasis(min(s + 2, weight_ceiling), test_qorder + 1)
-    return _fit_column(n, r, s, series.coeff(s), fit_qorder, test_qorder,
-                       weight_ceiling, basis)[0]
-
-
-def _fit_column(n: int, r: int, s: int, target: QSeries, fit_qorder: int,
-                test_qorder: int, weight_ceiling: int,
-                basis: EisensteinBasis) -> tuple:
-    """fit_v_coefficient on the v^s column ``target`` of v^2 G(n, r),
-    known through q^test_qorder; one expansion can serve every s.
-
-    Each try fits in the prefix of ``basis`` up to its weight bound, and a
-    bound past basis.weight_bound builds the wider basis.  Returns the
-    report and the widest basis built, so that the columns of one fit
-    command share their bases.
-    """
-    bound = min(s + 2, weight_ceiling)
-    while True:
-        if bound > basis.weight_bound:
-            basis = EisensteinBasis(bound, basis.qorder)
-        try:
-            res = fit_in_R(target, bound, fit_qorder, test_qorder, basis)
-            break
-        except NoSolution:
-            if bound >= weight_ceiling:
-                raise
-            bound += 1
-    return {"n": n, "r": r, "s": s, "weight_bound": res["weight_bound"],
-            "combination": [{"monomial": nm, "coeff": i_power_str(s, c)}
-                            for nm, c in res["combination"]],
-            "validated_to_qorder": res["validated_to_qorder"]}, basis
+    return next(_fit_columns(n, r, [s], test_qorder, weight_ceiling))

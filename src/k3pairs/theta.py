@@ -290,7 +290,8 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
         acc = sum(h[i] * f[j - i] for i in range(1, j))
         h[j] = j * f[j] - (acc >> (grid.bits * grid.origin))
         if h[j]:
-            cols[j] = YPoly({y: UPoly({u2: Fraction(c, j)
-                                       for u2, c in d.items()})
-                             for y, d in grid.read(h[j], j, ywin).items()})
+            cols[j] = YPoly({
+                y: UPoly(
+                    {u2: Fraction(c, j) for u2, c in d.items()})
+                for y, d in grid.read(h[j], j, ywin).items()})
     return QSeries(0, cols, "q")

@@ -447,6 +447,14 @@ def test_fit_matches_golden_file(capsys, tmp_path):
     assert target.read_bytes() == golden
 
 
+def test_fit_past_the_expected_weight_matches_golden_file(capsys):
+    # from s = 2 on, the columns at (3, 0) have weight s + 4 at even s and
+    # s + 3 at odd s, past s + 2
+    code, out, err = _run(capsys, ["fit", "--n", "3", "--r", "0", "--vmax", "6"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "fit_n3_r0_vmax6.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["table", "--n", "3", "--r", "1", "--gmax", "8", "--hodge"],
      "table_n3_r1_g8_hodge.csv"),

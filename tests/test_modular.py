@@ -12,6 +12,7 @@ rationals, with the value alongside where it helps.
 """
 
 import json
+import time
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -21,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from k3pairs.errors import Mismatch, NoSolution, UnsupportedRank, \
     ValidationFailure
 from k3pairs.modular import (
-    EisensteinBasis, _odd_cells, _solve_exact, eisenstein_even, fit_in_R,
+    EisensteinBasis, _fit_columns, _odd_cells, eisenstein_even,
     fit_v_coefficient, logphi_sigma_check, mpt_check, psi_kls_derivative,
     psi_kls_sym, sigma_series, v_partition_series, verify_psi_vs_log)
 from k3pairs.partition import euler_g_column, g_closed
@@ -29,6 +30,8 @@ from k3pairs.rings import UPoly
 from k3pairs.scalars import i_power_str
 from k3pairs.series import QSeries, v_substitute_qmajor
 from k3pairs.theta import log_phi_product
+
+from fit_oracle import fit_in_R, solve_exact
 
 
 def _exp_w(mult: int, vorder: int) -> QSeries:
@@ -382,7 +385,7 @@ def test_solve_exact_pivots_every_weight_12_column():
     x = list(range(1, len(cols) + 1))
     rows = [[c[m] for c in cols] + [sum(xi * c[m] for xi, c in zip(x, cols))]
             for m in range(31)]
-    assert _solve_exact(rows, len(cols)) == x
+    assert solve_exact(rows, len(cols)) == x
 
 
 def test_fit_recovers_a_pure_monomial():
@@ -393,17 +396,21 @@ def test_fit_recovers_a_pure_monomial():
 
 
 def test_fit_in_a_wider_basis_takes_its_prefix():
+    # the monomials of weight <= 4 open the weight-8 basis, in its order
+    wide, narrow = EisensteinBasis(8, 13).elements, \
+        EisensteinBasis(4, 13).elements
+    assert wide[:len(narrow)] == narrow and wide[len(narrow)][1] > 4
     mixed = eisenstein_even(4, 13) * Fraction(1, 3) + \
         eisenstein_even(2, 13) ** 2
-    assert fit_in_R(mixed, 4, 8, 12, EisensteinBasis(8, 13)) == \
-        fit_in_R(mixed, 4, 8, 12)
+    assert fit_in_R(mixed, 4, 8, 12)["combination"] == \
+        fit_in_R(mixed, 8, 10, 12)["combination"]
     # E2^2 E4 is in the weight-8 basis but past the bound 4
     with pytest.raises(NoSolution):
-        fit_in_R(mixed * eisenstein_even(4, 13), 4, 8, 12,
-                 EisensteinBasis(8, 13))
-    for short in (EisensteinBasis(2, 13), EisensteinBasis(4, 12)):
-        with pytest.raises(ValueError, match="must reach"):
-            fit_in_R(mixed, 4, 8, 12, short)
+        fit_in_R(mixed * eisenstein_even(4, 13), 4, 8, 12)
+    # one fit command checks every column in the basis of its widest one;
+    # each column's report is the one it gets in its own, narrower basis
+    reports = list(_fit_columns(3, 0, list(range(7)), 30, 12))
+    assert reports == [fit_v_coefficient(3, 0, s) for s in range(7)]
 
 
 def test_fit_command_builds_one_basis(monkeypatch, capsys):
@@ -417,27 +424,26 @@ def test_fit_command_builds_one_basis(monkeypatch, capsys):
         sizes.append(len(basis))
 
     monkeypatch.setattr(modular.EisensteinBasis, "__init__", recording_init)
-    # every column of (2, 1) fits at its starting bound s + 2 <= 8
+    # one basis, at the top weight of the widest column: 8 at (2, 1)
     assert main(["fit", "--n", "2", "--r", "1", "--vmax", "6"]) == 0
     assert sizes == [11]
-    # (3, 0) widens from 4 to 6 at s = 2, inside the first basis, and
-    # from 8 to 10 at s = 6, past it: two more builds, at 9 and 10
+    # (3, 0) reaches weight 10 at s = 6
     sizes.clear()
     assert main(["fit", "--n", "3", "--r", "0", "--vmax", "6"]) == 0
-    assert sizes == [11, 11, 16]
-    # a single column builds from its own starting bound, as it widens
+    assert sizes == [16]
+    # a single column builds the basis of its own top weight, 6
     sizes.clear()
     fit_v_coefficient(3, 0, 2)
-    assert sizes == [4, 4, 7]
+    assert sizes == [7]
     capsys.readouterr()
 
 
 def test_fit_rank_one_v_coefficients():
-    rep0 = fit_v_coefficient(1, 0, 0, fit_qorder=6, test_qorder=10)
+    rep0 = fit_v_coefficient(1, 0, 0, test_qorder=10)
     assert rep0["combination"] == [{"monomial": "1", "coeff": "-1"}]
-    rep2 = fit_v_coefficient(1, 0, 2, fit_qorder=6, test_qorder=10)
+    rep2 = fit_v_coefficient(1, 0, 2, test_qorder=10)
     assert rep2["combination"] == [{"monomial": "E2", "coeff": "-1/12"}]
-    rep4 = fit_v_coefficient(1, 0, 4, fit_qorder=8, test_qorder=12)
+    rep4 = fit_v_coefficient(1, 0, 4, test_qorder=12)
     assert rep4["combination"] == [
         {"monomial": "E2^2", "coeff": "-1/288"},
         {"monomial": "E4", "coeff": "-1/1440"}]
@@ -470,26 +476,23 @@ def test_fit_no_solution_and_validation_failure():
 
 def test_fit_weight_ceiling_exhaustion():
     with pytest.raises(NoSolution):
-        fit_v_coefficient(1, 0, 2, fit_qorder=6, test_qorder=10,
-                          weight_ceiling=0)
+        fit_v_coefficient(1, 0, 2, test_qorder=10, weight_ceiling=0)
 
 
 @pytest.mark.parametrize("r,s", [(0, 2), (1, 3)])
-def test_fit_widens_past_the_expected_weight(r, s, monkeypatch):
+def test_fit_widens_past_the_expected_weight(r, s):
     # the v^2 column at (3, 0) and the v^3 column at (3, 1) need weight 6,
-    # past s + 2, so the search widens from 4 (even) or 5 (odd) to 6
-    import k3pairs.modular as modular
-    tried = []
-    fit = modular.fit_in_R
-
-    def spy(target, weight_bound, *rest):
-        tried.append(weight_bound)
-        return fit(target, weight_bound, *rest)
-
-    monkeypatch.setattr(modular, "fit_in_R", spy)
+    # past s + 2: the elimination finds nothing from s + 2 up to 5, and at
+    # 6 it finds the reported polynomial
     rep = fit_v_coefficient(3, r, s)
-    assert tried == list(range(s + 2, 7))
     assert rep["weight_bound"] == 6
+    target = v_partition_series(3, r, 31, s + 1).coeff(s)
+    for bound in range(s + 2, 6):
+        with pytest.raises(NoSolution):
+            fit_in_R(target, bound, 20, 30)
+    oracle = fit_in_R(target, 6, 20, 30)["combination"]
+    assert rep["combination"] == [{"monomial": nm, "coeff": i_power_str(s, c)}
+                                  for nm, c in oracle]
     if s == 2:
         assert [c["monomial"] for c in rep["combination"]] == [
             "E2", "E2^2", "E4", "E2*E4", "E2^3", "E6"]
@@ -507,16 +510,82 @@ def test_fit_below_the_polar_depth_names_it():
     # s = 1 - n is the polar column itself: a valid, zero column
     rep = fit_v_coefficient(2, 1, -1)
     assert (rep["s"], rep["combination"]) == (-1, [])
+    # at n = 4 the polar column s = -3 is a constant, and s + 2 < 0
+    polar = {0: [{"monomial": "1", "coeff": "i"}],
+             4: [{"monomial": "1", "coeff": "-i"}]}
+    for r in range(5):
+        rep = fit_v_coefficient(4, r, -3)
+        assert (rep["weight_bound"], rep["combination"]) == \
+            (0, polar.get(r, [])), r
 
 
 def test_fit_report_is_json_ready():
-    rep = fit_v_coefficient(2, 1, 2, fit_qorder=8, test_qorder=12)
+    rep = fit_v_coefficient(2, 1, 2, test_qorder=12)
     assert set(rep) == {"n", "r", "s", "weight_bound", "combination",
                         "validated_to_qorder"}
     json.dumps(rep)
     assert rep["validated_to_qorder"] == 12
     assert all(set(item) == {"monomial", "coeff"}
                for item in rep["combination"])
+
+
+def _weight_of(name: str) -> int:
+    """The weight of a monomial named like "E2^2*E4"."""
+    total = 0
+    for part in name.split("*") if name != "1" else ():
+        gen, _, e = part.partition("^")
+        total += int(gen[1:]) * int(e or 1)
+    return total
+
+
+def test_the_elimination_fits_every_closed_column():
+    """The elimination, on a window of twice as many rows as the basis has
+    monomials, finds each closed column with n <= 3 and 0 <= s <= 8, and
+    its answer is unique: every monomial of the window is a pivot."""
+    full_rank = set()
+    for n in range(1, 4):
+        for r in range(n + 1):
+            ss = list(range(9))
+            series = v_partition_series(n, r, 2 * 23 + 11, 9)
+            for rep in _fit_columns(n, r, ss, 30, 12):
+                s = rep["s"]
+                bound = max((_weight_of(c["monomial"])
+                             for c in rep["combination"]), default=0)
+                cols = [ser.coeffs for _, _, ser in
+                        EisensteinBasis(bound, 2 * 23 + 11).elements]
+                window = 2 * len(cols)
+                if bound not in full_rank:
+                    x = list(range(1, len(cols) + 1))
+                    rows = [[c[m] for c in cols]
+                            + [sum(xi * c[m] for xi, c in zip(x, cols))]
+                            for m in range(window)]
+                    assert solve_exact(rows, len(cols)) == x, bound
+                    full_rank.add(bound)
+                oracle = fit_in_R(series.coeff(s), bound, window - 1,
+                                  window + 9)
+                assert rep["combination"] == [
+                    {"monomial": nm, "coeff": i_power_str(s, c)}
+                    for nm, c in oracle["combination"]], (n, r, s)
+
+
+def test_closed_columns_have_the_derived_top_weights():
+    """Every column with n <= 4 and 2 <= s <= 8 agrees with the series
+    through q^30, has top weight s + 2n - 2 at even s and s + 2n - 3 at
+    odd s, and vanishes at odd s exactly at n = 1 and at 2r = n."""
+    t0 = time.monotonic()
+    for n in range(1, 5):
+        for r in range(n + 1):
+            for rep in _fit_columns(n, r, list(range(2, 9)), 30, 16):
+                s = rep["s"]
+                assert rep["validated_to_qorder"] == 30
+                if s % 2 and (n == 1 or 2 * r == n):
+                    assert rep["combination"] == [], (n, r, s)
+                    continue
+                top = max(_weight_of(c["monomial"])
+                          for c in rep["combination"])
+                assert top == s + 2 * n - 2 - s % 2, (n, r, s)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60.0, f"{elapsed:.1f}s over the 60s budget"
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +657,7 @@ def test_solve_exact_matches_gauss_jordan_over_q(system):
     a, b = system
     k = len(a[0])
     rows = [row + [bi] for row, bi in zip(a, b)]
-    got = _solve_exact(rows, k)
+    got = solve_exact(rows, k)
     want = _solve_over_q(rows, k)
     assert (got is None) == (want is None)
     if want is not None:
