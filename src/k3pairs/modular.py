@@ -7,10 +7,14 @@ carries a power series in q.  This module builds those series exactly
 full-support integer columns of the Euler specialization), provides the
 divisor sums and the Eisenstein series, the closed forms for the
 v-coefficients of the log-product kernel together with their
-u-derivatives at u = 1, two independent product-side consistency checks,
+u-derivatives at u = 1 (every order up to tmax from one divisor loop on
+the closed side and one pass per cell, UPoly.derivs_at_one, on the direct
+side), two independent product-side consistency checks,
 and each v^s column as a polynomial in E2, E4 and E6, derived from the
 paper's theorem at u = 1, G^r_n = (1/n) Q_{n,r}(D_q, D_y) T^-2, and
-checked against the series.  Every v^s cell is i^s times a rational, and
+checked against the series: each column's q-expansion is one integer
+combination of the basis's integer lists over the lcm of its
+coefficients' denominators.  Every v^s cell is i^s times a rational, and
 the cells store that rational (the series in w = iv, see
 series.v_substitute_qmajor), so the closed forms fold i^s into real signs.
 
@@ -20,14 +24,14 @@ instead of returning a best effort.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import add
 
 from .errors import Mismatch, NoSolution, ValidationFailure
 from .partition import _check_rank, euler_g_column
 from .rings import UPoly, YPoly
-from .scalars import bernoulli, binomial, i_power_str
-from .series import QSeries, locate_mismatch, v_substitute_qmajor
+from .scalars import bernoulli, i_power_str
+from .series import QSeries, _int_conv, locate_mismatch, v_substitute_qmajor
 from .theta import log_phi_product
 
 __all__ = [
@@ -70,6 +74,17 @@ def eisenstein_even(weight: int, qorder: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # closed forms for the v-coefficients of the log-product kernel
 
+def _psi_terms(k: int, l: int, s: int) -> tuple:
+    """The (e, c) pairs of the closed log-product forms: in the q^n cell
+    of psi_kls_sym(k, l, s), each divisor r of n adds c w to u^(e r), with
+    the weight w = n/r over n at s = 0 and w = r^(s-1) over s! at s >= 1."""
+    if s == 0:
+        return ((k + l, 1), (-(k + l), 1), (l, 1), (-l, 1), (0, -2),
+                (k, -1), (-k, -1))
+    sgn = -1 if s % 2 else 1
+    return ((k + l, 1), (-(k + l), sgn), (l, 1), (-l, sgn))
+
+
 def psi_kls_sym(k: int, l: int, s: int, qorder: int) -> QSeries:
     """v^s coefficient of log phi_product(k, l), u kept symbolic.
 
@@ -84,22 +99,15 @@ def psi_kls_sym(k: int, l: int, s: int, qorder: int) -> QSeries:
     """
     if s < 0:
         raise ValueError("v-power must be nonnegative")
+    terms = _psi_terms(k, l, s)
     cols = []
-    sgn = -1 if s % 2 else 1
     for n in range(1, qorder):
         cell: dict = {}
         for r in _divisors(n):
-            if s == 0:
-                w = n // r
-                terms = ((k + l, w), (-(k + l), w), (l, w), (-l, w),
-                         (0, -2 * w), (k, -w), (-k, -w))
-            else:
-                w = r ** (s - 1)
-                terms = ((k + l, w), (-(k + l), sgn * w), (l, w),
-                         (-l, sgn * w))
+            w = n // r if s == 0 else r ** (s - 1)
             for e, c in terms:
                 key = 2 * e * r
-                cell[key] = cell.get(key, 0) + c
+                cell[key] = cell.get(key, 0) + c * w
         den = n if s == 0 else factorial(s)
         cols.append(UPoly._of({e: Fraction(c, den)
                                for e, c in cell.items() if c}))
@@ -108,48 +116,39 @@ def psi_kls_sym(k: int, l: int, s: int, qorder: int) -> QSeries:
 
 def psi_kls_derivative(k: int, l: int, s: int, t: int,
                        qorder: int) -> QSeries:
-    """t-th u-derivative of psi_kls_sym(k, l, s) at u = 1, in closed form.
-
-    Differentiating u^m picks up the falling factorial t! * C(m, t), so
-    each q^n cell collapses to a signed binomial sum over the divisors
-    of n, taken over Z: over the denominator n at s = 0, where each
-    divisor r weighs n/r, and over s! at s >= 1.  A nonzero cell is one
-    Fraction standing for i^s times itself; a zero cell is the int 0.
-    """
+    """t-th u-derivative of psi_kls_sym(k, l, s) at u = 1, in closed form:
+    the t-th entry of _psi_kls_derivatives."""
     if s < 0 or t < 0:
         raise ValueError("v-power and derivative order must be nonnegative")
-    cols = []
-    if s == 0:
-        terms = ((k + l, 1), (-(k + l), 1), (l, 1), (-l, 1),
-                 (k, -1), (-k, -1))
-        tf = factorial(t)
-        for n in range(1, qorder):
-            acc = 0
-            for r in _divisors(n):
-                inner = sum(c * binomial(e * r, t) for e, c in terms)
-                if t == 0:
-                    inner -= 2
-                acc += inner * (n // r)
-            cols.append(Fraction(tf * acc, n) if acc else 0)
-    else:
-        sgn = -1 if s % 2 else 1
-        tf, sf = factorial(t), factorial(s)
-        for n in range(1, qorder):
-            acc = 0
-            for r in _divisors(n):
-                inner = (binomial((k + l) * r, t)
-                         + sgn * binomial(-(k + l) * r, t)
-                         + binomial(l * r, t) + sgn * binomial(-l * r, t))
-                if inner:
-                    acc += r ** (s - 1) * inner
-            cols.append(Fraction(tf * acc, sf) if acc else 0)
-    return QSeries(1, cols, "q")
+    return _psi_kls_derivatives(k, l, s, t, qorder)[t]
 
 
-def _du_at_one(c, t: int):
-    if isinstance(c, UPoly):
-        return c.deriv_at_one(t)
-    return c if t == 0 else 0
+def _psi_kls_derivatives(k: int, l: int, s: int, tmax: int,
+                         qorder: int) -> list:
+    """The t-th u-derivatives of psi_kls_sym(k, l, s) at u = 1 for every
+    t <= tmax, from one divisor loop.
+
+    Differentiating u^m t times picks up the falling factorial
+    m(m-1)...(m-t+1), built up over t as the loop goes, so each q^n cell
+    collapses to a signed sum of falling factorials over the divisors of
+    n, taken over Z with the weights of _psi_terms.  A nonzero cell is one
+    Fraction standing for i^s times itself; a zero cell is the int 0.
+    """
+    terms = _psi_terms(k, l, s)
+    cols: list = [[] for _ in range(tmax + 1)]
+    for n in range(1, qorder):
+        acc = [0] * (tmax + 1)
+        for r in _divisors(n):
+            w = n // r if s == 0 else r ** (s - 1)
+            for e, c in terms:
+                m, x = e * r, c * w
+                for t in range(tmax + 1):
+                    acc[t] += x
+                    x *= m - t
+        den = n if s == 0 else factorial(s)
+        for col, x in zip(cols, acc):
+            col.append(Fraction(x, den) if x else 0)
+    return [QSeries(1, col, "q") for col in cols]
 
 
 def _check_log_qorder(qorder: int) -> None:
@@ -174,8 +173,8 @@ def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
     Expands log phi_product(k, l) through the substitution engine and
     compares, for each v-power s < vorder: the u-symbolic closed form
     cell by cell, then the t-th u-derivatives at u = 1 for t <= tmax
-    against their closed binomial sums.  Raises Mismatch with the first
-    differing (v, q[, du]) location; returns a check count on success.
+    against their closed falling-factorial sums.  Raises Mismatch with the
+    first differing (v, q[, du]) location; returns a check count on success.
     Raises ValueError for qorder < 2, where only the q^0 cell, zero on
     both sides, would be compared, and for vorder < 1, where no v-power
     would be.
@@ -195,10 +194,18 @@ def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
             raise Mismatch("closed form of the log-product v-coefficient "
                            "disagrees with the direct expansion", loc)
         checks += 1
+        if tmax < 0:
+            continue
+        ders = [[0] * len(dcol.coeffs) for _ in range(tmax + 1)]
+        for idx, c in enumerate(dcol.coeffs):
+            if c:
+                for t, x in enumerate(c.derivs_at_one(tmax)
+                                      if isinstance(c, UPoly) else [c]):
+                    ders[t][idx] = x
+        closed = _psi_kls_derivatives(k, l, s, tmax, qorder)
         for t in range(tmax + 1):
-            der = dcol.map_coeffs(lambda c: _du_at_one(c, t))
-            closed = psi_kls_derivative(k, l, s, t, qorder)
-            e = der.first_mismatch(closed)
+            der = QSeries(dcol.lower, ders[t], dcol.var)
+            e = der.first_mismatch(closed[t])
             if e is not None:
                 raise Mismatch(
                     "closed u-derivative of the log-product v-coefficient "
@@ -435,16 +442,6 @@ def _closed_v_columns(n: int, r: int, ss) -> dict:
                 for m, x in f[s + n - 1].items()} for s in ss}
 
 
-def _int_mul(f: list, g: list) -> list:
-    """Product of two integer coefficient lists, truncated to len(f)."""
-    n = len(f)
-    out = [0] * n
-    for i, a in enumerate(f):
-        if a:
-            out[i:] = [o + a * b for o, b in zip(out[i:], g)]
-    return out
-
-
 class EisensteinBasis:
     """The q-expansions of the monomials E2^a E4^b E6^c of weight
     <= weight_bound, exact below q^qorder.
@@ -469,13 +466,13 @@ class EisensteinBasis:
         self.elements: list = []
         p6 = [1] + [0] * (qorder - 1)
         for c in range(weight_bound // 6 + 1):
-            p6 = _int_mul(p6, e6) if c else p6
+            p6 = _int_conv(p6, e6, qorder) if c else p6
             p4 = p6
             for b in range((weight_bound - 6 * c) // 4 + 1):
-                p4 = _int_mul(p4, e4) if b else p4
+                p4 = _int_conv(p4, e4, qorder) if b else p4
                 p2 = p4
                 for a in range((weight_bound - 6 * c - 4 * b) // 2 + 1):
-                    p2 = _int_mul(p2, e2) if a else p2
+                    p2 = _int_conv(p2, e2, qorder) if a else p2
                     m = (a, b, c)
                     self.elements.append((_monomial_name(m), _weight(m),
                                           QSeries(0, p2, "q")))
@@ -499,9 +496,12 @@ def _fit_columns(n: int, r: int, ss, test_qorder: int,
         named = {_monomial_name(m): c for m, c in closed[s].items()}
         combination = [(nm, named[nm], ser) for nm, _, ser in basis.elements
                        if nm in named]
-        expansion = QSeries.zero(test_qorder + 1)
+        d = lcm(*[c.denominator for _, c, _ in combination])
+        acc = [0] * (test_qorder + 1)
         for _, c, ser in combination:
-            expansion = expansion + ser * c
+            w = c.numerator * (d // c.denominator)
+            acc = [a + w * x for a, x in zip(acc, ser.coeffs)]
+        expansion = QSeries(0, [Fraction(x, d) if x else 0 for x in acc])
         e = series.coeff(s).first_mismatch(expansion)
         if e is not None:
             raise ValidationFailure(

@@ -347,9 +347,9 @@ def euler_g_column(n: int, r: int, m: int) -> dict:
         w = (p + l) * comb(n + l - r - 1, n - 1) \
             * comb(p + r - 1, n - 1)
         if w:
-            ye = p - l
-            out[ye] = out.get(ye, Fraction(0)) + Fraction(w, n)
-    return {e: v for e, v in out.items() if v}
+            # p l = m and p - l fix (p, l): each y-exponent comes once
+            out[p - l] = Fraction(w, n)
+    return out
 
 
 # ---------------------------------------------------------------------------

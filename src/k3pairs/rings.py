@@ -11,7 +11,9 @@ whose keys are pairs, keeps its own:
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
   u^{3/2}); coefficients are int or Fraction and may mix.  Its exact
   divisions by u^{d/2} - 1 and by [m] turn the dict into one dense list
-  and divide in place, one pass per factor.
+  and divide in place, one pass per factor.  Its u-derivatives at u = 1
+  of every order up to tmax come from one pass over the terms, summed
+  over Z with the falling factorials built up over the orders.
 * ``TTPoly`` — Laurent polynomials in two variables (t, tb), the Hodge
   variables.  u embeds as t*tb.
 * ``YPoly`` — Laurent polynomials in y with coefficients in any ring that
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, perm
+from math import lcm
 from operator import neg, sub
 
 from .errors import NotDivisible
@@ -248,35 +250,38 @@ class UPoly(_Sparse):
                                (2 * m,))
 
     def deriv_at_one(self, t: int):
-        """t-th u-derivative evaluated at u = 1 (integer exponents only
-        when t >= 1).
+        """t-th u-derivative evaluated at u = 1; see derivs_at_one."""
+        return self.derivs_at_one(t)[t]
 
-        Each u^n contributes n(n-1)...(n-t+1) times its coefficient (1 at
-        t = 0, where this is eval_one).  The sum runs over Z on the
-        numerators over a common denominator, widened as entries come, and
-        is an int exactly when every entry with a nonzero falling factorial
-        is an int; otherwise it is one Fraction, Fraction(0) included.
+    def derivs_at_one(self, tmax: int) -> list:
+        """The u-derivatives at u = 1 of every order t <= tmax, in one pass
+        over the terms (integer exponents only when tmax >= 1).
+
+        Each u^n contributes its coefficient times the falling factorial
+        n(n-1)...(n-t+1), built up over t as the pass goes (1 at t = 0,
+        where this is eval_one).  The sums run over Z on the numerators
+        over the lcm d of the denominators.  The t-th value is an int
+        exactly when every entry with a nonzero falling factorial at t is
+        an int; otherwise it is one Fraction, Fraction(0) included.
         """
-        sgn = -1 if t % 2 else 1
-        num, d, frac = 0, 1, False
+        if tmax < 0:
+            raise ValueError("derivative order must be nonnegative")
+        if tmax and any(e2 % 2 for e2 in self.c):
+            raise ValueError("derivative at u=1 needs integer exponents")
+        d = lcm(*[v.denominator for v in self.c.values()])
+        sums = [0] * (tmax + 1)
+        frac_top = -1  # the highest t that a Fraction entry reaches
         for e2, v in self.c.items():
-            if e2 % 2 and t:
-                raise ValueError("derivative at u=1 needs integer exponents")
             n = e2 // 2
-            ff = perm(n, t) if n >= 0 else sgn * perm(t - n - 1, t)
-            if not ff:
-                continue
-            if isinstance(v, int):
-                num += v * ff * d
-                continue
-            frac = True
-            q = v.denominator
-            if d % q:
-                m = lcm(d, q)
-                num *= m // d
-                d = m
-            num += v.numerator * (d // q) * ff
-        return Fraction(num, d) if frac else num
+            top = tmax if n < 0 else min(n, tmax)
+            if not isinstance(v, int):
+                frac_top = max(frac_top, top)
+            x = v.numerator * (d // v.denominator)
+            for t in range(top + 1):
+                sums[t] += x
+                x *= n - t
+        return [Fraction(x, d) if t <= frac_top else x // d
+                for t, x in enumerate(sums)]
 
     def to_tt(self) -> "TTPoly":
         """Embed via u -> t*tb (integer exponents required)."""

@@ -10,6 +10,12 @@ Multiplication tracks validity honestly:
 
     (f * g).order = min(f.order + g.lower, g.order + f.lower)
 
+When every cell of both factors is an int or a Fraction, the product is
+one convolution over Z of the numerators over each factor's lcm
+denominator; its cells are ints when both factors hold only ints, and
+otherwise one Fraction per nonzero cell, with the int 0 for a zero cell.
+A factor with ring-valued cells multiplies term by term in its ring.
+
 Coefficients may be int, Fraction, UPoly, TTPoly, YPoly, or nested
 QSeries (a power series in v over q-series is just a QSeries with var "v"
 whose coefficients are QSeries with var "q").  A series in v made by
@@ -136,10 +142,16 @@ class QSeries:
             if other.var != self.var:
                 raise ValueError("variable mismatch in series product")
             lower = self.lower + other.lower
-            order = min(self.order + other.lower, other.order + self.lower)
-            n = order - lower
-            out = [0] * n
             f, g = self.coeffs, other.coeffs
+            n = min(len(f), len(g))
+            fz, gz = _over_lcm(f), _over_lcm(g)
+            if fz and gz:
+                out = _int_conv(fz[0], gz[0], n)
+                if fz[2] or gz[2]:
+                    d = fz[1] * gz[1]
+                    out = [Fraction(x, d) if x else 0 for x in out]
+                return QSeries(lower, out, self.var)
+            out = [0] * n
             for i, fc in enumerate(f):
                 if not fc:
                     continue
@@ -220,9 +232,10 @@ class QSeries:
                        hi: int | None = None):
         """First exponent in the comparison window where the two differ.
 
-        The window is [lo, hi) intersected with both known ranges; if a
-        requested bound exceeds a known range a ValueError is raised (the
-        comparison would be vacuous, which is never wanted here).
+        The window is [lo, hi), by default from the lower of the two lowest
+        exponents to the lower of the two orders.  A ValueError is raised
+        if the window is empty or reaches past a known range: the
+        comparison would be vacuous, which is never wanted here.
         """
         if self.var != other.var:
             raise ValueError("variable mismatch in comparison")
@@ -232,6 +245,9 @@ class QSeries:
             raise ValueError(
                 f"comparison window [{start},{stop}) exceeds known orders "
                 f"({self.order}, {other.order})")
+        if start >= stop:
+            raise ValueError(
+                f"comparison window [{start},{stop}) is empty")
         for e in range(start, stop):
             if not _ceq(self.coeff(e), other.coeff(e)):
                 return e
@@ -248,6 +264,29 @@ class QSeries:
     def __repr__(self):
         return (f"QSeries(var={self.var!r}, lower={self.lower}, "
                 f"order={self.order})")
+
+
+def _over_lcm(cells: list):
+    """(numerators, d, fractional) when every cell is an int or a Fraction:
+    the cells are the numerators over d, the lcm of their denominators, and
+    fractional says whether any cell is a Fraction.  None otherwise."""
+    types = set(map(type, cells))
+    if not types <= {int, Fraction}:
+        return None
+    if Fraction not in types:
+        return cells, 1, False
+    d = lcm(*[c.denominator for c in cells])
+    return [c.numerator * (d // c.denominator) for c in cells], d, True
+
+
+def _int_conv(f: list, g: list, n: int) -> list:
+    """The first n coefficients of the product of two integer lists, where
+    g has at least n entries."""
+    out = [0] * n
+    for i, a in enumerate(f[:n]):
+        if a:
+            out[i:] = [o + a * b for o, b in zip(out[i:], g)]
+    return out
 
 
 def _ceq(a, b) -> bool:

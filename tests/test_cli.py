@@ -448,11 +448,15 @@ def test_fit_matches_golden_file(capsys, tmp_path):
 
 
 def test_fit_past_the_expected_weight_matches_golden_file(capsys):
-    # from s = 2 on, the columns at (3, 0) have weight s + 4 at even s and
-    # s + 3 at odd s, past s + 2
-    code, out, err = _run(capsys, ["fit", "--n", "3", "--r", "0", "--vmax", "6"])
-    assert (code, err) == (0, "")
-    assert out.encode() == (GOLDEN / "fit_n3_r0_vmax6.json").read_bytes()
+    # from s = 2 on, the columns at (n, r) have weight s + 2n - 2 at even s
+    # and s + 2n - 3 at odd s, past s + 2 for n >= 3; the (4, 1) file has
+    # fractional coefficients in 49 lines
+    for n, r in ((3, 0), (4, 1)):
+        code, out, err = _run(
+            capsys, ["fit", "--n", str(n), "--r", str(r), "--vmax", "6"])
+        assert (code, err) == (0, ""), (n, r)
+        golden = GOLDEN / f"fit_n{n}_r{r}_vmax6.json"
+        assert out.encode() == golden.read_bytes(), (n, r)
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -1,7 +1,9 @@
 """The v-expansion's integer sums against the Fraction loops they replace.
 
 v_substitute_qmajor, UPoly.deriv_at_one, psi_kls_sym, psi_kls_derivative
-and binomial sum over Z and build one Fraction per output entry.  The
+and binomial sum over Z and build one Fraction per output entry; so do
+the all-t routines behind the derivatives, UPoly.derivs_at_one and
+modular._psi_kls_derivatives, whose t-th entries are checked here too.  The
 oracles below are the term-by-term Fraction loops they replaced, kept
 here only to be compared with.  Agreement is required cell by cell in
 repr and in type, so a Fraction(0) cell may not become the int 0, a
@@ -13,7 +15,8 @@ from math import factorial
 
 import pytest
 
-from k3pairs.modular import psi_kls_derivative, psi_kls_sym
+from k3pairs.modular import _psi_kls_derivatives, psi_kls_derivative, \
+    psi_kls_sym
 from k3pairs.partition import euler_g_column
 from k3pairs.rings import UPoly, YPoly
 from k3pairs.scalars import binomial
@@ -197,6 +200,14 @@ def _same(a, b):
     return type(a) is type(b) and repr(a) == repr(b)
 
 
+def assert_all_derivatives(p, tmax):
+    """derivs_at_one(tmax) against the oracle at every t <= tmax."""
+    got = p.derivs_at_one(tmax)
+    assert len(got) == tmax + 1
+    for t, x in enumerate(got):
+        assert _same(x, oracle_deriv_at_one(p, t)), (tmax, t)
+
+
 @pytest.mark.parametrize("k,l", [(1, 0), (2, 1), (0, 2)])
 def test_deriv_at_one_matches_fraction_loop_on_log_phi(k, l):
     v = v_substitute_qmajor(log_phi_product(k, l, 8, 7), 6)
@@ -206,6 +217,7 @@ def test_deriv_at_one_matches_fraction_loop_on_log_phi(k, l):
                 for t in range(5):
                     assert _same(cell.deriv_at_one(t),
                                  oracle_deriv_at_one(cell, t)), (s, t)
+                    assert_all_derivatives(cell, t)
 
 
 @pytest.mark.parametrize("p", [
@@ -214,6 +226,7 @@ def test_deriv_at_one_matches_fraction_loop_on_log_phi(k, l):
     UPoly({0: Fraction(1, 2), 2: 1}),       # the Fraction sits at ff = 0
     UPoly({2: Fraction(1, 2), -2: Fraction(1, 2), 0: -1}),   # sums to 0
     UPoly({1: 1, 2: 3}),
+    UPoly({-4: Fraction(1, 6), 6: 2, 2: Fraction(-3, 4), 0: 1}),
 ])
 def test_deriv_at_one_matches_fraction_loop(p):
     for t in range(5):
@@ -222,8 +235,11 @@ def test_deriv_at_one_matches_fraction_loop(p):
         except ValueError:
             with pytest.raises(ValueError):
                 p.deriv_at_one(t)
+            with pytest.raises(ValueError):
+                p.derivs_at_one(t)
             continue
         assert _same(p.deriv_at_one(t), want), t
+        assert_all_derivatives(p, t)
 
 
 def test_deriv_at_one_refuses_odd_exponents():
@@ -231,7 +247,10 @@ def test_deriv_at_one_refuses_odd_exponents():
     for t in range(1, 5):
         with pytest.raises(ValueError, match="integer exponents"):
             p.deriv_at_one(t)
+        with pytest.raises(ValueError, match="integer exponents"):
+            p.derivs_at_one(t)
     assert p.deriv_at_one(0) == 4
+    assert p.derivs_at_one(0) == [4]
 
 
 # -- the closed forms and binomial -------------------------------------------
@@ -243,9 +262,14 @@ def test_psi_closed_forms_match_fraction_loops(k, l):
     for s in range(7):
         assert _cells(psi_kls_sym(k, l, s, qorder)) == \
             _cells(oracle_psi_kls_sym(k, l, s, qorder)), s
+        want = [_cells(oracle_psi_kls_derivative(k, l, s, t, qorder))
+                for t in range(5)]
         for t in range(5):
             assert _cells(psi_kls_derivative(k, l, s, t, qorder)) == \
-                _cells(oracle_psi_kls_derivative(k, l, s, t, qorder)), (s, t)
+                want[t], (s, t)
+            assert [_cells(d) for d in
+                    _psi_kls_derivatives(k, l, s, t, qorder)] == \
+                want[:t + 1], (s, t)
 
 
 def test_binomial_matches_falling_factorial():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from k3pairs.errors import BadConstantTerm, Mismatch
 from k3pairs.modular import sigma_series
@@ -21,6 +22,52 @@ def test_mul_and_order_tracking():
     assert p.coeff(-1) == 1
     assert p.coeff(0) == 1
     assert p.coeff(2) == 3
+
+
+def _term_product(f, g):
+    """The product as a loop over every pair of nonzero cells."""
+    n = min(len(f.coeffs), len(g.coeffs))
+    out = [0] * n
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            if i + j < n and a and b:
+                out[i + j] += a * b
+    return QSeries(f.lower + g.lower, out)
+
+
+def _scalar_series(cells):
+    return st.builds(QSeries, st.integers(-3, 3), st.lists(cells, max_size=8))
+
+
+_ints = st.integers(-4, 4)
+_rationals = st.one_of(_ints, st.fractions(-3, 3, max_denominator=12))
+
+
+@given(_scalar_series(_rationals), _scalar_series(_rationals))
+def test_scalar_product_matches_the_term_loop(f, g):
+    p, want = f * g, _term_product(f, g)
+    assert (p.lower, p.order) == (want.lower, want.order)
+    assert p.coeffs == want.coeffs
+
+
+@given(_scalar_series(_ints), _scalar_series(_ints))
+def test_integer_product_keeps_int_cells(f, g):
+    p = f * g
+    assert p.coeffs == _term_product(f, g).coeffs
+    assert all(type(c) is int for c in p.coeffs)
+
+
+def test_scalar_product_cancelling_and_mixed_cells():
+    f = QSeries(-2, [Fraction(1, 2), Fraction(1, 3), 0, 5])
+    g = QSeries(1, [Fraction(1, 2), Fraction(-1, 3), 7])
+    p = f * g           # at q^0: 1/2 * (-1/3) + 1/3 * 1/2 cancels
+    assert (p.lower, p.order) == (-1, 2)
+    assert p.coeffs == [Fraction(1, 4), 0, Fraction(61, 18)]
+    assert type(p.coeffs[0]) is Fraction and not p.coeffs[1]
+    # a ring cell in either factor keeps the per-term loop
+    h = QSeries(0, [UPoly({2: 1}), Fraction(1, 2)])
+    assert (h * QSeries(0, [2, 3])).coeffs == \
+        [UPoly({2: 2}), UPoly({2: 3}) + 1]
 
 
 def test_log_exp_roundtrip():
@@ -98,6 +145,18 @@ def test_comparison_window_overflow_guard():
     a, b = geom(4), geom(6)
     with pytest.raises(ValueError):
         a.first_mismatch(b, 0, 6)
+
+
+def test_empty_comparison_window_is_refused():
+    a, b = QSeries(0, [1]), QSeries(0, [2])
+    with pytest.raises(ValueError, match=r"window \[1,1\) is empty"):
+        a.assert_agrees(b, lo=1)
+    with pytest.raises(ValueError, match=r"window \[3,2\) is empty"):
+        geom(4).first_mismatch(geom(4), 3, 2)
+    with pytest.raises(ValueError, match="empty"):
+        QSeries(0, []).first_mismatch(QSeries(0, []))
+    with pytest.raises(Mismatch):
+        a.assert_agrees(b, lo=0)
 
 
 def test_v_substitution_two_cos():
