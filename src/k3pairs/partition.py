@@ -15,8 +15,14 @@ series S):
 * ``g_via_kernels``  -- theta-kernel combination, contracted against
                         the weight table one lattice point of Psi at a
                         time, with the headline (u-1)^(2n-1)
-                        divisibility check built in as one exact
-                        division chain per cell.
+                        divisibility check and the division by [n]
+                        built in as one exact division chain per cell,
+                        by prod_{m<n} (u^m - 1)^2 (u^n - 1).
+
+The closed and kernel routes build each cell in one plain list over
+whole exponents (every u-key of their terms is even), from its first
+term to its quotient, with the cell's u-power as the list's lowest
+exponent; the dense divider of ``rings`` makes the one UPoly at the end.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
@@ -30,11 +36,12 @@ product formula applied factor by factor in place on {(p, q): int}
 cells.
 """
 
-from fractions import Fraction
+from itertools import compress, count
 from math import comb
+from operator import sub
 
 from .errors import NonExactDivision, NotDivisible, UnsupportedRank
-from .rings import TTPoly, UPoly, YPoly
+from .rings import TTPoly, UPoly, YPoly, _dense_quotient
 from .series import QSeries
 from .theta import phi_product
 from .ucomb import c_table, matrix_product_entry, u_binomial, u_integer
@@ -152,34 +159,58 @@ def _cells_to_series(cells: dict, lower: int, qorder: int) -> QSeries:
     return QSeries.from_dict(cols, lower, qorder)
 
 
+def _whole_list(w: UPoly) -> list:
+    """The coefficients of a nonzero polynomial w whose doubled keys are
+    even and at least 0, as one list over the whole exponents from u^0
+    up."""
+    f = [0] * (max(w.c) // 2 + 1)
+    for e, v in w.c.items():
+        f[e // 2] = v
+    return f
+
+
 def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from the closed double sum.
 
     Lattice terms (p, l) with p >= n-r, l >= r contribute at q^{pl},
-    y^{p-l}, a map that is one-to-one, so each term is its own cell; each
-    must be exactly divisible by the u-integer [n] (NonExactDivision
-    otherwise), and the result is scaled by u^{r(n-r)}.
+    y^{p-l}, a map that is one-to-one, so each term is its own cell:
+
+        u^{r(n-r) - nl - r(p-l)} [n+l-r-1, n-1] [p+r-1, n-1] [p+l] / [n].
+
+    Each cell is one list over whole exponents: the two u-binomials are
+    convolved, multiplied by [p+l] (u-1) = u^{p+l} - 1 as two shifted
+    copies, and divided by [n] (u-1) = u^n - 1 in the dense divider of
+    ``rings``, with the u-power as the list's lowest exponent.  A cell
+    not exactly divisible by [n] raises NonExactDivision naming it.
     """
     _check_rank(n, r)
     cells: dict = {}
+    binoms: dict = {}  # N -> the whole-exponent list of [N, n-1]
     hi = qorder + ywin + 1
     for l in range(r, r + hi):
         for p in range(n - r, n - r + hi):
             qe, ye = p * l, p - l
             if qe >= qorder or abs(ye) > ywin:
                 continue
-            w = (u_binomial(n + l - r - 1, n - 1)
-                 * u_binomial(p + r - 1, n - 1)).mul_u_integer(p + l)
-            if not w:
-                continue
+            for big in (n + l - r - 1, p + r - 1):
+                if big not in binoms:
+                    binoms[big] = _whole_list(u_binomial(big, n - 1))
+            # neither binomial is zero: l >= r and p >= n - r
+            a, b = binoms[n + l - r - 1], binoms[p + r - 1]
+            conv = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, z in enumerate(b, i):
+                    conv[j] += x * z
+            pad = [0] * (p + l)
             try:
-                w = w.div_u_integer(n)
+                w = _dense_quotient(
+                    2 * (r * (n - r) - n * l - ye * r),
+                    list(map(sub, pad + conv, conv + pad)), (2 * n,), 2)
             except NotDivisible as exc:
                 raise NonExactDivision(
                     f"closed-form numerator at q^{qe} y^{ye} not divisible "
                     f"by [{n}]") from exc
-            cells.setdefault(qe, {})[ye] = w.shift(
-                2 * (r * (n - r) - n * l - ye * r))
+            cells.setdefault(qe, {})[ye] = w
     return _cells_to_series(cells, 0, qorder)
 
 
@@ -256,13 +287,19 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
 
         sum_ij w_ij (u^{ip} - u^{-il}) u^{(j-r)(p-l)},
 
-    built as two key-shifted copies of each weight.  Each cell must be
-    exactly divisible by (u-1) prod_{m<n} (u^m - 1)^2, which is
-    (u-1)^(2n-1) ([n-1]!)^2 -- the headline consistency check, run as
-    one call of UPoly.div_u_pow_minus_one over the 2n-1 factors, a dense
-    in-place pass per factor on one list per cell, and raising
-    NonExactDivision that names the cell -- and is then divided by [n]
-    and scaled by u^{r(n-r)}.
+    added as two shifted copies of each weight into one list over whole
+    exponents (every key of the table is even).  The list is sized from
+    the table's lowest and highest exponent and the extremes of the
+    weights' two offsets, and the weights cancel far inside those
+    bounds, so its zero ends are cut off before the list is divided in
+    the dense divider of ``rings`` by the fused chain
+
+        prod_{m<n} (u^m - 1)^2 (u^n - 1)  =  (u-1)^(2n-1) ([n-1]!)^2 [n],
+
+    one in-place pass per factor: the headline (u-1)^(2n-1) ([n-1]!)^2
+    divisibility check and the division by [n] in the same 2n-1 passes.
+    A cell that leaves a remainder raises NonExactDivision naming it.
+    The scale u^{r(n-r)} is the list's lowest exponent.
 
     Two boundary notes, both forced by matching the closed double sum:
 
@@ -276,31 +313,54 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
       (which vanishes for r < n but not at r = n), and its l = 0 row
       evaluates a Gaussian binomial where the Laurent continuation of
       the product formula is nonzero even though the zero-outside-range
-      convention of the lattice sum says zero.  The column is added and
-      the row subtracted, term by term, before the final division.
+      convention of the lattice sum says zero.  That column keeps the
+      unfused order: the chain by (u-1)^(2n-1) ([n-1]!)^2, then the
+      column added and the row subtracted, term by term, then [n].
     """
     _check_rank(n, r)
-    table = [(2 * i, 2 * (j - r), w.c) for (i, j), w in c_table(n, r).items()]
+    ctab = c_table(n, r)
+    table, keys = [], []
+    for (i, j), w in ctab.items():
+        table.append((i, j - r, [(e // 2, v) for e, v in w.c.items()]))
+        keys += w.c
+    # a weight's two offsets i p + j (p-l) and j (p-l) - i l, with j
+    # counted from r, lie between their values at the table's extremes
+    js = [j - r for _, j in ctab]
+    tlo, thi, imax = min(keys) // 2, max(keys) // 2, max(ctab)[0]
+    jlo, jhi = min(js), max(js)
     points = [(p, 0) for p in range(1, ywin + 1)] if qorder > 0 else []
     points += [(p, l) for l in range(1, qorder)
                for p in range(1, (qorder - 1) // l + 1) if abs(p - l) <= ywin]
-    chain = (2,) + tuple(2 * m for m in range(1, n) for _ in range(2))
+    pairs = tuple(2 * m for m in range(1, n) for _ in range(2))
     cells: dict = {}
     for p, l in points:
         qe, ye = p * l, p - l
-        acc: dict = {}
-        for i2, j2, w in table:
-            up, dn = i2 * p + j2 * ye, j2 * ye - i2 * l
-            for e, v in w.items():
-                acc[e + up] = acc.get(e + up, 0) + v
-                acc[e + dn] = acc.get(e + dn, 0) - v
+        lo = tlo + min(jlo * ye, jhi * ye) - imax * l
+        f = [0] * (thi + imax * p + max(jlo * ye, jhi * ye) - lo + 1)
+        for i, j, terms in table:
+            up = i * p + j * ye - lo
+            dn = j * ye - i * l - lo
+            for e, v in terms:
+                f[e + up] += v
+                f[e + dn] -= v
+        # the weights cancel far inside these bounds: cut the zero ends
+        top = next(compress(range(len(f) - 1, -1, -1), reversed(f)), None)
+        if top is None:
+            continue
+        bot = next(compress(count(), f))
+        f = f[bot:top + 1]
+        # the q^0 column at r = n is divided by [n] after its repair, below
+        if r == n and not l:
+            chain, last = (2,) + pairs, ""
+        else:
+            chain, last = pairs + (2 * n,), f" [{n}]"
         try:
-            num = UPoly(acc).div_u_pow_minus_one(*chain)
+            cells.setdefault(qe, {})[ye] = _dense_quotient(
+                2 * (lo + bot + r * (n - r)), f, chain, 2)
         except NotDivisible as exc:
             raise NonExactDivision(
                 f"kernel-route numerator at q^{qe} y^{ye} not divisible by "
-                f"(u-1)^{2 * n - 1} ([{n - 1}]!)^2") from exc
-        cells.setdefault(qe, {})[ye] = num
+                f"(u-1)^{2 * n - 1} ([{n - 1}]!)^2{last}") from exc
     if r == n:
         col = cells.setdefault(0, {})
         for l in range(n, ywin + 1):
@@ -311,14 +371,12 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
             w = (u_integer(p) * u_binomial(p + n - 1, n - 1)).shift(
                 -2 * n * p - n * (n - 1))
             col[p] = col.get(p, UPoly.zero()) - (w if sgn > 0 else -w)
-    shift = 2 * r * (n - r)
-    for qe, col in cells.items():
         for ye, w in col.items():
             try:
-                col[ye] = w.div_u_integer(n).shift(shift) if w else w
+                col[ye] = w.div_u_integer(n)
             except NotDivisible as exc:
                 raise NonExactDivision(
-                    f"kernel-route numerator at q^{qe} y^{ye} not divisible "
+                    f"kernel-route numerator at q^0 y^{ye} not divisible "
                     f"by [{n}]") from exc
     return _cells_to_series(cells, 0, qorder)
 
@@ -331,7 +389,9 @@ def euler_g_column(n: int, r: int, m: int) -> dict:
 
     Finite because p*l = m >= 1 has finitely many factorizations; the
     q^0 column has unbounded y-support and is handled analytically by
-    the modular layer instead.  Returns {y-exponent: Fraction}.
+    the modular layer instead.  Returns {y-exponent: int}: each integer
+    numerator is divided by n exactly, and one that leaves a remainder
+    raises NonExactDivision naming the rank and the cell.
     """
     _check_rank(n, r)
     if m < 1:
@@ -348,7 +408,12 @@ def euler_g_column(n: int, r: int, m: int) -> dict:
             * comb(p + r - 1, n - 1)
         if w:
             # p l = m and p - l fix (p, l): each y-exponent comes once
-            out[p - l] = Fraction(w, n)
+            v, rest = divmod(w, n)
+            if rest:
+                raise NonExactDivision(
+                    f"Euler numerator of rank ({n}, {r}) at q^{m} y^{p - l} "
+                    f"not divisible by {n}")
+            out[p - l] = v
     return out
 
 

@@ -10,10 +10,14 @@ whose keys are pairs, keeps its own:
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
   u^{3/2}); coefficients are int or Fraction and may mix.  Its exact
-  divisions by u^{d/2} - 1 and by [m] turn the dict into one dense list
-  and divide in place, one pass per factor.  Its u-derivatives at u = 1
-  of every order up to tmax come from one pass over the terms, summed
-  over Z with the falling factorials built up over the orders.
+  division by [m] turns the dict into one dense list and divides it in
+  place by u^m - 1 after one multiplication by u - 1.  That pass,
+  ``_dense_quotient``, is the one dense divider: ``partition`` hands it
+  the kernel and closed routes' cells as lists over whole exponents,
+  and it divides each by a chain of factors u^d - 1, one pass per
+  factor.  Its u-derivatives at u = 1 of every order up to tmax come
+  from one pass over the terms, summed over Z with the falling
+  factorials built up over the orders.
 * ``TTPoly`` — Laurent polynomials in two variables (t, tb), the Hodge
   variables.  u embeds as t*tb.
 * ``YPoly`` — Laurent polynomials in y with coefficients in any ring that
@@ -230,14 +234,6 @@ class UPoly(_Sparse):
             f[e - lo] = v
         return lo, f
 
-    def div_u_pow_minus_one(self, *d2s: int) -> "UPoly":
-        """Exact division by u^{d/2} - 1 for each doubled exponent d > 0
-        of d2s in turn, in one dense pass per factor (see _dense_quotient);
-        NotDivisible names the first factor that leaves a remainder."""
-        if not self.c:
-            return UPoly.zero()
-        return _dense_quotient(*self._dense(), d2s)
-
     def div_u_integer(self, m: int) -> "UPoly":
         """Exact division by [m] = (u^m - 1)/(u - 1), linear time."""
         if m <= 0:
@@ -322,20 +318,22 @@ def _u_mono(e2: int) -> str:
     return f"u^{e2}/2"
 
 
-def _dense_quotient(lo: int, f: list, d2s: tuple) -> UPoly:
-    """The exact quotient of sum_k f[k] u^{(lo+k)/2} by the product of
+def _dense_quotient(lo: int, f: list, d2s: tuple, step: int = 1) -> UPoly:
+    """The exact quotient of sum_k f[k] u^{(lo+step*k)/2} by the product of
     u^{d/2} - 1 over the doubled exponents d > 0 of d2s.
 
-    The list runs over every doubled key; it is halved to every other key
-    when its odd places are empty and every d is even.  Dividing by
-    u^d - 1 is minus dividing by 1 - u^d, the in-place pass
-    f[k] += f[k-d] for k ascending, so each factor flips the sign once.  A
-    quotient exists only if the top d entries of the pass are zero (the
-    first factor where they are not is named by NotDivisible); they are
-    cut off, and the dict is built once at the end.
+    With step 2 the list already runs over whole exponents, every other
+    doubled key from lo, and every d must be even; the kernel and closed
+    routes of ``partition`` build their cells that way.  With step 1 it
+    runs over every doubled key, and it is halved to every other key when
+    its odd places are empty and every d is even.  Dividing by u^d - 1 is
+    minus dividing by 1 - u^d, the in-place pass f[k] += f[k-d] for k
+    ascending, so each factor flips the sign once.  A quotient exists
+    only if the top d entries of the pass are zero (the first factor where
+    they are not is named by NotDivisible); they are cut off, and the dict
+    is built once at the end.
     """
-    step = 1
-    if not any(f[1::2]) and not any(d % 2 for d in d2s):
+    if step == 1 and not any(f[1::2]) and not any(d % 2 for d in d2s):
         f, step = f[::2], 2
     top = len(f)
     for d2 in d2s:

@@ -1,6 +1,9 @@
 """Coefficient properties of ring elements, the Kronecker evaluation of
-an exponent dict at X = 256^w, and the Euler-characteristic oracle of S,
-that only the tests ask about."""
+an exponent dict at X = 256^w, the exact division of a UPoly by a chain
+of factors u^{d/2} - 1, and the Euler-characteristic oracle of S, that
+only the tests ask about."""
+
+from k3pairs.rings import UPoly, _dense_quotient
 
 
 def max_abs_int(p) -> int:
@@ -32,6 +35,15 @@ def palindromic_twist(h):
         if h.c.get((d1 - p, d1 - q), 0) != v:
             return None
     return d1
+
+
+def div_u_pow_minus_one(f, *d2s: int):
+    """Exact division of the UPoly f by u^{d/2} - 1 for each doubled
+    exponent d > 0 of d2s in turn, through the library's dense divider;
+    NotDivisible names the first factor that leaves a remainder."""
+    if not f:
+        return UPoly.zero()
+    return _dense_quotient(*f._dense(), d2s)
 
 
 def kron_eval(c: dict, emin: int, step: int, width: int) -> int:

@@ -13,8 +13,8 @@ from k3pairs.theta import psi
 from k3pairs.ucomb import c_table, matrix_entry, u_binomial, u_integer
 from k3pairs.verify import run_suite
 
-from ring_helpers import all_nonneg_int, inverse_pochhammer_24, \
-    palindromic_twist
+from ring_helpers import all_nonneg_int, div_u_pow_minus_one, \
+    inverse_pochhammer_24, palindromic_twist
 
 
 # -- Hilbert schemes of points ----------------------------------------------
@@ -266,7 +266,7 @@ def _kernels_by_psi(n, r, qorder, ywin):
     for col in cells.values():
         for ye, w in col.items():
             for _ in range(2 * n - 1):
-                w = w.div_u_pow_minus_one(2)
+                w = div_u_pow_minus_one(w, 2)
             for m in range(2, n):
                 w = w.div_u_integer(m).div_u_integer(m)
             col[ye] = w
@@ -324,6 +324,58 @@ def test_g_via_kernels_names_the_cell_that_fails(monkeypatch):
     bad = out["results"][-1]
     assert bad["check"] == "three-route agreement at rank (2, 0)"
     assert "kernel-route numerator at q^0 y^1" in bad["message"]
+
+
+def test_g_via_kernels_checks_the_n_factor(monkeypatch):
+    # u^k (u-1)^3 is a multiple of (u-1)^3 ([1]!)^2, so the perturbed cells
+    # pass that much of the chain; at q^0 y^1 the contraction multiplies
+    # it by u - 1 once more, and (u-1)^4 / ((u-1)^2 (u^2-1)) is not a
+    # polynomial: only the factor [2] of the chain can catch it
+    real = partition.c_table
+    cube = UPoly({6: 1, 4: -3, 2: 3, 0: -1})
+
+    def perturbed(n, r):
+        table = real(n, r)
+        if n == 2:
+            table[(1, 0)] = table[(1, 0)] + cube.shift(2)
+        return table
+
+    monkeypatch.setattr(partition, "c_table", perturbed)
+    fused = "(u-1)^3 ([1]!)^2 [2]"
+    # at r = n the q^0 column divides by [2] only after its repair, once
+    # every other cell is done: with qorder 1 it is all there is
+    for r, qorder, cell, divisor in ((0, 8, "q^0 y^1", fused),
+                                     (1, 8, "q^0 y^1", fused),
+                                     (2, 8, "q^2 y^1", fused),
+                                     (2, 1, "q^0 y^1", "[2]")):
+        with pytest.raises(NonExactDivision) as exc:
+            g_via_kernels(2, r, qorder, 6)
+        assert str(exc.value) == (
+            f"kernel-route numerator at {cell} not divisible by {divisor}")
+
+
+def test_g_closed_names_the_cell_that_fails(monkeypatch):
+    # [2, 1] + 1 = 2 + u: at (p, l) = (3, 0) of rank (2, 0) the list
+    # (2 + u)(u^3 - 1) is -2 at u = -1, a root of u^2 - 1, which therefore
+    # does not divide it
+    real = partition.u_binomial
+
+    def perturbed(big, k):
+        w = real(big, k)
+        return w + 1 if (big, k) == (2, 1) else w
+
+    monkeypatch.setattr(partition, "u_binomial", perturbed)
+    with pytest.raises(NonExactDivision) as exc:
+        g_closed(2, 0, 8, 6)
+    assert str(exc.value) == \
+        "closed-form numerator at q^0 y^3 not divisible by [2]"
+    out = run_suite("routes", n=2)
+    assert not out["ok"]
+    assert [x["ok"] for x in out["results"]] == [True, True, False]
+    bad = out["results"][-1]
+    assert bad["check"] == "three-route agreement at rank (2, 0)"
+    assert "closed-form numerator at q^0 y^3 not divisible by [2]" \
+        in bad["message"]
 
 
 def to_tt_series(f):
@@ -399,6 +451,23 @@ def test_euler_g_column_full_support():
     assert any(abs(e) > 3 for e in col)
     with pytest.raises(ValueError):
         euler_g_column(1, 0, 0)
+
+
+def test_euler_g_column_names_a_cell_that_does_not_divide(monkeypatch):
+    # the cells are ints: every numerator is divisible by n
+    for n in range(1, 6):
+        for r in range(n + 1):
+            for m in range(1, 13):
+                assert all(type(v) is int
+                           for v in euler_g_column(n, r, m).values())
+    # a binomial off by one: (p, l) = (4, 1) of rank (3, 1) gives
+    # 5 (C(2, 2) + 1)(C(4, 2) + 1) = 70, not divisible by 3
+    real = partition.comb
+    monkeypatch.setattr(partition, "comb", lambda a, b: real(a, b) + 1)
+    with pytest.raises(NonExactDivision) as exc:
+        euler_g_column(3, 1, 4)
+    assert str(exc.value) == \
+        "Euler numerator of rank (3, 1) at q^4 y^3 not divisible by 3"
 
 
 # -- rank-one product identity ---------------------------------------------------
