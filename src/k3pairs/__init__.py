@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from . import errors  # noqa: F401
 from .modular import EisensteinBasis, eisenstein_even, \
-    fit_v_coefficient, logphi_sigma_check, mpt_check, \
-    psi_kls_derivative, psi_kls_sym, sigma_series, v_partition_series, \
-    verify_psi_vs_log  # noqa: F401
+    fit_v_coefficient, logphi_sigma_check, mpt_check, psi_kls_sym, \
+    sigma_series, v_partition_series, verify_psi_vs_log  # noqa: F401
 from .partition import f_via_matrices, g_closed, g_via_kernels, \
     g_via_matrices, ky_product, s_series, syst_euler, syst_hodge  # noqa: F401
 from .rings import Monomial, TTPoly, UPoly, YPoly  # noqa: F401

@@ -40,7 +40,8 @@ class Mismatch(K3PairsError):
     """Two routes to the same series disagree.
 
     Carries the first differing location as a dict of exponents, e.g.
-    ``{"q": 3, "y": -1, "u2": 2}``.
+    ``{"q": 3, "y": -1, "u2": 2}``; ``QSeries.assert_agrees`` builds it
+    for every series comparison.
     """
 
     def __init__(self, message, location=None):
@@ -53,5 +54,8 @@ class NoSolution(K3PairsError):
     """No combination of monomials within the weight bound gives the series."""
 
 
-class ValidationFailure(K3PairsError):
-    """A combination disagrees with the series it must equal."""
+class ValidationFailure(Mismatch):
+    """A combination disagrees with the series it must equal.
+
+    A ``Mismatch`` whose location is the first differing ``{v, q}``.
+    """

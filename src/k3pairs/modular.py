@@ -18,9 +18,11 @@ coefficients' denominators.  Every v^s cell is i^s times a rational, and
 the cells store that rational (the series in w = iv, see
 series.v_substitute_qmajor), so the closed forms fold i^s into real signs.
 
-No floats, no numerics: every comparison is coefficient-exact, and every
-verifier raises Mismatch with the first differing exponent location
-instead of returning a best effort.
+No floats, no numerics: every comparison is coefficient-exact and goes
+through QSeries.assert_agrees, so every verifier raises Mismatch with the
+first differing exponent location instead of returning a best effort; a
+fit column that disagrees with the series raises ValidationFailure, a
+Mismatch, at its {v, q}.
 """
 
 from fractions import Fraction
@@ -31,13 +33,13 @@ from .errors import Mismatch, NoSolution, ValidationFailure
 from .partition import _check_rank, euler_g_column
 from .rings import UPoly, YPoly
 from .scalars import bernoulli, i_power_str
-from .series import QSeries, _int_conv, locate_mismatch, v_substitute_qmajor
+from .series import QSeries, _int_conv, v_substitute_qmajor
 from .theta import log_phi_product
 
 __all__ = [
     "EisensteinBasis", "eisenstein_even", "fit_v_coefficient",
-    "logphi_sigma_check", "mpt_check", "psi_kls_derivative", "psi_kls_sym",
-    "sigma_series", "v_partition_series", "verify_psi_vs_log",
+    "logphi_sigma_check", "mpt_check", "psi_kls_sym", "sigma_series",
+    "v_partition_series", "verify_psi_vs_log",
 ]
 
 def _divisors(n: int) -> list:
@@ -114,15 +116,6 @@ def psi_kls_sym(k: int, l: int, s: int, qorder: int) -> QSeries:
     return QSeries(1, cols, "q")
 
 
-def psi_kls_derivative(k: int, l: int, s: int, t: int,
-                       qorder: int) -> QSeries:
-    """t-th u-derivative of psi_kls_sym(k, l, s) at u = 1, in closed form:
-    the t-th entry of _psi_kls_derivatives."""
-    if s < 0 or t < 0:
-        raise ValueError("v-power and derivative order must be nonnegative")
-    return _psi_kls_derivatives(k, l, s, t, qorder)[t]
-
-
 def _psi_kls_derivatives(k: int, l: int, s: int, tmax: int,
                          qorder: int) -> list:
     """The t-th u-derivatives of psi_kls_sym(k, l, s) at u = 1 for every
@@ -171,49 +164,51 @@ def verify_psi_vs_log(k: int, l: int, qorder: int, vorder: int,
     """Cross-check every closed form against the direct log expansion.
 
     Expands log phi_product(k, l) through the substitution engine and
-    compares, for each v-power s < vorder: the u-symbolic closed form
-    cell by cell, then the t-th u-derivatives at u = 1 for t <= tmax
-    against their closed falling-factorial sums.  Raises Mismatch with the
-    first differing (v, q[, du]) location; returns a check count on success.
-    Raises ValueError for qorder < 2, where only the q^0 cell, zero on
-    both sides, would be compared, and for vorder < 1, where no v-power
-    would be.
+    makes two comparisons of v-major series over every v-power s < vorder:
+    the u-symbolic closed forms cell by cell, then, for tmax >= 0, the t-th
+    u-derivatives at u = 1 for t <= tmax, nested v -> du -> q, against
+    their closed falling-factorial sums.  Raises Mismatch with the first
+    differing location, {v, q, u2} or {v, du, q}; on success the count is
+    one check per closed form and per derivative.  Raises ValueError for
+    qorder < 2, where only the q^0 cell, zero on both sides, would be
+    compared, and for vorder < 1, where no v-power would be.
     """
     _check_log_qorder(qorder)
     _check_vorder(vorder)
     ywin = qorder - 1
     direct = v_substitute_qmajor(log_phi_product(k, l, qorder, ywin), vorder)
-    checks = 0
-    for s in range(vorder):
-        dcol = direct.coeff(s)
-        sym = psi_kls_sym(k, l, s, qorder)
-        e = dcol.first_mismatch(sym)
-        if e is not None:
-            loc = {"v": s, "q": e}
-            loc.update(locate_mismatch(dcol.coeff(e), sym.coeff(e)))
-            raise Mismatch("closed form of the log-product v-coefficient "
-                           "disagrees with the direct expansion", loc)
-        checks += 1
-        if tmax < 0:
-            continue
-        ders = [[0] * len(dcol.coeffs) for _ in range(tmax + 1)]
-        for idx, c in enumerate(dcol.coeffs):
+    direct.assert_agrees(
+        QSeries(0, [psi_kls_sym(k, l, s, qorder) for s in range(vorder)],
+                "v"),
+        what="direct expansion and closed forms of the log-product "
+             "v-coefficients")
+    orders = max(tmax + 1, 0)
+    if orders:
+        _u_derivatives(direct, tmax).assert_agrees(
+            QSeries(0, [QSeries(0, _psi_kls_derivatives(k, l, s, tmax,
+                                                         qorder), "du")
+                        for s in range(vorder)], "v"),
+            what="direct expansion and closed u-derivatives of the "
+                 "log-product v-coefficients")
+    return {"k": k, "l": l, "qorder": qorder, "vorder": vorder,
+            "tmax": tmax, "checks": vorder * (1 + orders), "ok": True}
+
+
+def _u_derivatives(f: QSeries, tmax: int) -> QSeries:
+    """The u-derivatives at u = 1 of the cells of a v-major series, every
+    order t <= tmax, nested v -> du -> q: a scalar cell is its own value
+    at t = 0 and has no u to differentiate."""
+    cols = []
+    for col in f.coeffs:
+        ders = [[0] * len(col.coeffs) for _ in range(tmax + 1)]
+        for idx, c in enumerate(col.coeffs):
             if c:
                 for t, x in enumerate(c.derivs_at_one(tmax)
                                       if isinstance(c, UPoly) else [c]):
                     ders[t][idx] = x
-        closed = _psi_kls_derivatives(k, l, s, tmax, qorder)
-        for t in range(tmax + 1):
-            der = QSeries(dcol.lower, ders[t], dcol.var)
-            e = der.first_mismatch(closed[t])
-            if e is not None:
-                raise Mismatch(
-                    "closed u-derivative of the log-product v-coefficient "
-                    "disagrees with the direct expansion",
-                    {"v": s, "q": e, "du": t})
-            checks += 1
-    return {"k": k, "l": l, "qorder": qorder, "vorder": vorder,
-            "tmax": tmax, "checks": checks, "ok": True}
+        cols.append(QSeries(0, [QSeries(col.lower, d, col.var)
+                                for d in ders], "du"))
+    return QSeries(f.lower, cols, f.var)
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +266,6 @@ def v_partition_series(n: int, r: int, qorder: int, vorder: int) -> QSeries:
                 cols[s - lo][m] = -c
     return QSeries(lo, [QSeries.from_dict(d, 0, qorder, "q")
                         for d in cols], "v")
-
-
-def _odd_cells(f: QSeries) -> list:
-    """The nonzero odd-v cells of a v-expansion, each with its value.
-
-    Every v^s cell has the value i^s c for a rational c, so the cells
-    that break the even/real pattern are the nonzero ones at odd
-    v-powers, whose values are imaginary; each is listed with its value
-    rendered by i_power_str.  On v_partition_series(n, r) the pattern
-    holds exactly at n = 1 and at r = n/2.  At every other rank, interior
-    ones such as (3, 1) included, the odd cells survive, mirrored between
-    r and n - r: the duality G^r_n(q, y) = G^{n-r}_n(q, 1/y) makes the
-    v^s cell at r equal (-1)^s times the one at n - r.  The offending
-    cells are listed rather than rounded away.
-    """
-    return [{"v": s, "q": m, "value": i_power_str(s, c)}
-            for s in range(f.lower, f.order) if s % 2
-            for m, c in enumerate(f.coeff(s).coeffs) if c]
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +479,13 @@ def _fit_columns(n: int, r: int, ss, test_qorder: int,
             w = c.numerator * (d // c.denominator)
             acc = [a + w * x for a, x in zip(acc, ser.coeffs)]
         expansion = QSeries(0, [Fraction(x, d) if x else 0 for x in acc])
-        e = series.coeff(s).first_mismatch(expansion)
-        if e is not None:
+        try:
+            QSeries(s, [series.coeff(s)], "v").assert_agrees(
+                QSeries(s, [expansion], "v"))
+        except Mismatch as ex:
             raise ValidationFailure(
                 f"the closed form of the v^{s} column disagrees with the "
-                f"series at q^{e}")
+                f"series", ex.location) from None
         if top[s] > weight_ceiling:
             raise NoSolution(
                 f"no combination of weight <= {weight_ceiling} gives the "
@@ -525,9 +504,9 @@ def fit_v_coefficient(n: int, r: int, s: int,
     JSON-ready report.
 
     The closed polynomial is checked against v_partition_series through
-    q^test_qorder, and a difference raises ValidationFailure naming the
-    q-power; a top weight above weight_ceiling raises NoSolution.  The
-    monomials are listed by (weight, name), each coefficient c of the
+    q^test_qorder, and a difference raises ValidationFailure with its
+    location {v, q}; a top weight above weight_ceiling raises NoSolution.
+    The monomials are listed by (weight, name), each coefficient c of the
     stored column as the string of its value i^s c; weight_bound is
     max(min(s + 2, weight_ceiling), top weight), where a zero column has
     top weight 0.  The v-series starts at the polar depth 1 - n, so s

@@ -30,14 +30,15 @@ digits at X = 256^w, with a bias of X/2 per digit; it is exact when every
 digit lies below X/2 in absolute value.  The zero digits are skipped in C:
 the biased integer XOR the bias is zero on exactly their bytes, and a byte
 regex finds the nonzero runs, so its Python loop runs once per nonzero
-digit, however many slots the integer spans.  ``theta`` packs each cell
+digit, however many slots the integer spans.  ``kron_width`` is the least
+w that gives a digit bound that room.  ``theta`` packs each cell
 of its product kernels as such an integer, built in place by its factor
 recurrences, and reads the cells back with it.
 ``ucomb.verify_ab_identity`` checks A.B = P at the same kind of point
 X = 256^w, but never reads digits back: it takes its values from closed
 forms in plain integers, sums A.B by Horner's rule in the q-Pascal step,
-and sizes w by the exact l1 norms of its nonnegative entries, so one
-integer comparison per entry decides.
+and sizes w by kron_width of the exact l1 norms of its nonnegative
+entries, so one integer comparison per entry decides.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ from .scalars import fraction_str
 __all__ = ["UPoly", "TTPoly", "YPoly", "Monomial"]
 
 _NONZERO = re.compile(rb"[^\x00]+")
+
+
+def kron_width(bound: int) -> int:
+    """The least byte width w with bound < 256^w / 2: the width at which
+    kron_digits reads back every digit of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
 
 
 def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
@@ -102,10 +109,6 @@ class _Sparse:
     @classmethod
     def zero(cls):
         return cls()
-
-    @classmethod
-    def const(cls, v):
-        return cls({cls.KEY0: v})
 
     @classmethod
     def one(cls):
@@ -244,10 +247,6 @@ class UPoly(_Sparse):
         lo, f = self._dense()
         return _dense_quotient(lo, list(map(sub, [0, 0] + f, f + [0, 0])),
                                (2 * m,))
-
-    def deriv_at_one(self, t: int):
-        """t-th u-derivative evaluated at u = 1; see derivs_at_one."""
-        return self.derivs_at_one(t)[t]
 
     def derivs_at_one(self, tmax: int) -> list:
         """The u-derivatives at u = 1 of every order t <= tmax, in one pass
@@ -436,9 +435,6 @@ class YPoly(_Sparse):
     def mirror(self) -> "YPoly":
         """Substitute y -> 1/y."""
         return YPoly._of({-e: v for e, v in self.c.items()})
-
-    def map_coeffs(self, fn) -> "YPoly":
-        return YPoly({e: fn(v) for e, v in self.c.items()})
 
     def restrict(self, window: int) -> "YPoly":
         """The terms with |exponent| <= window."""

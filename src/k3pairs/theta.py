@@ -31,7 +31,7 @@ finished cells are cut to the window.
 from fractions import Fraction
 
 from .errors import BadConstantTerm
-from .rings import Monomial, UPoly, YPoly, kron_digits
+from .rings import Monomial, UPoly, YPoly, kron_digits, kron_width
 from .series import QSeries
 
 __all__ = ["phi_bilateral", "psi", "phi_product", "log_phi_product"]
@@ -165,11 +165,6 @@ def _log_majorant(qorder: int) -> list:
     return H
 
 
-def _width(bound: int) -> int:
-    """Smallest byte width w with bound < 256^w / 2."""
-    return bound.bit_length() // 8 + 1
-
-
 class _Grid:
     """Kronecker packing of the cells of phi_product(k, l) in the exponents
     of its factor monomials Y = u^l y and K = u^|k|.
@@ -250,7 +245,7 @@ def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
     """
     if qorder <= 0:
         return QSeries(0, [], "q")
-    grid = _Grid(k, l, qorder, _width(max(_phi_majorant(qorder))))
+    grid = _Grid(k, l, qorder, kron_width(max(_phi_majorant(qorder))))
     return QSeries(0, [
         YPoly({y: UPoly(d) for y, d in grid.read(v, j, ywin).items()})
         if v else 0
@@ -282,7 +277,7 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
     """
     if qorder <= 0:
         raise BadConstantTerm("log needs constant term exactly 1")
-    grid = _Grid(k, l, qorder, _width(max(_log_majorant(qorder))))
+    grid = _Grid(k, l, qorder, kron_width(max(_log_majorant(qorder))))
     f = grid.cells()
     h = [0] * qorder
     cols: list = [0] * qorder

@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import InternalNonExactDivision, Mismatch, NotDivisible
-from .rings import UPoly
+from .rings import UPoly, kron_width
 
 __all__ = [
     "u_integer",
@@ -302,7 +302,7 @@ def _bounds(n_max: int, i: int, j: int) -> list:
 def _width(n_max: int, i: int, j: int) -> int:
     """Smallest byte width w with every bound of _bounds(n_max, i, j)
     below 256^w / 2."""
-    return max(_bounds(n_max, i, j)).bit_length() // 8 + 1
+    return kron_width(max(_bounds(n_max, i, j)))
 
 
 def verify_ab_identity(n_max: int, index_max: int) -> int:

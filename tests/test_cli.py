@@ -323,7 +323,9 @@ def test_verify_modularity_catches_a_broken_odd_cell(capsys, monkeypatch, pertur
 
 def test_mirror_check_catches_a_mirrored_odd_cell_at_rank_one(monkeypatch):
     # a v^3 q^2 cell put at (1, 0) and its mirror image at (1, 1) passes
-    # the mirror comparison; only the evenness of rank one catches it
+    # the mirror comparison; only the evenness of rank one catches it.  At
+    # (2, 1) the mirror rank is the rank itself, so the mirror comparison
+    # is the evenness check and catches the odd cell there
     import k3pairs.modular
     import k3pairs.verify
 
@@ -340,6 +342,9 @@ def test_mirror_check_catches_a_mirrored_odd_cell_at_rank_one(monkeypatch):
         with pytest.raises(Mismatch, match="i\\^s rule") as e:
             k3pairs.verify._mirror_symmetry(1, r, 6, 5)
         assert e.value.location == {"v": 3, "q": 2}
+    with pytest.raises(Mismatch) as e:
+        k3pairs.verify._mirror_symmetry(2, 1, 6, 5)
+    assert e.value.location == {"v": 3, "q": 2}
 
 
 def test_modularity_suite_expands_each_v_series_once(monkeypatch):
@@ -436,6 +441,30 @@ def test_fit_weight_ceiling_zero_fails(capsys):
     assert "NoSolution" in err
 
 
+def test_fit_validation_failure_names_its_location(capsys, monkeypatch):
+    # a closed v^2 column one too large in its constant term disagrees
+    # with the series at q^0
+    import k3pairs.modular as modular
+    from k3pairs.errors import ValidationFailure
+
+    real = modular._closed_v_columns
+
+    def lying(n, r, ss):
+        out = real(n, r, ss)
+        if 2 in out:
+            out[2][(0, 0, 0)] = out[2].get((0, 0, 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(modular, "_closed_v_columns", lying)
+    code, out, err = _run(capsys, ["fit", "--n", "2", "--r", "1", "--vmax", "4"])
+    assert (code, out) == (1, "")
+    assert "s=2: ValidationFailure" in err
+    assert "{'v': 2, 'q': 0}" in err
+    with pytest.raises(ValidationFailure) as e:
+        modular.fit_v_coefficient(2, 1, 2)
+    assert e.value.location == {"v": 2, "q": 0}
+
+
 def test_fit_matches_golden_file(capsys, tmp_path):
     target = tmp_path / "fit.json"
     code, out, _ = _run(
@@ -466,7 +495,9 @@ def test_fit_past_the_expected_weight_matches_golden_file(capsys):
      "series_n3_r3_q10_y8.csv"),
     (["table", "--n", "4", "--r", "1", "--gmax", "12", "--kmin", "-4",
       "--kmax", "1", "--hodge"], "table_n4_r1_g12_km4_1_hodge.csv"),
-], ids=["table", "series", "table-negative-k"])
+    (["table", "--n", "3", "--r", "1", "--gmax", "20", "--kmin", "-6",
+      "--kmax", "6"], "table_n3_r1_g20_km6_6_euler.csv"),
+], ids=["table", "series", "table-negative-k", "table-euler"])
 def test_printed_rings_match_golden_files(capsys, argv, name):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")

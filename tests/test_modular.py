@@ -22,11 +22,11 @@ from hypothesis import assume, given, settings, strategies as st
 from k3pairs.errors import Mismatch, NoSolution, UnsupportedRank, \
     ValidationFailure
 from k3pairs.modular import (
-    EisensteinBasis, _fit_columns, _odd_cells, eisenstein_even,
-    fit_v_coefficient, logphi_sigma_check, mpt_check, psi_kls_derivative,
-    psi_kls_sym, sigma_series, v_partition_series, verify_psi_vs_log)
+    EisensteinBasis, _fit_columns, _psi_kls_derivatives, eisenstein_even,
+    fit_v_coefficient, logphi_sigma_check, mpt_check, psi_kls_sym,
+    sigma_series, v_partition_series, verify_psi_vs_log)
 from k3pairs.partition import euler_g_column, g_closed
-from k3pairs.rings import UPoly
+from k3pairs.rings import UPoly, YPoly
 from k3pairs.scalars import i_power_str
 from k3pairs.series import QSeries, v_substitute_qmajor
 from k3pairs.theta import log_phi_product
@@ -90,19 +90,19 @@ def test_eisenstein_even_rejects_bad_weight():
 def test_psi_u1_s0_and_odd_s_vanish():
     for (k, l) in ((0, 0), (1, 0), (2, 1)):
         for s in (0, 1, 3):
-            z = psi_kls_derivative(k, l, s, 0, 8)
+            z = _psi_kls_derivatives(k, l, s, 0, 8)[0]
             assert all(z.coeff(n) == 0 for n in range(1, 8)), (k, l, s)
 
 
 def test_psi_u1_even_s_frozen():
-    p2 = psi_kls_derivative(1, 0, 2, 0, 5)          # values -2, -6, ...
+    p2 = _psi_kls_derivatives(1, 0, 2, 0, 5)[0]     # values -2, -6, ...
     assert [p2.coeff(n) for n in range(1, 5)] == [2, 6, 8, 14]
-    p4 = psi_kls_derivative(2, 1, 4, 0, 4)
+    p4 = _psi_kls_derivatives(2, 1, 4, 0, 4)[0]
     assert [p4.coeff(n) for n in range(1, 4)] == \
         [Fraction(1, 6), Fraction(3, 2), Fraction(14, 3)]
     # the u = 1 shadow forgets (k, l) entirely
-    assert psi_kls_derivative(3, 2, 2, 0, 6) == \
-        psi_kls_derivative(0, 0, 2, 0, 6)
+    assert _psi_kls_derivatives(3, 2, 2, 0, 6) == \
+        _psi_kls_derivatives(0, 0, 2, 0, 6)
 
 
 def test_psi_sym_hand_columns():
@@ -125,9 +125,9 @@ def test_psi_sym_vanishes_for_l_zero_s_zero():
 def test_psi_derivative_hand_values():
     # d^2/du^2 of u^2 + u^-2 - 2 at u = 1 is 8, and the q^n cell scales
     # like 8 sigma_1(n)
-    d = psi_kls_derivative(1, 1, 0, 2, 5)
+    d = _psi_kls_derivatives(1, 1, 0, 2, 5)[2]
     assert [d.coeff(n) for n in range(1, 5)] == [8, 24, 32, 56]
-    z = psi_kls_derivative(1, 0, 2, 1, 6)
+    z = _psi_kls_derivatives(1, 0, 2, 1, 6)[1]
     assert all(z.coeff(n) == 0 for n in range(1, 6))
 
 
@@ -136,13 +136,13 @@ def test_psi_derivative_matches_symbolic_columns(k, l):
     qorder = 6
     for s in range(5):
         sym = psi_kls_sym(k, l, s, qorder)
+        closed = _psi_kls_derivatives(k, l, s, 3, qorder)
         for t in range(4):
-            closed = psi_kls_derivative(k, l, s, t, qorder)
             for n in range(1, qorder):
                 cell = sym.coeff(n)
-                want = cell.deriv_at_one(t) if isinstance(cell, UPoly) \
+                want = cell.derivs_at_one(3)[t] if isinstance(cell, UPoly) \
                     else (cell if t == 0 else 0)
-                assert closed.coeff(n) == want, (s, t, n)
+                assert closed[t].coeff(n) == want, (s, t, n)
 
 
 def test_verify_psi_vs_log_small_grid():
@@ -160,14 +160,29 @@ def test_verify_psi_vs_log_reports_location(monkeypatch):
     def lying(k, l, s, qorder):
         out = real(k, l, s, qorder)
         if s == 2:
-            bump = QSeries(1, [UPoly.const(1)] + [0] * (qorder - 2), "q")
+            bump = QSeries(1, [UPoly.one()] + [0] * (qorder - 2), "q")
             out = out + bump
         return out
 
     monkeypatch.setattr(modular, "psi_kls_sym", lying)
     with pytest.raises(Mismatch) as e:
         modular.verify_psi_vs_log(1, 0, 5, 4)
-    assert e.value.location["v"] == 2 and "q" in e.value.location
+    assert e.value.location == {"v": 2, "q": 1, "u2": 0}
+    monkeypatch.setattr(modular, "psi_kls_sym", real)
+
+    # a closed first u-derivative one too large at v^2 q^3
+    real_ders = modular._psi_kls_derivatives
+
+    def lying_ders(k, l, s, tmax, qorder):
+        out = real_ders(k, l, s, tmax, qorder)
+        if s == 2:
+            out[1] = out[1] + QSeries.from_dict({3: 1}, 1, qorder)
+        return out
+
+    monkeypatch.setattr(modular, "_psi_kls_derivatives", lying_ders)
+    with pytest.raises(Mismatch) as e:
+        modular.verify_psi_vs_log(2, 1, 10, 7, 3)
+    assert e.value.location == {"v": 2, "du": 1, "q": 3}
 
 
 def test_log_product_checks_refuse_a_q_order_that_compares_nothing(
@@ -269,8 +284,8 @@ def test_v_partition_columns_match_direct_substitution(n, r):
     f = v_partition_series(n, r, qorder, vorder)
     # the direct route: g_closed at u = 1, not the euler_g_column cells
     # that v_partition_series reads
-    euler = g_closed(n, r, qorder, qorder).map_coeffs(
-        lambda col: col.map_coeffs(lambda v: Fraction(v.eval_one())))
+    euler = g_closed(n, r, qorder, qorder).map_coeffs(lambda col: YPoly(
+        {e: Fraction(v.eval_one()) for e, v in col.c.items()}))
     sub = v_substitute_qmajor(euler, vorder - 2)
     for s in range(f.lower, vorder):
         col = f.coeff(s)
@@ -302,19 +317,15 @@ def test_v_expansion_even_and_real_low_rank(n, r):
     # is even only where the rank is its own mirror (r = n/2) or where the
     # Euler weight is symmetric anyway (n = 1); elsewhere its odd cells
     # survive, and rational y-coefficients put each v^s cell in i^s Q.
-    report = _odd_cells(v_partition_series(n, r, 5, 6))
-    if n == 1 or 2 * r == n:
-        assert report == []
-        return
-    assert report
     f = v_partition_series(n, r, 5, 6)
     odd = [(s, m) for s in range(f.lower, f.order) if s % 2
            for m in range(5) if f.coeff(s).coeff(m)]
-    assert [(cell["v"], cell["q"]) for cell in report] == odd
-    for cell in report:
-        c = f.coeff(cell["v"]).coeff(cell["q"])
-        assert type(c) is Fraction, cell
-        assert cell["value"] == i_power_str(cell["v"], c), cell
+    if n == 1 or 2 * r == n:
+        assert odd == []
+        return
+    assert odd
+    for s, m in odd:
+        assert type(f.coeff(s).coeff(m)) is Fraction, (s, m)
     mirror = v_partition_series(n, n - r, 5, 6)
     for s in range(f.lower, f.order):
         for m in range(5):

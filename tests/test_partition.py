@@ -380,7 +380,8 @@ def test_g_closed_names_the_cell_that_fails(monkeypatch):
 
 def to_tt_series(f):
     """Embed a u-Laurent-valued q-series into the (t, tb) ring."""
-    return f.map_coeffs(lambda col: col.map_coeffs(lambda v: v.to_tt()))
+    return f.map_coeffs(
+        lambda col: YPoly({e: v.to_tt() for e, v in col.c.items()}))
 
 
 def test_f_divided_by_s_is_the_matrix_route():
@@ -411,8 +412,8 @@ def test_duality_at_f_level():
 
 def at_u_one(f):
     """g_closed's series with every u set to 1, cells as Fractions."""
-    return f.map_coeffs(
-        lambda col: col.map_coeffs(lambda v: Fraction(v.eval_one())))
+    return f.map_coeffs(lambda col: YPoly(
+        {e: Fraction(v.eval_one()) for e, v in col.c.items()}))
 
 
 def test_euler_g_frozen_examples():

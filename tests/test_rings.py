@@ -125,11 +125,10 @@ def test_div_u_pow_minus_one_chain_names_the_failing_factor():
 def test_eval_and_derivative_at_one():
     p = U({6: 1})                              # u^3
     assert p.eval_one() == 1
-    assert p.deriv_at_one(1) == 3
-    assert p.deriv_at_one(2) == 6
+    assert p.derivs_at_one(2)[1:] == [3, 6]
     q = U({-4: 2, 0: 5, 2: -1})                # 2u^-2 + 5 - u
     assert q.eval_one() == 6
-    assert q.deriv_at_one(1) == 2 * (-2) + 0 - 1
+    assert q.derivs_at_one(1)[1] == 2 * (-2) + 0 - 1
 
 
 _EDGES = (127, -127, 128, -128, 255, -255, 256, -256, 2 ** 63, -2 ** 63)

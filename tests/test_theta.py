@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from k3pairs import theta
-from k3pairs.rings import Monomial, UPoly, YPoly
+from k3pairs.rings import Monomial, UPoly, YPoly, kron_width
 from k3pairs.series import QSeries
 from k3pairs.theta import log_phi_product, phi_bilateral, phi_product, psi
 
@@ -13,7 +13,7 @@ U = Monomial(2, 0)
 
 
 def ypoly(d):
-    return YPoly({e: UPoly.const(v) if isinstance(v, int) else v
+    return YPoly({e: UPoly({0: v}) if isinstance(v, int) else v
                   for e, v in d.items()})
 
 
@@ -136,9 +136,9 @@ def test_log_phi_product_hand_columns():
     f = log_phi_product(0, 0, 3, 4)
     assert f.coeff(0) == YPoly.zero()
     assert f.coeff(1) == ypoly({1: 2, -1: 2, 0: -4})
-    assert f.coeff(2) == ypoly(
-        {2: 1, -2: 1, 1: 2, -1: 2, 0: -6}).map_coeffs(
-            lambda v: v * Fraction(1))
+    assert f.coeff(2) == YPoly({
+        e: v * Fraction(1)
+        for e, v in ypoly({2: 1, -2: 1, 1: 2, -1: 2, 0: -6}).c.items()})
 
 
 def test_rank_one_bridge():
@@ -252,10 +252,11 @@ def test_log_cells_are_bounded_by_eight_sigma(k, l, qorder, ywin):
             assert all(abs(j * v) <= bound for v in entry.c.values()), j
 
 
+# theta packs each kernel to kron_width of its majorant's largest entry;
 # the last bound, 2442497014756992, needs 7 bytes
 @pytest.mark.parametrize("bound", [0, 1, 127, 128, 255, 2 ** 15 - 1, 2 ** 15,
                                    2442497014756992])
 def test_packed_width_is_the_least_with_room(bound):
-    w = theta._width(bound)
+    w = kron_width(bound)
     assert bound < 256 ** w // 2
     assert w == 1 or bound >= 256 ** (w - 1) // 2
