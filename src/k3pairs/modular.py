@@ -31,9 +31,9 @@ from operator import add
 
 from .errors import Mismatch, NoSolution, ValidationFailure
 from .partition import _check_rank, euler_g_column
-from .rings import UPoly, YPoly
+from .rings import UPoly, YPoly, _int_conv
 from .scalars import bernoulli, i_power_str
-from .series import QSeries, _int_conv, v_substitute_qmajor
+from .series import QSeries, v_substitute_qmajor
 from .theta import log_phi_product
 
 __all__ = [

@@ -22,7 +22,9 @@ series S):
 The closed and kernel routes build each cell in one plain list over
 whole exponents (every u-key of their terms is even), from its first
 term to its quotient, with the cell's u-power as the list's lowest
-exponent; the dense divider of ``rings`` makes the one UPoly at the end.
+exponent, and make the one UPoly at the end.  The closed route's cells
+are products of the binomial lists of ``ucomb`` times [p+l]/[n] by its
+``_ratio``; the kernel route's divide by their chain in ``rings``.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
@@ -38,13 +40,13 @@ cells.
 
 from itertools import compress, count
 from math import comb
-from operator import sub
 
 from .errors import NonExactDivision, NotDivisible, UnsupportedRank
-from .rings import TTPoly, UPoly, YPoly, _dense_quotient
+from .rings import TTPoly, UPoly, YPoly, _dense_quotient, _from_list, _int_conv
 from .series import QSeries
 from .theta import phi_product
-from .ucomb import c_table, matrix_product_entry, u_binomial, u_integer
+from .ucomb import (_binomial_list, _ratio, c_table, matrix_product_entry,
+                    u_binomial, u_integer)
 
 __all__ = ["s_series", "syst_hodge", "syst_euler", "syst_table", "g_closed",
            "g_via_matrices", "f_via_matrices", "g_via_kernels",
@@ -132,7 +134,7 @@ def syst_hodge(n: int, r: int, g: int, k: int) -> TTPoly:
 
 def syst_euler(n: int, r: int, g: int, k: int) -> int:
     """Euler characteristic of the same moduli (t = tb = 1)."""
-    return syst_hodge(n, r, g, k).eval_ones()
+    return syst_hodge(n, r, g, k).eval_one()
 
 
 def syst_table(n: int, r: int, gmax: int, kmin: int, kmax: int,
@@ -143,7 +145,7 @@ def syst_table(n: int, r: int, gmax: int, kmin: int, kmax: int,
     polynomial rendered as a string when ``hodge`` is set.
     """
     return [{"n": n, "r": r, "g": g, "k": k,
-             "value": str(h) if hodge else h.eval_ones()}
+             "value": str(h) if hodge else h.eval_one()}
             for g, k, h in _hodge_cells(n, r, gmax, kmin, kmax)]
 
 
@@ -159,16 +161,6 @@ def _cells_to_series(cells: dict, lower: int, qorder: int) -> QSeries:
     return QSeries.from_dict(cols, lower, qorder)
 
 
-def _whole_list(w: UPoly) -> list:
-    """The coefficients of a nonzero polynomial w whose doubled keys are
-    even and at least 0, as one list over the whole exponents from u^0
-    up."""
-    f = [0] * (max(w.c) // 2 + 1)
-    for e, v in w.c.items():
-        f[e // 2] = v
-    return f
-
-
 def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from the closed double sum.
 
@@ -177,40 +169,30 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
 
         u^{r(n-r) - nl - r(p-l)} [n+l-r-1, n-1] [p+r-1, n-1] [p+l] / [n].
 
-    Each cell is one list over whole exponents: the two u-binomials are
-    convolved, multiplied by [p+l] (u-1) = u^{p+l} - 1 as two shifted
-    copies, and divided by [n] (u-1) = u^n - 1 in the dense divider of
-    ``rings``, with the u-power as the list's lowest exponent.  A cell
-    not exactly divisible by [n] raises NonExactDivision naming it.
+    Each cell is one list over whole exponents: the two u-binomial lists
+    convolved, times [p+l]/[n] = (1 - u^{p+l})/(1 - u^n) in one ``_ratio``
+    step, with the u-power as the list's lowest exponent.  A cell not
+    exactly divisible by [n] raises NonExactDivision naming it.
     """
     _check_rank(n, r)
     cells: dict = {}
-    binoms: dict = {}  # N -> the whole-exponent list of [N, n-1]
     hi = qorder + ywin + 1
     for l in range(r, r + hi):
         for p in range(n - r, n - r + hi):
             qe, ye = p * l, p - l
             if qe >= qorder or abs(ye) > ywin:
                 continue
-            for big in (n + l - r - 1, p + r - 1):
-                if big not in binoms:
-                    binoms[big] = _whole_list(u_binomial(big, n - 1))
             # neither binomial is zero: l >= r and p >= n - r
-            a, b = binoms[n + l - r - 1], binoms[p + r - 1]
-            conv = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, z in enumerate(b, i):
-                    conv[j] += x * z
-            pad = [0] * (p + l)
+            a = _binomial_list(n + l - r - 1, n - 1)
+            b = _binomial_list(p + r - 1, n - 1)
             try:
-                w = _dense_quotient(
-                    2 * (r * (n - r) - n * l - ye * r),
-                    list(map(sub, pad + conv, conv + pad)), (2 * n,), 2)
+                f = _ratio(_int_conv(a, b, len(a) + len(b) - 1), p + l, n)
             except NotDivisible as exc:
                 raise NonExactDivision(
                     f"closed-form numerator at q^{qe} y^{ye} not divisible "
                     f"by [{n}]") from exc
-            cells.setdefault(qe, {})[ye] = w
+            cells.setdefault(qe, {})[ye] = _from_list(
+                2 * (r * (n - r) - n * l - ye * r), f, 2)
     return _cells_to_series(cells, 0, qorder)
 
 

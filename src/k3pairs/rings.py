@@ -10,13 +10,16 @@ whose keys are pairs, keeps its own:
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
   u^{3/2}); coefficients are int or Fraction and may mix.  Its exact
-  division by [m] turns the dict into one dense list and divides it in
-  place by u^m - 1 after one multiplication by u - 1.  That pass,
-  ``_dense_quotient``, is the one dense divider: ``partition`` hands it
-  the kernel and closed routes' cells as lists over whole exponents,
-  and it divides each by a chain of factors u^d - 1, one pass per
-  factor.  Its u-derivatives at u = 1 of every order up to tmax come
-  from one pass over the terms, summed over Z with the falling
+  division by [m] turns the dict into one dense list, multiplies it by
+  u - 1 and divides it in place by u^m - 1.  That pass, ``_divide_out``,
+  is the one exact division of a list by u^d - 1: ``ucomb`` builds every
+  Gaussian-binomial closed form as a list over whole exponents, each
+  factor [a]/[b] two shifted copies and one pass, and makes the UPoly
+  once from the finished list; ``_dense_quotient`` divides the kernel
+  route's cells by their chain of factors, one pass each.  ``_int_conv``
+  is the one integer list convolution, of series, Eisenstein monomials
+  and binomial lists alike.  A UPoly's u-derivatives at u = 1 up to tmax
+  come from one pass over the terms, summed over Z with the falling
   factorials built up over the orders.
 * ``TTPoly`` — Laurent polynomials in two variables (t, tb), the Hodge
   variables.  u embeds as t*tb.
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from operator import neg, sub
 
@@ -208,25 +212,6 @@ class UPoly(_Sparse):
         """Multiply by u^{e2/2}."""
         return UPoly._of({e + e2: v for e, v in self.c.items()})
 
-    def mul_u_integer(self, m: int) -> "UPoly":
-        """Multiply by [m] = 1 + u + ... + u^{m-1} in linear time."""
-        if m < 0:
-            raise ValueError("m must be >= 0")
-        if m == 0 or not self.c:
-            return UPoly.zero()
-        out = {}
-        # r_e = r_{e-2} + f_e - f_{e-2m}, run per residue class mod 2.
-        lo, hi = min(self.c), max(self.c) + 2 * (m - 1)
-        for rho in set(e % 2 for e in self.c):
-            prev = 0
-            e = lo + ((rho - lo) % 2)
-            while e <= hi:
-                prev = prev + self.c.get(e, 0) - self.c.get(e - 2 * m, 0)
-                if prev:
-                    out[e] = prev
-                e += 2
-        return UPoly._of(out)
-
     def _dense(self) -> tuple:
         """(lo, f): the lowest doubled key and the coefficients as one list
         over every doubled key from lo up."""
@@ -317,23 +302,24 @@ def _u_mono(e2: int) -> str:
     return f"u^{e2}/2"
 
 
-def _dense_quotient(lo: int, f: list, d2s: tuple, step: int = 1) -> UPoly:
-    """The exact quotient of sum_k f[k] u^{(lo+step*k)/2} by the product of
-    u^{d/2} - 1 over the doubled exponents d > 0 of d2s.
+def _int_conv(f: list, g: list, n: int) -> list:
+    """The first n coefficients of the product of two integer lists of
+    any lengths."""
+    out = [0] * n
+    for i, a in enumerate(f[:n]):
+        if a:
+            for j, b in enumerate(g[:n - i], i):
+                out[j] += a * b
+    return out
 
-    With step 2 the list already runs over whole exponents, every other
-    doubled key from lo, and every d must be even; the kernel and closed
-    routes of ``partition`` build their cells that way.  With step 1 it
-    runs over every doubled key, and it is halved to every other key when
-    its odd places are empty and every d is even.  Dividing by u^d - 1 is
-    minus dividing by 1 - u^d, the in-place pass f[k] += f[k-d] for k
-    ascending, so each factor flips the sign once.  A quotient exists
-    only if the top d entries of the pass are zero (the first factor where
-    they are not is named by NotDivisible); they are cut off, and the dict
-    is built once at the end.
-    """
-    if step == 1 and not any(f[1::2]) and not any(d % 2 for d in d2s):
-        f, step = f[::2], 2
+
+def _divide_out(f: list, d2s: tuple, step: int) -> list:
+    """f, the coefficients of every step-th doubled key from its lowest,
+    divided in place by the product of 1 - u^{d/2} over the doubled
+    exponents d > 0 of d2s.  Each factor is the pass f[k] += f[k-d] for k
+    ascending; a quotient exists only if its top d entries are zero, and
+    they are cut off.  NotDivisible names the first factor where they are
+    not, as u^{d/2} - 1, a unit times 1 - u^{d/2}."""
     top = len(f)
     for d2 in d2s:
         d = d2 // step
@@ -342,10 +328,30 @@ def _dense_quotient(lo: int, f: list, d2s: tuple, step: int = 1) -> UPoly:
         if any(f[max(top - d, 0):top]):
             raise NotDivisible(f"remainder in division by {_u_mono(d2)} - 1")
         top -= d
-    if len(d2s) % 2:
-        f = map(neg, f)
-    return UPoly._of({e: v for e, v in zip(range(lo, lo + step * top, step), f)
-                      if v})
+    del f[max(top, 0):]
+    return f
+
+
+def _from_list(lo: int, f, step: int) -> UPoly:
+    """The UPoly sum_k f[k] u^{(lo+step*k)/2} of a list or iterable f."""
+    return UPoly._of({e: v for e, v in zip(count(lo, step), f) if v})
+
+
+def _dense_quotient(lo: int, f: list, d2s: tuple, step: int = 1) -> UPoly:
+    """The exact quotient of sum_k f[k] u^{(lo+step*k)/2} by the product of
+    u^{d/2} - 1 over the doubled exponents d > 0 of d2s.
+
+    With step 2 the list already runs over whole exponents, every other
+    doubled key from lo, and every d must be even; the kernel route of
+    ``partition`` builds its cells that way.  With step 1 it runs over
+    every doubled key, and it is halved to every other key when its odd
+    places are empty and every d is even.  Each factor is one pass of
+    ``_divide_out`` and flips the sign, as u^d - 1 is minus 1 - u^d.
+    """
+    if step == 1 and not any(f[1::2]) and not any(d % 2 for d in d2s):
+        f, step = f[::2], 2
+    f = _divide_out(f, d2s, step)
+    return _from_list(lo, map(neg, f) if len(d2s) % 2 else f, step)
 
 
 def _coeff_str(v, has_mono: bool) -> str:
@@ -387,9 +393,6 @@ class TTPoly(_Sparse):
         return TTPoly._of(out)
 
     __rmul__ = __mul__
-
-    # the Euler-characteristic specialization t = tb = 1
-    eval_ones = _Sparse.eval_one
 
     def __str__(self):
         if not self.c:

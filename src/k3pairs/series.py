@@ -37,7 +37,7 @@ from math import lcm
 from operator import mul
 
 from .errors import BadConstantTerm, Mismatch
-from .rings import UPoly, YPoly
+from .rings import UPoly, YPoly, _int_conv
 
 __all__ = ["QSeries", "v_substitute_qmajor"]
 
@@ -283,16 +283,6 @@ def _over_lcm(cells: list):
         return cells, 1, False
     d = lcm(*[c.denominator for c in cells])
     return [c.numerator * (d // c.denominator) for c in cells], d, True
-
-
-def _int_conv(f: list, g: list, n: int) -> list:
-    """The first n coefficients of the product of two integer lists, where
-    g has at least n entries."""
-    out = [0] * n
-    for i, a in enumerate(f[:n]):
-        if a:
-            out[i:] = [o + a * b for o, b in zip(out[i:], g)]
-    return out
 
 
 def _ceq(a, b) -> bool:

@@ -16,8 +16,11 @@ The B and P entries are computed exactly as displayed: full numerator
 product first, then one exact division (the individual ratio [k+2l]/[k+l]
 is generally not a polynomial); a failed division is a bug and raises
 InternalNonExactDivision.  ``matrix_entry``, the form the partition routes
-use, divides in linear time via the u-integer division trick in
-rings.UPoly.  ``verify_ab_identity`` builds no UPoly: it takes the same
+use, builds each entry as one whole-exponent list from the binomial lists
+that u_binomial and the closed route's cells read too: convolved by
+rings._int_conv, times [a]/[b] as two shifted copies and the exact pass
+of rings (``_ratio``), and made a UPoly once at the end.
+``verify_ab_identity`` builds no UPoly: it takes the same
 closed forms as integers at X = 256^w, column by column, dividing with
 one exact divmod: each P core once per cell, each B core once per width
 and column.  It sums A(n).B for every n of a cell at once, by Horner's
@@ -37,9 +40,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import neg, sub
 
 from .errors import InternalNonExactDivision, Mismatch, NotDivisible
-from .rings import UPoly, kron_width
+from .rings import UPoly, _divide_out, _from_list, _int_conv, kron_width
 
 __all__ = [
     "u_integer",
@@ -59,48 +63,63 @@ def u_integer(n: int) -> UPoly:
     return UPoly({2 * j: 1 for j in range(n)})
 
 
+def _ratio(f: list, a: int, b: int) -> list:
+    """f [a]/[b] = f (1 - u^a)/(1 - u^b) for a list f over the whole
+    exponents: two shifted copies, then the exact pass of ``rings``, which
+    raises NotDivisible naming u^b - 1 if the quotient is no polynomial."""
+    pad = [0] * a
+    return _divide_out(list(map(sub, f + pad, pad + f)), (2 * b,), 2)
+
+
+@lru_cache(maxsize=None)
+def _binomial_list(n: int, k: int) -> list:
+    """The coefficients of [n choose k] over the whole exponents from u^0
+    up (degree k(n-k), nonnegative), empty outside 0 <= k <= n; callers
+    never write to it.  Built by k steps f [n-k+j]/[j] on one list, so
+    every intermediate is the polynomial [n-k+j, j]."""
+    if k < 0 or n < 0 or k > n:
+        return []
+    k = min(k, n - k)
+    f = [1]
+    for j in range(1, k + 1):
+        f = _ratio(f, n - k + j, j)
+    return f
+
+
+def _binomial_product(n1: int, k1: int, n2: int, k2: int) -> list:
+    """[n1 choose k1] [n2 choose k2] as one list over the whole exponents."""
+    f, g = _binomial_list(n1, k1), _binomial_list(n2, k2)
+    return _int_conv(f, g, len(f) + len(g) - 1) if f and g else []
+
+
 @lru_cache(maxsize=None)
 def u_binomial(n: int, k: int) -> UPoly:
-    """Gaussian binomial [n choose k]; zero outside 0 <= k <= n or n < 0.
-
-    Degree k(n-k), nonnegative integer coefficients, built by alternating
-    window-multiplications and exact divisions so every intermediate stays
-    a polynomial.
-    """
-    if k < 0 or n < 0 or k > n:
-        return UPoly.zero()
-    k = min(k, n - k)
-    out = UPoly.one()
-    for j in range(1, k + 1):
-        out = out.mul_u_integer(n - k + j).div_u_integer(j)
-    return out
+    """Gaussian binomial [n choose k]; zero outside 0 <= k <= n or n < 0:
+    the UPoly of ``_binomial_list(n, k)``, made once per (n, k)."""
+    return _from_list(0, _binomial_list(n, k), 2)
 
 
 def _entry_B(k: int, l: int) -> UPoly:
     if l == 0:
         return UPoly.one()
     try:
-        core = u_binomial(k + l, l).mul_u_integer(k + 2 * l) \
-            .div_u_integer(k + l)
-    except NotDivisible as e:  # pragma: no cover - contract guarantee
+        core = _ratio(_binomial_list(k + l, l), k + 2 * l, k + l)
+    except NotDivisible as e:
         raise InternalNonExactDivision(f"B entry ({k},{k + 2 * l})") from e
-    core = core.shift(l * (l - 1))  # u^{binom(l,2)}
-    return -core if l % 2 else core
+    # times (-1)^l u^{binom(l,2)}
+    return _from_list(l * (l - 1), map(neg, core) if l % 2 else core, 2)
 
 
 def _entry_P(n: int, k: int, l: int) -> UPoly:
     if n == 0:
         return UPoly.one() if l == 0 else UPoly.zero()
-    num = (u_binomial(n + l, n) * u_binomial(k + l - 1, n - 1)) \
-        .mul_u_integer(k + 2 * l)
-    if not num:
-        return UPoly.zero()
     try:
-        core = num.div_u_integer(n + l)
-    except NotDivisible as e:  # pragma: no cover - contract guarantee
+        core = _ratio(_binomial_product(n + l, n, k + l - 1, n - 1),
+                      k + 2 * l, n + l)
+    except NotDivisible as e:
         raise InternalNonExactDivision(f"P({n}) entry ({k},{k + 2 * l})") \
             from e
-    return core.shift(2 * (l * l + l * (k - n)))
+    return _from_list(2 * (l * l + l * (k - n)), core, 2)
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +131,7 @@ def matrix_entry(kind: str, i: int, j: int, n: int | None = None) -> UPoly:
     if kind == "A":
         if n is None:
             raise ValueError("A needs the parameter n")
-        return u_binomial(i + l, n) * u_binomial(j, l)
+        return _from_list(0, _binomial_product(i + l, n, j, l), 2)
     if kind == "B":
         return _entry_B(i, l)
     if kind == "P":

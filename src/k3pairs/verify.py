@@ -167,20 +167,21 @@ def check_bounds(suite: str, n: int, qorder: int, ywin: int, vorder: int,
     run of ``suite`` would compare nothing (or fail to start).  The
     log-product checks of the modularity suite compare q^0 cells that are
     zero on both sides, and the kernel checks of the theta suite compare
-    the window [1, qorder), so both need qorder >= 2.  The route and
-    duality checks at rank (n, r) compare the lattice terms (p, l) with
-    p >= n - r, l >= r, pl < qorder and |p - l| <= ywin, so each rank
-    needs one."""
+    the window [1, qorder), so both need qorder >= 2.  Every check of the
+    theta, route and duality suites compares the cells with |y| <= ywin,
+    so they need ywin >= 0.  The route and duality checks at rank (n, r)
+    compare the lattice terms (p, l) with p >= n - r, l >= r, pl < qorder
+    and |p - l| <= ywin, so each rank needs one."""
     q_least = 2 if suite in ("theta", "modularity", "all") else 1
     for name, value, least in (("rank n", n, 1),
                                ("qorder", qorder, q_least),
                                ("vorder", vorder, 1), ("cutoff", cutoff, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least} (got {value})")
+    if ywin < 0 and suite not in ("ucomb", "modularity"):
+        raise ValueError(f"ywin must be >= 0 (got {ywin})")
     if suite not in ("routes", "duality", "all"):
         return
-    if ywin < 0:
-        raise ValueError(f"ywin must be >= 0 (got {ywin})")
     # the lowest lattice term of each rank: p and l at their least with
     # |p - l| <= ywin
     lowest = {(nn, rr): max(nn - rr, rr - ywin) * max(rr, nn - rr - ywin)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from k3pairs.cli import FIT_QORDER, TEST_QORDER, build_parser, main
 from k3pairs.errors import Mismatch
-from k3pairs.verify import SUITES, run_suite
+from k3pairs.verify import SUITES, check_bounds, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,10 +116,11 @@ def test_rank_zero_is_config_error(capsys, argv):
      (["--suite", "modularity", "--qorder", "0"], "qorder"),
      (["--suite", "modularity", "--qorder", "1"], "qorder"),
      (["--suite", "all", "--qorder", "1"], "qorder"),
-     (["--suite", "routes", "--ywin", "-1"], "ywin")],
+     (["--suite", "routes", "--ywin", "-1"], "ywin"),
+     (["--suite", "theta", "--ywin", "-1"], "ywin")],
     ids=["ucomb-cutoff", "theta-qorder", "theta-qorder-1",
          "modularity-vorder", "modularity-qorder", "modularity-qorder-1",
-         "all-qorder-1", "routes-ywin-negative"],
+         "all-qorder-1", "routes-ywin-negative", "theta-ywin-negative"],
 )
 def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
                                                             flag):
@@ -130,6 +131,11 @@ def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
     assert "Traceback" not in err
     with pytest.raises(ValueError, match=flag):
         run_suite(argv[1], **{flag: int(argv[3])})
+    # refused up front, before any check runs
+    bounds = dict(n=2, qorder=10, ywin=8, vorder=8, cutoff=12)
+    bounds[flag] = int(argv[3])
+    with pytest.raises(ValueError, match=f"{flag} must be >="):
+        check_bounds(argv[1], **bounds)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3pairs.errors import NotDivisible
-from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_digits
+from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, _divide_out, \
+    _int_conv, kron_digits
+from k3pairs.ucomb import u_integer
 
 from ring_helpers import div_u_pow_minus_one, kron_eval, palindromic_twist
 
@@ -34,14 +36,6 @@ def test_upoly_strings():
     assert str(U({0: Fraction(1, 2)})) == "1/2"
 
 
-def test_mul_u_integer_matches_naive():
-    f = U({-2: 3, 0: -1, 5: 2, 8: 7})
-    for m in (1, 2, 3, 7):
-        box = U({2 * j: 1 for j in range(m)})
-        assert f.mul_u_integer(m) == f * box
-    assert f.mul_u_integer(0) == UPoly.zero()
-
-
 def test_div_u_integer_exact_and_inexact():
     u4 = U({2 * j: 1 for j in range(4)})      # [4]
     u2 = U({0: 1, 2: 1})                      # [2]
@@ -49,14 +43,39 @@ def test_div_u_integer_exact_and_inexact():
     u3 = U({0: 1, 2: 1, 4: 1})
     with pytest.raises(NotDivisible):
         u3.div_u_integer(2)
-    # random roundtrips
+    # random roundtrips, odd (half-integer) keys included
     rng = random.Random(7)
     for _ in range(20):
         f = U({rng.randrange(-6, 12): rng.randrange(-9, 9) for _ in range(6)})
         if not f:
             continue
         m = rng.randrange(1, 6)
-        assert f.mul_u_integer(m).div_u_integer(m) == f
+        assert (f * u_integer(m)).div_u_integer(m) == f
+
+
+def test_int_conv_takes_lists_of_any_lengths():
+    rng = random.Random(3)
+    for lf, lg, n in ((2, 1, 3), (1, 4, 4), (5, 3, 7), (6, 6, 4), (0, 3, 2),
+                      (3, 2, 0)):
+        f = [rng.randrange(-9, 9) for _ in range(lf)]
+        g = [rng.randrange(-9, 9) for _ in range(lg)]
+        want = [sum(f[i] * g[k - i] for i in range(lf) if 0 <= k - i < lg)
+                for k in range(n)]
+        assert _int_conv(f, g, n) == want, (lf, lg, n)
+
+
+def test_divide_out_names_the_factor_that_leaves_a_remainder():
+    # over whole exponents, 1 - u^3 = (1 - u)(1 + u + u^2), and the
+    # quotient is cut to its length
+    assert _divide_out([1, 0, 0, -1], (2,), 2) == [1, 1, 1]
+    assert _divide_out([1, 0, 0, -1], (6,), 2) == [1]
+    with pytest.raises(NotDivisible) as exc:
+        _divide_out([1, 1, 1], (4,), 2)
+    assert str(exc.value) == "remainder in division by u^2 - 1"
+    # the first factor that leaves a remainder is the one named
+    with pytest.raises(NotDivisible) as exc:
+        _divide_out([1, 0, 0, -1], (2, 6), 2)
+    assert str(exc.value) == "remainder in division by u^3 - 1"
 
 
 def test_div_u_minus_one():
@@ -192,7 +211,7 @@ def test_kron_digits_bytes_that_look_like_the_bias():
 
 def test_ttpoly():
     h = TTPoly({(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1})
-    assert h.eval_ones() == 24
+    assert h.eval_one() == 24
     assert palindromic_twist(h) == 2
     assert (TTPoly.mono(1, 0) * TTPoly.mono(0, 1)) == TTPoly.mono(1, 1)
     asym = TTPoly({(0, 0): 1, (2, 1): 1})

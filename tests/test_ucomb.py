@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3pairs.errors import Mismatch
+import k3pairs.ucomb as ucomb
+from k3pairs.errors import InternalNonExactDivision, Mismatch, NotDivisible
 from k3pairs.rings import UPoly
-from k3pairs.ucomb import _ab_at_x, _bounds, _cell_at_x, _q_pascal, \
-    _values_at, _width, c_table, matrix_entry, matrix_product_entry, \
-    u_binomial, u_integer, verify_ab_identity
+from k3pairs.ucomb import _ab_at_x, _binomial_list, _bounds, _cell_at_x, \
+    _q_pascal, _values_at, _width, c_table, matrix_entry, \
+    matrix_product_entry, u_binomial, u_integer, verify_ab_identity
 
 from ring_helpers import kron_eval, max_abs_int
 
@@ -93,13 +94,38 @@ def test_verify_ab_identity_small():
     assert verify_ab_identity(0, 0) == 1
     matrix_entry.cache_clear()
     u_binomial.cache_clear()
+    _binomial_list.cache_clear()
     assert verify_ab_identity(3, 9) == 4 * 30
     assert matrix_entry.cache_info().currsize == 0   # no UPoly built
     assert u_binomial.cache_info().currsize == 0
+    assert _binomial_list.cache_info().currsize == 0  # nor any list
     with pytest.raises(ValueError):
         verify_ab_identity(-1, 4)
     with pytest.raises(ValueError):
         verify_ab_identity(1, -1)
+
+
+def test_b_and_p_entries_name_the_one_that_leaves_a_remainder(monkeypatch):
+    # [2, 1] + 1 = 2 + u: the B core of (1, 3) is then (2 + u) [3]/[2] and
+    # the P(1) core of (1, 3) is (2 + u) [1, 0] [3]/[2]; both numerators
+    # (2 + u)(1 - u^3) are 2 at u = -1, a root of 1 - u^2
+    real = ucomb._binomial_list
+
+    def perturbed(big, k):
+        f = real(big, k)
+        return [f[0] + 1] + f[1:] if (big, k) == (2, 1) else f
+
+    matrix_entry.cache_clear()
+    monkeypatch.setattr(ucomb, "_binomial_list", perturbed)
+    for args, name in ((("B", 1, 3), "B entry (1,3)"),
+                       (("P", 1, 3, 1), "P(1) entry (1,3)")):
+        with pytest.raises(InternalNonExactDivision) as exc:
+            matrix_entry(*args)
+        assert str(exc.value) == name
+        assert isinstance(exc.value.__cause__, NotDivisible)
+    monkeypatch.undo()
+    matrix_entry.cache_clear()
+    assert matrix_entry("B", 1, 3) == -u_integer(3)
 
 
 def test_b_and_p_cores_are_two_nonnegative_products():
