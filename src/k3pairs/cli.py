@@ -91,6 +91,9 @@ def _check_output_path(path: str) -> None:
     """Refuse an --out path that cannot be written, before any work."""
     if os.path.isdir(path):
         raise ValueError(f"output path {path!r} is a directory")
+    # abspath drops a trailing separator, so check the name first
+    if not os.path.basename(path):
+        raise ValueError(f"output path {path!r} names no file")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise ValueError(f"output directory {parent!r} does not exist")

@@ -16,15 +16,18 @@ series S):
                         the weight table one lattice point of Psi at a
                         time, with the headline (u-1)^(2n-1)
                         divisibility check and the division by [n]
-                        built in as one exact division chain per cell,
-                        by prod_{m<n} (u^m - 1)^2 (u^n - 1).
+                        built in as one exact division chain for every
+                        cell, by prod_{m<n} (u^m - 1)^2 (u^n - 1); at
+                        r = n the repair of the q^0 column is folded
+                        into the numerators before it.
 
 The closed and kernel routes build each cell in one plain list over
 whole exponents (every u-key of their terms is even), from its first
 term to its quotient, with the cell's u-power as the list's lowest
 exponent, and make the one UPoly at the end.  The closed route's cells
 are products of the binomial lists of ``ucomb`` times [p+l]/[n] by its
-``_ratio``; the kernel route's divide by their chain in ``rings``.
+``_ratio``; the kernel route's divide by their chain in ``rings``, and
+at r = n its missed p = 0 column is the closed route's cell.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
@@ -40,13 +43,13 @@ cells.
 
 from itertools import compress, count
 from math import comb
+from operator import sub
 
 from .errors import NonExactDivision, NotDivisible, UnsupportedRank
 from .rings import TTPoly, UPoly, YPoly, _dense_quotient, _from_list, _int_conv
 from .series import QSeries
 from .theta import phi_product
-from .ucomb import (_binomial_list, _ratio, c_table, matrix_product_entry,
-                    u_binomial, u_integer)
+from .ucomb import _binomial_list, _ratio, c_table, matrix_product_entry
 
 __all__ = ["s_series", "syst_hodge", "syst_euler", "syst_table", "g_closed",
            "g_via_matrices", "f_via_matrices", "g_via_kernels",
@@ -280,8 +283,9 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
 
     one in-place pass per factor: the headline (u-1)^(2n-1) ([n-1]!)^2
     divisibility check and the division by [n] in the same 2n-1 passes.
-    A cell that leaves a remainder raises NonExactDivision naming it.
-    The scale u^{r(n-r)} is the list's lowest exponent.
+    Every cell divides by this one chain, and a cell that leaves a
+    remainder raises NonExactDivision naming it.  The scale u^{r(n-r)}
+    is the list's lowest exponent.
 
     Two boundary notes, both forced by matching the closed double sum:
 
@@ -295,9 +299,13 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
       (which vanishes for r < n but not at r = n), and its l = 0 row
       evaluates a Gaussian binomial where the Laurent continuation of
       the product formula is nonzero even though the zero-outside-range
-      convention of the lattice sum says zero.  That column keeps the
-      unfused order: the chain by (u-1)^(2n-1) ([n-1]!)^2, then the
-      column added and the row subtracted, term by term, then [n].
+      convention of the lattice sum says zero.  The missed column is
+      the closed route's cell [l-1, n-1] [l]/[n] at y^{-l}.  The row's
+      value sgn u^{-np-n(n-1)/2} [p] [p+n-1, n-1] is subtracted from the
+      (p, 0) numerator before the division, times the first 2n-1 factors
+      of the chain, (u-1)^(2n-1) ([n-1]!)^2: that product is the
+      product of u^a - 1 over a = p..p+n-1 and a = 1..n-1, 2n-1 shifted
+      subtractions on one list.
     """
     _check_rank(n, r)
     ctab = c_table(n, r)
@@ -313,12 +321,25 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     points = [(p, 0) for p in range(1, ywin + 1)] if qorder > 0 else []
     points += [(p, l) for l in range(1, qorder)
                for p in range(1, (qorder - 1) // l + 1) if abs(p - l) <= ywin]
-    pairs = tuple(2 * m for m in range(1, n) for _ in range(2))
+    chain = (*(2 * m for m in range(1, n) for _ in range(2)), 2 * n)
+    sgn = 1 if n % 2 else -1
     cells: dict = {}
     for p, l in points:
         qe, ye = p * l, p - l
         lo = tlo + min(jlo * ye, jhi * ye) - imax * l
-        f = [0] * (thi + imax * p + max(jlo * ye, jhi * ye) - lo + 1)
+        hi = thi + imax * p + max(jlo * ye, jhi * ye)
+        # at r = n a (p, 0) numerator starts as minus the lattice's l = 0
+        # row times (u-1)^(2n-1) ([n-1]!)^2, from u^rlo up; every other
+        # numerator starts at zero
+        row, rlo = [], lo
+        if r == n and not l:
+            row, rlo = [-sgn], -n * p - n * (n - 1) // 2
+            for a in (*range(p, p + n), *range(1, n)):
+                pad = [0] * a
+                row = list(map(sub, pad + row, row + pad))
+            lo, hi = min(lo, rlo), max(hi, rlo + len(row) - 1)
+        f = [0] * (hi - lo + 1)
+        f[rlo - lo:rlo - lo + len(row)] = row
         for i, j, terms in table:
             up = i * p + j * ye - lo
             dn = j * ye - i * l - lo
@@ -330,36 +351,18 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
         if top is None:
             continue
         bot = next(compress(count(), f))
-        f = f[bot:top + 1]
-        # the q^0 column at r = n is divided by [n] after its repair, below
-        if r == n and not l:
-            chain, last = (2,) + pairs, ""
-        else:
-            chain, last = pairs + (2 * n,), f" [{n}]"
         try:
             cells.setdefault(qe, {})[ye] = _dense_quotient(
-                2 * (lo + bot + r * (n - r)), f, chain, 2)
+                2 * (lo + bot + r * (n - r)), f[bot:top + 1], chain)
         except NotDivisible as exc:
             raise NonExactDivision(
                 f"kernel-route numerator at q^{qe} y^{ye} not divisible by "
-                f"(u-1)^{2 * n - 1} ([{n - 1}]!)^2{last}") from exc
-    if r == n:
+                f"(u-1)^{2 * n - 1} ([{n - 1}]!)^2 [{n}]") from exc
+    if r == n and qorder > 0:
         col = cells.setdefault(0, {})
         for l in range(n, ywin + 1):
-            w = u_integer(l) * u_binomial(l - 1, n - 1)
-            col[-l] = col.get(-l, UPoly.zero()) + w
-        sgn = 1 if n % 2 else -1
-        for p in range(1, ywin + 1):
-            w = (u_integer(p) * u_binomial(p + n - 1, n - 1)).shift(
-                -2 * n * p - n * (n - 1))
-            col[p] = col.get(p, UPoly.zero()) - (w if sgn > 0 else -w)
-        for ye, w in col.items():
-            try:
-                col[ye] = w.div_u_integer(n)
-            except NotDivisible as exc:
-                raise NonExactDivision(
-                    f"kernel-route numerator at q^0 y^{ye} not divisible "
-                    f"by [{n}]") from exc
+            col[-l] = _from_list(
+                0, _ratio(_binomial_list(l - 1, n - 1), l, n), 2)
     return _cells_to_series(cells, 0, qorder)
 
 

@@ -9,18 +9,17 @@ whose keys are pairs, keeps its own:
 
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
-  u^{3/2}); coefficients are int or Fraction and may mix.  Its exact
-  division by [m] turns the dict into one dense list, multiplies it by
-  u - 1 and divides it in place by u^m - 1.  That pass, ``_divide_out``,
-  is the one exact division of a list by u^d - 1: ``ucomb`` builds every
-  Gaussian-binomial closed form as a list over whole exponents, each
-  factor [a]/[b] two shifted copies and one pass, and makes the UPoly
-  once from the finished list; ``_dense_quotient`` divides the kernel
-  route's cells by their chain of factors, one pass each.  ``_int_conv``
-  is the one integer list convolution, of series, Eisenstein monomials
-  and binomial lists alike.  A UPoly's u-derivatives at u = 1 up to tmax
-  come from one pass over the terms, summed over Z with the falling
-  factorials built up over the orders.
+  u^{3/2}); coefficients are int or Fraction and may mix.  A UPoly has
+  no division: exact division works on integer lists, in place, by
+  ``_divide_out``, the one exact division of a list by u^d - 1.
+  ``ucomb`` builds every Gaussian-binomial closed form as a list over
+  whole exponents, each factor [a]/[b] two shifted copies and one pass,
+  and makes the UPoly once from the finished list; ``_dense_quotient``
+  divides every cell of the kernel route by its one chain of factors,
+  one pass each.  ``_int_conv`` is the one integer list convolution, of
+  series, Eisenstein monomials and binomial lists alike.  A UPoly's
+  u-derivatives at u = 1 up to tmax come from one pass over the terms,
+  summed over Z with the falling factorials built up over the orders.
 * ``TTPoly`` — Laurent polynomials in two variables (t, tb), the Hodge
   variables.  u embeds as t*tb.
 * ``YPoly`` — Laurent polynomials in y with coefficients in any ring that
@@ -50,7 +49,7 @@ import re
 from fractions import Fraction
 from itertools import count
 from math import lcm
-from operator import neg, sub
+from operator import neg
 
 from .errors import NotDivisible
 from .scalars import fraction_str
@@ -212,27 +211,6 @@ class UPoly(_Sparse):
         """Multiply by u^{e2/2}."""
         return UPoly._of({e + e2: v for e, v in self.c.items()})
 
-    def _dense(self) -> tuple:
-        """(lo, f): the lowest doubled key and the coefficients as one list
-        over every doubled key from lo up."""
-        h = self.c
-        lo = min(h)
-        f = [0] * (max(h) - lo + 1)
-        for e, v in h.items():
-            f[e - lo] = v
-        return lo, f
-
-    def div_u_integer(self, m: int) -> "UPoly":
-        """Exact division by [m] = (u^m - 1)/(u - 1), linear time."""
-        if m <= 0:
-            raise ZeroDivisionError("division by [m] needs m >= 1")
-        if m == 1 or not self.c:
-            return self
-        # f/[m] = f*(u-1)/(u^m - 1), and u*f is f two doubled keys up
-        lo, f = self._dense()
-        return _dense_quotient(lo, list(map(sub, [0, 0] + f, f + [0, 0])),
-                               (2 * m,))
-
     def derivs_at_one(self, tmax: int) -> list:
         """The u-derivatives at u = 1 of every order t <= tmax, in one pass
         over the terms (integer exponents only when tmax >= 1).
@@ -337,21 +315,16 @@ def _from_list(lo: int, f, step: int) -> UPoly:
     return UPoly._of({e: v for e, v in zip(count(lo, step), f) if v})
 
 
-def _dense_quotient(lo: int, f: list, d2s: tuple, step: int = 1) -> UPoly:
-    """The exact quotient of sum_k f[k] u^{(lo+step*k)/2} by the product of
-    u^{d/2} - 1 over the doubled exponents d > 0 of d2s.
-
-    With step 2 the list already runs over whole exponents, every other
-    doubled key from lo, and every d must be even; the kernel route of
-    ``partition`` builds its cells that way.  With step 1 it runs over
-    every doubled key, and it is halved to every other key when its odd
-    places are empty and every d is even.  Each factor is one pass of
-    ``_divide_out`` and flips the sign, as u^d - 1 is minus 1 - u^d.
+def _dense_quotient(lo: int, f: list, d2s: tuple) -> UPoly:
+    """The exact quotient of sum_k f[k] u^{lo/2+k}, a list over the whole
+    exponents from u^{lo/2} up, by the product of u^{d/2} - 1 over the
+    even doubled exponents d > 0 of d2s; the kernel route of
+    ``partition`` divides every cell by its chain this way.  Each factor
+    is one pass of ``_divide_out`` and flips the sign, as u^d - 1 is
+    minus 1 - u^d.
     """
-    if step == 1 and not any(f[1::2]) and not any(d % 2 for d in d2s):
-        f, step = f[::2], 2
-    f = _divide_out(f, d2s, step)
-    return _from_list(lo, map(neg, f) if len(d2s) % 2 else f, step)
+    f = _divide_out(f, d2s, 2)
+    return _from_list(lo, map(neg, f) if len(d2s) % 2 else f, 2)
 
 
 def _coeff_str(v, has_mono: bool) -> str:

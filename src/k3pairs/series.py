@@ -212,7 +212,7 @@ class QSeries:
                        self.var)
 
     def exp(self, one=1) -> "QSeries":
-        """Exact exp; requires constant term 0 and no lower terms.
+        """Exact exp; requires a known constant term 0 and no lower terms.
 
         ``one`` is the multiplicative identity of the coefficient ring
         (pass e.g. a unit QSeries for nested series coefficients).
@@ -220,7 +220,11 @@ class QSeries:
         for e in range(self.lower, min(0, self.order)):
             if self.coeff(e):
                 raise BadConstantTerm("exp needs support in [0, oo)")
-        if self.known(0) and self.coeff(0):
+        if not self.known(0):
+            raise BadConstantTerm(
+                f"exp needs constant term exactly 0, which is unknown at "
+                f"order {self.order}")
+        if self.coeff(0):
             raise BadConstantTerm("exp needs constant term exactly 0")
         n = self.order
         f = [self.coeff(e) if self.known(e) else 0 for e in range(0, n)]

@@ -1,7 +1,9 @@
-"""u-combinatorics: u-integers, u-binomials, the three upper-triangular
-matrices (with their closed-form entries) whose product identity drives
-the section-counting recursion, the check of that identity on integer
-values, and the weight table of the kernel route.
+"""u-combinatorics: the Gaussian binomials as whole-exponent integer
+lists (``_binomial_list``, built by ``_ratio`` steps), the three
+upper-triangular matrices (with their closed-form entries) whose
+product identity drives the section-counting recursion, the check of
+that identity on integer values, and the weight table of the kernel
+route.
 
 Matrix conventions (all entries UPoly, rows/columns indexed from 0, entry
 (i, j) nonzero only for j - i = 2*l >= 0):
@@ -17,9 +19,10 @@ product first, then one exact division (the individual ratio [k+2l]/[k+l]
 is generally not a polynomial); a failed division is a bug and raises
 InternalNonExactDivision.  ``matrix_entry``, the form the partition routes
 use, builds each entry as one whole-exponent list from the binomial lists
-that u_binomial and the closed route's cells read too: convolved by
-rings._int_conv, times [a]/[b] as two shifted copies and the exact pass
-of rings (``_ratio``), and made a UPoly once at the end.
+that the closed route's cells and the kernel route's r = n column read
+too: convolved by rings._int_conv, times [a]/[b] as two shifted copies
+and the exact pass of rings (``_ratio``), and made a UPoly once at the
+end.  No u-integer or u-binomial is kept as a UPoly.
 ``verify_ab_identity`` builds no UPoly: it takes the same
 closed forms as integers at X = 256^w, column by column, dividing with
 one exact divmod: each P core once per cell, each B core once per width
@@ -46,21 +49,11 @@ from .errors import InternalNonExactDivision, Mismatch, NotDivisible
 from .rings import UPoly, _divide_out, _from_list, _int_conv, kron_width
 
 __all__ = [
-    "u_integer",
-    "u_binomial",
     "matrix_entry",
     "matrix_product_entry",
     "c_table",
     "verify_ab_identity",
 ]
-
-
-@lru_cache(maxsize=None)
-def u_integer(n: int) -> UPoly:
-    """[n] = 1 + u + ... + u^{n-1}  (the u-analog of n; [0] = 0)."""
-    if n < 0:
-        raise ValueError("u_integer is defined for n >= 0")
-    return UPoly({2 * j: 1 for j in range(n)})
 
 
 def _ratio(f: list, a: int, b: int) -> list:
@@ -90,13 +83,6 @@ def _binomial_product(n1: int, k1: int, n2: int, k2: int) -> list:
     """[n1 choose k1] [n2 choose k2] as one list over the whole exponents."""
     f, g = _binomial_list(n1, k1), _binomial_list(n2, k2)
     return _int_conv(f, g, len(f) + len(g) - 1) if f and g else []
-
-
-@lru_cache(maxsize=None)
-def u_binomial(n: int, k: int) -> UPoly:
-    """Gaussian binomial [n choose k]; zero outside 0 <= k <= n or n < 0:
-    the UPoly of ``_binomial_list(n, k)``, made once per (n, k)."""
-    return _from_list(0, _binomial_list(n, k), 2)
 
 
 def _entry_B(k: int, l: int) -> UPoly:

@@ -1,9 +1,13 @@
 """Coefficient properties of ring elements, the Kronecker evaluation of
 an exponent dict at X = 256^w, the exact division of a UPoly by a chain
-of factors u^{d/2} - 1, and the Euler-characteristic oracle of S, that
-only the tests ask about."""
+of factors u^{d/2} - 1, a Gaussian-binomial oracle built by the q-Pascal
+rule, and the Euler-characteristic oracle of S, that only the tests ask
+about."""
 
-from k3pairs.rings import UPoly, _dense_quotient
+from functools import lru_cache
+from operator import neg
+
+from k3pairs.rings import UPoly, _divide_out, _from_list
 
 
 def max_abs_int(p) -> int:
@@ -39,11 +43,43 @@ def palindromic_twist(h):
 
 def div_u_pow_minus_one(f, *d2s: int):
     """Exact division of the UPoly f by u^{d/2} - 1 for each doubled
-    exponent d > 0 of d2s in turn, through the library's dense divider;
-    NotDivisible names the first factor that leaves a remainder."""
+    exponent d > 0 of d2s in turn: f as one list over every doubled key
+    from its lowest, then one pass of the library's ``_divide_out`` per
+    factor; NotDivisible names the first factor that leaves a remainder."""
     if not f:
         return UPoly.zero()
-    return _dense_quotient(*f._dense(), d2s)
+    lo = min(f.c)
+    q = [0] * (max(f.c) - lo + 1)
+    for e, v in f.c.items():
+        q[e - lo] = v
+    q = _divide_out(q, d2s, 1)
+    # each factor u^{d/2} - 1 is minus the 1 - u^{d/2} divided out
+    return _from_list(lo, map(neg, q) if len(d2s) % 2 else q, 1)
+
+
+@lru_cache(maxsize=None)
+def _pascal_row(n: int) -> tuple:
+    """The Gaussian binomials [n choose k], 0 <= k <= n, as UPolys, from
+    the row above by the q-Pascal rule [n, k] = [n-1, k-1] + u^k [n-1, k]."""
+    if n == 0:
+        return (UPoly.one(),)
+    row = _pascal_row(n - 1)
+    return (UPoly.one(), *(row[k - 1] + row[k].shift(2 * k)
+                           for k in range(1, n)), UPoly.one())
+
+
+def gauss_binomial(n: int, k: int) -> UPoly:
+    """The Gaussian binomial [n choose k], zero outside 0 <= k <= n: an
+    oracle independent of the library's binomial lists and their
+    divisions, as it only adds and shifts."""
+    if k < 0 or n < 0 or k > n:
+        return UPoly.zero()
+    return _pascal_row(n)[k]
+
+
+def u_int(n: int) -> UPoly:
+    """The u-integer [n] = 1 + u + ... + u^{n-1} = [n choose 1]."""
+    return gauss_binomial(n, 1)
 
 
 def kron_eval(c: dict, emin: int, step: int, width: int) -> int:

@@ -177,14 +177,19 @@ def test_verify_rank_whose_routes_are_empty_is_config_error(capsys, argv,
 
 @pytest.mark.parametrize(
     "argv, out, message",
-    [(["fit", "--n", "1", "--vmax", "1"], "missing/x.json", "does not exist"),
-     (["table", "--n", "1"], "missing/x.csv", "does not exist"),
-     (["table", "--n", "1"], ".", "is a directory")],
-    ids=["fit", "table", "table-directory"],
+    [(["fit", "--n", "1", "--vmax", "1"], "{tmp}/missing/x.json",
+      "does not exist"),
+     (["table", "--n", "1"], "{tmp}/missing/x.csv", "does not exist"),
+     (["table", "--n", "1"], "{tmp}/.", "is a directory"),
+     (["table", "--n", "1"], "", "'' names no file"),
+     (["table", "--n", "1"], "{tmp}/newdir/", "/newdir/' names no file")],
+    ids=["fit", "table", "table-directory", "table-empty",
+         "table-trailing-separator"],
 )
 def test_out_path_that_cannot_be_written_is_config_error(capsys, tmp_path,
                                                          argv, out, message):
-    code, stdout, err = _run(capsys, argv + ["--out", str(tmp_path / out)])
+    out = out.format(tmp=tmp_path)
+    code, stdout, err = _run(capsys, argv + ["--out", out])
     assert code == 2
     assert stdout == ""
     assert err.startswith("config error: output ")

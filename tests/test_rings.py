@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from k3pairs.errors import NotDivisible
 from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, _divide_out, \
     _int_conv, kron_digits
-from k3pairs.ucomb import u_integer
 
 from ring_helpers import div_u_pow_minus_one, kron_eval, palindromic_twist
 
@@ -34,23 +33,6 @@ def test_upoly_strings():
     assert str(UPoly.zero()) == "0"
     assert str(U({2: 1})) == "u"
     assert str(U({0: Fraction(1, 2)})) == "1/2"
-
-
-def test_div_u_integer_exact_and_inexact():
-    u4 = U({2 * j: 1 for j in range(4)})      # [4]
-    u2 = U({0: 1, 2: 1})                      # [2]
-    assert u4.div_u_integer(2) == U({0: 1, 4: 1})   # 1 + u^2
-    u3 = U({0: 1, 2: 1, 4: 1})
-    with pytest.raises(NotDivisible):
-        u3.div_u_integer(2)
-    # random roundtrips, odd (half-integer) keys included
-    rng = random.Random(7)
-    for _ in range(20):
-        f = U({rng.randrange(-6, 12): rng.randrange(-9, 9) for _ in range(6)})
-        if not f:
-            continue
-        m = rng.randrange(1, 6)
-        assert (f * u_integer(m)).div_u_integer(m) == f
 
 
 def test_int_conv_takes_lists_of_any_lengths():
@@ -97,8 +79,8 @@ def test_div_u_pow_minus_one_names_the_divisor():
 
 
 def test_div_u_pow_minus_one_chain_equals_the_single_divisions():
-    # odd keys, half-integer divisors (d2 = 3) and mixed parities take the
-    # doubled-key list; even keys with even divisors the halved one
+    # odd keys, half-integer divisors (d2 = 3) and mixed parities, and
+    # even keys with even divisors, all on the one doubled-key list
     rng = random.Random(11)
     for trial in range(300):
         odd = trial % 3 == 0

@@ -84,6 +84,10 @@ def test_log_exp_guards():
         QSeries(0, [1, 1]).exp()
     with pytest.raises(BadConstantTerm):
         QSeries(-1, [1, 1, 1]).exp()
+    # an empty window knows no constant term
+    for lower in (0, -2):
+        with pytest.raises(BadConstantTerm, match="unknown at order 0"):
+            QSeries(lower, [0] * -lower, "v").exp()
 
 
 def test_exp_known_series():

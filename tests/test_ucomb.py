@@ -3,58 +3,65 @@ from hypothesis import given, settings, strategies as st
 
 import k3pairs.ucomb as ucomb
 from k3pairs.errors import InternalNonExactDivision, Mismatch, NotDivisible
-from k3pairs.rings import UPoly
+from k3pairs.rings import UPoly, _from_list
+from k3pairs.scalars import binomial
 from k3pairs.ucomb import _ab_at_x, _binomial_list, _bounds, _cell_at_x, \
     _q_pascal, _values_at, _width, c_table, matrix_entry, \
-    matrix_product_entry, u_binomial, u_integer, verify_ab_identity
+    matrix_product_entry, verify_ab_identity
 
-from ring_helpers import kron_eval, max_abs_int
+from ring_helpers import gauss_binomial, kron_eval, max_abs_int, u_int
 
 
 def U(d):
     return UPoly(d)
 
 
+def binomial_poly(n, k):
+    """The library's [n choose k] list as a UPoly."""
+    return _from_list(0, _binomial_list(n, k), 2)
+
+
 def test_u_integer():
-    assert u_integer(0) == UPoly.zero()
-    assert u_integer(1) == UPoly.one()
-    assert u_integer(4) == U({0: 1, 2: 1, 4: 1, 6: 1})
+    # [n] = [n choose 1]
+    assert _binomial_list(0, 1) == []
+    assert _binomial_list(1, 1) == [1]
+    assert _binomial_list(4, 1) == [1, 1, 1, 1]
+    for n in range(12):
+        assert binomial_poly(n, 1) == u_int(n) \
+            == U({2 * j: 1 for j in range(n)}), n
 
 
 def test_u_binomial_frozen():
-    assert u_binomial(4, 2) == U({0: 1, 2: 1, 4: 2, 6: 1, 8: 1})
-    assert u_binomial(3, 1) == u_integer(3)
-    assert u_binomial(5, 0) == UPoly.one()
-    assert u_binomial(5, 5) == UPoly.one()
-    assert u_binomial(3, 5) == UPoly.zero()
-    assert u_binomial(-2, 1) == UPoly.zero()
-    assert u_binomial(4, -1) == UPoly.zero()
+    assert _binomial_list(4, 2) == [1, 1, 2, 1, 1]
+    assert gauss_binomial(4, 2) == U({0: 1, 2: 1, 4: 2, 6: 1, 8: 1})
+    for args in ((4, 2), (3, 1), (5, 0), (5, 5), (6, 3), (7, 2)):
+        assert binomial_poly(*args) == gauss_binomial(*args), args
+    for args in ((3, 5), (-2, 1), (4, -1)):
+        assert _binomial_list(*args) == [], args
+        assert gauss_binomial(*args) == UPoly.zero(), args
 
 
 @given(st.integers(0, 14), st.integers(0, 14))
 @settings(max_examples=60)
 def test_u_binomial_pascal(n, k):
-    lhs = u_binomial(n + 1, k)
-    rhs = u_binomial(n, k) + u_binomial(n, k - 1).shift(2 * (n + 1 - k))
+    lhs = binomial_poly(n + 1, k)
+    rhs = gauss_binomial(n, k) \
+        + gauss_binomial(n, k - 1).shift(2 * (n + 1 - k))
     assert lhs == rhs
 
 
 @given(st.integers(0, 12), st.integers(0, 12))
 @settings(max_examples=40)
 def test_u_binomial_degree_and_positivity(n, k):
-    b = u_binomial(n, k)
+    b = _binomial_list(n, k)
+    assert binomial_poly(n, k) == gauss_binomial(n, k)
     if k > n:
         assert not b
         return
-    assert min(b.c) == 0
-    assert max(b.c) == 2 * k * (n - k)
-    assert all(type(v) is int and v > 0 for v in b.c.values())
-    # palindromic
-    top = max(b.c)
-    assert all(b.coeff(top - e) == v for e, v in b.c.items())
-    # counts all of them at u = 1
-    from k3pairs.scalars import binomial
-    assert b.eval_one() == binomial(n, k)
+    assert len(b) == k * (n - k) + 1
+    assert all(type(v) is int and v > 0 for v in b)
+    assert b == b[::-1]                     # palindromic
+    assert sum(b) == binomial(n, k)         # counts all of them at u = 1
 
 
 def test_matrix_entries_frozen():
@@ -93,11 +100,9 @@ def test_verify_ab_identity_small():
     assert checked == 3 * sum(1 for i in range(15) for j in range(i, 15, 2))
     assert verify_ab_identity(0, 0) == 1
     matrix_entry.cache_clear()
-    u_binomial.cache_clear()
     _binomial_list.cache_clear()
     assert verify_ab_identity(3, 9) == 4 * 30
     assert matrix_entry.cache_info().currsize == 0   # no UPoly built
-    assert u_binomial.cache_info().currsize == 0
     assert _binomial_list.cache_info().currsize == 0  # nor any list
     with pytest.raises(ValueError):
         verify_ab_identity(-1, 4)
@@ -125,7 +130,7 @@ def test_b_and_p_entries_name_the_one_that_leaves_a_remainder(monkeypatch):
         assert isinstance(exc.value.__cause__, NotDivisible)
     monkeypatch.undo()
     matrix_entry.cache_clear()
-    assert matrix_entry("B", 1, 3) == -u_integer(3)
+    assert matrix_entry("B", 1, 3) == -u_int(3)
 
 
 def test_b_and_p_cores_are_two_nonnegative_products():
@@ -135,16 +140,17 @@ def test_b_and_p_cores_are_two_nonnegative_products():
     both with nonnegative coefficients only."""
     for k in range(32):
         for l in range(1, 17):
-            core = u_binomial(k + l, l) \
-                + u_binomial(k + l - 1, l - 1).shift(2 * (k + l))
+            core = gauss_binomial(k + l, l) \
+                + gauss_binomial(k + l - 1, l - 1).shift(2 * (k + l))
             assert all(v > 0 for v in core.c.values()), (k, l)
             core = core.shift(l * (l - 1))
             assert matrix_entry("B", k, k + 2 * l) \
                 == (-core if l % 2 else core), (k, l)
             for n in range(1, 7):
-                core = u_binomial(n + l, n) * u_binomial(k + l - 1, n - 1) \
-                    + (u_binomial(n + l - 1, l) * u_binomial(k + l - 1, n)) \
-                    .shift(2 * (n + l))
+                core = gauss_binomial(n + l, n) \
+                    * gauss_binomial(k + l - 1, n - 1) \
+                    + (gauss_binomial(n + l - 1, l)
+                       * gauss_binomial(k + l - 1, n)).shift(2 * (n + l))
                 assert all(v > 0 for v in core.c.values()), (n, k, l)
                 assert matrix_entry("P", k, k + 2 * l, n) \
                     == core.shift(2 * (l * l + l * (k - n))), (n, k, l)
