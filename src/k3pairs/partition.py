@@ -48,7 +48,7 @@ from operator import sub
 from .errors import NonExactDivision, NotDivisible, UnsupportedRank
 from .rings import TTPoly, UPoly, YPoly, _dense_quotient, _from_list, _int_conv
 from .series import QSeries
-from .theta import phi_product
+from .theta import _check_ywin, phi_product
 from .ucomb import _binomial_list, _ratio, c_table, matrix_product_entry
 
 __all__ = ["s_series", "syst_hodge", "syst_euler", "syst_table", "g_closed",
@@ -124,6 +124,9 @@ def _hodge_cells(n: int, r: int, gmax: int, kmin: int, kmax: int) -> list:
     _check_rank(n, r)
     if gmax < 0:
         raise ValueError("genus must be nonnegative")
+    if kmin > kmax:
+        raise ValueError(f"k-range constraint kmin <= kmax violated "
+                         f"(kmin={kmin}, kmax={kmax})")
     f = _s_times_g(n, r, gmax, kmin, kmax)
     zero = TTPoly.zero()
     return [(g, k, TTPoly.mono(g, g) * f.get(g - 1, {}).get(k, zero))
@@ -178,6 +181,7 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     exactly divisible by [n] raises NonExactDivision naming it.
     """
     _check_rank(n, r)
+    _check_ywin(ywin)
     cells: dict = {}
     hi = qorder + ywin + 1
     for l in range(r, r + hi):
@@ -225,6 +229,7 @@ def g_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     g_closed.
     """
     _check_rank(n, r)
+    _check_ywin(ywin)
     return _cells_to_series(_g_matrix_cells(n, r, qorder, -ywin, ywin), 0,
                             qorder)
 
@@ -257,6 +262,7 @@ def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     q^{-1}, one order below G, because S does.
     """
     _check_rank(n, r)
+    _check_ywin(ywin)
     return _cells_to_series(_s_times_g(n, r, qorder, -ywin, ywin), -1,
                             qorder)
 
@@ -308,6 +314,7 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
       subtractions on one list.
     """
     _check_rank(n, r)
+    _check_ywin(ywin)
     ctab = c_table(n, r)
     table, keys = [], []
     for (i, j), w in ctab.items():
@@ -417,8 +424,7 @@ def ky_product(qorder: int, ywin: int) -> QSeries:
     Returns the verified left side; Mismatch carries the first
     differing (q, y, u) exponent triple.
     """
-    if ywin < 0:
-        raise ValueError("ywin must be nonnegative")
+    _check_ywin(ywin)
     wide = ywin + 1
     cross = YPoly({0: UPoly({0: 1, -2: 1}),
                    1: UPoly({0: -1}),

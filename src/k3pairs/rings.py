@@ -251,22 +251,8 @@ class UPoly(_Sparse):
         return TTPoly._of(out)
 
     def __str__(self):
-        if not self.c:
-            return "0"
-        parts = []
-        for e in sorted(self.c):
-            mono = _u_mono(e)
-            parts.append((_coeff_str(self.c[e], bool(mono)), mono))
-        out = ""
-        first = True
-        for cs, mono in parts:
-            if first:
-                term = cs + mono
-                first = False
-            else:
-                term = ("+" if not cs.startswith("-") else "") + cs + mono
-            out += term
-        return out
+        return _join_terms(_coeff_str(self.c[e], e != 0) + _u_mono(e)
+                           for e in sorted(self.c))
 
 
 def _u_mono(e2: int) -> str:
@@ -327,6 +313,15 @@ def _dense_quotient(lo: int, f: list, d2s: tuple) -> UPoly:
     return _from_list(lo, map(neg, f) if len(d2s) % 2 else f, 2)
 
 
+def _join_terms(terms) -> str:
+    """The printed terms of a polynomial joined by "+", except before a
+    term that carries its own "-"; "0" when there are none."""
+    out = ""
+    for t in terms:
+        out += t if not out or t.startswith("-") else "+" + t
+    return out or "0"
+
+
 def _coeff_str(v, has_mono: bool) -> str:
     if has_mono:
         if v == 1:
@@ -368,8 +363,6 @@ class TTPoly(_Sparse):
     __rmul__ = __mul__
 
     def __str__(self):
-        if not self.c:
-            return "0"
         parts = []
         for (p, q) in sorted(self.c, key=lambda e: (e[0] + e[1], e[0])):
             v = self.c[(p, q)]
@@ -386,10 +379,7 @@ class TTPoly(_Sparse):
             else:
                 term = fraction_str(v)
             parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return _join_terms(parts)
 
 
 class YPoly(_Sparse):

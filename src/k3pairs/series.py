@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .errors import BadConstantTerm, Mismatch
 from .rings import UPoly, YPoly, _int_conv
@@ -324,11 +323,12 @@ def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
     Returns a QSeries in v whose coefficients are QSeries in q.  The v^s
     coefficient of column q^m is i^s/s! * sum_k c_{m,k} k^s, and the cell
     stores the rational part 1/s! * sum_k c_{m,k} k^s: i^s is carried by
-    the index s.  The entries c_{m,k} are int, Fraction or UPoly.  Each
-    cell is summed over Z, on numerators over one common denominator d,
-    with one Fraction(sum, d * s!) per output entry; the types are those
-    of a sum in the entries' own ring, so a cell with only y^0 is the int
-    0 at s >= 1.  A nonzero cell that is not a YPoly raises TypeError.
+    the index s.  The entries c_{m,k} are int, Fraction or UPoly, and
+    every cell is summed by _v_cell_sums in one integer loop.  The types
+    are those of a sum in the entries' own ring: a cell with no term
+    left (only y^0, at s >= 1) is the int 0, a cell with a UPoly term is
+    a UPoly of Fractions, and any other is one Fraction.  A nonzero cell
+    that is not a YPoly raises TypeError.
     """
     cols: list[list] = [[0] * len(f.coeffs) for _ in range(vorder)]
     for idx, c in enumerate(f.coeffs):
@@ -345,70 +345,47 @@ def v_substitute_qmajor(f: QSeries, vorder: int) -> QSeries:
 
 
 def _v_cell_sums(c: YPoly, vorder: int, var: str, m: int) -> list:
-    """The cells 1/s! * sum_k c_k k^s of the YPoly c at var^m, s < vorder."""
-    has_u = False
-    dens = []
+    """The cells 1/s! * sum_k c_k k^s of the YPoly c at var^m, s < vorder.
+
+    Each entry c_k is read once as a row (k, is_upoly, pairs): the
+    (u-key, numerator) pairs of its coefficients over d, the lcm of every
+    denominator in c, where a scalar entry is one pair at the key 0.  At
+    each s the rows with k = 0 are dropped from s = 1 on, the numerators
+    times k^s are summed into one dict by u-key, and the cell is a UPoly
+    of Fraction(w, d * s!) while a UPoly row is left (UPoly({}) if they
+    cancel), else Fraction(sum, d * s!), or the int 0 with no row left.
+    """
+    rows = []
     for k, v in c.c.items():
         if isinstance(v, UPoly):
-            has_u = True
-            dens.extend(x.denominator for x in v.c.values())
+            rows.append((k, True, v.c.items()))
         elif isinstance(v, (int, Fraction)):
-            dens.append(v.denominator)
+            rows.append((k, False, ((0, v),)))
         else:
             raise TypeError(
                 f"y -> e^{{iv}} needs int, Fraction or UPoly entries, but "
                 f"the entry at {var}^{m} y^{k} is {type(v).__name__}")
-    d = lcm(*dens)
-    # a term is the numerator of a scalar entry or the (u-key, numerator)
-    # pairs of a UPoly entry; pows holds the running powers k^s
-    terms = [[(e, x.numerator * (d // x.denominator))
-              for e, x in v.c.items()] if isinstance(v, UPoly)
-             else v.numerator * (d // v.denominator)
-             for v in c.c.values()]
-    ks = list(c.c)
-    pows = [1] * len(ks)
+    d = lcm(*[x.denominator for _, _, pairs in rows for _, x in pairs])
+    rows = [(k, u, [(e, x.numerator * (d // x.denominator))
+                    for e, x in pairs]) for k, u, pairs in rows]
     out = []
     fact = 1
     for s in range(vorder):
         if s == 1:
-            terms = [t for k, t in zip(ks, terms) if k]
-            pows = ks = [k for k in ks if k]
-        elif s:
-            pows = [p * k for p, k in zip(pows, ks)]
+            rows = [row for row in rows if row[0]]
         fact *= s or 1
-        if not terms:
+        if not rows:
             out.append(0)
-        elif has_u:
-            out.append(_upoly_sum(terms, pows, d * fact))
+            continue
+        acc: dict = {}
+        for k, _, pairs in rows:
+            p = k ** s
+            for e, x in pairs:
+                acc[e] = acc.get(e, 0) + x * p
+        den = d * fact
+        if any(u for _, u, _ in rows):
+            out.append(UPoly._of({e: Fraction(w, den)
+                                  for e, w in acc.items() if w}))
         else:
-            out.append(Fraction(sum(map(mul, terms, pows)), d * fact))
+            out.append(Fraction(acc[0], den))
     return out
-
-
-def _upoly_sum(terms: list, pows: list, den: int):
-    """sum_k c_k k^s / den for pows = k^s, summed as ``sum`` over the ring
-    values would: scalars add up until the first UPoly, which takes them
-    in at u^0, and a u-key that cancels is deleted (and goes last if it
-    comes back)."""
-    acc = 0
-    out = None
-    for x, p in zip(terms, pows):
-        if isinstance(x, int):
-            if out is None:
-                acc += x * p
-                continue
-            x = ((0, x),)
-        elif out is None:
-            out = {e: n * p for e, n in x}
-            if not acc:
-                continue
-            x, p = ((0, acc),), 1
-        for e, n in x:
-            w = out.get(e, 0) + n * p
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-    if out is None:
-        return Fraction(acc, den)
-    return UPoly._of({e: Fraction(w, den) for e, w in out.items()})

