@@ -29,6 +29,14 @@ are products of the binomial lists of ``ucomb`` times [p+l]/[n] by its
 ``_ratio``; the kernel route's divide by their chain in ``rings``, and
 at r = n its missed p = 0 column is the closed route's cell.
 
+The ranks of one n repeat their cells, so two memos of the process
+build each once: ``_closed_cell`` holds the closed route's lists, which
+depend on (n, l - r, p + r) alone and which the kernel route's r = n
+column reads too, and ``ucomb.matrix_product_entry`` the matrix route's
+entries.  They hold cells, not series: the per-run memo of ``verify``,
+which builds each rank's ``g_closed`` once, stays, and the kernel
+route's contraction and weight table are built anew at every call.
+
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
 truncations.  ``f_via_matrices`` gives F itself, S times the matrix
@@ -41,6 +49,7 @@ product formula applied factor by factor in place on {(p, q): int}
 cells.
 """
 
+from functools import lru_cache
 from itertools import compress, count
 from math import comb
 from operator import sub
@@ -167,6 +176,18 @@ def _cells_to_series(cells: dict, lower: int, qorder: int) -> QSeries:
     return QSeries.from_dict(cols, lower, qorder)
 
 
+@lru_cache(maxsize=None)
+def _closed_cell(n: int, a: int, b: int) -> list:
+    """[n+a-1, n-1] [b-1, n-1] [a+b]/[n] over the whole exponents from u^0
+    up, for a >= 0 and b >= n: the closed route's lattice cell without its
+    u-power, with a = l - r and b = p + r; callers never write to it.  The
+    two u-binomial lists convolved, times (1 - u^{a+b})/(1 - u^n) in one
+    ``_ratio`` step, which raises NotDivisible if [n] does not divide."""
+    f = _binomial_list(n + a - 1, n - 1)
+    g = _binomial_list(b - 1, n - 1)
+    return _ratio(_int_conv(f, g, len(f) + len(g) - 1), a + b, n)
+
+
 def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from the closed double sum.
 
@@ -175,10 +196,11 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
 
         u^{r(n-r) - nl - r(p-l)} [n+l-r-1, n-1] [p+r-1, n-1] [p+l] / [n].
 
-    Each cell is one list over whole exponents: the two u-binomial lists
-    convolved, times [p+l]/[n] = (1 - u^{p+l})/(1 - u^n) in one ``_ratio``
-    step, with the u-power as the list's lowest exponent.  A cell not
-    exactly divisible by [n] raises NonExactDivision naming it.
+    Past its u-power the cell depends only on (n, l - r, p + r), so the
+    ranks of one n share it: the list is read from ``_closed_cell``, a
+    memo of the process, and each rank adds only the u-power, as the
+    list's lowest exponent.  A cell not exactly divisible by [n] raises
+    NonExactDivision naming its (q, y) exponents.
     """
     _check_rank(n, r)
     _check_ywin(ywin)
@@ -189,11 +211,8 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
             qe, ye = p * l, p - l
             if qe >= qorder or abs(ye) > ywin:
                 continue
-            # neither binomial is zero: l >= r and p >= n - r
-            a = _binomial_list(n + l - r - 1, n - 1)
-            b = _binomial_list(p + r - 1, n - 1)
             try:
-                f = _ratio(_int_conv(a, b, len(a) + len(b) - 1), p + l, n)
+                f = _closed_cell(n, l - r, p + r)
             except NotDivisible as exc:
                 raise NonExactDivision(
                     f"closed-form numerator at q^{qe} y^{ye} not divisible "
@@ -306,8 +325,9 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
       evaluates a Gaussian binomial where the Laurent continuation of
       the product formula is nonzero even though the zero-outside-range
       convention of the lattice sum says zero.  The missed column is
-      the closed route's cell [l-1, n-1] [l]/[n] at y^{-l}.  The row's
-      value sgn u^{-np-n(n-1)/2} [p] [p+n-1, n-1] is subtracted from the
+      the closed route's cell [l-1, n-1] [l]/[n] at y^{-l}, read from
+      its memo ``_closed_cell``.  The row's value
+      sgn u^{-np-n(n-1)/2} [p] [p+n-1, n-1] is subtracted from the
       (p, 0) numerator before the division, times the first 2n-1 factors
       of the chain, (u-1)^(2n-1) ([n-1]!)^2: that product is the
       product of u^a - 1 over a = p..p+n-1 and a = 1..n-1, 2n-1 shifted
@@ -368,8 +388,7 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     if r == n and qorder > 0:
         col = cells.setdefault(0, {})
         for l in range(n, ywin + 1):
-            col[-l] = _from_list(
-                0, _ratio(_binomial_list(l - 1, n - 1), l, n), 2)
+            col[-l] = _from_list(0, _closed_cell(n, l - n, n), 2)
     return _cells_to_series(cells, 0, qorder)
 
 

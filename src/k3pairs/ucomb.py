@@ -127,8 +127,14 @@ def matrix_entry(kind: str, i: int, j: int, n: int | None = None) -> UPoly:
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
 def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
-    """(A(n) . B)[i, j] computed as the actual finite product-sum."""
+    """(A(n) . B)[i, j] computed as the actual finite product-sum.
+
+    Memoized like ``matrix_entry``; callers never write to it.  The matrix
+    route's entry P(n)[k+2r, k+2l] at rank r is its entry
+    P(n)[(k+2)+2(r-1), (k+2)+2(l-1)] at rank r - 1, so the ranks of one n
+    share their entries."""
     if i < 0 or j < i or (j - i) % 2:
         return UPoly.zero()
     acc = UPoly.zero()

@@ -12,7 +12,9 @@ closed form ``g_closed`` and the v-expansion ``v_partition_series`` of
 each rank (n, r) are built once at the run's fixed bounds and shared by
 the checks that read them (route agreement and duality; the mirror
 checks).  The kernel and matrix routes read nothing from it, so the three
-routes stay independent.
+routes stay independent.  Below it, the cell memos of ``partition`` and
+``ucomb`` are process-wide and outlive the run: a later run rebuilds its
+series from cells that are already built.
 """
 
 from .errors import K3PairsError

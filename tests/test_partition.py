@@ -334,7 +334,7 @@ def test_g_via_kernels_matches_psi_sums():
                                 == [type(x) for x in v.c.values()], key
 
 
-def test_g_via_kernels_names_the_cell_that_fails(monkeypatch):
+def test_g_via_kernels_names_the_cell_that_fails(cold_monkeypatch):
     real = partition.c_table
 
     def perturbed(n, r):
@@ -344,7 +344,7 @@ def test_g_via_kernels_names_the_cell_that_fails(monkeypatch):
             table[key] = table[key] + UPoly.u()
         return table
 
-    monkeypatch.setattr(partition, "c_table", perturbed)
+    cold_monkeypatch.setattr(partition, "c_table", perturbed)
     with pytest.raises(NonExactDivision) as exc:
         g_via_kernels(2, 0, 8, 6)
     assert "at q^0 y^1 not divisible by (u-1)^3" in str(exc.value)
@@ -355,7 +355,7 @@ def test_g_via_kernels_names_the_cell_that_fails(monkeypatch):
     assert "kernel-route numerator at q^0 y^1" in bad["message"]
 
 
-def test_g_via_kernels_checks_the_n_factor(monkeypatch):
+def test_g_via_kernels_checks_the_n_factor(cold_monkeypatch):
     # u^k (u-1)^3 is a multiple of (u-1)^3 ([1]!)^2, so the perturbed cells
     # pass that much of the chain; at q^0 y^1 the contraction multiplies
     # it by u - 1 once more, and (u-1)^4 / ((u-1)^2 (u^2-1)) is not a
@@ -372,7 +372,7 @@ def test_g_via_kernels_checks_the_n_factor(monkeypatch):
             table[(1, 0)] = table[(1, 0)] + cube.shift(2)
         return table
 
-    monkeypatch.setattr(partition, "c_table", perturbed)
+    cold_monkeypatch.setattr(partition, "c_table", perturbed)
     for r, qorder in ((0, 8), (1, 8), (2, 8), (2, 1)):
         with pytest.raises(NonExactDivision) as exc:
             g_via_kernels(2, r, qorder, 6)
@@ -380,7 +380,7 @@ def test_g_via_kernels_checks_the_n_factor(monkeypatch):
                                   "divisible by (u-1)^3 ([1]!)^2 [2]")
 
 
-def test_g_closed_names_the_cell_that_fails(monkeypatch):
+def test_g_closed_names_the_cell_that_fails(cold_monkeypatch):
     # [2, 1] + 1 = 2 + u: at (p, l) = (3, 0) of rank (2, 0) the list
     # (2 + u)(1 - u^3) is 2 at u = -1, a root of 1 - u^2, which therefore
     # does not divide it; only partition's name is patched, so the matrix
@@ -391,7 +391,7 @@ def test_g_closed_names_the_cell_that_fails(monkeypatch):
         f = real(big, k)
         return [f[0] + 1] + f[1:] if (big, k) == (2, 1) else f
 
-    monkeypatch.setattr(partition, "_binomial_list", perturbed)
+    cold_monkeypatch.setattr(partition, "_binomial_list", perturbed)
     with pytest.raises(NonExactDivision) as exc:
         g_closed(2, 0, 8, 6)
     assert str(exc.value) == \

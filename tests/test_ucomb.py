@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import k3pairs.ucomb as ucomb
+from k3pairs import reset_caches
 from k3pairs.errors import InternalNonExactDivision, Mismatch, NotDivisible
 from k3pairs.rings import UPoly, _from_list
 from k3pairs.scalars import binomial
@@ -99,8 +100,7 @@ def test_verify_ab_identity_small():
     checked = verify_ab_identity(2, 14)
     assert checked == 3 * sum(1 for i in range(15) for j in range(i, 15, 2))
     assert verify_ab_identity(0, 0) == 1
-    matrix_entry.cache_clear()
-    _binomial_list.cache_clear()
+    reset_caches()
     assert verify_ab_identity(3, 9) == 4 * 30
     assert matrix_entry.cache_info().currsize == 0   # no UPoly built
     assert _binomial_list.cache_info().currsize == 0  # nor any list
@@ -110,7 +110,8 @@ def test_verify_ab_identity_small():
         verify_ab_identity(1, -1)
 
 
-def test_b_and_p_entries_name_the_one_that_leaves_a_remainder(monkeypatch):
+def test_b_and_p_entries_name_the_one_that_leaves_a_remainder(
+        cold_monkeypatch):
     # [2, 1] + 1 = 2 + u: the B core of (1, 3) is then (2 + u) [3]/[2] and
     # the P(1) core of (1, 3) is (2 + u) [1, 0] [3]/[2]; both numerators
     # (2 + u)(1 - u^3) are 2 at u = -1, a root of 1 - u^2
@@ -120,16 +121,15 @@ def test_b_and_p_entries_name_the_one_that_leaves_a_remainder(monkeypatch):
         f = real(big, k)
         return [f[0] + 1] + f[1:] if (big, k) == (2, 1) else f
 
-    matrix_entry.cache_clear()
-    monkeypatch.setattr(ucomb, "_binomial_list", perturbed)
+    cold_monkeypatch.setattr(ucomb, "_binomial_list", perturbed)
     for args, name in ((("B", 1, 3), "B entry (1,3)"),
                        (("P", 1, 3, 1), "P(1) entry (1,3)")):
         with pytest.raises(InternalNonExactDivision) as exc:
             matrix_entry(*args)
         assert str(exc.value) == name
         assert isinstance(exc.value.__cause__, NotDivisible)
-    monkeypatch.undo()
-    matrix_entry.cache_clear()
+    cold_monkeypatch.undo()
+    reset_caches()
     assert matrix_entry("B", 1, 3) == -u_int(3)
 
 
@@ -234,12 +234,12 @@ def test_verify_ab_identity_catches_a_lie_in_the_q_pascal_step(
 
 
 def test_verify_ab_identity_locates_a_difference_of_the_closed_forms(
-        monkeypatch):
+        cold_monkeypatch):
     """When the UPoly product route differs too, the location adds the
     lowest differing doubled u-exponent."""
     import k3pairs.ucomb as uc
     entry = ("P", 1, 3, 1)
-    monkeypatch.setattr(uc, "_cell_at_x", _map_cell(
+    cold_monkeypatch.setattr(uc, "_cell_at_x", _map_cell(
         uc._cell_at_x,
         lambda key, v, width: _plus(1, 1)(v, width) if key == entry else v))
     real = uc.matrix_entry
@@ -248,7 +248,7 @@ def test_verify_ab_identity_locates_a_difference_of_the_closed_forms(
         out = real(kind, i, j, n)
         return out + U({2: 1}) if (kind, i, j, n) == entry else out
 
-    monkeypatch.setattr(uc, "matrix_entry", plus_u)
+    cold_monkeypatch.setattr(uc, "matrix_entry", plus_u)
     with pytest.raises(Mismatch) as err:
         uc.verify_ab_identity(1, 4)
     assert err.value.location == {"n": 1, "row": 1, "col": 3, "u2": 2}
