@@ -45,8 +45,8 @@ each of its cells off F: the (g, k) cell is (t tb)^g times F's
 q^(g-1) y^k coefficient.
 
 S, the Hodge series of the Hilbert schemes of points, is Göttsche's
-product formula applied factor by factor in place on {(p, q): int}
-cells.
+product formula, applied in place by ``rings.kron_product`` to cells
+packed in the exponents of t and tb.
 """
 
 from functools import lru_cache
@@ -55,7 +55,8 @@ from math import comb
 from operator import sub
 
 from .errors import NonExactDivision, NotDivisible, UnsupportedRank
-from .rings import TTPoly, UPoly, YPoly, _dense_quotient, _from_list, _int_conv
+from .rings import TTPoly, UPoly, YPoly, _KronGrid, _dense_quotient, \
+    _from_list, _int_conv, kron_product, kron_width
 from .series import QSeries
 from .theta import _check_ywin, phi_product
 from .ucomb import _binomial_list, _ratio, c_table, matrix_product_entry
@@ -80,30 +81,24 @@ _hilb_cache: dict = {"order": 0, "series": QSeries(0, [])}
 def _hilbert_series(qorder: int) -> QSeries:
     """Hodge series of the Hilbert schemes, q^m-coefficient c(m)*(t tb)^{-m}.
 
-    Göttsche's product, applied in place: the cells start as the integer
-    series prod (1 - q^m)^{-20}, and each factor 1/(1 - a q^m) is divided
-    out by f_k += a f_{k-m} for k ascending, which on {(p, q): int} cells
-    only shifts the keys.  Cached and grown on demand; callers get a
-    truncation of one shared computation so repeated table builds stay
-    cheap.
+    Göttsche's product on one packed grid in the exponents (p, q) of t
+    and tb: the cells start as the integer series prod (1 - q^m)^{-20},
+    and the four factors 1/(1 - a q^m) are one kron_product.  The entries
+    of the q^m cell are positive and sum to its Euler number, the
+    coefficient of prod (1 - q^m)^{-24}, so that series sizes the byte
+    width.  Cached and grown on demand; callers get a truncation of one
+    shared computation so repeated table builds stay cheap.
     """
     if _hilb_cache["order"] < qorder:
         target = max(qorder, 2 * _hilb_cache["order"], 8)
-        seed = [1] + [0] * (target - 1)
-        for m in range(1, target):
-            for _ in range(20):
-                for k in range(m, target):
-                    seed[k] += seed[k - m]
-        cells = [{(0, 0): v} for v in seed]
-        for m in range(1, target):
-            for dp, dq in _HODGE_SHIFTS:
-                for k in range(m, target):
-                    dst = cells[k]
-                    for (p, q), v in cells[k - m].items():
-                        key = (p + dp, q + dq)
-                        dst[key] = dst.get(key, 0) + v
+        seed = kron_product([1] + [0] * (target - 1), (), ((1, 0),) * 20)
+        width = kron_width(max(kron_product(seed[:], (), ((1, 0),) * 4)))
+        grid = _KronGrid(seed, (), _HODGE_SHIFTS, target - 1, width)
         _hilb_cache["order"] = target
-        _hilb_cache["series"] = QSeries(0, [TTPoly(c) for c in cells])
+        _hilb_cache["series"] = QSeries(0, [
+            TTPoly({(p, q): c for p, row in grid.read(v, m, m).items()
+                    for q, c in row.items()})
+            for m, v in enumerate(grid.cells)])
     return _hilb_cache["series"].truncate(qorder)
 
 

@@ -33,9 +33,11 @@ digit lies below X/2 in absolute value.  The zero digits are skipped in C:
 the biased integer XOR the bias is zero on exactly their bytes, and a byte
 regex finds the nonzero runs, so its Python loop runs once per nonzero
 digit, however many slots the integer spans.  ``kron_width`` is the least
-w that gives a digit bound that room.  ``theta`` packs each cell
-of its product kernels as such an integer, built in place by its factor
-recurrences, and reads the cells back with it.
+w that gives a digit bound that room.  ``kron_product``, the one
+factor-product recurrence, multiplies q-cells in place by factors
+(1 - c X^d q^n)^(+-1): at X = 1 it gives the majorants that size the
+widths, and on a ``_KronGrid``, rows of digits in two exponents, the
+cells of theta's product kernel and of partition's Hilbert series.
 ``ucomb.verify_ab_identity`` checks A.B = P at the same kind of point
 X = 256^w, but never reads digits back: it takes its values from closed
 forms in plain integers, sums A.B by Horner's rule in the q-Pascal step,
@@ -49,7 +51,7 @@ import re
 from fractions import Fraction
 from itertools import count
 from math import lcm
-from operator import neg
+from operator import add, lshift, neg, rshift, sub
 
 from .errors import NotDivisible
 from .scalars import fraction_str
@@ -88,6 +90,64 @@ def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
             out[emin + s * step] = int.from_bytes(
                 buf[s * width:(s + 1) * width], "little") - half
     return out
+
+
+def kron_product(cells: list, num, den, bits: int = 0) -> list:
+    """Multiply the q-cells q^0 .. q^(len-1) in place by
+    prod_{n>=1} prod_num (1 - c X^d q^n) / prod_den (1 - c X^d q^n) at
+    X = 2^bits, each factor given as (c, d) with c = +-1 and d a signed
+    digit shift, and return them.  Multiplying by 1 - c X^d q^n is
+    f_j -= c X^d f_{j-n} for j descending; dividing by it is
+    f_j += c X^d f_{j-n} for j ascending.  A shift d < 0 divides by
+    X^-d, exact when the cells' support allows it.  At bits = 0 the
+    cells are plain integer series.
+    """
+    top = len(cells)
+    for n in range(1, top):
+        for sign, factors in ((1, num), (-1, den)):
+            js = range(top - 1, n - 1, -1) if sign > 0 else range(n, top)
+            for c, d in factors:
+                op = sub if c * sign > 0 else add
+                sh, s = (lshift, bits * d) if d >= 0 else (rshift, -bits * d)
+                for j in js:
+                    cells[j] = op(cells[j], sh(cells[j - n], s))
+    return cells
+
+
+class _KronGrid:
+    """The packed q^0 .. q^(len(seed)-1) cells of the integer series seed
+    times prod_{n>=1} prod_num (1 - M q^n) / prod_den (1 - M q^n) for
+    monomials M that move an exponent pair (a, b) by (da, db), with
+    |da|, |db| <= 1, so that the q^j cell is a sum of entries c_{a,b}
+    with |a| <= j and |b| <= j.  Entry (a, b) is digit
+    origin + a*row + b at X = 256^width: one row of row = 2*bspan + 1
+    digits per a after another, with (0, 0) at digit ``origin``, where
+    bspan is len(seed) - 1, or 0 for a product in a alone, whose rows are
+    one digit.  The whole support fits, so no window is needed, and each
+    M is a shift by da*row + db digits in one kron_product.
+    """
+
+    def __init__(self, seed: list, num, den, bspan: int, width: int):
+        self.yspan, self.bspan = len(seed) - 1, bspan
+        self.row = row = 2 * bspan + 1
+        self.origin = self.yspan * row + bspan
+        self.width, self.bits = width, 8 * width
+        self.cells = kron_product(
+            [v << (self.bits * self.origin) for v in seed],
+            [(1, da * row + db) for da, db in num],
+            [(1, da * row + db) for da, db in den], self.bits)
+
+    def read(self, v: int, j: int, amax: int) -> dict:
+        """{a: {b: entry}} of the packed q^j cell v, for |a| <= amax."""
+        row, bspan = self.row, self.bspan
+        low = (self.yspan - j) * row  # rows below a = -j are empty
+        out: dict = {}
+        for i, c in kron_digits(v >> (self.bits * low), -j * row, 1,
+                                self.width, (2 * j + 1) * row).items():
+            a, b = divmod(i, row)
+            if abs(a) <= amax:
+                out.setdefault(a, {})[b - bspan] = c
+        return out
 
 
 class _Sparse:

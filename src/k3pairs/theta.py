@@ -19,11 +19,10 @@ do not pack a cell in y and u, where a row's width grows with k and l,
 but in the exponents (a, b) of its factor monomials Y = u^l y and
 K = u^|k|: the eight factors are 1 - m q^n with m among 1, K^(+-1),
 Y^(+-1) and (K Y)^(+-1) or (K^-1 Y)^(+-1), whatever k and l are.  So
-every cell is one big integer, the Kronecker packing of its (a, b)
-entries at X = 256^w, with rows of 2 qorder - 1 digits (one digit at
-k = 0), and each factor is applied in place as a shift and an add.
-Digit (a, b) reads back as the entry of y^a u^(l a + |k| b).  The byte
-width w comes from a plain-integer majorant of the cells read back,
+every cell is one big integer on a ``rings._KronGrid``, and the whole
+product is one ``rings.kron_product``.  Digit (a, b) reads back as the
+entry of y^a u^(l a + |k| b).  The byte width comes from a
+plain-integer majorant of the cells read back, itself a kron_product,
 never from the closed forms the verifiers compare against, and only the
 finished cells are cut to the window.
 """
@@ -31,7 +30,8 @@ finished cells are cut to the window.
 from fractions import Fraction
 
 from .errors import BadConstantTerm
-from .rings import Monomial, UPoly, YPoly, kron_digits, kron_width
+from .rings import Monomial, UPoly, YPoly, _KronGrid, kron_product, \
+    kron_width
 from .series import QSeries
 
 __all__ = ["phi_bilateral", "psi", "phi_product", "log_phi_product"]
@@ -136,21 +136,14 @@ def _phi_majorant(qorder: int) -> list:
     F = prod_{n>=1} (1 + q^n)^4 (1 - q^n)^{-4} is phi_product with every
     monomial set to 1 and every factor sign made positive.  So F_j bounds
     the sum of the absolute values of the q^j cell as a polynomial in the
-    factor monomials Y and K of _Grid, before Y = u^l y and K = u^|k| are
-    specialised, for every k and l.  That is the bound the byte width
-    needs, since _Grid packs the entries of that polynomial as its
+    factor monomials Y and K of _phi_grid, before Y = u^l y and K = u^|k|
+    are specialised, for every k and l.  That is the bound the byte width
+    needs, since _phi_grid packs the entries of that polynomial as its
     digits; at k = 0, where K = 1, a digit is a sum of such entries, and
     F_j bounds it too.
     """
-    F = [1] + [0] * (qorder - 1)
-    for n in range(1, qorder):
-        for _ in range(4):
-            for j in range(qorder - 1, n - 1, -1):
-                F[j] += F[j - n]
-        for _ in range(4):
-            for j in range(n, qorder):
-                F[j] += F[j - n]
-    return F
+    return kron_product([1] + [0] * (qorder - 1), ((-1, 0),) * 4,
+                        ((1, 0),) * 4)
 
 
 def _log_majorant(qorder: int) -> list:
@@ -163,7 +156,7 @@ def _log_majorant(qorder: int) -> list:
     r = j/n, and its entries sum in absolute value to at most
     8 sum_{n | j} n.  Like F, this comes from the factor list alone, so
     it bounds h_j as a polynomial in the factor monomials Y and K of
-    _Grid, before they are specialised: the polynomial whose entries are
+    _phi_grid, before they are specialised: the polynomial whose entries are
     the packed digits (at k = 0, sums of them).
     """
     H = [0] * qorder
@@ -173,71 +166,21 @@ def _log_majorant(qorder: int) -> list:
     return H
 
 
-class _Grid:
-    """Kronecker packing of the cells of phi_product(k, l) in the exponents
-    of its factor monomials Y = u^l y and K = u^|k|.
+def _phi_grid(k: int, qorder: int, width: int) -> _KronGrid:
+    """The packed q^0 .. q^(qorder-1) cells of phi_product(k, l) in the
+    exponents (a, b) of its factor monomials Y = u^l y and K = u^|k|.
 
     With s the sign of k, the eight factors are 1 - q^n (twice),
-    1 - K^(+-1) q^n, 1 - Y^(+-1) q^n and 1 - (K^s Y)^(+-1) q^n, whatever k
-    and l are.  So below q^qorder a cell at q^j is a sum c_{a,b} Y^a K^b
-    with |a| <= j and |b| <= j.  It is packed as
-    sum c_{a,b} X^(origin + a*row + b) at X = 256^width: one Y-row of
-    row = 2*bspan + 1 digits after another, with Y^0 K^0 at digit
-    ``origin``.  The K-span bspan is qorder - 1, or 0 at k = 0, where
-    K = 1 and a row is one digit.  The whole support fits, so no window is
-    needed, and a monomial Y^a K^b is a shift by a*row + b digits.
-    Digit (a, b) is the entry of y^a u^(l*a + |k|*b), which is one-to-one
-    when k != 0, and its u-exponent ascends with b.
+    1 - K^(+-1) q^n, 1 - Y^(+-1) q^n and 1 - (K^s Y)^(+-1) q^n; at k = 0,
+    where K = 1, b stays 0.  Entry (a, b) is the one of
+    y^a u^(l*a + |k|*b), which is one-to-one when k != 0, and its
+    u-exponent ascends with b.
     """
-
-    def __init__(self, k: int, l: int, qorder: int, width: int):
-        self.l, self.kabs, self.qorder = l, abs(k), qorder
-        self.ks = (k > 0) - (k < 0)
-        self.yspan = qorder - 1
-        self.bspan = self.yspan * abs(self.ks)
-        self.row = 2 * self.bspan + 1
-        self.origin = self.yspan * self.row + self.bspan
-        self.width = width
-        self.bits = 8 * width
-
-    def shift(self, v: int, digits: int) -> int:
-        """v times X^digits; exact when v's support allows a right shift."""
-        if digits >= 0:
-            return v << (self.bits * digits)
-        return v >> (self.bits * -digits)
-
-    def cells(self) -> list:
-        """The q^0 .. q^(qorder-1) cells of phi_product(k, l), packed.
-
-        Multiplying by 1 - m q^n is f_j -= m f_{j-n} for j descending;
-        dividing by it is f_j += m f_{j-n} for j ascending.
-        """
-        qorder, row, ks = self.qorder, self.row, self.ks
-        num = (0, 0, ks, -ks)
-        den = (row, -row, row + ks, -row - ks)
-        f = [0] * qorder
-        f[0] = 1 << (self.bits * self.origin)
-        for n in range(1, qorder):
-            for d in num:
-                for j in range(qorder - 1, n - 1, -1):
-                    f[j] -= self.shift(f[j - n], d)
-            for d in den:
-                for j in range(n, qorder):
-                    f[j] += self.shift(f[j - n], d)
-        return f
-
-    def read(self, v: int, j: int, ywin: int) -> dict:
-        """{y: {u2: digit}} of the packed q^j cell v, for |y| <= ywin."""
-        row, l, kabs, bspan = self.row, self.l, self.kabs, self.bspan
-        low = (self.yspan - j) * row  # rows below y = -j are empty
-        out: dict = {}
-        for i, c in kron_digits(v >> (self.bits * low), 0, 1, self.width,
-                                (2 * j + 1) * row).items():
-            a, b = divmod(i, row)
-            a -= j
-            if abs(a) <= ywin:
-                out.setdefault(a, {})[2 * (l * a + kabs * (b - bspan))] = c
-        return out
+    s = (k > 0) - (k < 0)
+    return _KronGrid([1] + [0] * (qorder - 1),
+                     ((0, 0), (0, 0), (0, s), (0, -s)),
+                     ((1, 0), (-1, 0), (1, s), (-1, -s)),
+                     (qorder - 1) * abs(s), width)
 
 
 def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
@@ -247,18 +190,18 @@ def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
                     / [(1-u^l y q^n)(1-u^{-l} y^{-1} q^n)
                        (1-u^{k+l} y q^n)(1-u^{-k-l} y^{-1} q^n)]
 
-    Built factor by factor on packed integers (see _Grid), with the byte
-    width taken from the majorant of _phi_majorant, then restricted to
-    ywin.
+    Built on packed integers (see _phi_grid), with the byte width taken
+    from the majorant of _phi_majorant, then restricted to ywin.
     """
     _check_ywin(ywin)
     if qorder <= 0:
         return QSeries(0, [], "q")
-    grid = _Grid(k, l, qorder, kron_width(max(_phi_majorant(qorder))))
+    grid = _phi_grid(k, qorder, kron_width(max(_phi_majorant(qorder))))
     return QSeries(0, [
-        YPoly({y: UPoly(d) for y, d in grid.read(v, j, ywin).items()})
-        if v else 0
-        for j, v in enumerate(grid.cells())], "q")
+        YPoly({a: UPoly({2 * (l * a + abs(k) * b): c
+                         for b, c in row.items()})
+               for a, row in grid.read(v, j, ywin).items()}) if v else 0
+        for j, v in enumerate(grid.cells)], "q")
 
 
 def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
@@ -266,7 +209,7 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
 
     With f = phi_product, q f' = (q g') f gives h_j = j g_j as
     h_j = j f_j - sum_{0<i<j} h_i f_{j-i}, an integer recurrence run on
-    the packed cells of _Grid, in the factor monomials Y and K: each
+    the packed cells of _phi_grid, in the factor monomials Y and K: each
     product of two packed cells is shifted right by the origin.  Each h_j
     is read back, only its nonzero digits visited, and divided by j, so
     the cells have Fraction entries.
@@ -287,8 +230,8 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
     _check_ywin(ywin)
     if qorder <= 0:
         raise BadConstantTerm("log needs constant term exactly 1")
-    grid = _Grid(k, l, qorder, kron_width(max(_log_majorant(qorder))))
-    f = grid.cells()
+    grid = _phi_grid(k, qorder, kron_width(max(_log_majorant(qorder))))
+    f = grid.cells
     h = [0] * qorder
     cols: list = [0] * qorder
     for j in range(1, qorder):
@@ -296,7 +239,7 @@ def log_phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
         h[j] = j * f[j] - (acc >> (grid.bits * grid.origin))
         if h[j]:
             cols[j] = YPoly({
-                y: UPoly(
-                    {u2: Fraction(c, j) for u2, c in d.items()})
-                for y, d in grid.read(h[j], j, ywin).items()})
+                a: UPoly({2 * (l * a + abs(k) * b): Fraction(c, j)
+                          for b, c in row.items()})
+                for a, row in grid.read(h[j], j, ywin).items()})
     return QSeries(0, cols, "q")

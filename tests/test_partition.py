@@ -7,7 +7,7 @@ from k3pairs.errors import Mismatch, NonExactDivision, UnsupportedRank
 from k3pairs.partition import _hilbert_series, euler_g_column, \
     f_via_matrices, g_closed, g_via_kernels, g_via_matrices, ky_product, \
     mirror_series, s_series, syst_euler, syst_hodge, syst_table
-from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly
+from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_width
 from k3pairs.series import QSeries
 from k3pairs.theta import log_phi_product, phi_bilateral, phi_product, psi
 from k3pairs.ucomb import c_table, matrix_entry
@@ -82,6 +82,23 @@ def test_hilbert_series_growth_matches_a_cold_build(monkeypatch):
     _hilbert_series(5)
     assert partition._hilb_cache["order"] == 8
     assert _hilbert_series(20) == cold
+
+
+@pytest.mark.parametrize("target,width", [(15, 5), (16, 6)])
+def test_hilbert_series_where_its_byte_width_steps(monkeypatch, target, width):
+    # S is packed at kron_width of prod (1 - q^m)^-24 below q^target,
+    # which steps from 5 to 6 bytes between these two cold builds
+    euler = inverse_pochhammer_24(target)
+    assert kron_width(max(euler)) == width
+    _cold_cache(monkeypatch)
+    built = _hilbert_series(target)
+    assert partition._hilb_cache["order"] == target
+    oracle = _hilbert_by_products(target)
+    for m in range(target):
+        cell = built.coeff(m)
+        assert cell == oracle.coeff(m), m
+        assert all(v > 0 for v in cell.c.values()), m
+        assert sum(cell.c.values()) == euler[m], m
 
 
 def test_s_series_below_its_lowest_exponent(monkeypatch):
@@ -433,6 +450,44 @@ def test_duality_at_f_level():
     a = f_via_matrices(2, 0, 6, 5)
     b = mirror_series(f_via_matrices(2, 2, 6, 5))
     assert a == b
+
+
+def _cut(f, qorder, ywin):
+    return f.truncate(qorder).map_coeffs(lambda c: c.restrict(ywin))
+
+
+def test_smaller_windows_restrict_one_wider_build(monkeypatch):
+    """S, F, Phi and log Phi built at every second (qorder, ywin) below
+    one wider build equal its truncation and restriction.  Cold, each S
+    and F build starts from an empty Hilbert cache, so S is built at a
+    smaller target and byte width; warm, each is a truncation of the
+    wide S.  Phi and log Phi are packed at the byte width of qorder."""
+    qmax, ymax = 9, 6
+    windows = [(q, y) for q in range(1, qmax + 1, 2)
+               for y in range(0, ymax + 1, 2)]
+    for warm in (False, True):
+        def build(fn, *args):
+            if not warm:
+                _cold_cache(monkeypatch)
+            return fn(*args)
+
+        _cold_cache(monkeypatch)
+        wide = build(s_series, qmax)
+        for q in range(-1, qmax + 1, 2):
+            assert build(s_series, q) == wide.truncate(q), (warm, q)
+        for n in (1, 2, 3):
+            for r in range(n + 1):
+                wide = build(f_via_matrices, n, r, qmax, ymax)
+                for q, y in windows:
+                    assert build(f_via_matrices, n, r, q, y) \
+                        == _cut(wide, q, y), (warm, n, r, q, y)
+    for n in (1, 2, 3):
+        for k, l in ((n, 0), (n, n - 1), (-n, n)):
+            for kernel in (phi_product, log_phi_product):
+                wide = kernel(k, l, qmax, ymax)
+                for q, y in windows:
+                    assert kernel(k, l, q, y) == _cut(wide, q, y), \
+                        (kernel.__name__, k, l, q, y)
 
 
 # -- Euler specialization ------------------------------------------------------

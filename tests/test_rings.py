@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from k3pairs.errors import NotDivisible
 from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, _divide_out, \
-    _int_conv, kron_digits
+    _int_conv, kron_digits, kron_product, kron_width
 
-from ring_helpers import div_u_pow_minus_one, kron_eval, palindromic_twist
+from ring_helpers import div_u_pow_minus_one, inverse_pochhammer_24, \
+    kron_eval, palindromic_twist
 
 
 def U(d):
@@ -189,6 +190,70 @@ def test_kron_digits_bytes_that_look_like_the_bias():
     assert kron_digits(kron_eval(c, 0, 1, 2), 0, 1, 2, 9) == c
     e = {-3 + 2 * s: v for s, v in c.items()}
     assert kron_digits(kron_eval(e, -3, 2, 2), -3, 2, 2, 9) == e
+
+
+# prod (1 + q^n)^4 (1 - q^n)^-4 through q^20, the majorant whose largest
+# entry sizes the packed cells of theta's product kernels
+_PHI_MAJORANT_21 = [
+    1, 8, 40, 160, 552, 1712, 4896, 13120, 33320, 80872, 188784, 425952,
+    932640, 1988080, 4137024, 8422848, 16810536, 32943760, 63482760,
+    120440608, 225217904]
+
+
+def test_kron_product_at_bits_zero_multiplies_integer_series():
+    assert kron_product([1] + [0] * 30, (), ((1, 0),) * 24) \
+        == inverse_pochhammer_24(31)
+    assert kron_product([1] + [0] * 20, ((-1, 0),) * 4, ((1, 0),) * 4) \
+        == _PHI_MAJORANT_21
+    # Euler's pentagonal numbers 0, 1, 2, 5, 7, 12, 15 carry the signs of
+    # prod (1 - q^n)
+    euler = kron_product([1] + [0] * 20, ((1, 0),), ())
+    assert {j: v for j, v in enumerate(euler) if v} \
+        == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
+    # a factor in both lists cancels; the cells are changed in place
+    f = [3, 0, -1, 4, 0, 2]
+    assert kron_product(f, ((-1, 0), (1, 0)), ((1, 0), (-1, 0))) is f
+    assert f == [3, 0, -1, 4, 0, 2]
+
+
+def _dict_product(qorder, num, den):
+    """{j: {e: coefficient of x^e q^j}} of the product kron_product
+    takes, one truncated product of two-variable dicts per factor."""
+    def times(f, g):
+        out = {}
+        for j, row in f.items():
+            for (gj, ge), gv in g.items():
+                if j + gj < qorder:
+                    cell = out.setdefault(j + gj, {})
+                    for e, v in row.items():
+                        cell[e + ge] = cell.get(e + ge, 0) + v * gv
+        return out
+
+    f = {0: {0: 1}}
+    for n in range(1, qorder):
+        for c, d in num:
+            f = times(f, {(0, 0): 1, (n, d): -c})
+        for c, d in den:
+            f = times(f, {(n * i, d * i): c ** i
+                          for i in range((qorder - 1) // n + 1)})
+    return {j: {e: v for e, v in row.items() if v} for j, row in f.items()}
+
+
+def test_kron_product_packed_reads_back_with_negative_shifts():
+    # prod (1 - x q^n)(1 - x^-1 q^n) / ((1 - q^n)(1 + x^-2 q^n)) in
+    # x = X = 256^w: the q^j cell spans x^-2j .. x^j, so it is packed from
+    # digit 2 (qorder - 1) up, and the shifts -1 and -2 divide exactly
+    qorder, num, den = 10, ((1, 1), (1, -1)), ((1, 0), (-1, -2))
+    bound = max(kron_product([1] + [0] * (qorder - 1), ((-1, 0),) * 2,
+                             ((1, 0),) * 2))
+    width, origin = kron_width(bound), 2 * (qorder - 1)
+    cells = kron_product([1 << (8 * width * origin)] + [0] * (qorder - 1),
+                         num, den, 8 * width)
+    want = _dict_product(qorder, num, den)
+    for j, v in enumerate(cells):
+        assert kron_digits(v, -origin, 1, width, 3 * (qorder - 1) + 1) \
+            == want[j], j
+    assert min(want[qorder - 1]) == -2 * (qorder - 1)
 
 
 def test_ttpoly():
