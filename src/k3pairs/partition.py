@@ -29,13 +29,15 @@ are products of the binomial lists of ``ucomb`` times [p+l]/[n] by its
 ``_ratio``; the kernel route's divide by their chain in ``rings``, and
 at r = n its missed p = 0 column is the closed route's cell.
 
-The ranks of one n repeat their cells, so two memos of the process
+The ranks of one n repeat their cells, so three memos of the process
 build each once: ``_closed_cell`` holds the closed route's lists, which
 depend on (n, l - r, p + r) alone and which the kernel route's r = n
-column reads too, and ``ucomb.matrix_product_entry`` the matrix route's
+column reads too; ``_kernel_cell`` the kernel route's, contracted from
+rank 0's weight table (``_kernel_weights``, one per n) at the point
+(p + r, l - r); and ``ucomb.matrix_product_entry`` the matrix route's
 entries.  They hold cells, not series: the per-run memo of ``verify``,
-which builds each rank's ``g_closed`` once, stays, and the kernel
-route's contraction and weight table are built anew at every call.
+which builds each rank's ``g_closed`` once, stays.  No route reads
+another's memo beyond the kernel route's r = n column.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
@@ -55,7 +57,7 @@ from math import comb
 from operator import sub
 
 from .errors import NonExactDivision, NotDivisible, UnsupportedRank
-from .rings import TTPoly, UPoly, YPoly, _KronGrid, _dense_quotient, \
+from .rings import TTPoly, UPoly, YPoly, _KronGrid, _divide_out, \
     _from_list, _int_conv, kron_product, kron_width
 from .series import QSeries
 from .theta import _check_ywin, phi_product
@@ -281,31 +283,107 @@ def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
                             qorder)
 
 
+@lru_cache(maxsize=None)
+def _kernel_weights(n: int) -> tuple:
+    """Rank 0's weight table ``c_table(n)`` as (i, j, [(e, v)]) over whole
+    exponents e (every key of the table is even), with the extremes that
+    size a contraction's list: the lowest and highest e of any weight,
+    the largest i, and the smallest and largest j.  Built once per n;
+    callers never write to it."""
+    ctab = c_table(n)
+    table = [(i, j, [(e // 2, v) for e, v in w.c.items()])
+             for (i, j), w in ctab.items()]
+    keys = [e for _, _, terms in table for e, _ in terms]
+    js = [j for _, j in ctab]
+    return table, min(keys), max(keys), max(ctab)[0], min(js), max(js)
+
+
+@lru_cache(maxsize=None)
+def _kernel_cell(n: int, a: int, b: int):
+    """Rank 0's kernel-route cell at the lattice point (a, b), a >= 1, as
+    (lowest exponent, list over the whole exponents), or None when its
+    numerator is zero; callers never write to the list.
+
+    The numerator is the contraction sum_ij w_ij (u^{ia} - u^{-ib})
+    u^{j(a-b)} of ``c_table(n)``, two shifted copies of each weight added
+    into one list.  The list is sized from the extremes of the weights and
+    of their two offsets, and the weights cancel far inside those bounds,
+    so its zero ends are cut off before it is divided by the fused chain
+    prod_{m<n} (u^m - 1)^2 (u^n - 1), one in-place pass of
+    ``rings._divide_out`` per factor.  At b = -n, where rank n's (p, 0)
+    row lands, the numerator first gets the repair of that row (see
+    ``g_via_kernels``): from u^{n(n+1)/2} up, (-1)^n times the product of
+    u^x - 1 over x = a-n..a-1 and x = 1..n-1.  Raises NotDivisible if the
+    chain leaves a remainder; ``lru_cache`` keeps no entry for it.
+    """
+    table, tlo, thi, imax, jlo, jhi = _kernel_weights(n)
+    ye = a - b
+    # a weight's two offsets i a + j (a-b) and j (a-b) - i b lie between
+    # their values at i = 1 or imax and j = jlo or jhi
+    lo = tlo + min(jlo * ye, jhi * ye) + min(a, imax * a, -b, -imax * b)
+    hi = thi + max(jlo * ye, jhi * ye) + max(a, imax * a, -b, -imax * b)
+    # the chain's 2n-1 factors u^d - 1 are each minus the 1 - u^d that
+    # _divide_out divides by, so the numerator is built negated
+    row, rlo = [], lo
+    if b == -n:
+        row, rlo = [1 if n % 2 else -1], n * (n + 1) // 2
+        for x in (*range(a - n, a), *range(1, n)):
+            pad = [0] * x
+            row = list(map(sub, pad + row, row + pad))
+        lo, hi = min(lo, rlo), max(hi, rlo + len(row) - 1)
+    f = [0] * (hi - lo + 1)
+    f[rlo - lo:rlo - lo + len(row)] = row
+    for i, j, terms in table:
+        up = i * a + j * ye - lo
+        dn = j * ye - i * b - lo
+        for e, v in terms:
+            f[e + up] -= v
+            f[e + dn] += v
+    # the weights cancel far inside these bounds: cut the zero ends
+    top = next(compress(range(len(f) - 1, -1, -1), reversed(f)), None)
+    if top is None:
+        return None
+    bot = next(compress(count(), f))
+    chain = (*(2 * m for m in range(1, n) for _ in range(2)), 2 * n)
+    return lo + bot, _divide_out(f[bot:top + 1], chain, 2)
+
+
 def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Normalized partition function from the theta-kernel combination.
 
-    The kernels Psi(u^i, u^{j-r} y; q) are summed against the weight
+    The kernels Psi(u^i, u^{j-r} y; q) are summed against rank r's weight
     table w_ij one lattice point at a time.  Psi has a term at (p, 0)
     for 1 <= p <= ywin and at (p, l) for l >= 1, pl < qorder, kept when
     |p - l| <= ywin; the map (p, l) -> (q^{pl}, y^{p-l}) is one-to-one,
-    so each cell is the single contraction
+    so each cell is u^{r(n-r)} times the single contraction
 
         sum_ij w_ij (u^{ip} - u^{-il}) u^{(j-r)(p-l)},
 
-    added as two shifted copies of each weight into one list over whole
-    exponents (every key of the table is even).  The list is sized from
-    the table's lowest and highest exponent and the extremes of the
-    weights' two offsets, and the weights cancel far inside those
-    bounds, so its zero ends are cut off before the list is divided in
-    the dense divider of ``rings`` by the fused chain
+    divided by the fused chain
 
-        prod_{m<n} (u^m - 1)^2 (u^n - 1)  =  (u-1)^(2n-1) ([n-1]!)^2 [n],
+        prod_{m<n} (u^m - 1)^2 (u^n - 1)  =  (u-1)^(2n-1) ([n-1]!)^2 [n]:
 
-    one in-place pass per factor: the headline (u-1)^(2n-1) ([n-1]!)^2
-    divisibility check and the division by [n] in the same 2n-1 passes.
-    Every cell divides by this one chain, and a cell that leaves a
-    remainder raises NonExactDivision naming it.  The scale u^{r(n-r)}
-    is the list's lowest exponent.
+    the headline (u-1)^(2n-1) ([n-1]!)^2 divisibility check and the
+    division by [n] in the same 2n-1 passes.  A cell that leaves a
+    remainder raises NonExactDivision naming its (q, y) exponents.
+
+    The ranks of one n share these cells.  Rank r's table is rank 0's
+    with w_ij = c_ij u^{r(i+2j-n)} (``ucomb.c_table``), and with
+    a = p + r, b = l - r, so a - b = p - l + 2r,
+
+        w_ij (u^{ip} - u^{-il}) u^{(j-r)(p-l)}
+            = c_ij u^{r(i+2j) - rn} (u^{ip} - u^{-il}) u^{j(p-l) - r(p-l)}
+            = u^{-rn - r(p-l)} c_ij (u^{ia} - u^{-ib}) u^{j(a-b)},
+
+    as u^{ri} u^{ip} = u^{ia}, u^{ri} u^{-il} = u^{-ib} and
+    u^{2rj} u^{j(p-l)} = u^{j(a-b)}.  So rank r's contraction at (p, l)
+    is u^{-rn-r(p-l)} times rank 0's at (a, b); the chain has no
+    u-power, and with the scale u^{r(n-r)} the cell is
+    u^{-r^2-r(p-l)} times rank 0's cell at (a, b), the closed route's
+    index map.  The cells are read from ``_kernel_cell``, a memo of the
+    process keyed by (n, a, b), which contracts each one once from rank
+    0's table and divides it by the chain; each rank adds only its
+    u-power, to the list's lowest exponent.
 
     Two boundary notes, both forced by matching the closed double sum:
 
@@ -325,61 +403,31 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
       sgn u^{-np-n(n-1)/2} [p] [p+n-1, n-1] is subtracted from the
       (p, 0) numerator before the division, times the first 2n-1 factors
       of the chain, (u-1)^(2n-1) ([n-1]!)^2: that product is the
-      product of u^a - 1 over a = p..p+n-1 and a = 1..n-1, 2n-1 shifted
-      subtractions on one list.
+      product of u^x - 1 over x = p..p+n-1 and x = 1..n-1, 2n-1 shifted
+      subtractions on one list.  Only rank n reaches b = -n, at l = 0,
+      and there rank 0's frame holds the row times u^{n^2+np}, so it
+      starts at u^{n(n+1)/2}, with x = a-n..a-1.  The repaired row
+      cancels: ``_kernel_cell`` is None there, as it is at every point
+      with a < n or b < 0, where the closed sum has no term.
     """
     _check_rank(n, r)
     _check_ywin(ywin)
-    ctab = c_table(n, r)
-    table, keys = [], []
-    for (i, j), w in ctab.items():
-        table.append((i, j - r, [(e // 2, v) for e, v in w.c.items()]))
-        keys += w.c
-    # a weight's two offsets i p + j (p-l) and j (p-l) - i l, with j
-    # counted from r, lie between their values at the table's extremes
-    js = [j - r for _, j in ctab]
-    tlo, thi, imax = min(keys) // 2, max(keys) // 2, max(ctab)[0]
-    jlo, jhi = min(js), max(js)
     points = [(p, 0) for p in range(1, ywin + 1)] if qorder > 0 else []
     points += [(p, l) for l in range(1, qorder)
                for p in range(1, (qorder - 1) // l + 1) if abs(p - l) <= ywin]
-    chain = (*(2 * m for m in range(1, n) for _ in range(2)), 2 * n)
-    sgn = 1 if n % 2 else -1
     cells: dict = {}
     for p, l in points:
         qe, ye = p * l, p - l
-        lo = tlo + min(jlo * ye, jhi * ye) - imax * l
-        hi = thi + imax * p + max(jlo * ye, jhi * ye)
-        # at r = n a (p, 0) numerator starts as minus the lattice's l = 0
-        # row times (u-1)^(2n-1) ([n-1]!)^2, from u^rlo up; every other
-        # numerator starts at zero
-        row, rlo = [], lo
-        if r == n and not l:
-            row, rlo = [-sgn], -n * p - n * (n - 1) // 2
-            for a in (*range(p, p + n), *range(1, n)):
-                pad = [0] * a
-                row = list(map(sub, pad + row, row + pad))
-            lo, hi = min(lo, rlo), max(hi, rlo + len(row) - 1)
-        f = [0] * (hi - lo + 1)
-        f[rlo - lo:rlo - lo + len(row)] = row
-        for i, j, terms in table:
-            up = i * p + j * ye - lo
-            dn = j * ye - i * l - lo
-            for e, v in terms:
-                f[e + up] += v
-                f[e + dn] -= v
-        # the weights cancel far inside these bounds: cut the zero ends
-        top = next(compress(range(len(f) - 1, -1, -1), reversed(f)), None)
-        if top is None:
-            continue
-        bot = next(compress(count(), f))
         try:
-            cells.setdefault(qe, {})[ye] = _dense_quotient(
-                2 * (lo + bot + r * (n - r)), f[bot:top + 1], chain)
+            cell = _kernel_cell(n, p + r, l - r)
         except NotDivisible as exc:
             raise NonExactDivision(
                 f"kernel-route numerator at q^{qe} y^{ye} not divisible by "
                 f"(u-1)^{2 * n - 1} ([{n - 1}]!)^2 [{n}]") from exc
+        if cell:
+            lo, f = cell
+            cells.setdefault(qe, {})[ye] = _from_list(
+                2 * (lo - r * r - r * ye), f, 2)
     if r == n and qorder > 0:
         col = cells.setdefault(0, {})
         for l in range(n, ywin + 1):

@@ -14,9 +14,9 @@ whose keys are pairs, keeps its own:
   ``_divide_out``, the one exact division of a list by u^d - 1.
   ``ucomb`` builds every Gaussian-binomial closed form as a list over
   whole exponents, each factor [a]/[b] two shifted copies and one pass,
-  and makes the UPoly once from the finished list; ``_dense_quotient``
-  divides every cell of the kernel route by its one chain of factors,
-  one pass each.  ``_int_conv`` is the one integer list convolution, of
+  and makes the UPoly once from the finished list; the kernel route of
+  ``partition`` divides every cell by its one chain of factors, one
+  pass each.  ``_int_conv`` is the one integer list convolution, of
   series, Eisenstein monomials and binomial lists alike.  A UPoly's
   u-derivatives at u = 1 up to tmax come from one pass over the terms,
   summed over Z with the falling factorials built up over the orders.
@@ -51,7 +51,7 @@ import re
 from fractions import Fraction
 from itertools import count
 from math import lcm
-from operator import add, lshift, neg, rshift, sub
+from operator import add, lshift, rshift, sub
 
 from .errors import NotDivisible
 from .scalars import fraction_str
@@ -359,18 +359,6 @@ def _divide_out(f: list, d2s: tuple, step: int) -> list:
 def _from_list(lo: int, f, step: int) -> UPoly:
     """The UPoly sum_k f[k] u^{(lo+step*k)/2} of a list or iterable f."""
     return UPoly._of({e: v for e, v in zip(count(lo, step), f) if v})
-
-
-def _dense_quotient(lo: int, f: list, d2s: tuple) -> UPoly:
-    """The exact quotient of sum_k f[k] u^{lo/2+k}, a list over the whole
-    exponents from u^{lo/2} up, by the product of u^{d/2} - 1 over the
-    even doubled exponents d > 0 of d2s; the kernel route of
-    ``partition`` divides every cell by its chain this way.  Each factor
-    is one pass of ``_divide_out`` and flips the sign, as u^d - 1 is
-    minus 1 - u^d.
-    """
-    f = _divide_out(f, d2s, 2)
-    return _from_list(lo, map(neg, f) if len(d2s) % 2 else f, 2)
 
 
 def _join_terms(terms) -> str:

@@ -150,12 +150,23 @@ def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
 
 # -- the C-table ---------------------------------------------------------------
 
-def c_table(n: int, r: int) -> dict:
-    """Triangular table of theta-kernel weights at level n, rank parameter r.
+def c_table(n: int) -> dict:
+    """Triangular table of theta-kernel weights at level n, at rank 0.
 
     Maps (i, j) with 1 <= i <= n, 0 <= j <= n - i to a nonzero UPoly;
     absent keys are zero.  Built from the single seed C(1, 0) = 1 at
-    n = 1 by the two-term shift recursion, with r baked into the shifts.
+    n = 1 by the two-term shift recursion
+
+        C_{m+1}(i, j) = C_m(i-1, j) + C_m(i+1, j-1)
+                        - u^{-m} C_m(i, j-1) - u^m C_m(i, j).
+
+    The same recursion with the shifts u^{r-m} and u^{m-r} gives rank r's
+    table, which is this one with the (i, j) entry times u^{r(i+2j-n)}:
+    by induction on m, each of the four terms of rank r's step carries
+    u^{r(i+2j-m-1)} times its rank-0 term, once the u^r of the third
+    shift and the u^{-r} of the fourth are counted.  The kernel route of
+    ``partition`` folds that factor into the lattice point it contracts
+    at, so it needs rank 0's table alone.
     """
     if n < 1:
         raise ValueError("the table starts at n = 1")
@@ -163,8 +174,6 @@ def c_table(n: int, r: int) -> dict:
     for m in range(1, n):
         # pass from level m to level m+1
         nxt: dict = {}
-        up = 2 * (r - m)   # doubled exponent of u^{r-m}
-        dn = 2 * (m - r)
         for i in range(1, m + 2):
             for j in range(0, m + 2 - i):
                 acc = UPoly.zero()
@@ -176,10 +185,10 @@ def c_table(n: int, r: int) -> dict:
                     acc = acc + e
                 e = cur.get((i, j - 1))
                 if e:
-                    acc = acc - e.shift(up)
+                    acc = acc - e.shift(-2 * m)
                 e = cur.get((i, j))
                 if e:
-                    acc = acc - e.shift(dn)
+                    acc = acc - e.shift(2 * m)
                 if acc:
                     nxt[(i, j)] = acc
         cur = nxt

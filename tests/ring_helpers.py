@@ -1,7 +1,8 @@
 """Coefficient properties of ring elements, the Kronecker evaluation of
 an exponent dict at X = 256^w, the exact division of a UPoly by a chain
 of factors u^{d/2} - 1, a Gaussian-binomial oracle built by the q-Pascal
-rule, and the Euler-characteristic oracle of S, that only the tests ask
+rule, the kernel route's weight table at any rank by its own recursion,
+and the Euler-characteristic oracle of S, that only the tests ask
 about."""
 
 from functools import lru_cache
@@ -80,6 +81,40 @@ def gauss_binomial(n: int, k: int) -> UPoly:
 def u_int(n: int) -> UPoly:
     """The u-integer [n] = 1 + u + ... + u^{n-1} = [n choose 1]."""
     return gauss_binomial(n, 1)
+
+
+def rank_c_table(n: int, r: int) -> dict:
+    """The kernel route's weight table at level n and rank r, built from
+    the seed C(1, 0) = 1 by the two-term shift recursion with r baked into
+    its shifts u^{r-m} and u^{m-r}: an oracle that does not rest on the
+    rank identity by which the library reads every rank off rank 0."""
+    if n < 1:
+        raise ValueError("the table starts at n = 1")
+    cur = {(1, 0): UPoly.one()}
+    for m in range(1, n):
+        # pass from level m to level m+1
+        nxt = {}
+        up = 2 * (r - m)   # doubled exponent of u^{r-m}
+        dn = 2 * (m - r)
+        for i in range(1, m + 2):
+            for j in range(0, m + 2 - i):
+                acc = UPoly.zero()
+                e = cur.get((i - 1, j))
+                if e:
+                    acc = acc + e
+                e = cur.get((i + 1, j - 1))
+                if e:
+                    acc = acc + e
+                e = cur.get((i, j - 1))
+                if e:
+                    acc = acc - e.shift(up)
+                e = cur.get((i, j))
+                if e:
+                    acc = acc - e.shift(dn)
+                if acc:
+                    nxt[(i, j)] = acc
+        cur = nxt
+    return cur
 
 
 def kron_eval(c: dict, emin: int, step: int, width: int) -> int:

@@ -10,11 +10,12 @@ from k3pairs.partition import _hilbert_series, euler_g_column, \
 from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_width
 from k3pairs.series import QSeries
 from k3pairs.theta import log_phi_product, phi_bilateral, phi_product, psi
-from k3pairs.ucomb import c_table, matrix_entry
+from k3pairs.ucomb import matrix_entry
 from k3pairs.verify import run_suite
 
 from ring_helpers import all_nonneg_int, div_u_pow_minus_one, \
-    gauss_binomial, inverse_pochhammer_24, palindromic_twist, u_int
+    gauss_binomial, inverse_pochhammer_24, palindromic_twist, rank_c_table, \
+    u_int
 
 
 # -- Hilbert schemes of points ----------------------------------------------
@@ -295,11 +296,12 @@ def _div_u_int(w, m):
 
 def _kernels_by_psi(n, r, qorder, ywin):
     """The kernel route as whole-series sums: one Psi(u^i, u^{j-r} y; q)
-    per weight, added cell by cell, then divided by (u-1)^(2n-1) and
-    ([n-1]!)^2, the q^0 column repaired at r = n from the q-Pascal
-    oracle, and every cell divided by [n]."""
+    per weight of rank r's own table, not rank 0's shifted, added cell by
+    cell, then divided by (u-1)^(2n-1) and ([n-1]!)^2, the q^0 column
+    repaired at r = n from the q-Pascal oracle, and every cell divided by
+    [n]."""
     cells = {}
-    for (i, j), w in c_table(n, r).items():
+    for (i, j), w in rank_c_table(n, r).items():
         part = psi(Monomial(2 * i, 0), Monomial(2 * (j - r), 1),
                    qorder, ywin)
         for qe in range(part.lower, part.order):
@@ -354,8 +356,8 @@ def test_g_via_kernels_matches_psi_sums():
 def test_g_via_kernels_names_the_cell_that_fails(cold_monkeypatch):
     real = partition.c_table
 
-    def perturbed(n, r):
-        table = real(n, r)
+    def perturbed(n):
+        table = real(n)
         if n == 2:
             key = min(table)
             table[key] = table[key] + UPoly.u()
@@ -383,8 +385,8 @@ def test_g_via_kernels_checks_the_n_factor(cold_monkeypatch):
     real = partition.c_table
     cube = UPoly({6: 1, 4: -3, 2: 3, 0: -1})
 
-    def perturbed(n, r):
-        table = real(n, r)
+    def perturbed(n):
+        table = real(n)
         if n == 2:
             table[(1, 0)] = table[(1, 0)] + cube.shift(2)
         return table
@@ -395,6 +397,28 @@ def test_g_via_kernels_checks_the_n_factor(cold_monkeypatch):
             g_via_kernels(2, r, qorder, 6)
         assert str(exc.value) == ("kernel-route numerator at q^0 y^1 not "
                                   "divisible by (u-1)^3 ([1]!)^2 [2]")
+    # each call failed at its first cell, and the memo kept none of them
+    assert partition._kernel_cell.cache_info().currsize == 0
+
+
+def test_kernel_cells_vanish_off_the_closed_lattice():
+    """Rank 0's kernel cell at (a, b) = (p + r, l - r) is None exactly
+    where the closed sum has no term, a < n or b < 0; at b = -n, rank n's
+    (p, 0) row, the repair cancels the contraction.  The route still
+    contracts these points, so it checks that they vanish."""
+    points = [(p, 0) for p in range(1, 9)]
+    points += [(p, l) for l in range(1, 12)
+               for p in range(1, 11 // l + 1) if abs(p - l) <= 8]
+    zero = set()
+    for n in range(1, 7):
+        for r in range(n + 1):
+            for p, l in points:
+                a, b = p + r, l - r
+                cell = partition._kernel_cell(n, a, b)
+                assert (cell is None) == (a < n or b < 0), (n, r, p, l)
+                if cell is None:
+                    zero.add((n, b == -n))
+    assert {(n, True) for n in range(1, 7)} <= zero
 
 
 def test_g_closed_names_the_cell_that_fails(cold_monkeypatch):

@@ -10,7 +10,8 @@ from k3pairs.ucomb import _ab_at_x, _binomial_list, _bounds, _cell_at_x, \
     _q_pascal, _values_at, _width, c_table, matrix_entry, \
     matrix_product_entry, verify_ab_identity
 
-from ring_helpers import gauss_binomial, kron_eval, max_abs_int, u_int
+from ring_helpers import gauss_binomial, kron_eval, max_abs_int, \
+    rank_c_table, u_int
 
 
 def U(d):
@@ -385,8 +386,8 @@ def test_horner_sum_matches_the_per_n_sums(n_max, index_max):
 
 def test_c_table_frozen_levels():
     for r in (0, 1, 2):
-        assert c_table(1, r) == {(1, 0): UPoly.one()}
-        t2 = c_table(2, r)
+        assert rank_c_table(1, r) == {(1, 0): UPoly.one()}
+        t2 = rank_c_table(2, r)
         assert t2[(2, 0)] == UPoly.one()
         assert t2[(1, 0)] == -U({2 * (1 - r): 1})                # -u^{1-r}
         assert t2[(1, 1)] == -U({2 * (r - 1): 1})                # -u^{r-1}
@@ -394,13 +395,29 @@ def test_c_table_frozen_levels():
 
 
 def test_c_table_shape():
-    t = c_table(3, 1)
+    t = rank_c_table(3, 1)
     for (i, j) in t:
         assert 1 <= i <= 3 and 0 <= j <= 3 - i
     assert t[(3, 0)] == UPoly.one()
 
 
 def test_c_table_rejects_bad_level():
-    with pytest.raises(ValueError):
-        c_table(0, 0)
-    assert c_table(2, 5)                       # any integer r is allowed
+    for build in (c_table, lambda n: rank_c_table(n, 0)):
+        with pytest.raises(ValueError):
+            build(0)
+    assert rank_c_table(2, 5)                  # any integer r is allowed
+
+
+def test_c_table_is_rank_zero_and_every_rank_a_shift_of_it():
+    """Rank r's table, built with r in its shifts, is rank 0's with the
+    (i, j) entry times u^{r(i+2j-n)}, the identity the kernel route reads
+    every rank off; r runs past both ends of 0..n."""
+    for n in range(1, 9):
+        base = c_table(n)
+        assert base == rank_c_table(n, 0), n
+        for r in range(-2, n + 3):
+            want = rank_c_table(n, r)
+            assert set(want) == set(base), (n, r)
+            for (i, j), w in base.items():
+                assert want[i, j].c == w.shift(2 * r * (i + 2 * j - n)).c, \
+                    (n, r, i, j)
