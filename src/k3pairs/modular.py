@@ -415,8 +415,10 @@ def _closed_v_columns(n: int, r: int, ss) -> dict:
             nxt.append(t)
         f = nxt
     scale = Fraction(-1, n * factorial(n - 1) ** 2)
-    return {s: {m: x * (-scale if r == n and s % 2 else scale)
-                for m, x in f[s + n - 1].items()} for s in ss}
+    return {
+        s: {m: x * (-scale if r == n and s % 2 else scale)
+            for m, x in f[s + n - 1].items()}
+        for s in ss}
 
 
 class EisensteinBasis:

@@ -44,11 +44,11 @@ they are computed in; the verification drivers compare them on common
 truncations.  ``f_via_matrices`` gives F itself, S times the matrix
 route embedded in the (t, tb) ring, and the coherent-system table reads
 each of its cells off F: the (g, k) cell is (t tb)^g times F's
-q^(g-1) y^k coefficient.
+q^(g-1) y^k coefficient; Euler mode builds F over Z at t = tb = 1.
 
 S, the Hodge series of the Hilbert schemes of points, is Göttsche's
 product formula, applied in place by ``rings.kron_product`` to cells
-packed in the exponents of t and tb.
+packed in the exponents of t and tb; at 1 it is prod (1 - q^m)^{-24}.
 """
 
 from functools import lru_cache
@@ -121,11 +121,13 @@ def _check_rank(n: int, r: int) -> None:
             f"sheaf rank r={r} outside 0..{n}: table undefined there")
 
 
-def _hodge_cells(n: int, r: int, gmax: int, kmin: int, kmax: int) -> list:
-    """(g, k, Hodge polynomial) for 0 <= g <= gmax, kmin <= k <= kmax.
+def _table_cells(n: int, r: int, gmax: int, kmin: int, kmax: int,
+                 hodge: bool) -> list:
+    """(g, k, cell) for 0 <= g <= gmax, kmin <= k <= kmax.
 
     Each cell is (t tb)^g times the q^(g-1) y^k cell of one F = S*G,
-    built through q^(gmax-1) on the y-columns kmin..kmax.
+    built through q^(gmax-1) on the y-columns kmin..kmax: the Hodge
+    polynomial if ``hodge`` is set, else its value at t = tb = 1, an int.
     """
     _check_rank(n, r)
     if gmax < 0:
@@ -133,32 +135,32 @@ def _hodge_cells(n: int, r: int, gmax: int, kmin: int, kmax: int) -> list:
     if kmin > kmax:
         raise ValueError(f"k-range constraint kmin <= kmax violated "
                          f"(kmin={kmin}, kmax={kmax})")
-    f = _s_times_g(n, r, gmax, kmin, kmax)
-    zero = TTPoly.zero()
-    return [(g, k, TTPoly.mono(g, g) * f.get(g - 1, {}).get(k, zero))
+    f = _s_times_g(n, r, gmax, kmin, kmax, hodge)
+    twist = TTPoly.mono if hodge else lambda g, _: 1
+    return [(g, k, twist(g, g) * f.get(g - 1, {}).get(k, 0))
             for g in range(gmax + 1) for k in range(kmin, kmax + 1)]
 
 
 def syst_hodge(n: int, r: int, g: int, k: int) -> TTPoly:
     """Hodge polynomial of the coherent-system moduli at the spot (g, k)."""
-    return _hodge_cells(n, r, g, k, k)[-1][2]
+    return _table_cells(n, r, g, k, k, True)[-1][2]
 
 
 def syst_euler(n: int, r: int, g: int, k: int) -> int:
-    """Euler characteristic of the same moduli (t = tb = 1)."""
-    return syst_hodge(n, r, g, k).eval_one()
+    """Euler characteristic of the same moduli: syst_hodge at t = tb = 1."""
+    return _table_cells(n, r, g, k, k, False)[-1][2]
 
 
 def syst_table(n: int, r: int, gmax: int, kmin: int, kmax: int,
                hodge: bool = False) -> list:
     """Rows {n, r, g, k, value} for 0 <= g <= gmax, kmin <= k <= kmax.
 
-    ``value`` is the integer Euler characteristic, or the Hodge
-    polynomial rendered as a string when ``hodge`` is set.
+    ``value`` is the integer Euler characteristic, or if ``hodge`` is
+    set the Hodge polynomial as a string, both off the same cells of G.
     """
     return [{"n": n, "r": r, "g": g, "k": k,
-             "value": str(h) if hodge else h.eval_one()}
-            for g, k, h in _hodge_cells(n, r, gmax, kmin, kmax)]
+             "value": str(h) if hodge else h}
+            for g, k, h in _table_cells(n, r, gmax, kmin, kmax, hodge)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +252,23 @@ def g_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
                             qorder)
 
 
-def _s_times_g(n: int, r: int, qorder: int, kmin: int, kmax: int) -> dict:
-    """{q-exponent: {k: TTPoly}} cells of F = S*G below q^qorder on the
-    y-columns kmin..kmax: a y-column of F is S times the same column of
-    G alone, and S is needed only up to qorder minus G's lowest q-power."""
+def _s_times_g(n: int, r: int, qorder: int, kmin: int, kmax: int,
+               hodge: bool) -> dict:
+    """{q-exponent: {k: cell}} cells of F = S*G below q^qorder on the
+    y-columns kmin..kmax, TTPoly if ``hodge`` is set, else ints at
+    t = tb = 1, where S is Göttsche's prod (1 - q^m)^{-24}.  A y-column
+    of F is S times the same column of G alone, and S is needed only up
+    to qorder minus G's lowest q-power."""
     g = _g_matrix_cells(n, r, qorder + 1, kmin, kmax)
     if not g:
         return {}
-    s = s_series(qorder - min(g))
+    top = qorder - min(g)
+    s = s_series(top) if hodge else QSeries(-1, kron_product(
+        [1] + [0] * top, (), ((1, 0),) * 24))
     cells: dict = {}
     for qe, col in g.items():
-        col = [(k, w.to_tt()) for k, w in col.items()]
+        col = [(k, w.to_tt() if hodge else w.eval_one())
+               for k, w in col.items()]
         for m in range(-1, qorder - qe):
             c = s.coeff(m)
             if not c:
@@ -279,8 +287,8 @@ def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """
     _check_rank(n, r)
     _check_ywin(ywin)
-    return _cells_to_series(_s_times_g(n, r, qorder, -ywin, ywin), -1,
-                            qorder)
+    return _cells_to_series(_s_times_g(n, r, qorder, -ywin, ywin, True),
+                            -1, qorder)
 
 
 @lru_cache(maxsize=None)
@@ -291,8 +299,9 @@ def _kernel_weights(n: int) -> tuple:
     the largest i, and the smallest and largest j.  Built once per n;
     callers never write to it."""
     ctab = c_table(n)
-    table = [(i, j, [(e // 2, v) for e, v in w.c.items()])
-             for (i, j), w in ctab.items()]
+    table = [
+        (i, j, [(e // 2, v) for e, v in w.c.items()])
+        for (i, j), w in ctab.items()]
     keys = [e for _, _, terms in table for e, _ in terms]
     js = [j for _, j in ctab]
     return table, min(keys), max(keys), max(ctab)[0], min(js), max(js)

@@ -366,8 +366,9 @@ def _v_cell_sums(c: YPoly, vorder: int, var: str, m: int) -> list:
                 f"y -> e^{{iv}} needs int, Fraction or UPoly entries, but "
                 f"the entry at {var}^{m} y^{k} is {type(v).__name__}")
     d = lcm(*[x.denominator for _, _, pairs in rows for _, x in pairs])
-    rows = [(k, u, [(e, x.numerator * (d // x.denominator))
-                    for e, x in pairs]) for k, u, pairs in rows]
+    rows = [
+        (k, u, [(e, x.numerator * (d // x.denominator)) for e, x in pairs])
+        for k, u, pairs in rows]
     out = []
     fact = 1
     for s in range(vorder):

@@ -198,9 +198,9 @@ def phi_product(k: int, l: int, qorder: int, ywin: int) -> QSeries:
         return QSeries(0, [], "q")
     grid = _phi_grid(k, qorder, kron_width(max(_phi_majorant(qorder))))
     return QSeries(0, [
-        YPoly({a: UPoly({2 * (l * a + abs(k) * b): c
-                         for b, c in row.items()})
-               for a, row in grid.read(v, j, ywin).items()}) if v else 0
+        YPoly({
+            a: UPoly({2 * (l * a + abs(k) * b): c for b, c in row.items()})
+            for a, row in grid.read(v, j, ywin).items()}) if v else 0
         for j, v in enumerate(grid.cells)], "q")
 
 

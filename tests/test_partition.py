@@ -171,19 +171,36 @@ def _syst_hodge_by_p_sum(n, r, g, k):
 
 def test_syst_hodge_matches_product_route():
     # the table is read off F = S * G with G's entries from the genuine
-    # A.B product; the oracle sums the closed-form P entries cell by cell
-    cells = 0
+    # A.B product; the oracle sums the closed-form P entries cell by cell.
+    # The Euler mode runs the same product over Z at t = tb = 1, so each
+    # of its rows is the oracle's value at 1, and through gmax 20, g = gmax
+    # included, its Hodge cell's value at 1.
+    cells = at_one = 0
     for n in range(1, 5):
         for r in range(n + 1):
             rows = syst_table(n, r, 10, -4, 4, hodge=True)
             assert len(rows) == 11 * 9, (n, r)
+            euler = {(row["g"], row["k"]): row["value"]
+                     for row in syst_table(n, r, 10, -4, 4)}
             for row in rows:
                 g, k = row["g"], row["k"]
                 want = _syst_hodge_by_p_sum(n, r, g, k)
                 assert row["value"] == str(want), (n, r, g, k)
                 assert syst_hodge(n, r, g, k) == want, (n, r, g, k)
+                assert euler[(g, k)] == want.eval_one(), (n, r, g, k)
+                assert syst_euler(n, r, g, k) == want.eval_one(), \
+                    (n, r, g, k)
                 cells += 1
-    assert cells == 1386
+            rows = syst_table(n, r, 20, -4, 4)
+            hodge = partition._table_cells(n, r, 20, -4, 4, True)
+            assert len(rows) == len(hodge) == 21 * 9, (n, r)
+            for row, (g, k, h) in zip(rows, hodge):
+                assert (row["g"], row["k"]) == (g, k)
+                assert type(row["value"]) is int, (n, r, g, k)
+                assert row["value"] == h.eval_one(), (n, r, g, k)
+                at_one += 1
+            assert any(row["value"] for row in rows if row["g"] == 20)
+    assert (cells, at_one) == (1386, 2646)
 
 
 def test_syst_hodge_positive_palindromic():
@@ -212,6 +229,17 @@ def test_empty_table_builds_no_hilbert_series(monkeypatch):
     rows = syst_table(3, 1, 45, 100, 100)
     assert [(row["g"], row["value"]) for row in rows] == \
         [(g, 0) for g in range(46)]
+    assert partition._hilb_cache["order"] == 0
+    # the Euler mode runs at t = tb = 1: it never builds the Hodge S, and
+    # reaches neither the (t, tb) ring nor the embedding into it
+    def refuse(*args):
+        raise AssertionError("the Euler table reached the (t, tb) ring")
+
+    for owner, name in ((partition, "s_series"), (UPoly, "to_tt"),
+                        (TTPoly, "__mul__"), (TTPoly, "__rmul__")):
+        monkeypatch.setattr(owner, name, refuse)
+    rows = syst_table(3, 1, 20, -2, 2)
+    assert sum(1 for row in rows if row["value"]) == 82
     assert partition._hilb_cache["order"] == 0
 
 
