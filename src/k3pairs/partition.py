@@ -35,9 +35,10 @@ depend on (n, l - r, p + r) alone and which the kernel route's r = n
 column reads too; ``_kernel_cell`` the kernel route's, contracted from
 rank 0's weight table (``_kernel_weights``, one per n) at the point
 (p + r, l - r); and ``ucomb.matrix_product_entry`` the matrix route's
-entries.  They hold cells, not series: the per-run memo of ``verify``,
-which builds each rank's ``g_closed`` once, stays.  No route reads
-another's memo beyond the kernel route's r = n column.
+entries, each summed as one integer at X = 256^w and read back once
+with ``rings.kron_digits``.  They hold cells, not series: the per-run
+memo of ``verify``, which builds each rank's ``g_closed`` once, stays.
+No route reads another's memo beyond the kernel route's r = n column.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
@@ -48,7 +49,9 @@ q^(g-1) y^k coefficient; Euler mode builds F over Z at t = tb = 1.
 
 S, the Hodge series of the Hilbert schemes of points, is Göttsche's
 product formula, applied in place by ``rings.kron_product`` to cells
-packed in the exponents of t and tb; at 1 it is prod (1 - q^m)^{-24}.
+packed in the exponents of t and tb; at 1 it is prod (1 - q^m)^{-24},
+the Euler mode's S, built as prod (1 - q^m)^{-3} and squared three
+times.
 """
 
 from functools import lru_cache
@@ -263,8 +266,13 @@ def _s_times_g(n: int, r: int, qorder: int, kmin: int, kmax: int,
     if not g:
         return {}
     top = qorder - min(g)
-    s = s_series(top) if hodge else QSeries(-1, kron_product(
-        [1] + [0] * top, (), ((1, 0),) * 24))
+    if hodge:
+        s = s_series(top)
+    else:   # prod (1 - q^m)^{-3} in three passes, then squared three times
+        s = kron_product([1] + [0] * top, (), ((1, 0),) * 3)
+        for _ in range(3):
+            s = _int_conv(s, s, top + 1)
+        s = QSeries(-1, s)
     cells: dict = {}
     for qe, col in g.items():
         col = [(k, w.to_tt() if hodge else w.eval_one())

@@ -38,11 +38,12 @@ factor-product recurrence, multiplies q-cells in place by factors
 (1 - c X^d q^n)^(+-1): at X = 1 it gives the majorants that size the
 widths, and on a ``_KronGrid``, rows of digits in two exponents, the
 cells of theta's product kernel and of partition's Hilbert series.
-``ucomb.verify_ab_identity`` checks A.B = P at the same kind of point
-X = 256^w, but never reads digits back: it takes its values from closed
-forms in plain integers, sums A.B by Horner's rule in the q-Pascal step,
-and sizes w by kron_width of the exact l1 norms of its nonnegative
-entries, so one integer comparison per entry decides.
+``ucomb`` takes A.B at the same kind of point X = 256^w, from closed
+forms in plain integers, with w sized by kron_width of the exact l1
+norms of its nonnegative entries: ``verify_ab_identity`` checks
+A.B = P there and never reads digits back, as one integer comparison
+per entry decides, and ``matrix_product_entry`` reads each A.B entry
+of the matrix route back once with kron_digits.
 """
 
 from __future__ import annotations

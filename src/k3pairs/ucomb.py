@@ -17,19 +17,23 @@ Matrix conventions (all entries UPoly, rows/columns indexed from 0, entry
 The B and P entries are computed exactly as displayed: full numerator
 product first, then one exact division (the individual ratio [k+2l]/[k+l]
 is generally not a polynomial); a failed division is a bug and raises
-InternalNonExactDivision.  ``matrix_entry``, the form the partition routes
-use, builds each entry as one whole-exponent list from the binomial lists
-that the closed route's cells and the kernel route's r = n column read
-too: convolved by rings._int_conv, times [a]/[b] as two shifted copies
-and the exact pass of rings (``_ratio``), and made a UPoly once at the
-end.  No u-integer or u-binomial is kept as a UPoly.
-``verify_ab_identity`` builds no UPoly: it takes the same
-closed forms as integers at X = 256^w, column by column, dividing with
-one exact divmod: each P core once per cell, each B core once per width
-and column.  It sums A(n).B for every n of a cell at once, by Horner's
-rule in the q-Pascal step that takes one binomial row to the next, so
-with one multiply per term of the sum, not per term and n.  Each B and
-P core is also a sum of two products of u-binomials,
+InternalNonExactDivision.  ``matrix_entry``, the closed-form API and
+the tests' oracle, builds each entry as one whole-exponent list from the
+binomial lists that the closed route's cells and the kernel route's
+r = n column read too: convolved by rings._int_conv, times [a]/[b] as
+two shifted copies and the exact pass of rings (``_ratio``), and made a
+UPoly once at the end.  No u-integer or u-binomial is kept as a UPoly.
+The matrix route reads no ``matrix_entry``: ``matrix_product_entry``
+takes each A(n).B entry as one integer at X = 256^w from the closed
+forms' values, and reads it back once with rings.kron_digits, so this
+module multiplies no UPoly.  ``verify_ab_identity`` builds no UPoly: it
+takes the same closed forms as integers at X = 256^w, column by column,
+dividing with one exact divmod: each P core once per cell, each B core
+once per width and column.  It sums A(n).B for every n of a cell at
+once, by Horner's rule in the q-Pascal step that takes one binomial row
+to the next, so with one multiply per term of the sum, not per term
+and n.  Each B and P core is also a sum of two products of
+u-binomials,
 
     B core = qbinom(k+l, l) + u^(k+l) qbinom(k+l-1, l-1)          (l >= 1)
     P core = qbinom(n+l, n) qbinom(k+l-1, n-1)
@@ -46,7 +50,8 @@ from math import comb
 from operator import neg, sub
 
 from .errors import InternalNonExactDivision, Mismatch, NotDivisible
-from .rings import UPoly, _divide_out, _from_list, _int_conv, kron_width
+from .rings import UPoly, _divide_out, _from_list, _int_conv, \
+    kron_digits, kron_width
 
 __all__ = [
     "matrix_entry",
@@ -131,21 +136,43 @@ def matrix_entry(kind: str, i: int, j: int, n: int | None = None) -> UPoly:
 def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
     """(A(n) . B)[i, j] computed as the actual finite product-sum.
 
+    The sum sum_m A(n)[i, m] B[m, j] over m = i + 2t <= j is taken as
+    one integer at X = 256^w, as ``verify_ab_identity`` takes it: each
+    term is [i+t, n](X) [m, t](X) read off the ``_values_at`` rows, times
+    B[m, j](X) = X^e v from ``_b_at_x``, and the one integer is read back
+    by ``kron_digits`` into the entry's coefficients of u^0 .. u^deg,
+    as no term has a negative or a half-integer exponent.
+    The readout is exact.  A and the B cores have nonnegative
+    coefficients (see verify_ab_identity), so the l1 norm of each term
+    is its value at 1, C(i+t, n) C(m, t) |B[m, j]|(1), and by the
+    triangle inequality no coefficient of the sum exceeds their total;
+    w is the least width with that total below X/2, so every base-X
+    digit lies in (-X/2, X/2), where digits are unique.  deg is the
+    largest top degree n(i+t-n) + t(m-t) + l'(l'-1)/2 + l'(m+1) of a
+    term, l' = (j - m)/2, so deg + 1 slots reach the top digit.  No
+    UPoly is multiplied.  The ``_values_at`` tables are taken at sizes
+    that are powers of two from 16, so each width keeps only a few.
+
     Memoized like ``matrix_entry``; callers never write to it.  The matrix
     route's entry P(n)[k+2r, k+2l] at rank r is its entry
     P(n)[(k+2)+2(r-1), (k+2)+2(l-1)] at rank r - 1, so the ranks of one n
     share their entries."""
     if i < 0 or j < i or (j - i) % 2:
         return UPoly.zero()
-    acc = UPoly.zero()
-    for m in range(i, j + 1, 2):
-        a = matrix_entry("A", i, m, n)
-        if not a:
-            continue
-        b = matrix_entry("B", m, j)
-        if b:
-            acc = acc + a * b
-    return acc
+    l = (j - i) // 2
+    if n > i + l:           # [i+t, n] = 0 for every t
+        return UPoly.zero()
+    width = kron_width(sum([comb(top, n) * w for top, w in _ab_terms(i, j)]))
+    bits = 8 * width
+    size = max(16, 1 << (j - 1).bit_length())
+    _, rows = _values_at(width, size)
+    acc = deg = 0
+    for t in range(max(n - i, 0), l + 1):   # [i+t, n] = 0 for i + t < n
+        m, lb = i + 2 * t, l - t
+        e, v = _b_at_x(m, j, width, size) if lb else (0, 1)  # B[j, j] = 1
+        acc += (rows[i + t][n] * rows[m][t] * v) << bits * e
+        deg = max(deg, n * (i + t - n) + t * (m - t) + e + lb * (m + 1))
+    return UPoly._of(kron_digits(acc, 0, 2, width, deg + 1))
 
 
 # -- the C-table ---------------------------------------------------------------
@@ -295,17 +322,24 @@ def _ab_at_x(n_max: int, i: int, a: list, b: list, bits: int) -> list:
     return w
 
 
+def _ab_terms(i: int, j: int) -> list:
+    """(i+t, C(m, t) |B[m, j]|(1)) for each m = i + 2t <= j: the top of
+    A's n-dependent factor [i+t, n](1), and the n-free rest
+    [m, t](1) |B[m, j]|(1) = C(m, t) (C(m+l', l') + C(m+l'-1, l'-1)),
+    l' = (j - m)/2, so that sum_t C(i+t, n) w_t bounds every coefficient
+    of sum_m A(n)[i, m] B[m, j]."""
+    l = (j - i) // 2
+    return [(i + t, comb(i + 2 * t, t) * (comb(i + l + t, l - t) + (
+        comb(i + l + t - 1, l - t - 1) if t < l else 0)))
+        for t in range(l + 1)]
+
+
 def _bounds(n_max: int, i: int, j: int) -> list:
     """For each n <= n_max, sum_m A(n)[i, m](1) |B[m, j]|(1) + P(n)[i, j](1),
     a bound on every coefficient of D = sum_m A(n)[i, m] B[m, j] - P(n)[i, j];
     see verify_ab_identity."""
     l = (j - i) // 2
-    # per m = i + 2t: the top i+t of A's n-dependent factor [i+t, n](1), and
-    # the n-free rest [m, t](1) |B[m, j]|(1) = C(m, t) (C(m+l', l')
-    # + C(m+l'-1, l'-1)) with l' = l - t
-    terms = [(i + t, comb(i + 2 * t, t) * (comb(i + l + t, l - t) + (
-        comb(i + l + t - 1, l - t - 1) if t < l else 0)))
-        for t in range(l + 1)]
+    terms = _ab_terms(i, j)
     out = []
     for n in range(n_max + 1):
         if n == 0:
@@ -385,9 +419,10 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     Only on a failure is the UPoly difference built, for the Mismatch
     location.  Raises ValueError for negative bounds, and Mismatch at the
     first failing cell in column order with its n, row and column, plus
-    the lowest differing doubled u-exponent ``u2`` when the UPoly entries
-    differ too (when they agree, the fault is in the evaluation and there
-    is no such exponent).
+    the lowest differing doubled u-exponent ``u2`` when the entry that
+    ``matrix_product_entry`` reads back differs from ``matrix_entry``'s
+    P too (when they agree, the fault is in this check's evaluation and
+    there is no such exponent).
     """
     if n_max < 0 or index_max < 0:
         raise ValueError(f"n_max and index_max must be >= 0 "

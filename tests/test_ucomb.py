@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 import k3pairs.ucomb as ucomb
 from k3pairs import reset_caches
 from k3pairs.errors import InternalNonExactDivision, Mismatch, NotDivisible
+from k3pairs.partition import g_via_matrices
 from k3pairs.rings import UPoly, _from_list
 from k3pairs.scalars import binomial
 from k3pairs.ucomb import _ab_at_x, _binomial_list, _bounds, _cell_at_x, \
     _q_pascal, _values_at, _width, c_table, matrix_entry, \
     matrix_product_entry, verify_ab_identity
+from k3pairs.verify import run_suite
 
 from ring_helpers import gauss_binomial, kron_eval, max_abs_int, \
     rank_c_table, u_int
@@ -88,13 +90,84 @@ def test_matrix_entries_are_laurent_with_int_coeffs():
                 assert all(type(v) is int for v in b.c.values())
 
 
+def _oracle_range():
+    """(n, i, j) for n <= 6 and 0 <= i <= j <= 30 with j - i even: 1792
+    entries, whose widths cross several byte steps."""
+    return [(n, i, j) for n in range(7) for i in range(31)
+            for j in range(i, 31, 2)]
+
+
 def test_product_route_matches_closed_form_small():
-    for n in (0, 1, 2, 3):
-        for i in range(0, 10):
-            for j in range(i, 10, 2):
-                want = matrix_entry("P", i, j, n)
-                got = matrix_product_entry(n, i, j)
-                assert got == want, (n, i, j)
+    cases = _oracle_range()
+    assert len(cases) == 1792
+    for n, i, j in cases:
+        want = matrix_entry("P", i, j, n)
+        got = matrix_product_entry(n, i, j)
+        assert got == want, (n, i, j)
+
+
+def test_matrix_route_builds_no_upoly_entry():
+    """The matrix route reads each A(n).B entry back from one integer at
+    X: from cold caches, g_via_matrices fills the product memo and builds
+    no A or B entry as a UPoly."""
+    reset_caches()
+    g_via_matrices(4, 2, 12, 8)
+    assert matrix_product_entry.cache_info().currsize > 0
+    assert matrix_entry.cache_info().currsize == 0
+
+
+def _some_entry_is_wrong():
+    """Some entry of the oracle range is not the closed-form P entry: it
+    reads back other coefficients, or its digits overrun the bytes that
+    kron_digits was given, which to_bytes refuses (OverflowError)."""
+    for n, i, j in _oracle_range():
+        try:
+            got = matrix_product_entry(n, i, j)
+        except OverflowError:
+            return
+        if got != matrix_entry("P", i, j, n):
+            return
+    pytest.fail("every entry read back as the closed form")
+
+
+def _routes_fail_at_the_matrix_route():
+    """Rank (1, 0) reads B[1, 3] in its q^2 y^1 cell, the entry
+    shifted by q^2's u^-2, so the u^0 added to B[1, 3] is u^-2 there:
+    the doubled exponent u2 = -4."""
+    report = run_suite("routes", n=3, qorder=8, ywin=6)
+    assert not report["ok"]
+    last = report["results"][-1]
+    assert last["message"].startswith(
+        "closed and matrix routes at rank (1, 0) disagree")
+    assert last["location"] == {"q": 2, "y": 1, "u2": -4}
+
+
+def _core_plus_one(real):
+    """_b_at_x with 1 added to the core of B[1, 3]: u^0 added to it."""
+    def lie(m, j, width, size):
+        e, v = real(m, j, width, size)
+        return (e, v + 1) if (m, j) == (1, 3) else (e, v)
+    return lie
+
+
+@pytest.mark.parametrize(
+    "name, lie, caught",
+    [("kron_width", lambda real: lambda bound: max(real(bound) - 1, 1),
+      _some_entry_is_wrong),
+     ("kron_digits",
+      lambda real: lambda v, lo, step, width, slots:
+          real(v, lo, step, width, slots - 1),
+      _some_entry_is_wrong),
+     ("_b_at_x", _core_plus_one, _routes_fail_at_the_matrix_route)],
+    ids=["width-one-byte-narrower", "one-slot-fewer", "b-core-plus-one"],
+)
+def test_matrix_product_entry_catches_lies(cold_monkeypatch, name, lie,
+                                           caught):
+    """The readout of matrix_product_entry is no wider than it must be:
+    one byte narrower (from width 2 up) or one slot fewer, some entry is
+    wrong.  A lie in one B core at X fails the matrix route's check."""
+    cold_monkeypatch.setattr(ucomb, name, lie(getattr(ucomb, name)))
+    caught()
 
 
 def test_verify_ab_identity_small():
