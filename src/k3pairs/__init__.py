@@ -25,12 +25,10 @@ from .series import QSeries  # noqa: F401
 def reset_caches() -> None:
     """Empty every module cache of the package: each lru_cache table of
     its loaded modules, found through ``cache_info`` so that a cache added
-    later is emptied too, and the Hilbert series that ``partition`` grows
-    on demand.  No result depends on them; a cold start needs this, and
-    so does a test that patches what a cached function reads."""
+    later is emptied too.  No result depends on them; a cold start needs
+    this, and so does a test that patches what a cached function reads."""
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + ".") and module is not None:
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_info", None)):
                     obj.cache_clear()
-    partition._hilb_cache.update(order=0, series=QSeries(0, []))

@@ -42,16 +42,15 @@ No route reads another's memo beyond the kernel route's r = n column.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
-truncations.  ``f_via_matrices`` gives F itself, S times the matrix
-route embedded in the (t, tb) ring, and the coherent-system table reads
-each of its cells off F: the (g, k) cell is (t tb)^g times F's
-q^(g-1) y^k coefficient; Euler mode builds F over Z at t = tb = 1.
+truncations.  The coherent-system table's (g, k) cell is (t tb)^g times
+F's q^(g-1) y^k coefficient, F = S*G, summed by one integer loop over
+the matrix route's entries: at t = tb = 1 in Euler mode, on the packed
+cells of S in Hodge mode.  ``f_via_matrices`` gives F itself.
 
 S, the Hodge series of the Hilbert schemes of points, is Göttsche's
 product formula, applied in place by ``rings.kron_product`` to cells
-packed in the exponents of t and tb; at 1 it is prod (1 - q^m)^{-24},
-the Euler mode's S, built as prod (1 - q^m)^{-3} and squared three
-times.
+packed in (p - q)/2 and q for t^p tb^q, so u = t tb is one digit; at 1
+it is prod (1 - q^m)^{-24}, prod (1 - q^m)^{-3} squared three times.
 """
 
 from functools import lru_cache
@@ -74,43 +73,47 @@ __all__ = ["s_series", "syst_hodge", "syst_euler", "syst_table", "g_closed",
 # ---------------------------------------------------------------------------
 # Hilbert schemes of points
 
-# (t, tb)-exponent shifts of the monomials a in the factors 1/(1 - a q^m)
-# of the Hodge generating series besides the 20-fold a = 1: u^{-1},
-# t^2 u^{-1} = t/tb, tb/t and u.  The diagonal variable u = t*tb never
-# appears alone.
-_HODGE_SHIFTS = ((-1, -1), (1, -1), (-1, 1), (1, 1))
-
-_hilb_cache: dict = {"order": 0, "series": QSeries(0, [])}
+# Shifts of (a, b) = ((p - q)/2, q), for t^p tb^q, by the monomials M of
+# the Hodge series' factors 1/(1 - M q^m) besides the 20-fold M = 1:
+# u^{-1}, t/tb, tb/t and u.  p - q is even, and u = t*tb is one digit.
+_HODGE_SHIFTS = ((0, -1), (1, -1), (-1, 1), (0, 1))
 
 
-def _hilbert_series(qorder: int) -> QSeries:
-    """Hodge series of the Hilbert schemes, q^m-coefficient c(m)*(t tb)^{-m}.
+def _euler_s(top: int) -> list:
+    """prod (1 - q^m)^{-24} through q^top, S at t = tb = 1: the product
+    prod (1 - q^m)^{-3} in three passes, squared three times."""
+    s = kron_product([1] + [0] * top, (), ((1, 0),) * 3)
+    for _ in range(3):
+        s = _int_conv(s, s, top + 1)
+    return s
 
-    Göttsche's product on one packed grid in the exponents (p, q) of t
-    and tb: the cells start as the integer series prod (1 - q^m)^{-20},
-    and the four factors 1/(1 - a q^m) are one kron_product.  The entries
-    of the q^m cell are positive and sum to its Euler number, the
-    coefficient of prod (1 - q^m)^{-24}, so that series sizes the byte
-    width.  Cached and grown on demand; callers get a truncation of one
-    shared computation so repeated table builds stay cheap.
-    """
-    if _hilb_cache["order"] < qorder:
-        target = max(qorder, 2 * _hilb_cache["order"], 8)
-        seed = kron_product([1] + [0] * (target - 1), (), ((1, 0),) * 20)
-        width = kron_width(max(kron_product(seed[:], (), ((1, 0),) * 4)))
-        grid = _KronGrid(seed, (), _HODGE_SHIFTS, target - 1, width)
-        _hilb_cache["order"] = target
-        _hilb_cache["series"] = QSeries(0, [
-            TTPoly({(p, q): c for p, row in grid.read(v, m, m).items()
-                    for q, c in row.items()})
-            for m, v in enumerate(grid.cells)])
-    return _hilb_cache["series"].truncate(qorder)
+
+def _hilbert_grid(top: int, bspan: int, width: int) -> _KronGrid:
+    """Göttsche's product as the packed cells q^0 .. q^top: the q^m cell
+    is c(m) (t tb)^{-m}, c(m) the Hodge polynomial of the Hilbert scheme
+    of m points, whose positive entries sum to its Euler number.  The
+    seed prod (1 - q^m)^{-20} times the four factors, one kron_product."""
+    seed = kron_product([1] + [0] * top, (), ((1, 0),) * 20)
+    return _KronGrid(seed, (), _HODGE_SHIFTS, bspan, width)
+
+
+def _tt(entries: dict, shift: int) -> TTPoly:
+    """The TTPoly (t tb)^shift sum c t^{2a+b} tb^b of {a: {b: c}}."""
+    return TTPoly._of({(2 * a + b + shift, b + shift): c
+                       for a, row in entries.items() for b, c in row.items()})
 
 
 def s_series(qorder: int) -> QSeries:
     """The series S: the coefficient of q^(g-1) is (t tb)^{-g} times the
     Hodge polynomial of the Hilbert scheme of g points on a K3."""
-    return _hilbert_series(qorder + 1).shift(-1)
+    if qorder < 0:
+        if qorder < -1:
+            raise ValueError(f"S starts at q^-1: qorder must be >= -1 "
+                             f"(got qorder={qorder})")
+        return QSeries(-1, [])
+    grid = _hilbert_grid(qorder, qorder, kron_width(max(_euler_s(qorder))))
+    return QSeries(-1, [_tt(grid.read(v, m, m), 0)
+                        for m, v in enumerate(grid.cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +142,8 @@ def _table_cells(n: int, r: int, gmax: int, kmin: int, kmax: int,
         raise ValueError(f"k-range constraint kmin <= kmax violated "
                          f"(kmin={kmin}, kmax={kmax})")
     f = _s_times_g(n, r, gmax, kmin, kmax, hodge)
-    twist = TTPoly.mono if hodge else lambda g, _: 1
-    return [(g, k, twist(g, g) * f.get(g - 1, {}).get(k, 0))
+    zero = TTPoly() if hodge else 0
+    return [(g, k, f.get(g, {}).get(k, zero))
             for g in range(gmax + 1) for k in range(kmin, kmax + 1)]
 
 
@@ -226,8 +229,9 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
 
 def _g_matrix_cells(n: int, r: int, qorder: int, kmin: int,
                     kmax: int) -> dict:
-    """{q-exponent: {k: UPoly}} cells of the matrix route, kmin <= k <= kmax;
-    the term l of the y^k column sits at q^{l^2+l|k|}, one entry a cell."""
+    """{q-exponent: {k: UPoly}} entries of the matrix route, kmin <= k <= kmax:
+    the term l of the y^k column sits at q^{l^2+l|k|}, one entry a cell,
+    and is that entry unshifted, u^{l^2+l|k|} times G's cell."""
     cells: dict = {}
     for k in range(kmin, kmax + 1):
         a, l = abs(k), (r if k >= 0 else n - r)
@@ -235,8 +239,7 @@ def _g_matrix_cells(n: int, r: int, qorder: int, kmin: int,
         while l * l + l * a < qorder:
             w = matrix_product_entry(n, row, a + 2 * l)
             if w:
-                qe = l * l + l * a
-                cells.setdefault(qe, {})[k] = w.shift(-2 * qe)
+                cells.setdefault(l * l + l * a, {})[k] = w
             l += 1
     return cells
 
@@ -251,52 +254,70 @@ def g_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """
     _check_rank(n, r)
     _check_ywin(ywin)
-    return _cells_to_series(_g_matrix_cells(n, r, qorder, -ywin, ywin), 0,
-                            qorder)
+    cells = _g_matrix_cells(n, r, qorder, -ywin, ywin)
+    return _cells_to_series(
+        {qe: {k: w.shift(-2 * qe) for k, w in col.items()}
+         for qe, col in cells.items()}, 0, qorder)
 
 
-def _s_times_g(n: int, r: int, qorder: int, kmin: int, kmax: int,
+def _s_times_g(n: int, r: int, gmax: int, kmin: int, kmax: int,
                hodge: bool) -> dict:
-    """{q-exponent: {k: cell}} cells of F = S*G below q^qorder on the
-    y-columns kmin..kmax, TTPoly if ``hodge`` is set, else ints at
-    t = tb = 1, where S is Göttsche's prod (1 - q^m)^{-24}.  A y-column
-    of F is S times the same column of G alone, and S is needed only up
-    to qorder minus G's lowest q-power."""
-    g = _g_matrix_cells(n, r, qorder + 1, kmin, kmax)
+    """{g: {k: cell}}, g <= gmax, of the nonzero table cells on the
+    y-columns kmin..kmax: TTPoly if ``hodge`` is set, else ints.
+
+    The cell (g, k), (t tb)^g times F's q^(g-1) y^k cell, is
+    sum_l c(g - qe) P_l over the entries P_l of G's y^k column at q^qe,
+    unshifted: G's u^{-qe} and S's (t tb)^{qe-g} cancel the (t tb)^g.
+    One loop sums it, over ints at t = tb = 1, then, if ``hodge`` is
+    set, over the Hilbert grid's cells times P_l(X), each shifted down qe
+    digits from u^{-m} to u^{-g}.  S and the P_l are nonnegative, so the
+    largest Euler cell bounds every digit and sizes the width, and b
+    runs over -g .. g - 2 qe + deg P_l.  Each cell is read back once.
+    """
+    g = _g_matrix_cells(n, r, gmax + 1, kmin, kmax)
     if not g:
         return {}
-    top = qorder - min(g)
-    if hodge:
-        s = s_series(top)
-    else:   # prod (1 - q^m)^{-3} in three passes, then squared three times
-        s = kron_product([1] + [0] * top, (), ((1, 0),) * 3)
-        for _ in range(3):
-            s = _int_conv(s, s, top + 1)
-        s = QSeries(-1, s)
-    cells: dict = {}
-    for qe, col in g.items():
-        col = [(k, w.to_tt() if hodge else w.eval_one())
-               for k, w in col.items()]
-        for m in range(-1, qorder - qe):
-            c = s.coeff(m)
-            if not c:
-                continue
-            dst = cells.setdefault(m + qe, {})
-            for k, w in col:
-                dst[k] = dst[k] + c * w if k in dst else c * w
-    return cells
+    top = gmax - min(g)
+
+    def sum_terms(s, pack, bits):
+        cells: dict = {}
+        for qe, col in g.items():
+            col, shift = [(k, pack(w)) for k, w in col.items()], bits * qe
+            for m, c in enumerate(s[:gmax + 1 - qe]):
+                dst = cells.setdefault(m + qe, {})
+                for k, w in col:
+                    x = c * w >> shift
+                    dst[k] = dst[k] + x if k in dst else x
+        return cells
+
+    cells = sum_terms(_euler_s(top), UPoly.eval_one, 0)
+    if not hodge:
+        return cells
+    width = kron_width(max(max(col.values()) for col in cells.values()))
+    bits = 8 * width
+    bspan = gmax + max(0, max(max(w.c) // 2 - 2 * qe
+                              for qe, col in g.items() for w in col.values()))
+    grid = _hilbert_grid(top, bspan, width)
+    cells = sum_terms(grid.cells, lambda w: sum(
+        [v << bits * (e // 2) for e, v in w.c.items()]), bits)
+    # rows |a| <= g - qe of a cell lie within the grid's own q^top cell
+    return {j: {k: _tt(grid.read(v, min(j, top), j), j)
+                for k, v in col.items()} for j, col in cells.items()}
 
 
 def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     """Raw partition function F: S times the matrix route of G.
 
     Coefficients live in the (t, tb) ring via u = t*tb; F starts at
-    q^{-1}, one order below G, because S does.
+    q^{-1}, one order below G, because S does.  Its q^(g-1) cells are the
+    table's Hodge cells at genus g, times (t tb)^{-g}.
     """
     _check_rank(n, r)
     _check_ywin(ywin)
-    return _cells_to_series(_s_times_g(n, r, qorder, -ywin, ywin, True),
-                            -1, qorder)
+    cells = _s_times_g(n, r, qorder, -ywin, ywin, True)
+    return _cells_to_series({g - 1: {
+        k: TTPoly._of({(p - g, q - g): v for (p, q), v in h.c.items()})
+        for k, h in col.items()} for g, col in cells.items()}, -1, qorder)
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ holds what they share: the exponent-key -> nonzero-coefficient dict,
 equality (with int and Fraction read as constants), truthiness,
 coefficient access, +, -, scalar scaling and value at 1.  ``UPoly`` and
 ``YPoly`` multiply through its one loop on int exponent keys; ``TTPoly``,
-whose keys are pairs, keeps its own:
+whose keys are pairs, has no product:
 
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
   exponents allowed.  Exponents are stored *doubled* (the key 3 means
@@ -21,7 +21,8 @@ whose keys are pairs, keeps its own:
   u-derivatives at u = 1 up to tmax come from one pass over the terms,
   summed over Z with the falling factorials built up over the orders.
 * ``TTPoly`` — Laurent polynomials in two variables (t, tb), the Hodge
-  variables.  u embeds as t*tb.
+  variables: the container that partition returns and prints its Hodge
+  cells in, built from packed digits, never multiplied.
 * ``YPoly`` — Laurent polynomials in y with coefficients in any ring that
   supports +, unary -, * and truthiness.  A product keeps every term;
   callers that want a y-window truncate where they make the terms, or
@@ -30,14 +31,16 @@ whose keys are pairs, keeps its own:
 ``kron_digits`` reads a signed big integer back as its nonzero base-X
 digits at X = 256^w, with a bias of X/2 per digit; it is exact when every
 digit lies below X/2 in absolute value.  The zero digits are skipped in C:
-the biased integer XOR the bias is zero on exactly their bytes, and a byte
-regex finds the nonzero runs, so its Python loop runs once per nonzero
-digit, however many slots the integer spans.  ``kron_width`` is the least
-w that gives a digit bound that room.  ``kron_product``, the one
+the biased integer XOR the bias is zero on exactly their bytes, each
+digit's bytes are ORed onto its lowest, and a byte regex over every w-th
+byte finds the runs of nonzero digits, so its Python loop runs once per
+nonzero digit, however many slots the integer spans.  ``kron_width`` is
+the least w that gives a digit bound that room.  ``kron_product``, the one
 factor-product recurrence, multiplies q-cells in place by factors
 (1 - c X^d q^n)^(+-1): at X = 1 it gives the majorants that size the
 widths, and on a ``_KronGrid``, rows of digits in two exponents, the
-cells of theta's product kernel and of partition's Hilbert series.
+cells of theta's product kernel and of partition's Hilbert series, whose
+cells partition's coherent-system table multiplies by packed integers.
 ``ucomb`` takes A.B at the same kind of point X = 256^w, from closed
 forms in plain integers, with w sized by kron_width of the exact l1
 norms of its nonnegative entries: ``verify_ab_identity`` checks
@@ -75,19 +78,26 @@ def kron_digits(n: int, emin: int, step: int, width: int, slots: int) -> dict:
     Exact when every digit has absolute value below X/2: adding X/2 to each
     of the ``slots`` digits makes them all lie in [0, X), where base-X
     digits are unique.  A digit is zero exactly where its biased bytes
-    equal the bias, so the biased integer XOR the bias has a zero byte
-    wherever a zero digit lies, and a nonzero run of its bytes covers only
-    nonzero digits.  The runs are found by a byte regex, and the loop
-    below runs once per nonzero digit, not once per slot.
+    equal the bias, so the biased integer XOR the bias is zero on exactly
+    the bytes of the zero digits.  Each digit's bytes are ORed onto its
+    lowest byte, by shifts that each at most double the bytes covered and
+    never reach past the digit's own top byte into the next digit, and a
+    byte regex over every width-th byte finds the runs of nonzero digits:
+    the loop below runs once per nonzero digit, not once per slot.
     """
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
     size = slots * width
     biased = n + bias
     buf = biased.to_bytes(size, "little")
+    z, reach = biased ^ bias, 1
+    while reach < width:
+        shift = min(reach, width - reach)
+        z |= z >> (8 * shift)
+        reach += shift
     out = {}
-    for run in _NONZERO.finditer((biased ^ bias).to_bytes(size, "little")):
-        for s in range(run.start() // width, (run.end() - 1) // width + 1):
+    for run in _NONZERO.finditer(z.to_bytes(size, "little")[::width]):
+        for s in range(run.start(), run.end()):
             out[emin + s * step] = int.from_bytes(
                 buf[s * width:(s + 1) * width], "little") - half
     return out
@@ -123,9 +133,10 @@ class _KronGrid:
     with |a| <= j and |b| <= j.  Entry (a, b) is digit
     origin + a*row + b at X = 256^width: one row of row = 2*bspan + 1
     digits per a after another, with (0, 0) at digit ``origin``, where
-    bspan is len(seed) - 1, or 0 for a product in a alone, whose rows are
-    one digit.  The whole support fits, so no window is needed, and each
-    M is a shift by da*row + db digits in one kron_product.
+    bspan is at least len(seed) - 1, or 0 for a product in a alone, whose
+    rows are one digit.  The whole support fits, so no window is needed,
+    and each M is a shift by da*row + db digits in one kron_product; a
+    wider bspan leaves room to multiply the cells by powers of X.
     """
 
     def __init__(self, seed: list, num, den, bspan: int, width: int):
@@ -302,15 +313,6 @@ class UPoly(_Sparse):
         return [Fraction(x, d) if t <= frac_top else x // d
                 for t, x in enumerate(sums)]
 
-    def to_tt(self) -> "TTPoly":
-        """Embed via u -> t*tb (integer exponents required)."""
-        out = {}
-        for e2, v in self.c.items():
-            if e2 % 2:
-                raise ValueError("u -> t*tb embedding needs integer exponents")
-            out[(e2 // 2, e2 // 2)] = v
-        return TTPoly._of(out)
-
     def __str__(self):
         return _join_terms(_coeff_str(self.c[e], e != 0) + _u_mono(e)
                            for e in sorted(self.c))
@@ -385,31 +387,6 @@ class TTPoly(_Sparse):
 
     __slots__ = ()
     KEY0 = (0, 0)
-
-    @classmethod
-    def mono(cls, p: int, q: int, v=1):
-        return cls({(p, q): v})
-
-    def __mul__(self, other):
-        if not isinstance(other, TTPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return self._scale(other)
-        a, b = self.c, other.c
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for (p1, q1), va in a.items():
-            for (p2, q2), vb in b.items():
-                e = (p1 + p2, q1 + q2)
-                w = out.get(e, 0) + va * vb
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        return TTPoly._of(out)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         parts = []

@@ -18,7 +18,9 @@ A factor with ring-valued cells multiplies term by term in its ring.
 
 Coefficients may be int, Fraction, UPoly, TTPoly, YPoly, or nested
 QSeries (a power series in v over q-series is just a QSeries with var "v"
-whose coefficients are QSeries with var "q").  A series in v made by
+whose coefficients are QSeries with var "q").  TTPoly has no product, so
+a series of TTPoly cells, as ``partition`` returns S and F, is added,
+cut and compared but never multiplied.  A series in v made by
 v_substitute_qmajor stores at v^s the rational c whose value is i^s * c:
 it is the series in w = iv, so products of v-series stay index-additive.
 

@@ -1,14 +1,45 @@
-"""Coefficient properties of ring elements, the Kronecker evaluation of
-an exponent dict at X = 256^w, the exact division of a UPoly by a chain
-of factors u^{d/2} - 1, a Gaussian-binomial oracle built by the q-Pascal
-rule, the kernel route's weight table at any rank by its own recursion,
-and the Euler-characteristic oracle of S, that only the tests ask
-about."""
+"""Coefficient properties of ring elements, the (t, tb) product and the
+embedding u -> t*tb that the oracles of the Hodge series multiply with,
+the Kronecker evaluation of an exponent dict at X = 256^w, the exact
+division of a UPoly by a chain of factors u^{d/2} - 1, a
+Gaussian-binomial oracle built by the q-Pascal rule, the kernel route's
+weight table at any rank by its own recursion, and the
+Euler-characteristic oracle of S, that only the tests ask about."""
 
+from fractions import Fraction
 from functools import lru_cache
 from operator import neg
 
-from k3pairs.rings import UPoly, _divide_out, _from_list
+from k3pairs.rings import TTPoly, UPoly, _divide_out, _from_list
+
+
+class TTRing(TTPoly):
+    """A TTPoly with the (t, tb) product, which the library's TTPoly does
+    not have: the ring of the tests' Hodge-series oracles.  It equals the
+    TTPoly with the same terms."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        if not isinstance(other, TTPoly):
+            return NotImplemented
+        out: dict = {}
+        for (p1, q1), va in self.c.items():
+            for (p2, q2), vb in other.c.items():
+                e = (p1 + p2, q1 + q2)
+                out[e] = out.get(e, 0) + va * vb
+        return TTRing(out)
+
+    __rmul__ = __mul__
+
+
+def to_tt(p) -> TTRing:
+    """The UPoly p embedded by u -> t*tb (integer exponents required)."""
+    if any(e2 % 2 for e2 in p.c):
+        raise ValueError("u -> t*tb embedding needs integer exponents")
+    return TTRing({(e2 // 2, e2 // 2): v for e2, v in p.c.items()})
 
 
 def max_abs_int(p) -> int:

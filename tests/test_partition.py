@@ -1,21 +1,24 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import k3pairs.partition as partition
+from k3pairs import reset_caches
 from k3pairs.errors import Mismatch, NonExactDivision, UnsupportedRank
-from k3pairs.partition import _hilbert_series, euler_g_column, \
-    f_via_matrices, g_closed, g_via_kernels, g_via_matrices, ky_product, \
-    mirror_series, s_series, syst_euler, syst_hodge, syst_table
-from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_width
+from k3pairs.partition import euler_g_column, f_via_matrices, g_closed, \
+    g_via_kernels, g_via_matrices, ky_product, mirror_series, s_series, \
+    syst_euler, syst_hodge, syst_table
+from k3pairs.rings import Monomial, TTPoly, UPoly, YPoly, kron_product, \
+    kron_width
 from k3pairs.series import QSeries
 from k3pairs.theta import log_phi_product, phi_bilateral, phi_product, psi
 from k3pairs.ucomb import matrix_entry
 from k3pairs.verify import run_suite
 
-from ring_helpers import all_nonneg_int, div_u_pow_minus_one, \
+from ring_helpers import TTRing, all_nonneg_int, div_u_pow_minus_one, \
     gauss_binomial, inverse_pochhammer_24, palindromic_twist, rank_c_table, \
-    u_int
+    to_tt, u_int
 
 
 # -- Hilbert schemes of points ----------------------------------------------
@@ -24,8 +27,8 @@ def hilb_hodge(m):
     """Hodge polynomial of the Hilbert scheme of m points on a K3, read
     off S; negative m counts an empty moduli space and gives 0."""
     if m < 0:
-        return TTPoly.zero()
-    return s_series(m).coeff(m - 1) * TTPoly.mono(m, m)
+        return TTRing.zero()
+    return TTRing(s_series(m).coeff(m - 1).c) * TTRing({(m, m): 1})
 
 
 def test_hilb_hodge_small():
@@ -48,69 +51,52 @@ def test_hilb_hodge_euler_oracle():
 def _hilbert_by_products(qorder):
     """The Hodge series as whole-series products, one factor at a time."""
     def geometric(mono, m):
-        cells, acc, j = {}, TTPoly.one(), 0
+        cells, acc, j = {}, TTRing.one(), 0
         while m * j < qorder:
             cells[m * j] = acc
             acc = acc * mono
             j += 1
         return QSeries.from_dict(cells, 0, qorder)
 
-    f = QSeries.from_dict({0: TTPoly.one()}, 0, qorder)
+    f = QSeries.from_dict({0: TTRing.one()}, 0, qorder)
     for m in range(1, qorder):
         for (p, q), mult in (((-1, -1), 1), ((1, -1), 1), ((0, 0), 20),
                              ((-1, 1), 1), ((1, 1), 1)):
-            f = f * (geometric(TTPoly.mono(p, q), m) ** mult)
+            f = f * (geometric(TTRing({(p, q): 1}), m) ** mult)
     return f
-
-
-def _cold_cache(monkeypatch):
-    monkeypatch.setitem(partition._hilb_cache, "order", 0)
-    monkeypatch.setitem(partition._hilb_cache, "series", QSeries(0, []))
 
 
 def test_hilbert_series_matches_whole_series_products():
     oracle = _hilbert_by_products(17)
-    built = _hilbert_series(17)
-    assert built.order == 17
+    built = s_series(16)
+    assert built.order == 16
     for m in range(17):
-        assert built.coeff(m) == oracle.coeff(m), m
-
-
-def test_hilbert_series_growth_matches_a_cold_build(monkeypatch):
-    _cold_cache(monkeypatch)
-    cold = _hilbert_series(20)
-    _cold_cache(monkeypatch)
-    _hilbert_series(5)
-    assert partition._hilb_cache["order"] == 8
-    assert _hilbert_series(20) == cold
+        assert built.coeff(m - 1) == oracle.coeff(m), m
 
 
 @pytest.mark.parametrize("target,width", [(15, 5), (16, 6)])
-def test_hilbert_series_where_its_byte_width_steps(monkeypatch, target, width):
+def test_hilbert_series_where_its_byte_width_steps(target, width):
     # S is packed at kron_width of prod (1 - q^m)^-24 below q^target,
-    # which steps from 5 to 6 bytes between these two cold builds
+    # which steps from 5 to 6 bytes between these two builds
     euler = inverse_pochhammer_24(target)
     assert kron_width(max(euler)) == width
-    _cold_cache(monkeypatch)
-    built = _hilbert_series(target)
-    assert partition._hilb_cache["order"] == target
+    built = s_series(target - 1)
+    assert built.order == target - 1
     oracle = _hilbert_by_products(target)
     for m in range(target):
-        cell = built.coeff(m)
+        cell = built.coeff(m - 1)
         assert cell == oracle.coeff(m), m
         assert all(v > 0 for v in cell.c.values()), m
         assert sum(cell.c.values()) == euler[m], m
 
 
-def test_s_series_below_its_lowest_exponent(monkeypatch):
-    for warm in (False, True):
-        _cold_cache(monkeypatch)
-        if warm:
-            s_series(3)
-        empty = s_series(-1)
-        assert (empty.lower, empty.order) == (-1, -1), warm
-        with pytest.raises(ValueError):
-            s_series(-5)
+def test_s_series_below_its_lowest_exponent():
+    empty = s_series(-1)
+    assert (empty.lower, empty.order) == (-1, -1)
+    assert s_series(0).coeffs == [TTPoly.one()]
+    for qorder in (-2, -5):
+        with pytest.raises(ValueError, match=rf"qorder.*{qorder}"):
+            s_series(qorder)
 
 
 def test_hilb_hodge_palindromic():
@@ -124,7 +110,7 @@ def test_s_series_shape():
     assert s.lower == -1 and s.order == 5
     assert s.coeff(-1) == TTPoly.one()
     for g in range(6):
-        assert s.coeff(g - 1) == hilb_hodge(g) * TTPoly.mono(-g, -g)
+        assert s.coeff(g - 1) == hilb_hodge(g) * TTRing({(-g, -g): 1})
 
 
 # -- coherent-system tables --------------------------------------------------
@@ -159,12 +145,12 @@ def _syst_hodge_by_p_sum(n, r, g, k):
     by the dual-system isomorphism."""
     if k < 0:
         k, r = -k, n - r
-    total = TTPoly.zero()
+    total = TTRing.zero()
     l = r
     while l * l + l * k <= g:
         p = matrix_entry("P", k + 2 * r, k + 2 * l, n)
         if p:
-            total = total + p.to_tt() * hilb_hodge(g - l * l - l * k)
+            total = total + to_tt(p) * hilb_hodge(g - l * l - l * k)
         l += 1
     return total
 
@@ -204,13 +190,28 @@ def test_syst_hodge_matches_product_route():
 
 
 def test_syst_hodge_positive_palindromic():
-    for n in (1, 2):
+    """Every nonzero Hodge cell E = sum h^{p,q} t^p tb^q of every rank
+    with n <= 4, g <= 12 and |k| <= 6 has positive integer entries, is
+    symmetric under t <-> tb, has only even p + q and h^{0,0} = 1, and is
+    palindromic, h^{p,q} = h^{D-p,D-q}, about
+    D = 2g + (n - 2r)k - n^2 + 2r(n - r)."""
+    cells = nonzero = 0
+    for n in range(1, 5):
         for r in range(n + 1):
-            for g in range(5):
-                for k in range(-3, 4):
-                    h = syst_hodge(n, r, g, k)
-                    assert all_nonneg_int(h)
-                    assert palindromic_twist(h) is not None
+            for g, k, h in partition._table_cells(n, r, 12, -6, 6, True):
+                cells += 1
+                if not h:
+                    continue
+                key = (n, r, g, k)
+                assert all_nonneg_int(h), key
+                assert all(h.c.get((q, p)) == v
+                           for (p, q), v in h.c.items()), key
+                assert all((p + q) % 2 == 0 for p, q in h.c), key
+                assert h.c.get((0, 0)) == 1, key
+                d = 2 * g + (n - 2 * r) * k - n * n + 2 * r * (n - r)
+                assert palindromic_twist(h) == d, key
+                nonzero += 1
+    assert (cells, nonzero) == (2366, 1151)
 
 
 def test_syst_table_rows():
@@ -224,23 +225,22 @@ def test_syst_table_rows():
 
 def test_empty_table_builds_no_hilbert_series(monkeypatch):
     # no G column reaches y^100 below q^45, so F has no cell and S is
-    # never needed
-    _cold_cache(monkeypatch)
-    rows = syst_table(3, 1, 45, 100, 100)
-    assert [(row["g"], row["value"]) for row in rows] == \
-        [(g, 0) for g in range(46)]
-    assert partition._hilb_cache["order"] == 0
-    # the Euler mode runs at t = tb = 1: it never builds the Hodge S, and
-    # reaches neither the (t, tb) ring nor the embedding into it
+    # never needed, in either mode
     def refuse(*args):
-        raise AssertionError("the Euler table reached the (t, tb) ring")
+        raise AssertionError("a table reached a ring it does not need")
 
-    for owner, name in ((partition, "s_series"), (UPoly, "to_tt"),
-                        (TTPoly, "__mul__"), (TTPoly, "__rmul__")):
-        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(partition, "kron_product", refuse)
+    for hodge, zero in ((False, 0), (True, "0")):
+        rows = syst_table(3, 1, 45, 100, 100, hodge)
+        assert [(row["g"], row["value"]) for row in rows] == \
+            [(g, zero) for g in range(46)]
+    monkeypatch.undo()
+    # the Euler mode runs at t = tb = 1: it never builds the Hilbert
+    # grid, and makes no TTPoly
+    monkeypatch.setattr(partition, "_hilbert_grid", refuse)
+    monkeypatch.setattr(partition, "TTPoly", refuse)
     rows = syst_table(3, 1, 20, -2, 2)
     assert sum(1 for row in rows if row["value"]) == 82
-    assert partition._hilb_cache["order"] == 0
 
 
 @pytest.mark.parametrize("build,match", [
@@ -304,7 +304,7 @@ def test_f_via_matrices_bottom_row():
     # q^{-1} of F equals q^0 of G: S leads with 1.q^{-1}, and the only
     # q^0 lattice entries are the diagonal P[k, k] = [k]
     assert f.coeff(-1) == YPoly(
-        {k: u_int(k).to_tt() for k in range(1, 5)})
+        {k: to_tt(u_int(k)) for k in range(1, 5)})
 
 
 def test_routes_agree():
@@ -477,13 +477,13 @@ def test_g_closed_names_the_cell_that_fails(cold_monkeypatch):
 def to_tt_series(f):
     """Embed a u-Laurent-valued q-series into the (t, tb) ring."""
     return f.map_coeffs(
-        lambda col: YPoly({e: v.to_tt() for e, v in col.c.items()}))
+        lambda col: YPoly({e: to_tt(v) for e, v in col.c.items()}))
 
 
 def test_f_divided_by_s_is_the_matrix_route():
     # F = S * G exactly: the generic series product of S with the matrix
     # route of G, embedded via u = t*tb, is F on q^-1..q^7
-    s = s_series(9)
+    s = s_series(9).map_coeffs(lambda h: TTRing(h.c))
     for n in (1, 2, 3):
         for r in range(n + 1):
             sg = s * to_tt_series(g_via_matrices(n, r, 9, 6))
@@ -508,22 +508,22 @@ def _cut(f, qorder, ywin):
     return f.truncate(qorder).map_coeffs(lambda c: c.restrict(ywin))
 
 
-def test_smaller_windows_restrict_one_wider_build(monkeypatch):
+def test_smaller_windows_restrict_one_wider_build():
     """S, F, Phi and log Phi built at every second (qorder, ywin) below
-    one wider build equal its truncation and restriction.  Cold, each S
-    and F build starts from an empty Hilbert cache, so S is built at a
-    smaller target and byte width; warm, each is a truncation of the
-    wide S.  Phi and log Phi are packed at the byte width of qorder."""
+    one wider build equal its truncation and restriction.  Each S and F
+    build packs its own Hilbert grid at the byte width of its own largest
+    cell; cold, each also starts from empty module caches.  Phi and log
+    Phi are packed at the byte width of qorder."""
     qmax, ymax = 9, 6
     windows = [(q, y) for q in range(1, qmax + 1, 2)
                for y in range(0, ymax + 1, 2)]
     for warm in (False, True):
         def build(fn, *args):
             if not warm:
-                _cold_cache(monkeypatch)
+                reset_caches()
             return fn(*args)
 
-        _cold_cache(monkeypatch)
+        reset_caches()
         wide = build(s_series, qmax)
         for q in range(-1, qmax + 1, 2):
             assert build(s_series, q) == wide.truncate(q), (warm, q)
@@ -603,6 +603,51 @@ def test_euler_g_column_names_a_cell_that_does_not_divide(monkeypatch):
         euler_g_column(3, 1, 4)
     assert str(exc.value) == \
         "Euler numerator of rank (3, 1) at q^4 y^3 not divisible by 3"
+
+
+def _euler_table_by_closed_sum(n, r, gmax, kmin, kmax):
+    """{(g, k): sum_{m<=g} s_{g-m} G_m[k]} at u = 1: s from the sigma
+    recurrence, G_m from euler_g_column for m >= 1, and the q^0 column
+    written out, C(p, n) y^p at r = 0, C(l, n) y^{-l} at r = n and empty
+    between; no G entry or S of the table's own build is read."""
+    s = inverse_pochhammer_24(gmax + 1)
+    cols = [{}] + [euler_g_column(n, r, m) for m in range(1, gmax + 1)]
+    if r == 0:
+        cols[0] = {p: comb(p, n) for p in range(n, kmax + 1)}
+    elif r == n:
+        cols[0] = {-l: comb(l, n) for l in range(n, 1 - kmin)}
+    out = {(g, k): 0 for g in range(gmax + 1) for k in range(kmin, kmax + 1)}
+    for m, col in enumerate(cols):
+        for k, v in col.items():
+            if kmin <= k <= kmax:
+                for g in range(m, gmax + 1):
+                    out[(g, k)] += s[g - m] * v
+    return out
+
+
+_EULER_WINDOWS = [(3, 1, 300, -2, 2), (4, 2, 300, -4, 4), (2, 0, 300, -3, 3),
+                  (3, 3, 300, -4, 4), (1, 0, 300, -3, 3)]
+
+
+def _euler_table(n, r, gmax, kmin, kmax):
+    return {(row["g"], row["k"]): row["value"]
+            for row in syst_table(n, r, gmax, kmin, kmax)}
+
+
+def test_euler_table_is_the_closed_sum_at_one(monkeypatch):
+    """Every Euler cell is sum_{m<=g} s_{g-m} G_m[k], with both factors
+    built apart from the table's code; an Euler S of prod (1 - q^m)^-23
+    makes the table differ from that sum."""
+    cells = 0
+    for window in _EULER_WINDOWS:
+        want = _euler_table_by_closed_sum(*window)
+        assert _euler_table(*window) == want, window
+        cells += len(want)
+    assert cells == 1505 + 2709 + 2107 + 2709 + 2107
+    monkeypatch.setattr(partition, "_euler_s", lambda top: kron_product(
+        [1] + [0] * top, (), ((1, 0),) * 23))
+    window = _EULER_WINDOWS[0]
+    assert _euler_table(*window) != _euler_table_by_closed_sum(*window)
 
 
 # -- rank-one product identity ---------------------------------------------------
