@@ -269,28 +269,34 @@ def _s_times_g(n: int, r: int, gmax: int, kmin: int, kmax: int,
     sum_l c(g - qe) P_l over the entries P_l of G's y^k column at q^qe,
     unshifted: G's u^{-qe} and S's (t tb)^{qe-g} cancel the (t tb)^g.
     One loop sums it, over ints at t = tb = 1, then, if ``hodge`` is
-    set, over the Hilbert grid's cells times P_l(X), each shifted down qe
-    digits from u^{-m} to u^{-g}.  S and the P_l are nonnegative, so the
-    largest Euler cell bounds every digit and sizes the width, and b
-    runs over -g .. g - 2 qe + deg P_l.  Each cell is read back once.
+    set, over the Hilbert grid's cells times P_l(X).  Each grid cell
+    q^m first drops its (top - m) row zero rows below a = -m, and each
+    term is summed in its destination's frame, the q^j cell with the
+    rows below a = -min(j, top) dropped, j = m + qe: shifted by
+    row (min(j, top) - m) digits for the rows, and down qe digits from
+    u^{-m} to u^{-g}, so by qe (row - 1) digits for j <= top.  S and
+    the P_l are nonnegative, so the largest Euler cell bounds every digit
+    and sizes the width, and b runs over -g .. g - 2 qe + deg P_l.  Each
+    cell is read back once, in its frame.
     """
     g = _g_matrix_cells(n, r, gmax + 1, kmin, kmax)
     if not g:
         return {}
     top = gmax - min(g)
 
-    def sum_terms(s, pack, bits):
+    def sum_terms(s, pack, bits, row):
         cells: dict = {}
         for qe, col in g.items():
-            col, shift = [(k, pack(w)) for k, w in col.items()], bits * qe
+            col = [(k, pack(w)) for k, w in col.items()]
             for m, c in enumerate(s[:gmax + 1 - qe]):
+                shift = bits * (row * (min(m + qe, top) - m) - qe)
                 dst = cells.setdefault(m + qe, {})
                 for k, w in col:
-                    x = c * w >> shift
+                    x = c * w << shift if shift >= 0 else c * w >> -shift
                     dst[k] = dst[k] + x if k in dst else x
         return cells
 
-    cells = sum_terms(_euler_s(top), UPoly.eval_one, 0)
+    cells = sum_terms(_euler_s(top), UPoly.eval_one, 0, 0)
     if not hodge:
         return cells
     width = kron_width(max(max(col.values()) for col in cells.values()))
@@ -298,10 +304,13 @@ def _s_times_g(n: int, r: int, gmax: int, kmin: int, kmax: int,
     bspan = gmax + max(0, max(max(w.c) // 2 - 2 * qe
                               for qe, col in g.items() for w in col.values()))
     grid = _hilbert_grid(top, bspan, width)
-    cells = sum_terms(grid.cells, lambda w: sum(
-        [v << bits * (e // 2) for e, v in w.c.items()]), bits)
+    s = grid.cells
+    for m in range(top):
+        s[m] >>= bits * (top - m) * grid.row
+    cells = sum_terms(s, lambda w: sum(
+        [v << bits * (e // 2) for e, v in w.c.items()]), bits, grid.row)
     # rows |a| <= g - qe of a cell lie within the grid's own q^top cell
-    return {j: {k: _tt(grid.read(v, min(j, top), j), j)
+    return {j: {k: _tt(grid.read_rows(v, min(j, top), j), j)
                 for k, v in col.items()} for j, col in cells.items()}
 
 

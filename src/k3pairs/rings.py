@@ -151,11 +151,17 @@ class _KronGrid:
 
     def read(self, v: int, j: int, amax: int) -> dict:
         """{a: {b: entry}} of the packed q^j cell v, for |a| <= amax."""
+        # rows below a = -j are empty
+        return self.read_rows(v >> self.bits * (self.yspan - j) * self.row,
+                              j, amax)
+
+    def read_rows(self, v: int, j: int, amax: int) -> dict:
+        """``read`` of a q^j cell whose empty rows below a = -j are
+        already dropped: entry (a, b) at digit (a + j)*row + bspan + b."""
         row, bspan = self.row, self.bspan
-        low = (self.yspan - j) * row  # rows below a = -j are empty
         out: dict = {}
-        for i, c in kron_digits(v >> (self.bits * low), -j * row, 1,
-                                self.width, (2 * j + 1) * row).items():
+        for i, c in kron_digits(v, -j * row, 1, self.width,
+                                (2 * j + 1) * row).items():
             a, b = divmod(i, row)
             if abs(a) <= amax:
                 out.setdefault(a, {})[b - bspan] = c

@@ -29,10 +29,14 @@ forms' values, and reads it back once with rings.kron_digits, so this
 module multiplies no UPoly.  ``verify_ab_identity`` builds no UPoly: it
 takes the same closed forms as integers at X = 256^w, column by column,
 dividing with one exact divmod: each P core once per cell, each B core
-once per width and column.  It sums A(n).B for every n of a cell at
-once, by Horner's rule in the q-Pascal step that takes one binomial row
-to the next, so with one multiply per term of the sum, not per term
-and n.  Each B and P core is also a sum of two products of
+once per width and column.  Its divisors are the short u-integers [l]
+and [n], not the displayed [k+l] and [n+l]: by the absorption identity
+[N] [N-1, k-1] = [k] [N, k], B's core is [k+2l] [k+l-1, l-1] / [l]
+and P's is [k+2l] [n+l-1, n-1] [k+l-1, n-1] / [n], the same
+polynomials, so the same integers at X.  It sums A(n).B for every n
+of a cell at once, by Horner's rule in the q-Pascal step that takes one
+binomial row to the next, so with one multiply per term of the sum, not
+per term and n.  Each B and P core is also a sum of two products of
 u-binomials,
 
     B core = qbinom(k+l, l) + u^(k+l) qbinom(k+l-1, l-1)          (l >= 1)
@@ -244,12 +248,14 @@ def _values_at(width: int, size: int) -> tuple:
 
 
 def _b_at_x(m: int, j: int, width: int, size: int) -> tuple:
-    """B[m, j](X) for m < j at X = 256^width, as (e, v) with value X^e v:
-    the core v is one exact division of the numerator's value by
-    [m+l'](X), l' = (j - m)/2, and e = l'(l'-1)/2.  Needs size >= j."""
+    """B[m, j](X) for m < j at X = 256^width, as (e, v) with value X^e v,
+    l' = (j - m)/2 and e = l'(l'-1)/2.  The core v is one exact division
+    of [j](X) [m+l'-1, l'-1](X) by the short [l'](X): by the absorption
+    identity [l'] [m+l', l'] = [m+l'] [m+l'-1, l'-1] it is the displayed
+    [j] [m+l', l'] / [m+l'].  Needs size >= j."""
     rep, rows = _values_at(width, size)
     lb = (j - m) // 2
-    core, rest = divmod(rep[j] * rows[m + lb][lb], rep[m + lb])
+    core, rest = divmod(rep[j] * rows[m + lb - 1][lb - 1], rep[lb])
     if rest:
         raise InternalNonExactDivision(f"B entry ({m},{j})")
     return lb * (lb - 1) // 2, -core if lb % 2 else core
@@ -265,7 +271,9 @@ def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int,
     b[t] = (e, v): B[m, j](X) = X^e v, taken from bcol, the column's
     table keyed by (width, m), and divided by _b_at_x on a miss;
     p[n] = (e, v): P(n)[i, j](X) = X^e v, the core v being one exact
-    division of the numerator's value by [n+l](X).
+    division of [j](X) [n+l-1, n-1](X) [i+l-1, n-1](X) by the short
+    [n](X), which by [n] [n+l, n] = [n+l] [n+l-1, n-1] is the displayed
+    [j] [n+l, n] [i+l-1, n-1] / [n+l].
 
     Needs size >= j and size >= n_max + (j - i)/2.
     """
@@ -284,8 +292,8 @@ def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int,
         if n > i + l:       # [i+l-1, n-1] = 0
             p.append((e, 0))
             continue
-        core, rest = divmod(rep[j] * rows[n + l][n] * rows[i + l - 1][n - 1],
-                            rep[n + l])
+        core, rest = divmod(
+            rep[j] * rows[n + l - 1][n - 1] * rows[i + l - 1][n - 1], rep[n])
         if rest:
             raise InternalNonExactDivision(f"P({n}) entry ({i},{j})")
         p.append((e, core))
@@ -337,19 +345,20 @@ def _ab_terms(i: int, j: int) -> list:
 def _bounds(n_max: int, i: int, j: int) -> list:
     """For each n <= n_max, sum_m A(n)[i, m](1) |B[m, j]|(1) + P(n)[i, j](1),
     a bound on every coefficient of D = sum_m A(n)[i, m] B[m, j] - P(n)[i, j];
-    see verify_ab_identity."""
+    see verify_ab_identity.  The sums over m are taken in one pass over
+    _ab_terms, each term's row C(top, 0..n_max) by the exact step
+    C(top, n+1) = C(top, n) (top - n)/(n + 1), which reaches 0 past top."""
     l = (j - i) // 2
-    terms = _ab_terms(i, j)
-    out = []
-    for n in range(n_max + 1):
-        if n == 0:
-            p = int(l == 0)         # P(0) is the identity
-        elif i + l == 0:
-            p = 0                   # [i+l-1, n-1] = [-1, n-1] = 0
-        else:
-            p = comb(n + l, n) * comb(i + l - 1, n - 1) \
+    out = [int(l == 0)] + [0] * n_max       # P(0) is the identity
+    if i + l:                   # else [i+l-1, n-1] = [-1, n-1] = 0
+        for n in range(1, n_max + 1):
+            out[n] = comb(n + l, n) * comb(i + l - 1, n - 1) \
                 + comb(n + l - 1, l) * comb(i + l - 1, n)
-        out.append(p + sum([comb(top, n) * w for top, w in terms]))
+    for top, w in _ab_terms(i, j):
+        c = w
+        for n in range(n_max + 1):
+            out[n] += c
+            c = c * (top - n) // (n + 1)
     return out
 
 
@@ -385,9 +394,15 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     d | n+l: either d does not divide n, and Phi_d divides
     [n+l choose n]; or d divides n and l, and then either d does not
     divide k, so not k+l-n, and Phi_d divides [k+l-1 choose n-1], or
-    d | k, and Phi_d divides [k+2l].  As [m] is monic, num(X) =
-    core(X) [m](X), so each core is one exact divmod by [m](X), and a
-    nonzero remainder is a bug (InternalNonExactDivision).
+    d | k, and Phi_d divides [k+2l].  The check divides shorter
+    numerators by [l] for B and [n] for P: by the absorption identity
+    [l] [k+l, l] = [k+l] [k+l-1, l-1], B's displayed quotient is
+    [k+2l] [k+l-1, l-1] / [l], and by [n] [n+l, n] = [n+l] [n+l-1, n-1]
+    P's is [k+2l] [n+l-1, n-1] [k+l-1, n-1] / [n], so each shorter
+    numerator is the core, a polynomial, times [l] or [n].  As [m] is
+    monic, num(X) = core(X) [m](X), so each core is one exact
+    divmod by [m](X), m = l or n, and a nonzero remainder is a bug
+    (InternalNonExactDivision) naming the B or P entry.
 
     Width: write [N, k] for [N choose k].  From [k+2l] = [k+l] +
     u^{k+l} [l] and [l] [k+l, l] = [k+l] [k+l-1, l-1], the B core is
@@ -401,8 +416,8 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     sum_m A(n)[i, m](1) |B[m, j]|(1) + P(n)[i, j](1) (``_bounds``).
     ``_width`` is the smallest w with that bound below X/2 for every n of
     the cell, so each base-X digit of D lies in (-X/2, X/2), where digits
-    are unique: D(X) = 0 only if D = 0.  The check still divides each
-    numerator as displayed; the two-term forms only size the digits.
+    are unique: D(X) = 0 only if D = 0.  The check still divides one
+    numerator per core; the two-term forms only size the digits.
 
     [k](X) and [N choose k](X) are cached per (w, size); B, P and the
     n-free factor g = [m, t] of A(n)[i, m] = [i+t, n] g, t = (m - i)/2,

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,10 +7,10 @@ import k3pairs.ucomb as ucomb
 from k3pairs import reset_caches
 from k3pairs.errors import InternalNonExactDivision, Mismatch, NotDivisible
 from k3pairs.partition import g_via_matrices
-from k3pairs.rings import UPoly, _from_list
+from k3pairs.rings import UPoly, _from_list, kron_width
 from k3pairs.scalars import binomial
-from k3pairs.ucomb import _ab_at_x, _binomial_list, _bounds, _cell_at_x, \
-    _q_pascal, _values_at, _width, c_table, matrix_entry, \
+from k3pairs.ucomb import _ab_at_x, _b_at_x, _binomial_list, _bounds, \
+    _cell_at_x, _q_pascal, _values_at, _width, c_table, matrix_entry, \
     matrix_product_entry, verify_ab_identity
 from k3pairs.verify import run_suite
 
@@ -365,6 +367,105 @@ def test_each_b_core_is_divided_once_per_width_and_column(monkeypatch):
     assert len(reads) == 1360
     assert sorted(calls) == sorted(set(reads))
     assert len(calls) == 359
+
+
+def test_b_and_p_cores_are_the_displayed_quotients():
+    """_b_at_x divides by [l'] and _cell_at_x by [n], yet every B and P
+    core of (6, 41), at its cell's own width, is the quotient of the
+    displayed numerator by [m+l'](X) or [n+l](X), with no remainder."""
+    n_max, index_max = 6, 41
+    size = max(index_max, n_max + index_max // 2)
+    cores = 0
+    for j in range(index_max + 1):
+        bcol: dict = {}
+        for i in range(j % 2, j + 1, 2):
+            width = _width(n_max, i, j)
+            rep, rows = _values_at(width, size)
+            l = (j - i) // 2
+            _, b, p = _cell_at_x(n_max, i, j, width, size, bcol)
+            for m, got in zip(range(i, j, 2), b):
+                lb = (j - m) // 2
+                core, rest = divmod(rep[j] * rows[m + lb][lb], rep[m + lb])
+                want = (lb * (lb - 1) // 2, -core if lb % 2 else core)
+                assert not rest and got == want, (m, j, width)
+                assert _b_at_x(m, j, width, size) == want, (m, j, width)
+                cores += 1
+            for n in range(1, n_max + 1):
+                core, rest = divmod(
+                    rep[j] * rows[n + l][n] * rows[i + l - 1][n - 1],
+                    rep[n + l]) if n <= i + l else (0, 0)
+                assert not rest and p[n] == (l * l + l * (i - n), core), \
+                    (n, i, j, width)
+                cores += 1
+    assert cores == 5852
+
+
+def _comb_bounds(n_top, i, j):
+    """sum_m A(n)[i, m](1) |B[m, j]|(1) + P(n)[i, j](1) for n <= n_top,
+    from math.comb term by term."""
+    l = (j - i) // 2
+    out = []
+    for n in range(n_top + 1):
+        total = int(l == 0) if n == 0 else 0 if i + l == 0 else \
+            comb(n + l, n) * comb(i + l - 1, n - 1) \
+            + comb(n + l - 1, l) * comb(i + l - 1, n)
+        for t in range(l + 1):
+            m, lb = i + 2 * t, l - t
+            b_at_1 = comb(m + lb, lb) + (comb(m + lb - 1, lb - 1) if lb else 0)
+            total += comb(i + t, n) * comb(m, t) * b_at_1
+        out.append(total)
+    return out
+
+
+def test_width_is_kron_width_of_the_comb_bound():
+    """_bounds' one pass by C(top, n+1) = C(top, n) (top - n)/(n + 1)
+    gives the bounds of math.comb, and so the same width, at every cell
+    with n_max <= 7 and j <= 61."""
+    cells = 0
+    for j in range(62):
+        for i in range(j % 2, j + 1, 2):
+            want = _comb_bounds(7, i, j)
+            for n_max in range(8):
+                assert _bounds(n_max, i, j) == want[:n_max + 1], \
+                    (n_max, i, j)
+                assert _width(n_max, i, j) \
+                    == kron_width(max(want[:n_max + 1])), (n_max, i, j)
+                cells += 1
+    assert cells == 8 * 992
+
+
+def _row_entry_plus_one(big, k):
+    """_values_at with 1 added to the binomial [big, k](X) at every width.
+    [3, 2](X) = [3](X) is read by no A factor of verify_ab_identity
+    (2k > big) and first by B[1, 7]'s numerator [7] [3, 2] and, at
+    n >= 3, by P(3)[2, 4]'s [4] [3, 2] [2, 2]; plus one, neither is a
+    multiple of [3](X), as [3] is prime to [7] and to [4]."""
+    real = ucomb._values_at
+
+    def lie(width, size):
+        rep, rows = real(width, size)
+        row = list(rows[big])
+        row[k] += 1
+        return rep, rows[:big] + (tuple(row),) + rows[big + 1:]
+    return lie
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [(lambda: verify_ab_identity(2, 7), "B entry (1,7)"),
+     (lambda: ucomb.matrix_product_entry(0, 1, 7), "B entry (1,7)"),
+     (lambda: verify_ab_identity(3, 4), "P(3) entry (2,4)")],
+    ids=["b-in-the-check", "b-in-the-matrix-route", "p-in-the-check"],
+)
+def test_a_numerator_prime_to_the_short_divisor_is_named(cold_monkeypatch,
+                                                         check, name):
+    """A numerator value at X that [l'](X) or [n](X) does not divide
+    raises InternalNonExactDivision naming its entry, from the check and
+    from the matrix route, before any comparison."""
+    cold_monkeypatch.setattr(ucomb, "_values_at", _row_entry_plus_one(3, 2))
+    with pytest.raises(InternalNonExactDivision) as exc:
+        check()
+    assert str(exc.value) == name
 
 
 def _pascal_rows(n_max, top, bits):
