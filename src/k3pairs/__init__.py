@@ -18,7 +18,7 @@ from .modular import EisensteinBasis, eisenstein_even, \
 from .partition import f_via_matrices, g_closed, g_via_kernels, \
     g_via_matrices, ky_product, s_series, syst_euler, syst_hodge  # noqa: F401
 from .rings import Monomial, TTPoly, UPoly, YPoly  # noqa: F401
-from .scalars import bernoulli, binomial  # noqa: F401
+from .scalars import bernoulli  # noqa: F401
 from .series import QSeries  # noqa: F401
 
 

@@ -42,11 +42,10 @@ widths, and on a ``_KronGrid``, rows of digits in two exponents, the
 cells of theta's product kernel and of partition's Hilbert series, whose
 cells partition's coherent-system table multiplies by packed integers.
 ``ucomb`` takes A.B at the same kind of point X = 256^w, from closed
-forms in plain integers, with w sized by kron_width of the exact l1
-norms of its nonnegative entries: ``verify_ab_identity`` checks
-A.B = P there and never reads digits back, as one integer comparison
-per entry decides, and ``matrix_product_entry`` reads each A.B entry
-of the matrix route back once with kron_digits.
+forms in plain integers: ``verify_ab_identity`` compares it with P
+there, and ``matrix_product_entry`` reads each A.B entry of the matrix
+route back once with kron_digits.  Why w and both uses are exact is
+argued once, in ``verify_ab_identity``'s docstring.
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
-"""Exact scalar arithmetic: Bernoulli numbers, generalized binomials, and
-the rendering of the Gaussian rationals i^s * c.
+"""Exact scalar arithmetic: Bernoulli numbers and the rendering of the
+Gaussian rationals i^s * c.
 
 Conventions fixed here and relied on everywhere else:
 
 * Bernoulli numbers use B_1 = -1/2 (the "first" convention), so that
   sum_{k=0}^{m} binom(m+1, k) B_k = 0 for m >= 1.
-* binomial(n, k) is the falling-factorial binomial, defined for every
-  integer n and k >= 0, so e.g. binomial(-3, 2) = 6.
 * A v^s cell of a v-expansion is stored as the rational c whose value
   is i^s * c (see series.v_substitute_qmajor); i_power_str renders that
   value, e.g. "1/240", "-i", "1/288i".
@@ -20,7 +18,6 @@ from math import comb
 
 __all__ = [
     "bernoulli",
-    "binomial",
     "fraction_str",
     "i_power_str",
 ]
@@ -38,22 +35,8 @@ def bernoulli(m: int) -> Fraction:
     # sum_{k=0}^{m} binom(m+1, k) B_k = 0  solved for B_m.
     acc = Fraction(0)
     for k in range(m):
-        acc += binomial(m + 1, k) * bernoulli(k)
-    return -acc / binomial(m + 1, m)
-
-
-def binomial(n: int, k: int) -> int:
-    """Generalized binomial: n(n-1)...(n-k+1)/k! for any integer n, k >= 0.
-
-    Vanishes for k < 0.  For n >= 0 it is math.comb(n, k); for n < 0 it
-    is (-1)^k * math.comb(k - n - 1, k), the same product with its k
-    factors negated.
-    """
-    if k < 0:
-        return 0
-    if n >= 0:
-        return comb(n, k)
-    return -comb(k - n - 1, k) if k % 2 else comb(k - n - 1, k)
+        acc += comb(m + 1, k) * bernoulli(k)
+    return -acc / (m + 1)
 
 
 def fraction_str(x) -> str:

@@ -26,25 +26,11 @@ UPoly once at the end.  No u-integer or u-binomial is kept as a UPoly.
 The matrix route reads no ``matrix_entry``: ``matrix_product_entry``
 takes each A(n).B entry as one integer at X = 256^w from the closed
 forms' values, and reads it back once with rings.kron_digits, so this
-module multiplies no UPoly.  ``verify_ab_identity`` builds no UPoly: it
-takes the same closed forms as integers at X = 256^w, column by column,
-dividing with one exact divmod: each P core once per cell, each B core
-once per width and column.  Its divisors are the short u-integers [l]
-and [n], not the displayed [k+l] and [n+l]: by the absorption identity
-[N] [N-1, k-1] = [k] [N, k], B's core is [k+2l] [k+l-1, l-1] / [l]
-and P's is [k+2l] [n+l-1, n-1] [k+l-1, n-1] / [n], the same
-polynomials, so the same integers at X.  It sums A(n).B for every n
-of a cell at once, by Horner's rule in the q-Pascal step that takes one
-binomial row to the next, so with one multiply per term of the sum, not
-per term and n.  Each B and P core is also a sum of two products of
-u-binomials,
-
-    B core = qbinom(k+l, l) + u^(k+l) qbinom(k+l-1, l-1)          (l >= 1)
-    P core = qbinom(n+l, n) qbinom(k+l-1, n-1)
-             + u^(n+l) qbinom(n+l-1, l) qbinom(k+l-1, n)            (n >= 1),
-
-so its coefficients are nonnegative and sum to ordinary binomials; the
-check sizes w from those sums.
+module multiplies no UPoly.  ``verify_ab_identity`` builds no UPoly
+either: it compares the two sides of A(n).B = P(n) as integers at
+X = 256^w, one evaluator per side (``_ab_at_x`` and ``_p_at_x``).  Its
+docstring gives, once for both, the short divisors of the B and P
+cores, the width w, and why a comparison or a readout at X is exact.
 """
 
 from __future__ import annotations
@@ -144,18 +130,18 @@ def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
     one integer at X = 256^w, as ``verify_ab_identity`` takes it: each
     term is [i+t, n](X) [m, t](X) read off the ``_values_at`` rows, times
     B[m, j](X) = X^e v from ``_b_at_x``, and the one integer is read back
-    by ``kron_digits`` into the entry's coefficients of u^0 .. u^deg,
-    as no term has a negative or a half-integer exponent.
-    The readout is exact.  A and the B cores have nonnegative
-    coefficients (see verify_ab_identity), so the l1 norm of each term
-    is its value at 1, C(i+t, n) C(m, t) |B[m, j]|(1), and by the
-    triangle inequality no coefficient of the sum exceeds their total;
-    w is the least width with that total below X/2, so every base-X
-    digit lies in (-X/2, X/2), where digits are unique.  deg is the
-    largest top degree n(i+t-n) + t(m-t) + l'(l'-1)/2 + l'(m+1) of a
-    term, l' = (j - m)/2, so deg + 1 slots reach the top digit.  No
+    by ``kron_digits`` into the entry's coefficients of u^0, u^1, ..., as
+    no term has a negative or a half-integer exponent.  w is the least
+    width with sum_t C(i+t, n) C(m, t) |B[m, j]|(1) below X/2, so every
+    base-X digit of the sum lies in (-X/2, X/2) (see verify_ab_identity).
+    The readout is then exact, and the summed integer gives its slot
+    count: with its top nonzero digit at slot s, its absolute value is
+    at least X^s/2 and below X^(s+1), so abs(acc).bit_length() // bits
+    + 1 slots reach that digit, and at most one more reads a zero.  No
     UPoly is multiplied.  The ``_values_at`` tables are taken at sizes
-    that are powers of two from 16, so each width keeps only a few.
+    that are powers of two from 16; they are process-wide, and only
+    ``reset_caches()`` releases them: after ``table --n 3 --r 1 --gmax
+    1000``, 13 of them hold about 43 MiB.
 
     Memoized like ``matrix_entry``; callers never write to it.  The matrix
     route's entry P(n)[k+2r, k+2l] at rank r is its entry
@@ -170,13 +156,13 @@ def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
     bits = 8 * width
     size = max(16, 1 << (j - 1).bit_length())
     _, rows = _values_at(width, size)
-    acc = deg = 0
+    acc = 0
     for t in range(max(n - i, 0), l + 1):   # [i+t, n] = 0 for i + t < n
-        m, lb = i + 2 * t, l - t
-        e, v = _b_at_x(m, j, width, size) if lb else (0, 1)  # B[j, j] = 1
+        m = i + 2 * t
+        e, v = _b_at_x(m, j, width, size) if m < j else (0, 1)  # B[j, j] = 1
         acc += (rows[i + t][n] * rows[m][t] * v) << bits * e
-        deg = max(deg, n * (i + t - n) + t * (m - t) + e + lb * (m + 1))
-    return UPoly._of(kron_digits(acc, 0, 2, width, deg + 1))
+    return UPoly._of(kron_digits(acc, 0, 2, width,
+                                 abs(acc).bit_length() // bits + 1))
 
 
 # -- the C-table ---------------------------------------------------------------
@@ -261,31 +247,16 @@ def _b_at_x(m: int, j: int, width: int, size: int) -> tuple:
     return lb * (lb - 1) // 2, -core if lb % 2 else core
 
 
-def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int,
-               bcol: dict) -> tuple:
-    """Every entry cell (i, j) of verify_ab_identity reads, at X = 256^width,
-    as (a, b, p).  With m = i + 2t:
-
-    a[t] = g = [m, t](X), the n-free factor of A(n)[i, m] = [i+t, n] g;
-    the factor [i+t, n](X) is left to _ab_at_x;
-    b[t] = (e, v): B[m, j](X) = X^e v, taken from bcol, the column's
-    table keyed by (width, m), and divided by _b_at_x on a miss;
-    p[n] = (e, v): P(n)[i, j](X) = X^e v, the core v being one exact
-    division of [j](X) [n+l-1, n-1](X) [i+l-1, n-1](X) by the short
-    [n](X), which by [n] [n+l, n] = [n+l] [n+l-1, n-1] is the displayed
-    [j] [n+l, n] [i+l-1, n-1] / [n+l].
-
-    Needs size >= j and size >= n_max + (j - i)/2.
-    """
+def _p_at_x(n_max: int, i: int, j: int, width: int, size: int) -> list:
+    """p[n] = (e, v) with P(n)[i, j](X) = X^e v for n <= n_max, at
+    X = 256^width, l = (j - i)/2 and e = l^2 + l(i - n).  P(0) is the
+    identity; for n >= 1 the core v is one exact division of
+    [j](X) [n+l-1, n-1](X) [i+l-1, n-1](X) by the short [n](X), which by
+    [n] [n+l, n] = [n+l] [n+l-1, n-1] is the displayed
+    [j] [n+l, n] [i+l-1, n-1] / [n+l].  Needs size >= j and
+    size >= n_max + l."""
     rep, rows = _values_at(width, size)
     l = (j - i) // 2
-    a = [rows[i + 2 * t][t] for t in range(l + 1)]
-    b = []
-    for m in range(i, j, 2):
-        if (width, m) not in bcol:
-            bcol[width, m] = _b_at_x(m, j, width, size)
-        b.append(bcol[width, m])
-    b.append((0, 1))        # B[j, j] = 1
     p = [(0, int(l == 0))]
     for n in range(1, n_max + 1):
         e = l * l + l * (i - n)
@@ -297,7 +268,7 @@ def _cell_at_x(n_max: int, i: int, j: int, width: int, size: int,
         if rest:
             raise InternalNonExactDivision(f"P({n}) entry ({i},{j})")
         p.append((e, core))
-    return a, b, p
+    return p
 
 
 def _q_pascal(w: list, bits: int, top: int) -> None:
@@ -309,22 +280,31 @@ def _q_pascal(w: list, bits: int, top: int) -> None:
         w[n] = w[n - 1] + (w[n] << bits * n)
 
 
-def _ab_at_x(n_max: int, i: int, a: list, b: list, bits: int) -> list:
+def _ab_at_x(n_max: int, i: int, j: int, width: int, size: int,
+             bcol: dict) -> list:
     """acc[n] = sum_m A(n)[i, m](X) B[m, j](X) for n <= n_max, at
-    X = 2^bits, from the a and b of _cell_at_x.
+    X = 256^width.  Needs size >= j.
 
-    With m = i + 2t and h_t = a[t] B[m, j](X), the row [i+t, *](X) is
-    M^(i+t) applied to the unit vector e_0, so acc = M^i (h_0 e_0 +
-    M (h_1 e_0 + M (h_2 e_0 + ...))): Horner over t from the top down,
-    then i more steps, all shifts and adds, and one multiply per t.
-    After k steps, w[n] = 0 for n > k, so step k runs to min(k, n_max).
+    With m = i + 2t, A(n)[i, m] = [i+t, n] [m, t], and h_t is
+    [m, t](X), read off the _values_at rows, times B[m, j](X) = X^e v,
+    read off bcol, the column's table keyed by (width, m) and filled by
+    _b_at_x on a miss (B[j, j] = 1).  The row [i+t, *](X) is M^(i+t)
+    applied to the unit vector e_0, so acc = M^i (h_0 e_0 + M (h_1 e_0 +
+    M (h_2 e_0 + ...))): Horner over t from the top down, then i more
+    steps, all shifts and adds, and one multiply per t.  After k steps,
+    w[n] = 0 for n > k, so step k runs to min(k, n_max).
     """
-    l = len(a) - 1
-    w = [0] * (n_max + 1)
-    for t in range(l, -1, -1):
+    _, rows = _values_at(width, size)
+    bits = 8 * width
+    l = (j - i) // 2
+    w = [rows[j][l]] + [0] * n_max          # t = l: m = j
+    for t in range(l - 1, -1, -1):
         _q_pascal(w, bits, min(l - t, n_max))
-        e, v = b[t]
-        w[0] += (a[t] * v) << bits * e
+        m = i + 2 * t
+        if (width, m) not in bcol:
+            bcol[width, m] = _b_at_x(m, j, width, size)
+        e, v = bcol[width, m]
+        w[0] += (rows[m][t] * v) << bits * e
     for steps in range(l + 1, l + i + 1):
         _q_pascal(w, bits, min(steps, n_max))
     return w
@@ -372,12 +352,12 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     """Assert A(n).B == P(n) entrywise for 0 <= n <= n_max on the index
     square [0, index_max]; returns the number of entries checked.
 
-    Each cell (i, j) is checked on integers: every B and P entry it
-    reads, and the n-free factor of each A entry, is evaluated at
-    X = 256^w from its closed form, in one call per cell
-    (``_cell_at_x``), no polynomial is built, and the cell passes when
-    sum_m A(n)[i, m](X) B[m, j](X) = P(n)[i, j](X) at every n, both
-    sides times the same power of X.  This is exact for two reasons.
+    Each cell (i, j) is checked on integers, one evaluator per side at
+    X = 256^w: ``_ab_at_x`` sums A(n)[i, m](X) B[m, j](X) over m for
+    every n at once, ``_p_at_x`` gives P(n)[i, j](X), no polynomial is
+    built, and the cell passes when both sides agree at every n, times
+    the same power of X.  This is exact for two reasons, and the same
+    two make the readout of ``matrix_product_entry`` exact.
 
     Cells go column by column, j outer and i inner.  B[m, j](X) is read
     by every cell (i, j) with i <= m, so each column keeps a table of
@@ -394,8 +374,8 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     d | n+l: either d does not divide n, and Phi_d divides
     [n+l choose n]; or d divides n and l, and then either d does not
     divide k, so not k+l-n, and Phi_d divides [k+l-1 choose n-1], or
-    d | k, and Phi_d divides [k+2l].  The check divides shorter
-    numerators by [l] for B and [n] for P: by the absorption identity
+    d | k, and Phi_d divides [k+2l].  Both sides divide shorter
+    numerators, by [l] for B and [n] for P: by the absorption identity
     [l] [k+l, l] = [k+l] [k+l-1, l-1], B's displayed quotient is
     [k+2l] [k+l-1, l-1] / [l], and by [n] [n+l, n] = [n+l] [n+l-1, n-1]
     P's is [k+2l] [n+l-1, n-1] [k+l-1, n-1] / [n], so each shorter
@@ -416,20 +396,15 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     sum_m A(n)[i, m](1) |B[m, j]|(1) + P(n)[i, j](1) (``_bounds``).
     ``_width`` is the smallest w with that bound below X/2 for every n of
     the cell, so each base-X digit of D lies in (-X/2, X/2), where digits
-    are unique: D(X) = 0 only if D = 0.  The check still divides one
-    numerator per core; the two-term forms only size the digits.
+    are unique: D(X) = 0 only if D = 0.  The matrix route sizes its w by
+    the A.B part of the bound alone, so each digit of its sum lies there
+    too and kron_digits reads it back.  Both divide one numerator per
+    core; the two-term forms only size the digits.
 
-    [k](X) and [N choose k](X) are cached per (w, size); B, P and the
-    n-free factor g = [m, t] of A(n)[i, m] = [i+t, n] g, t = (m - i)/2,
-    are read off them.  The factor [i+t, n](X) is never formed.  The
-    q-Pascal step M, w[n] -> w[n-1] + X^n w[n], takes the row
-    [N, *](X) to [N+1, *](X), and [0, *] is the unit vector e_0, so the
-    sums of a cell, sum_t [i+t, n] h_t with h_t = g B[m, j](X), are
-    the entries of M^i (h_0 e_0 + M (h_1 e_0 + M (h_2 e_0 + ...))) for
-    n <= n_max (``_ab_at_x``).  Each step is shifts and adds; the one
-    multiply per t is g v, shifted by B's X^e instead of multiplying e
-    zero digits.  The sums are the same integers as term by term, so
-    the comparison and the argument above are unchanged.
+    [k](X) and [N choose k](X) are cached per (w, size), and both sides
+    read them; the factor [i+t, n](X) of A(n)[i, m] is never formed, as
+    ``_ab_at_x`` takes the sums of a cell by Horner's rule in the
+    q-Pascal step, the same integers as term by term.
 
     Only on a failure is the UPoly difference built, for the Mismatch
     location.  Raises ValueError for negative bounds, and Mismatch at the
@@ -449,10 +424,9 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
         for i in range(j % 2, j + 1, 2):
             width = _width(n_max, i, j)
             bits = 8 * width
-            a, b, p = _cell_at_x(n_max, i, j, width, size, bcol)
-            accs = _ab_at_x(n_max, i, a, b, bits)
-            for n, (e, v) in enumerate(p):
-                acc = accs[n]
+            accs = _ab_at_x(n_max, i, j, width, size, bcol)
+            p = _p_at_x(n_max, i, j, width, size)
+            for n, (acc, (e, v)) in enumerate(zip(accs, p)):
                 if acc << bits * max(-e, 0) != v << bits * max(e, 0):
                     diff = matrix_product_entry(n, i, j) \
                         - matrix_entry("P", i, j, n)

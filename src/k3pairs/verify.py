@@ -173,11 +173,16 @@ def check_bounds(suite: str, n: int, qorder: int, ywin: int, vorder: int,
     theta, route and duality suites compares the cells with |y| <= ywin,
     so they need ywin >= 0.  The route and duality checks at rank (n, r)
     compare the lattice terms (p, l) with p >= n - r, l >= r, pl < qorder
-    and |p - l| <= ywin, so each rank needs one."""
-    q_least = 2 if suite in ("theta", "modularity", "all") else 1
+    and |p - l| <= ywin, so each rank needs one.  The ucomb suite reads
+    no qorder, and only the modularity checks read vorder, so a suite
+    that does not read them needs each only to be non-negative."""
+    q_least = 2 if suite in ("theta", "modularity", "all") else \
+        0 if suite == "ucomb" else 1
+    v_least = 1 if suite in ("modularity", "all") else 0
     for name, value, least in (("rank n", n, 1),
                                ("qorder", qorder, q_least),
-                               ("vorder", vorder, 1), ("cutoff", cutoff, 0)):
+                               ("vorder", vorder, v_least),
+                               ("cutoff", cutoff, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least} (got {value})")
     if ywin < 0 and suite not in ("ucomb", "modularity"):

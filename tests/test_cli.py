@@ -139,6 +139,22 @@ def test_verify_bound_that_compares_nothing_is_config_error(capsys, argv,
 
 
 @pytest.mark.parametrize(
+    "argv, last",
+    [(["--suite", "ucomb", "--qorder", "0"], "all passed (1 checks)"),
+     (["--suite", "routes", "--n", "2", "--vorder", "0"],
+      "all passed (5 checks)")],
+    ids=["ucomb-qorder-0", "routes-vorder-0"],
+)
+def test_verify_bound_of_a_flag_the_suite_never_reads_is_accepted(
+        capsys, argv, last):
+    """The ucomb suite reads no qorder and the routes suite no vorder, so
+    a value that would compare nothing elsewhere runs them unchanged."""
+    code, out, err = _run(capsys, ["verify"] + argv)
+    assert code == 0, err
+    assert out.rstrip().splitlines()[-1] == last
+
+
+@pytest.mark.parametrize(
     "argv, rank, need",
     [(["--suite", "routes", "--n", "4", "--qorder", "4"], (4, 2), 5),
      (["--suite", "duality", "--n", "4", "--qorder", "4"], (4, 2), 5),

@@ -1,6 +1,6 @@
 """The v-expansion's integer sums against the Fraction loops they replace.
 
-v_substitute_qmajor, psi_kls_sym and binomial sum over Z and build one
+v_substitute_qmajor and psi_kls_sym sum over Z and build one
 Fraction per output entry; so do the all-t routines of the derivatives,
 UPoly.derivs_at_one and modular._psi_kls_derivatives, whose t-th entries
 are checked here against the per-t loops.  The oracles below are the
@@ -22,7 +22,6 @@ import pytest
 from k3pairs.modular import _psi_kls_derivatives, psi_kls_sym
 from k3pairs.partition import euler_g_column
 from k3pairs.rings import UPoly, YPoly
-from k3pairs.scalars import binomial
 from k3pairs.series import QSeries, v_substitute_qmajor
 from k3pairs.theta import log_phi_product
 
@@ -264,7 +263,7 @@ def test_deriv_at_one_refuses_odd_exponents():
     assert p.derivs_at_one(0) == [4]
 
 
-# -- the closed forms and binomial -------------------------------------------
+# -- the closed forms ---------------------------------------------------------
 
 @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2),
                                  (3, 2)])
@@ -280,8 +279,3 @@ def test_psi_closed_forms_match_fraction_loops(k, l):
                     _psi_kls_derivatives(k, l, s, t, qorder)] == \
                 want[:t + 1], (s, t)
 
-
-def test_binomial_matches_falling_factorial():
-    for n in range(-8, 9):
-        for k in range(-2, 12):
-            assert _same(binomial(n, k), oracle_binomial(n, k)), (n, k)

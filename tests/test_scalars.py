@@ -1,9 +1,7 @@
 from fractions import Fraction
+from math import comb
 
-from hypothesis import given, strategies as st
-
-from k3pairs.scalars import bernoulli, binomial, fraction_str, \
-    i_power_str
+from k3pairs.scalars import bernoulli, fraction_str, i_power_str
 
 
 def test_bernoulli_small():
@@ -22,24 +20,8 @@ def test_bernoulli_odd_vanish():
 def test_bernoulli_defining_recurrence():
     # sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1
     for m in range(1, 12):
-        assert sum(binomial(m + 1, k) * bernoulli(k)
+        assert sum(comb(m + 1, k) * bernoulli(k)
                    for k in range(m + 1)) == 0
-
-
-def test_binomial_generalized():
-    assert binomial(-3, 2) == 6
-    assert binomial(5, 2) == 10
-    assert binomial(3, 5) == 0
-    assert binomial(7, 0) == 1
-    assert binomial(0, 0) == 1
-    assert binomial(-1, 4) == 1
-    assert binomial(-1, 3) == -1
-    assert binomial(4, -1) == 0
-
-
-@given(st.integers(-30, 30), st.integers(0, 12))
-def test_binomial_pascal(n, k):
-    assert binomial(n + 1, k) == binomial(n, k) + binomial(n, k - 1)
 
 
 def test_gaussian_strings():

@@ -8,9 +8,8 @@ from k3pairs import reset_caches
 from k3pairs.errors import InternalNonExactDivision, Mismatch, NotDivisible
 from k3pairs.partition import g_via_matrices
 from k3pairs.rings import UPoly, _from_list, kron_width
-from k3pairs.scalars import binomial
 from k3pairs.ucomb import _ab_at_x, _b_at_x, _binomial_list, _bounds, \
-    _cell_at_x, _q_pascal, _values_at, _width, c_table, matrix_entry, \
+    _p_at_x, _values_at, _width, c_table, matrix_entry, \
     matrix_product_entry, verify_ab_identity
 from k3pairs.verify import run_suite
 
@@ -67,7 +66,7 @@ def test_u_binomial_degree_and_positivity(n, k):
     assert len(b) == k * (n - k) + 1
     assert all(type(v) is int and v > 0 for v in b)
     assert b == b[::-1]                     # palindromic
-    assert sum(b) == binomial(n, k)         # counts all of them at u = 1
+    assert sum(b) == comb(n, k)             # counts all of them at u = 1
 
 
 def test_matrix_entries_frozen():
@@ -134,7 +133,7 @@ def _some_entry_is_wrong():
 
 def _routes_fail_at_the_matrix_route():
     """Rank (1, 0) reads B[1, 3] in its q^2 y^1 cell, the entry
-    shifted by q^2's u^-2, so the u^0 added to B[1, 3] is u^-2 there:
+    shifted by q^2's u^-2, so a u^0 added to B[1, 3] is u^-2 there:
     the doubled exponent u2 = -4."""
     report = run_suite("routes", n=3, qorder=8, ywin=6)
     assert not report["ok"]
@@ -144,12 +143,49 @@ def _routes_fail_at_the_matrix_route():
     assert last["location"] == {"q": 2, "y": 1, "u2": -4}
 
 
-def _core_plus_one(real):
-    """_b_at_x with 1 added to the core of B[1, 3]: u^0 added to it."""
-    def lie(m, j, width, size):
-        e, v = real(m, j, width, size)
-        return (e, v + 1) if (m, j) == (1, 3) else (e, v)
+def _plus(sign, d):
+    """A lie adding sign * X^d to an (e, v) value X^e * v."""
+    def lie(value, width):
+        e, v = value
+        lo, bits = min(e, d), 8 * width
+        return lo, (v << bits * (e - lo)) + (sign << bits * (d - lo))
     return lie
+
+
+def _b_plus(entry, lie):
+    """_b_at_x with ``lie`` applied to the value of B[m, j], for
+    entry = (m, j)."""
+    def patch(real):
+        def b_at_x(m, j, width, size):
+            value = real(m, j, width, size)
+            return lie(value, width) if (m, j) == entry else value
+        return b_at_x
+    return patch
+
+
+def _p_plus(entry, lie):
+    """_p_at_x with ``lie`` applied to the value of P(n)[i, j], for
+    entry = (i, j, n)."""
+    def patch(real):
+        def p_at_x(n_max, i, j, width, size):
+            return [lie(value, width) if (i, j, n) == entry else value
+                    for n, value in enumerate(real(n_max, i, j, width,
+                                                   size))]
+        return p_at_x
+    return patch
+
+
+def _row_plus(big, k, d):
+    """_values_at with X^d added to the binomial [big, k](X) at every
+    width."""
+    def patch(real):
+        def values_at(width, size):
+            rep, rows = real(width, size)
+            row = list(rows[big])
+            row[k] += 1 << 8 * width * d
+            return rep, rows[:big] + (tuple(row),) + rows[big + 1:]
+        return values_at
+    return patch
 
 
 @pytest.mark.parametrize(
@@ -160,7 +196,8 @@ def _core_plus_one(real):
       lambda real: lambda v, lo, step, width, slots:
           real(v, lo, step, width, slots - 1),
       _some_entry_is_wrong),
-     ("_b_at_x", _core_plus_one, _routes_fail_at_the_matrix_route)],
+     ("_b_at_x", _b_plus((1, 3), _plus(1, 0)),
+      _routes_fail_at_the_matrix_route)],
     ids=["width-one-byte-narrower", "one-slot-fewer", "b-core-plus-one"],
 )
 def test_matrix_product_entry_catches_lies(cold_monkeypatch, name, lie,
@@ -232,60 +269,33 @@ def test_b_and_p_cores_are_two_nonnegative_products():
                     == core.shift(2 * (l * l + l * (k - n))), (n, k, l)
 
 
-def _map_cell(real, fn):
-    """The per-cell evaluator ``real`` with fn(entry, value, width) applied
-    to each value it returns: entry is ("A", i, m) for the factor
-    g = [m, t](X) that A(n)[i, m] = [i+t, n](X) g has at every n, with
-    t = (m - i)/2, and (kind, i, j, n) as matrix_entry takes it for the
-    (e, v) of B and P."""
-    def cell(n_max, i, j, width, size, bcol):
-        a, b, p = real(n_max, i, j, width, size, bcol)
-        ms = range(i, j + 1, 2)
-        return ([fn(("A", i, m), v, width) for m, v in zip(ms, a)],
-                [fn(("B", m, j, None), v, width) for m, v in zip(ms, b)],
-                [fn(("P", i, j, n), v, width) for n, v in enumerate(p)])
-    return cell
-
-
-def _plus(sign, d):
-    """A lie adding sign * X^d to an (e, v) value X^e * v."""
-    def lie(value, width):
-        e, v = value
-        lo, bits = min(e, d), 8 * width
-        return lo, (v << bits * (e - lo)) + (sign << bits * (d - lo))
-    return lie
-
-
-def _g_plus(sign, d):
-    """A lie adding sign * X^d to the factor g = [m, t](X) of A(n)[i, m],
-    and so to A(n)[i, m] at every n."""
-    def lie(g, width):
-        return g + (sign << 8 * width * d)
-    return lie
-
-
 @pytest.mark.parametrize(
-    "lie, entry, n, row, col",
-    [(_plus(1, 0), ("P", 1, 3, 1), 1, 1, 3),
-     (_plus(-1, max(matrix_entry("P", 2, 4, 1).c) // 2), ("P", 2, 4, 1),
-      1, 2, 4),
-     (_g_plus(1, 1), ("A", 1, 3), 0, 1, 3),
-     (_plus(1, 1), ("B", 2, 4, None), 0, 0, 4)],
+    "name, lie, location",
+    [("_p_at_x", _p_plus((1, 3, 1), _plus(1, 0)),
+      {"n": 1, "row": 1, "col": 3}),
+     ("_p_at_x", _p_plus((2, 4, 1),
+                         _plus(-1, max(matrix_entry("P", 2, 4, 1).c) // 2)),
+      {"n": 1, "row": 2, "col": 4}),
+     ("_values_at", _row_plus(3, 1, 1),
+      {"n": 0, "row": 1, "col": 3, "u2": 2}),
+     ("_b_at_x", _b_plus((2, 4), _plus(1, 1)),
+      {"n": 0, "row": 0, "col": 4, "u2": 2})],
     ids=["p-constant-plus-one", "p-top-minus-one", "a-plus-u", "b-plus-u"],
 )
-def test_verify_ab_identity_catches_lies(monkeypatch, lie, entry, n, row,
-                                         col):
-    """A lie in one evaluated entry fails the first cell that reads it;
-    the A lie adds u to the factor g = [3, 1] of A(n)[1, 3], which
-    A(0)[1, 3] = g already reads.  The closed forms themselves agree, so
-    the location has no u2."""
-    import k3pairs.ucomb as uc
-    monkeypatch.setattr(uc, "_cell_at_x", _map_cell(
-        uc._cell_at_x,
-        lambda key, v, width: lie(v, width) if key == entry else v))
+def test_verify_ab_identity_catches_lies(cold_monkeypatch, name, lie,
+                                         location):
+    """A lie in one evaluated value fails the first cell that reads it.
+    The A lie adds u to [3, 1](X), the factor of A(n)[1, 3] =
+    [2, n] [3, 1] that A(0)[1, 3] already reads, and the B lie adds u to
+    B[2, 4].  The matrix route reads both values too, so the entry it
+    reads back differs from the closed form, by u at (0, 1, 3) and by
+    A(0)[0, 2] u = u + u^2 at (0, 0, 4): the location adds the lowest
+    differing doubled exponent u2 = 2.  The P lies sit in the check's own
+    side, whose closed forms agree, so their locations have no u2."""
+    cold_monkeypatch.setattr(ucomb, name, lie(getattr(ucomb, name)))
     with pytest.raises(Mismatch) as err:
-        uc.verify_ab_identity(1, 4)
-    assert err.value.location == {"n": n, "row": row, "col": col}
+        verify_ab_identity(1, 4)
+    assert err.value.location == location
 
 
 @pytest.mark.parametrize("n, row, col", [(1, 1, 1), (2, 2, 2)])
@@ -313,40 +323,19 @@ def test_verify_ab_identity_locates_a_difference_of_the_closed_forms(
         cold_monkeypatch):
     """When the UPoly product route differs too, the location adds the
     lowest differing doubled u-exponent."""
-    import k3pairs.ucomb as uc
     entry = ("P", 1, 3, 1)
-    cold_monkeypatch.setattr(uc, "_cell_at_x", _map_cell(
-        uc._cell_at_x,
-        lambda key, v, width: _plus(1, 1)(v, width) if key == entry else v))
-    real = uc.matrix_entry
+    cold_monkeypatch.setattr(ucomb, "_p_at_x", _p_plus(
+        (1, 3, 1), _plus(1, 1))(ucomb._p_at_x))
+    real = ucomb.matrix_entry
 
     def plus_u(kind, i, j, n=None):
         out = real(kind, i, j, n)
         return out + U({2: 1}) if (kind, i, j, n) == entry else out
 
-    cold_monkeypatch.setattr(uc, "matrix_entry", plus_u)
+    cold_monkeypatch.setattr(ucomb, "matrix_entry", plus_u)
     with pytest.raises(Mismatch) as err:
-        uc.verify_ab_identity(1, 4)
+        verify_ab_identity(1, 4)
     assert err.value.location == {"n": 1, "row": 1, "col": 3, "u2": 2}
-
-
-def test_verify_ab_identity_reads_values_not_factors(monkeypatch):
-    """The check uses each product's value whatever split the cell
-    evaluator returns: A's factor g folded into B's core, so that every
-    g reads 1, B with one power of X moved from e into v where e >= 1,
-    and P with one power moved everywhere, so with e < 0 where l = 0."""
-    import k3pairs.ucomb as uc
-    real = uc._cell_at_x
-
-    def refactored(n_max, i, j, width, size, bcol):
-        a, b, p = real(n_max, i, j, width, size, bcol)
-        bits = 8 * width
-        b = [(e - 1, g * v << bits) if e >= 1 else (e, g * v)
-             for g, (e, v) in zip(a, b)]
-        return [1] * len(a), b, [(e - 1, v << bits) for e, v in p]
-
-    monkeypatch.setattr(uc, "_cell_at_x", refactored)
-    assert uc.verify_ab_identity(3, 10) == 4 * 36
 
 
 def test_each_b_core_is_divided_once_per_width_and_column(monkeypatch):
@@ -370,9 +359,10 @@ def test_each_b_core_is_divided_once_per_width_and_column(monkeypatch):
 
 
 def test_b_and_p_cores_are_the_displayed_quotients():
-    """_b_at_x divides by [l'] and _cell_at_x by [n], yet every B and P
+    """_b_at_x divides by [l'] and _p_at_x by [n], yet every B and P
     core of (6, 41), at its cell's own width, is the quotient of the
-    displayed numerator by [m+l'](X) or [n+l](X), with no remainder."""
+    displayed numerator by [m+l'](X) or [n+l](X), with no remainder;
+    so is each B value that _ab_at_x leaves in its column's table."""
     n_max, index_max = 6, 41
     size = max(index_max, n_max + index_max // 2)
     cores = 0
@@ -382,14 +372,15 @@ def test_b_and_p_cores_are_the_displayed_quotients():
             width = _width(n_max, i, j)
             rep, rows = _values_at(width, size)
             l = (j - i) // 2
-            _, b, p = _cell_at_x(n_max, i, j, width, size, bcol)
-            for m, got in zip(range(i, j, 2), b):
+            _ab_at_x(n_max, i, j, width, size, bcol)
+            for m in range(i, j, 2):
                 lb = (j - m) // 2
                 core, rest = divmod(rep[j] * rows[m + lb][lb], rep[m + lb])
                 want = (lb * (lb - 1) // 2, -core if lb % 2 else core)
-                assert not rest and got == want, (m, j, width)
+                assert not rest and bcol[width, m] == want, (m, j, width)
                 assert _b_at_x(m, j, width, size) == want, (m, j, width)
                 cores += 1
+            p = _p_at_x(n_max, i, j, width, size)
             for n in range(1, n_max + 1):
                 core, rest = divmod(
                     rep[j] * rows[n + l][n] * rows[i + l - 1][n - 1],
@@ -434,22 +425,6 @@ def test_width_is_kron_width_of_the_comb_bound():
     assert cells == 8 * 992
 
 
-def _row_entry_plus_one(big, k):
-    """_values_at with 1 added to the binomial [big, k](X) at every width.
-    [3, 2](X) = [3](X) is read by no A factor of verify_ab_identity
-    (2k > big) and first by B[1, 7]'s numerator [7] [3, 2] and, at
-    n >= 3, by P(3)[2, 4]'s [4] [3, 2] [2, 2]; plus one, neither is a
-    multiple of [3](X), as [3] is prime to [7] and to [4]."""
-    real = ucomb._values_at
-
-    def lie(width, size):
-        rep, rows = real(width, size)
-        row = list(rows[big])
-        row[k] += 1
-        return rep, rows[:big] + (tuple(row),) + rows[big + 1:]
-    return lie
-
-
 @pytest.mark.parametrize(
     "check, name",
     [(lambda: verify_ab_identity(2, 7), "B entry (1,7)"),
@@ -461,28 +436,23 @@ def test_a_numerator_prime_to_the_short_divisor_is_named(cold_monkeypatch,
                                                          check, name):
     """A numerator value at X that [l'](X) or [n](X) does not divide
     raises InternalNonExactDivision naming its entry, from the check and
-    from the matrix route, before any comparison."""
-    cold_monkeypatch.setattr(ucomb, "_values_at", _row_entry_plus_one(3, 2))
+    from the matrix route, before any comparison.  The lie adds 1 to
+    [3, 2](X) = [3](X), which no A factor [m, t](X) of verify_ab_identity
+    reads, as 2t <= m; it is read first by B[1, 7]'s numerator [7] [3, 2] and,
+    at n >= 3, by P(3)[2, 4]'s [4] [3, 2] [2, 2], and plus one, neither
+    is a multiple of [3](X), as [3] is prime to [7] and to [4]."""
+    cold_monkeypatch.setattr(ucomb, "_values_at",
+                             _row_plus(3, 2, 0)(ucomb._values_at))
     with pytest.raises(InternalNonExactDivision) as exc:
         check()
     assert str(exc.value) == name
 
 
-def _pascal_rows(n_max, top, bits):
-    """The binomial rows [N, n](X) for N <= top, n <= n_max, at X = 2^bits,
-    each made from the last by one q-Pascal step, from [0, *] = e_0."""
-    w = [1] + [0] * n_max
-    rows = [tuple(w)]
-    for big_n in range(1, top + 1):
-        _q_pascal(w, bits, min(big_n, n_max))
-        rows.append(tuple(w))
-    return rows
-
-
 def test_values_at_x_match_the_upoly_oracle():
-    """Each A, B, P value verify_ab_identity uses equals the UPoly entry
-    evaluated by kron_eval at the cell's width, A(n)[i, m] as the
-    q-Pascal row [i+t, n](X) times the cell's g; the closed-form bound is
+    """Both sides of each cell of verify_ab_identity equal the UPoly
+    entries evaluated by kron_eval at the cell's width: the sum of
+    _ab_at_x at every n, each B value it leaves in the column's table,
+    and the P value of _p_at_x.  The closed-form bound is
     sum_m A(1) |B|(1) + P(1) read off the built entries, the largest
     coefficient of sum_m A |B| + P, built in UPoly, is at most the bound,
     and the bound stays below X/2.  Cells go in the check's column order,
@@ -490,7 +460,6 @@ def test_values_at_x_match_the_upoly_oracle():
     12 mix two widths, and the B tables of 6, 11 and 12 do, so a table
     that ignores the width fails here."""
     n_max, index_max = 3, 12
-    oracle = _map_cell(_cell_at_x, lambda entry, v, w: (entry, v))
     mixed, mixed_b = set(), set()
     for j in range(index_max + 1):
         bcol: dict = {}
@@ -502,20 +471,23 @@ def test_values_at_x_match_the_upoly_oracle():
         for i in range(j % 2, j + 1, 2):
             width = _width(n_max, i, j)
             bounds = _bounds(n_max, i, j)
-            rows = _pascal_rows(n_max, j, 8 * width)
-            a, b, p = oracle(n_max, i, j, width, index_max, bcol)
+            accs = _ab_at_x(n_max, i, j, width, index_max, bcol)
+            p = _p_at_x(n_max, i, j, width, index_max)
             for n in range(n_max + 1):
                 total = matrix_entry("P", i, j, n)
+                ab = UPoly.zero()
                 for m in range(i, j + 1, 2):
+                    am = matrix_entry("A", i, m, n)
                     bm = matrix_entry("B", m, j)
-                    total += matrix_entry("A", i, m, n) \
-                        * UPoly({k: abs(v) for k, v in bm.c.items()})
+                    ab += am * bm
+                    total += am * UPoly({k: abs(v) for k, v in bm.c.items()})
                 assert total.eval_one() == bounds[n], (n, i, j)
                 assert max_abs_int(total) <= bounds[n] \
                     < 1 << 8 * width - 1, (n, i, j)
-                values = [((kind, i, m, n), (0, rows[(i + m) // 2][n] * g))
-                          for (kind, i, m), g in a]
-                for entry, (e, v) in values + b + [p[n]]:
+                assert accs[n] == kron_eval(ab.c, 0, 2, width), (n, i, j)
+                values = [(("B", m, j), bcol[width, m])
+                          for m in range(i, j, 2)]
+                for entry, (e, v) in values + [(("P", i, j, n), p[n])]:
                     poly = matrix_entry(*entry)
                     lo = min([e] + [k // 2 for k in poly.c])
                     assert v << 8 * width * (e - lo) \
@@ -524,18 +496,20 @@ def test_values_at_x_match_the_upoly_oracle():
     assert mixed_b == {6, 11, 12}
 
 
-def _per_n_sums(n_max, i, a, b, width, size):
+def _per_n_sums(n_max, i, j, width, size):
     """The sums of _ab_at_x term by term: for each n, sum_t [i+t, n](X)
-    g v X^e over the t with [i+t, n] != 0, reading the binomial rows of
-    _values_at, with one multiply per (t, n)."""
+    [m, t](X) B[m, j](X) over the t with [i+t, n] != 0, reading the
+    binomial rows of _values_at and _b_at_x, with one multiply per
+    (t, n)."""
     _, rows = _values_at(width, size)
     bits = 8 * width
     out = []
     for n in range(n_max + 1):
         acc = 0
-        for t in range(max(n - i, 0), len(a)):
-            e, v = b[t]
-            acc += (rows[i + t][n] * a[t] * v) << bits * e
+        for t in range(max(n - i, 0), (j - i) // 2 + 1):
+            m = i + 2 * t
+            e, v = _b_at_x(m, j, width, size) if m < j else (0, 1)
+            acc += (rows[i + t][n] * rows[m][t] * v) << bits * e
         out.append(acc)
     return out
 
@@ -551,9 +525,8 @@ def test_horner_sum_matches_the_per_n_sums(n_max, index_max):
         bcol: dict = {}
         for i in range(j % 2, j + 1, 2):
             width = _width(n_max, i, j)
-            a, b, _ = _cell_at_x(n_max, i, j, width, size, bcol)
-            assert _ab_at_x(n_max, i, a, b, 8 * width) \
-                == _per_n_sums(n_max, i, a, b, width, size), (i, j)
+            assert _ab_at_x(n_max, i, j, width, size, bcol) \
+                == _per_n_sums(n_max, i, j, width, size), (i, j)
             cells += 1
     assert cells * (n_max + 1) == verify_ab_identity(n_max, index_max)
 
