@@ -21,24 +21,29 @@ series S):
                         r = n the repair of the q^0 column is folded
                         into the numerators before it.
 
-The closed and kernel routes build each cell in one plain list over
-whole exponents (every u-key of their terms is even), from its first
-term to its quotient, with the cell's u-power as the list's lowest
-exponent, and make the one UPoly at the end.  The closed route's cells
-are products of the binomial lists of ``ucomb`` times [p+l]/[n] by its
-``_ratio``; the kernel route's divide by their chain in ``rings``, and
-at r = n its missed p = 0 column is the closed route's cell.
+Each route builds its raw cells, {(qe, ye): (lo2, list)}: the cell at
+q^qe y^ye is the list's coefficients over whole exponents (every u-key
+of every term is even) from the doubled exponent lo2 up, with the
+cell's u-power folded into lo2 (``_closed_cells``, ``_kernel_cells``,
+``_matrix_cells``).  The public routes are those builders read by the
+one ``_cells_to_series``, which makes each UPoly once.  The closed
+route's lists are products of the binomial lists of ``ucomb`` times
+[p+l]/[n] by its ``_ratio``; the kernel route's divide by their chain
+in ``rings``, and at r = n its missed p = 0 column is the closed
+route's cell.
 
 The ranks of one n repeat their cells, so three memos of the process
 build each once: ``_closed_cell`` holds the closed route's lists, which
 depend on (n, l - r, p + r) alone and which the kernel route's r = n
 column reads too; ``_kernel_cell`` the kernel route's, contracted from
 rank 0's weight table (``_kernel_weights``, one per n) at the point
-(p + r, l - r); and ``ucomb.matrix_product_entry`` the matrix route's
-entries, each summed as one integer at X = 256^w and read back once
-with ``rings.kron_digits``.  They hold cells, not series: the per-run
-memo of ``verify``, which builds each rank's ``g_closed`` once, stays.
-No route reads another's memo beyond the kernel route's r = n column.
+(p + r, l - r); and ``_matrix_cell`` the matrix route's, each the list
+of an entry of ``ucomb.matrix_product_entry``, which sums it as one
+integer at X = 256^w and reads it back once with ``rings.kron_digits``.
+They hold lists, not series, and so does the per-run memo of
+``verify``, which builds each rank's closed cells once and compares
+raw cells, building series only to locate a failure.  No route reads
+another's memo beyond the kernel route's r = n column.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
@@ -172,13 +177,15 @@ def syst_table(n: int, r: int, gmax: int, kmin: int, kmax: int,
 # ---------------------------------------------------------------------------
 # Partition functions
 
-def _cells_to_series(cells: dict, lower: int, qorder: int) -> QSeries:
-    cols = {}
-    for qe, col in cells.items():
-        y = YPoly(col)
-        if y:
-            cols[qe] = y
-    return QSeries.from_dict(cols, lower, qorder)
+def _cells_to_series(cells: dict, qorder: int) -> QSeries:
+    """The series q^0 .. q^(qorder-1) of a route's raw cells
+    {(qe, ye): (lo2, list)}: the y^ye coefficient of q^qe is the UPoly
+    sum_k list[k] u^{lo2/2 + k}.  A column with no nonzero cell is 0."""
+    cols: dict = {}
+    for (qe, ye), (lo2, f) in cells.items():
+        cols.setdefault(qe, {})[ye] = _from_list(lo2, f, 2)
+    return QSeries.from_dict(
+        {qe: y for qe, col in cols.items() if (y := YPoly(col))}, 0, qorder)
 
 
 @lru_cache(maxsize=None)
@@ -207,14 +214,22 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     list's lowest exponent.  A cell not exactly divisible by [n] raises
     NonExactDivision naming its (q, y) exponents.
     """
+    return _cells_to_series(_closed_cells(n, r, qorder, ywin), qorder)
+
+
+def _closed_cells(n: int, r: int, qorder: int, ywin: int) -> dict:
+    """``g_closed``'s raw cells {(qe, ye): (lo2, list)}, visiting only the
+    lattice points in the window: at l >= 1, |p - l| <= ywin and pl <
+    qorder bound p to max(n - r, l - ywin) .. min(l + ywin, (qorder-1)//l);
+    at l = 0, p <= ywin, and q^0 is kept only when qorder > 0."""
     _check_rank(n, r)
     _check_ywin(ywin)
     cells: dict = {}
-    hi = qorder + ywin + 1
-    for l in range(r, r + hi):
-        for p in range(n - r, n - r + hi):
+    for l in range(r, r + qorder + ywin + 1):
+        top = min(l + ywin, (qorder - 1) // l) if l else ywin
+        for p in range(max(n - r, l - ywin), top + 1):
             qe, ye = p * l, p - l
-            if qe >= qorder or abs(ye) > ywin:
+            if qe >= qorder:
                 continue
             try:
                 f = _closed_cell(n, l - r, p + r)
@@ -222,22 +237,34 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
                 raise NonExactDivision(
                     f"closed-form numerator at q^{qe} y^{ye} not divisible "
                     f"by [{n}]") from exc
-            cells.setdefault(qe, {})[ye] = _from_list(
-                2 * (r * (n - r) - n * l - ye * r), f, 2)
-    return _cells_to_series(cells, 0, qorder)
+            cells[qe, ye] = 2 * (r * (n - r) - n * l - ye * r), f
+    return cells
+
+
+@lru_cache(maxsize=None)
+def _matrix_cell(n: int, i: int, j: int):
+    """``ucomb.matrix_product_entry(n, i, j)`` as (lowest exponent, list
+    over the whole exponents), or None when it is zero; callers never
+    write to the list.  Every key of an entry is whole."""
+    c = matrix_product_entry(n, i, j).c
+    if not c:
+        return None
+    lo = min(c)
+    return lo // 2, [c.get(e, 0) for e in range(lo, max(c) + 1, 2)]
 
 
 def _g_matrix_cells(n: int, r: int, qorder: int, kmin: int,
                     kmax: int) -> dict:
-    """{q-exponent: {k: UPoly}} entries of the matrix route, kmin <= k <= kmax:
-    the term l of the y^k column sits at q^{l^2+l|k|}, one entry a cell,
-    and is that entry unshifted, u^{l^2+l|k|} times G's cell."""
+    """{q-exponent: {k: (lo, list)}} entries of the matrix route, kmin <= k
+    <= kmax, from ``_matrix_cell``: the term l of the y^k column sits at
+    q^{l^2+l|k|}, one entry a cell, and is that entry unshifted,
+    u^{l^2+l|k|} times G's cell."""
     cells: dict = {}
     for k in range(kmin, kmax + 1):
         a, l = abs(k), (r if k >= 0 else n - r)
         row = a + 2 * l
         while l * l + l * a < qorder:
-            w = matrix_product_entry(n, row, a + 2 * l)
+            w = _matrix_cell(n, row, a + 2 * l)
             if w:
                 cells.setdefault(l * l + l * a, {})[k] = w
             l += 1
@@ -252,12 +279,17 @@ def g_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     the genuine matrix product so this route shares no closed form with
     g_closed.
     """
+    return _cells_to_series(_matrix_cells(n, r, qorder, ywin), qorder)
+
+
+def _matrix_cells(n: int, r: int, qorder: int, ywin: int) -> dict:
+    """``g_via_matrices``'s raw cells {(qe, ye): (lo2, list)}: each entry
+    shifted down by u^qe."""
     _check_rank(n, r)
     _check_ywin(ywin)
-    cells = _g_matrix_cells(n, r, qorder, -ywin, ywin)
-    return _cells_to_series(
-        {qe: {k: w.shift(-2 * qe) for k, w in col.items()}
-         for qe, col in cells.items()}, 0, qorder)
+    return {(qe, k): (2 * (lo - qe), f) for qe, col in
+            _g_matrix_cells(n, r, qorder, -ywin, ywin).items()
+            for k, (lo, f) in col.items()}
 
 
 def _s_times_g(n: int, r: int, gmax: int, kmin: int, kmax: int,
@@ -296,19 +328,20 @@ def _s_times_g(n: int, r: int, gmax: int, kmin: int, kmax: int,
                     dst[k] = dst[k] + x if k in dst else x
         return cells
 
-    cells = sum_terms(_euler_s(top), UPoly.eval_one, 0, 0)
+    cells = sum_terms(_euler_s(top), lambda w: sum(w[1]), 0, 0)
     if not hodge:
         return cells
     width = kron_width(max(max(col.values()) for col in cells.values()))
     bits = 8 * width
-    bspan = gmax + max(0, max(max(w.c) // 2 - 2 * qe
-                              for qe, col in g.items() for w in col.values()))
+    bspan = gmax + max(0, max(lo + len(f) - 1 - 2 * qe
+                              for qe, col in g.items()
+                              for lo, f in col.values()))
     grid = _hilbert_grid(top, bspan, width)
     s = grid.cells
     for m in range(top):
         s[m] >>= bits * (top - m) * grid.row
     cells = sum_terms(s, lambda w: sum(
-        [v << bits * (e // 2) for e, v in w.c.items()]), bits, grid.row)
+        [v << bits * e for e, v in enumerate(w[1], w[0])]), bits, grid.row)
     # rows |a| <= g - qe of a cell lie within the grid's own q^top cell
     return {j: {k: _tt(grid.read_rows(v, min(j, top), j), j)
                 for k, v in col.items()} for j, col in cells.items()}
@@ -324,9 +357,9 @@ def f_via_matrices(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     _check_rank(n, r)
     _check_ywin(ywin)
     cells = _s_times_g(n, r, qorder, -ywin, ywin, True)
-    return _cells_to_series({g - 1: {
+    return QSeries.from_dict({g - 1: YPoly({
         k: TTPoly._of({(p - g, q - g): v for (p, q), v in h.c.items()})
-        for k, h in col.items()} for g, col in cells.items()}, -1, qorder)
+        for k, h in col.items()}) for g, col in cells.items()}, -1, qorder)
 
 
 @lru_cache(maxsize=None)
@@ -457,6 +490,11 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
       cancels: ``_kernel_cell`` is None there, as it is at every point
       with a < n or b < 0, where the closed sum has no term.
     """
+    return _cells_to_series(_kernel_cells(n, r, qorder, ywin), qorder)
+
+
+def _kernel_cells(n: int, r: int, qorder: int, ywin: int) -> dict:
+    """``g_via_kernels``'s raw cells {(qe, ye): (lo2, list)}."""
     _check_rank(n, r)
     _check_ywin(ywin)
     points = [(p, 0) for p in range(1, ywin + 1)] if qorder > 0 else []
@@ -473,13 +511,11 @@ def g_via_kernels(n: int, r: int, qorder: int, ywin: int) -> QSeries:
                 f"(u-1)^{2 * n - 1} ([{n - 1}]!)^2 [{n}]") from exc
         if cell:
             lo, f = cell
-            cells.setdefault(qe, {})[ye] = _from_list(
-                2 * (lo - r * r - r * ye), f, 2)
+            cells[qe, ye] = 2 * (lo - r * r - r * ye), f
     if r == n and qorder > 0:
-        col = cells.setdefault(0, {})
         for l in range(n, ywin + 1):
-            col[-l] = _from_list(0, _closed_cell(n, l - n, n), 2)
-    return _cells_to_series(cells, 0, qorder)
+            cells[0, -l] = 0, _closed_cell(n, l - n, n)
+    return cells
 
 
 # ---------------------------------------------------------------------------

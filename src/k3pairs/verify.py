@@ -8,20 +8,21 @@ comparison — and the runner stops at the first failure, returning
 structured results for the caller to render and turn into an exit code.
 
 One run holds one memo, made with its checks and dropped with them: the
-closed form ``g_closed`` and the v-expansion ``v_partition_series`` of
+closed route's raw cells and the v-expansion ``v_partition_series`` of
 each rank (n, r) are built once at the run's fixed bounds and shared by
 the checks that read them (route agreement and duality; the mirror
 checks).  The kernel and matrix routes read nothing from it, so the three
 routes stay independent.  Below it, the cell memos of ``partition`` and
-``ucomb`` are process-wide and outlive the run: a later run rebuilds its
-series from cells that are already built.
+``ucomb`` are process-wide and outlive the run: a later run reads its
+raw cells from lists that are already built.  The route and duality
+checks build series only to locate a difference (``_agree``).
 """
 
 from .errors import K3PairsError
 from .modular import (logphi_sigma_check, mpt_check, v_partition_series,
                       verify_psi_vs_log)
-from .partition import (g_closed, g_via_kernels, g_via_matrices, ky_product,
-                        mirror_series)
+from .partition import (_cells_to_series, _closed_cells, _kernel_cells,
+                        _matrix_cells, ky_product, mirror_series)
 from .rings import Monomial, UPoly, YPoly
 from .series import QSeries
 from .theta import phi_bilateral, psi
@@ -67,19 +68,39 @@ def _once(memo: dict, build, n: int, r: int, *bounds):
     return memo[key]
 
 
+def _agree(a: dict, b: dict, qorder: int, what: str,
+           mirrored: bool = False) -> None:
+    """Compare two routes' raw cells {(qe, ye): (lo2, list)} as plain
+    dicts, b's under ye -> -ye if ``mirrored``.  Only when they differ are
+    the two series built, b's mirrored by ``mirror_series``, for
+    ``QSeries.assert_agrees`` to locate the first difference: the series
+    path decides, so cells that differ only in representation (a list
+    padded with a zero, say) still pass."""
+    if a == ({(qe, -ye): c for (qe, ye), c in b.items()} if mirrored else b):
+        return
+    sb = _cells_to_series(b, qorder)
+    _cells_to_series(a, qorder).assert_agrees(
+        mirror_series(sb) if mirrored else sb, what=what)
+
+
 def _routes_agree(n: int, r: int, qorder: int, ywin: int,
                   memo: dict) -> None:
-    gc = _once(memo, g_closed, n, r, qorder, ywin)
-    gk = g_via_kernels(n, r, qorder, ywin)
-    gm = g_via_matrices(n, r, qorder, ywin)
-    gc.assert_agrees(gk, what=f"closed and kernel routes at rank ({n}, {r})")
-    gc.assert_agrees(gm, what=f"closed and matrix routes at rank ({n}, {r})")
+    """The closed route's raw cells against the kernel route's, then
+    against the matrix route's; see ``_agree`` for how a failure is
+    located."""
+    gc = _once(memo, _closed_cells, n, r, qorder, ywin)
+    _agree(gc, _kernel_cells(n, r, qorder, ywin), qorder,
+           f"closed and kernel routes at rank ({n}, {r})")
+    _agree(gc, _matrix_cells(n, r, qorder, ywin), qorder,
+           f"closed and matrix routes at rank ({n}, {r})")
 
 
 def _duality(n: int, r: int, qorder: int, ywin: int, memo: dict) -> None:
-    a = _once(memo, g_closed, n, r, qorder, ywin)
-    b = mirror_series(_once(memo, g_closed, n, n - r, qorder, ywin))
-    a.assert_agrees(b, what=f"mirror duality at rank ({n}, {r})")
+    """Rank r's closed cells against rank n - r's under ye -> -ye; see
+    ``_agree`` for how a failure is located."""
+    _agree(_once(memo, _closed_cells, n, r, qorder, ywin),
+           _once(memo, _closed_cells, n, n - r, qorder, ywin), qorder,
+           f"mirror duality at rank ({n}, {r})", mirrored=True)
 
 
 def _v_mirror(f: QSeries) -> QSeries:

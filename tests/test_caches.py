@@ -8,7 +8,7 @@ import pkgutil
 import k3pairs
 from k3pairs import reset_caches
 from k3pairs.partition import _closed_cell, _kernel_cell, _kernel_weights, \
-    g_closed, g_via_kernels, g_via_matrices, s_series
+    _matrix_cell, g_closed, g_via_kernels, g_via_matrices, s_series
 from k3pairs.ucomb import matrix_product_entry, verify_ab_identity
 from k3pairs.verify import run_suite
 
@@ -32,6 +32,7 @@ def test_reset_caches_empties_every_table():
     assert {"k3pairs.partition._closed_cell",
             "k3pairs.partition._kernel_cell",
             "k3pairs.partition._kernel_weights",
+            "k3pairs.partition._matrix_cell",
             "k3pairs.ucomb.matrix_product_entry"} <= set(tables)
     assert any(f.cache_info().currsize for f in tables.values())
     reset_caches()
@@ -45,8 +46,9 @@ def test_routes_share_their_cells_across_ranks():
     the kernel route's r = n column 8 + 7 + 6 + 5 more, of 81 distinct
     ones; the kernel route reads 336 of its own cells, of 205 distinct
     ones, contracted from one rank-0 table per n; the matrix route reads
-    205 entries, of 72 distinct ones.  A duality run after it reads every
-    closed cell again, and builds none of either route's."""
+    205 entry lists, of 72 distinct ones, each read once from its entry.
+    A duality run after it reads every closed cell again, and builds none
+    of either route's."""
     reset_caches()
     assert run_suite("routes", n=4, qorder=8, ywin=8)["ok"]
     cells = _closed_cell.cache_info()
@@ -54,8 +56,10 @@ def test_routes_share_their_cells_across_ranks():
     kernel = _kernel_cell.cache_info()
     assert (kernel.misses, kernel.hits + kernel.misses) == (205, 336)
     assert _kernel_weights.cache_info().misses == 4
+    lists = _matrix_cell.cache_info()
+    assert (lists.misses, lists.hits + lists.misses) == (72, 205)
     entries = matrix_product_entry.cache_info()
-    assert (entries.misses, entries.hits + entries.misses) == (72, 205)
+    assert (entries.misses, entries.hits + entries.misses) == (72, 72)
     assert run_suite("duality", n=4, qorder=8, ywin=8)["ok"]
     after = _closed_cell.cache_info()
     assert (after.misses, after.hits) == (81, cells.hits + 171)

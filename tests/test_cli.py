@@ -396,11 +396,11 @@ def test_modularity_suite_expands_each_v_series_once(monkeypatch):
 
 def test_a_run_builds_each_closed_form_and_v_series_once(monkeypatch):
     # fourteen ranks (n, r) with n <= 4: route agreement and duality share
-    # one g_closed per rank, the mirror checks one v-expansion per rank,
-    # and a second run builds its own
+    # one set of closed-route cells per rank, the mirror checks one
+    # v-expansion per rank, and a second run builds its own
     import k3pairs.verify
 
-    calls = {"g_closed": [], "v_partition_series": []}
+    calls = {"_closed_cells": [], "v_partition_series": []}
 
     def spy(name):
         real = getattr(k3pairs.verify, name)
@@ -410,7 +410,7 @@ def test_a_run_builds_each_closed_form_and_v_series_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(k3pairs.verify, name, counted)
 
-    spy("g_closed")
+    spy("_closed_cells")
     spy("v_partition_series")
     report = run_suite("all", n=4)
     assert report["ok"] and len(report["results"]) == 52
@@ -419,7 +419,7 @@ def test_a_run_builds_each_closed_form_and_v_series_once(monkeypatch):
     for log in calls.values():
         assert sorted(a[:2] for a in log) == ranks
     assert run_suite("duality", n=4, qorder=8)["ok"]
-    assert len(calls["g_closed"]) == 28
+    assert len(calls["_closed_cells"]) == 28
 
 
 def test_verify_unknown_suite_rejected_by_parser():

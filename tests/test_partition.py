@@ -1,9 +1,13 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 import k3pairs.partition as partition
+import k3pairs.rings as rings
+import k3pairs.ucomb as ucomb
+import k3pairs.verify as verify
 from k3pairs import reset_caches
 from k3pairs.errors import Mismatch, NonExactDivision, UnsupportedRank
 from k3pairs.partition import euler_g_column, f_via_matrices, g_closed, \
@@ -472,6 +476,129 @@ def test_g_closed_names_the_cell_that_fails(cold_monkeypatch):
     assert bad["check"] == "three-route agreement at rank (2, 0)"
     assert "closed-form numerator at q^0 y^3 not divisible by [2]" \
         in bad["message"]
+
+
+def _closed_cells_by_square_scan(n, r, qorder, ywin):
+    """The closed route's raw cells as they were first built: every (p, l)
+    of the (qorder + ywin + 1)^2 square from (n - r, r), the points
+    outside the window skipped."""
+    cells = {}
+    hi = qorder + ywin + 1
+    for l in range(r, r + hi):
+        for p in range(n - r, n - r + hi):
+            qe, ye = p * l, p - l
+            if qe < qorder and abs(ye) <= ywin:
+                cells[qe, ye] = (2 * (r * (n - r) - n * l - ye * r),
+                                 partition._closed_cell(n, l - r, p + r))
+    return cells
+
+
+def _series_digest(f):
+    return (f"{f.lower} {f.order} " + "".join(
+        (" ".join(f"{ye}:{u}" for ye, u in c.c.items()) if c else repr(c))
+        + ";" for c in f.coeffs)).encode()
+
+
+def test_closed_route_visits_only_the_window():
+    """The closed route's loop over the window's lattice points gives the
+    cells of the square scan, in its order, on 2,800 configurations, and
+    the printed series of the tree that scanned the square (sha256 over
+    every configuration, in order)."""
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for r in range(n + 1):
+            for qorder in range(14):
+                for ywin in range(10):
+                    want = _closed_cells_by_square_scan(n, r, qorder, ywin)
+                    got = partition._closed_cells(n, r, qorder, ywin)
+                    assert list(got.items()) == list(want.items()), \
+                        (n, r, qorder, ywin)
+                    f = g_closed(n, r, qorder, ywin)
+                    digest.update(f"{n} {r} {qorder} {ywin} ".encode()
+                                  + _series_digest(f))
+    assert digest.hexdigest() == ("a1b3babc545f86390e194528d1aebeb7"
+                                  "f3bda3eaa5049ca6c1a938f210fae7ff")
+
+
+def test_passing_route_and_duality_runs_build_no_series(cold_monkeypatch):
+    """Route and duality checks compare raw cells; a series is built only
+    to locate a difference.  So a passing run, from cold caches, still
+    passes with every module's ``_from_list`` and ``_cells_to_series``
+    and the QSeries constructor made to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    for module in (rings, partition, ucomb, verify):
+        for name in ("_from_list", "_cells_to_series"):
+            if hasattr(module, name):
+                cold_monkeypatch.setattr(module, name, refuse)
+    cold_monkeypatch.setattr(QSeries, "__init__", refuse)
+    with pytest.raises(AssertionError, match="a series was built"):
+        g_closed(1, 0, 2, 1)
+    for suite in ("routes", "duality"):
+        report = run_suite(suite, n=4, qorder=8, ywin=8)
+        assert report["ok"] and len(report["results"]) == 14, suite
+
+
+def _kernel_lie(key, lie):
+    real = partition._kernel_cell
+    return "_kernel_cell", lambda *args: (lie(real(*args)) if args == key
+                                          else real(*args))
+
+
+def _closed_lie(key, lie):
+    real = partition._closed_cell
+    return "_closed_cell", lambda *args: (lie(real(*args)) if args == key
+                                          else real(*args))
+
+
+def _one_more(k):
+    """A lie adding 1 to entry k of a (lowest exponent, list) cell."""
+    def lie(cell):
+        lo, f = cell
+        return lo, f[:k] + [f[k] + 1] + f[k + 1:]
+    return lie
+
+
+@pytest.mark.parametrize(
+    "patch, suite, rank, location",
+    [(lambda: _kernel_lie((3, 4, 1), _one_more(1)), "routes",
+      "closed and kernel routes at rank (3, 0)", {"q": 4, "y": 3, "u2": -4}),
+     (lambda: _kernel_lie((4, 5, 2), _one_more(-1)), "routes",
+      "closed and kernel routes at rank (4, 4)", {"q": 6, "y": -5, "u2": 16}),
+     (lambda: _kernel_lie((3, 4, 1), lambda cell: None), "routes",
+      "closed and kernel routes at rank (3, 0)", {"q": 4, "y": 3, "u2": -6}),
+     (lambda: _closed_lie((3, 1, 5), lambda f: [f[0] + 1] + f[1:]), "routes",
+      "closed and kernel routes at rank (3, 0)", {"q": 5, "y": 4, "u2": -6}),
+     (lambda: _closed_lie((3, 1, 5), lambda f: [f[0] + 1] + f[1:]),
+      "duality", "mirror duality at rank (3, 0)", {"q": 5, "y": 4, "u2": -6}),
+     (lambda: _kernel_lie((3, 4, 1), lambda cell: (cell[0], cell[1] + [0])),
+      "routes", None, None),
+     (lambda: _kernel_lie((3, 4, 1), lambda cell: (cell[0] - 1,
+                                                   [0] + cell[1])),
+      "routes", None, None),
+     (lambda: _closed_lie((3, 1, 5), lambda f: f + [0]), "duality",
+      None, None)],
+    ids=["kernel-plus-one", "kernel-top-plus-one", "kernel-cell-dropped",
+         "closed-plus-one-routes", "closed-plus-one-duality",
+         "kernel-zero-on-top", "kernel-zero-below", "closed-zero-on-top"])
+def test_route_and_duality_lies_are_located_on_the_series(
+        cold_monkeypatch, patch, suite, rank, location):
+    """A lie in one cell of the closed or the kernel route fails the run
+    with the message and the {q, y, u2} location that comparing the whole
+    series gives.  A list padded with a zero differs from the other
+    route's as a list, not as a polynomial, and passes: the series
+    decide.  (3, 1, 5) is the closed cell of rank (3, 0) at (p, l) =
+    (5, 1), whose mirror partner at rank (3, 3) is the cell (3, 2, 4).)"""
+    cold_monkeypatch.setattr(partition, *patch())
+    report = run_suite(suite, n=4, qorder=8, ywin=8)
+    last = report["results"][-1]
+    if rank is None:
+        assert report["ok"] and len(report["results"]) == 14
+        return
+    assert not report["ok"]
+    assert last["message"] == f"{rank} disagree at {location}"
+    assert last["location"] == location
 
 
 def to_tt_series(f):
