@@ -26,6 +26,7 @@ Mismatch, at its {v, q}.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from operator import add
 
@@ -232,6 +233,7 @@ def _boundary_q0_column(n: int, vorder: int) -> QSeries:
     return (col * (-1) ** n).shift(1 - n)
 
 
+@lru_cache(maxsize=None)
 def v_partition_series(n: int, r: int, qorder: int, vorder: int) -> QSeries:
     """v-major expansion of v^2 G(n, r; q, e^{iv}).
 
@@ -241,7 +243,8 @@ def v_partition_series(n: int, r: int, qorder: int, vorder: int) -> QSeries:
     r = 0 it is the closed rational form expanded through Bernoulli
     numbers, for r = n its mirror y -> 1/y, which is v -> -v and puts
     (-1)^s on the cells; every q^m column with m >= 1 comes from the
-    finite integer-support cells of the Euler specialization.
+    finite integer-support cells of the Euler specialization.  Built once
+    per rank and bounds; callers never write to it.
     """
     _check_rank(n, r)
     if qorder < 1:

@@ -32,18 +32,20 @@ route's lists are products of the binomial lists of ``ucomb`` times
 in ``rings``, and at r = n its missed p = 0 column is the closed
 route's cell.
 
-The ranks of one n repeat their cells, so three memos of the process
-build each once: ``_closed_cell`` holds the closed route's lists, which
-depend on (n, l - r, p + r) alone and which the kernel route's r = n
-column reads too; ``_kernel_cell`` the kernel route's, contracted from
-rank 0's weight table (``_kernel_weights``, one per n) at the point
-(p + r, l - r); and ``_matrix_cell`` the matrix route's, each the list
-of an entry of ``ucomb.matrix_product_entry``, which sums it as one
-integer at X = 256^w and reads it back once with ``rings.kron_digits``.
-They hold lists, not series, and so does the per-run memo of
-``verify``, which builds each rank's closed cells once and compares
-raw cells, building series only to locate a failure.  No route reads
-another's memo beyond the kernel route's r = n column.
+Every memo here is an ``lru_cache`` of the process, which
+``k3pairs.reset_caches()`` empties, and each holds lists, not series.
+The ranks of one n repeat their cells, so three memos build each cell
+once: ``_closed_cell`` holds the closed route's lists, which depend on
+(n, l - r, p + r) alone and which the kernel route's r = n column reads
+too; ``_kernel_cell`` the kernel route's, contracted from rank 0's
+weight table (``_kernel_weights``, one per n) at the point
+(p + r, l - r); and ``ucomb._product_cell`` the matrix route's, each an
+A(n).B entry summed as one integer at X = 256^w and read back once with
+``rings.kron_digits``.  ``_closed_cells`` holds a rank's raw closed
+cells for one window, which the route and duality checks of ``verify``
+both read; they compare raw cells and build series only to locate a
+failure.  No route reads another's memo beyond the kernel route's r = n
+column.
 
 The three must agree coefficient-for-coefficient in the u-Laurent ring
 they are computed in; the verification drivers compare them on common
@@ -68,7 +70,7 @@ from .rings import TTPoly, UPoly, YPoly, _KronGrid, _divide_out, \
     _from_list, _int_conv, kron_product, kron_width
 from .series import QSeries
 from .theta import _check_ywin, phi_product
-from .ucomb import _binomial_list, _ratio, c_table, matrix_product_entry
+from .ucomb import _binomial_list, _product_cell, _ratio, c_table
 
 __all__ = ["s_series", "syst_hodge", "syst_euler", "syst_table", "g_closed",
            "g_via_matrices", "f_via_matrices", "g_via_kernels",
@@ -217,11 +219,13 @@ def g_closed(n: int, r: int, qorder: int, ywin: int) -> QSeries:
     return _cells_to_series(_closed_cells(n, r, qorder, ywin), qorder)
 
 
+@lru_cache(maxsize=None)
 def _closed_cells(n: int, r: int, qorder: int, ywin: int) -> dict:
     """``g_closed``'s raw cells {(qe, ye): (lo2, list)}, visiting only the
     lattice points in the window: at l >= 1, |p - l| <= ywin and pl <
     qorder bound p to max(n - r, l - ywin) .. min(l + ywin, (qorder-1)//l);
-    at l = 0, p <= ywin, and q^0 is kept only when qorder > 0."""
+    at l = 0, p <= ywin, and q^0 is kept only when qorder > 0.  Built
+    once per rank and window; callers never write to it."""
     _check_rank(n, r)
     _check_ywin(ywin)
     cells: dict = {}
@@ -241,22 +245,10 @@ def _closed_cells(n: int, r: int, qorder: int, ywin: int) -> dict:
     return cells
 
 
-@lru_cache(maxsize=None)
-def _matrix_cell(n: int, i: int, j: int):
-    """``ucomb.matrix_product_entry(n, i, j)`` as (lowest exponent, list
-    over the whole exponents), or None when it is zero; callers never
-    write to the list.  Every key of an entry is whole."""
-    c = matrix_product_entry(n, i, j).c
-    if not c:
-        return None
-    lo = min(c)
-    return lo // 2, [c.get(e, 0) for e in range(lo, max(c) + 1, 2)]
-
-
 def _g_matrix_cells(n: int, r: int, qorder: int, kmin: int,
                     kmax: int) -> dict:
     """{q-exponent: {k: (lo, list)}} entries of the matrix route, kmin <= k
-    <= kmax, from ``_matrix_cell``: the term l of the y^k column sits at
+    <= kmax, from ``ucomb._product_cell``: the term l of the y^k column sits at
     q^{l^2+l|k|}, one entry a cell, and is that entry unshifted,
     u^{l^2+l|k|} times G's cell."""
     cells: dict = {}
@@ -264,7 +256,7 @@ def _g_matrix_cells(n: int, r: int, qorder: int, kmin: int,
         a, l = abs(k), (r if k >= 0 else n - r)
         row = a + 2 * l
         while l * l + l * a < qorder:
-            w = _matrix_cell(n, row, a + 2 * l)
+            w = _product_cell(n, row, a + 2 * l)
             if w:
                 cells.setdefault(l * l + l * a, {})[k] = w
             l += 1

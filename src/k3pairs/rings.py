@@ -3,8 +3,8 @@
 Three sparse dict-backed rings on one private core, ``_Sparse``, which
 holds what they share: the exponent-key -> nonzero-coefficient dict,
 equality (with int and Fraction read as constants), truthiness,
-coefficient access, +, -, scalar scaling and value at 1.  ``UPoly`` and
-``YPoly`` multiply through its one loop on int exponent keys; ``TTPoly``,
+coefficient access, +, - and scalar scaling.  ``UPoly`` and ``YPoly``
+multiply through its one loop on int exponent keys; ``TTPoly``,
 whose keys are pairs, has no product:
 
 * ``UPoly`` — Laurent polynomials in one variable u with half-integer
@@ -43,7 +43,7 @@ cells of theta's product kernel and of partition's Hilbert series, whose
 cells partition's coherent-system table multiplies by packed integers.
 ``ucomb`` takes A.B at the same kind of point X = 256^w, from closed
 forms in plain integers: ``verify_ab_identity`` compares it with P
-there, and ``matrix_product_entry`` reads each A.B entry of the matrix
+there, and ``_product_cell`` reads each A.B entry of the matrix
 route back once with kron_digits.  Why w and both uses are exact is
 argued once, in ``verify_ab_identity``'s docstring.
 """
@@ -254,13 +254,6 @@ class _Sparse:
         """Multiply by the scalar k."""
         return self._of({e: v * k for e, v in self.c.items()} if k else {})
 
-    def eval_one(self):
-        """Value with every variable set to 1."""
-        s = 0
-        for v in self.c.values():
-            s = s + v
-        return s
-
     def __repr__(self):
         return f"{type(self).__name__}({self.c!r})"
 
@@ -294,7 +287,7 @@ class UPoly(_Sparse):
 
         Each u^n contributes its coefficient times the falling factorial
         n(n-1)...(n-t+1), built up over t as the pass goes (1 at t = 0,
-        where this is eval_one).  The sums run over Z on the numerators
+        where this is the value at 1).  The sums run over Z on the numerators
         over the lcm d of the denominators.  The t-th value is an int
         exactly when every entry with a nonzero falling factorial at t is
         an int; otherwise it is one Fraction, Fraction(0) included.

@@ -23,14 +23,16 @@ binomial lists that the closed route's cells and the kernel route's
 r = n column read too: convolved by rings._int_conv, times [a]/[b] as
 two shifted copies and the exact pass of rings (``_ratio``), and made a
 UPoly once at the end.  No u-integer or u-binomial is kept as a UPoly.
-The matrix route reads no ``matrix_entry``: ``matrix_product_entry``
-takes each A(n).B entry as one integer at X = 256^w from the closed
-forms' values, and reads it back once with rings.kron_digits, so this
-module multiplies no UPoly.  ``verify_ab_identity`` builds no UPoly
-either: it compares the two sides of A(n).B = P(n) as integers at
-X = 256^w, one evaluator per side (``_ab_at_x`` and ``_p_at_x``).  Its
-docstring gives, once for both, the short divisors of the B and P
-cores, the width w, and why a comparison or a readout at X is exact.
+The matrix route reads no ``matrix_entry``: its one memo of an entry,
+``_product_cell``, takes each A(n).B entry as one integer at X = 256^w
+from the closed forms' values and reads it back once with
+rings.kron_digits into a list, so this module multiplies no UPoly;
+``matrix_product_entry`` is that list's UPoly.  ``verify_ab_identity``
+builds no UPoly either: it compares the two sides of A(n).B = P(n) as
+integers at X = 256^w, one evaluator per side (``_ab_at_x`` and
+``_p_at_x``).  Its docstring gives, once for both, the short divisors
+of the B and P cores, the width w, and why a comparison or a readout at
+X is exact.
 """
 
 from __future__ import annotations
@@ -105,53 +107,70 @@ def _entry_P(n: int, k: int, l: int) -> UPoly:
 
 @lru_cache(maxsize=None)
 def matrix_entry(kind: str, i: int, j: int, n: int | None = None) -> UPoly:
-    """Closed-form entry (i, j) of A(n), B, or P(n)."""
+    """Closed-form entry (i, j) of A(n), B, or P(n).  Raises ValueError
+    for an unknown kind, and for A or P without n or with n < 0."""
+    if kind in ("A", "P"):
+        if n is None:
+            raise ValueError(f"{kind} needs the parameter n")
+        _check_n(n)
+    elif kind != "B":
+        raise ValueError(f"unknown matrix kind {kind!r}")
     if i < 0 or j < i or (j - i) % 2:
         return UPoly.zero()
     l = (j - i) // 2
     if kind == "A":
-        if n is None:
-            raise ValueError("A needs the parameter n")
         return _from_list(0, _binomial_product(i + l, n, j, l), 2)
     if kind == "B":
         return _entry_B(i, l)
-    if kind == "P":
-        if n is None:
-            raise ValueError("P needs the parameter n")
-        return _entry_P(n, i, l)
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    return _entry_P(n, i, l)
+
+
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0 (got n={n})")
+
+
+def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
+    """(A(n) . B)[i, j] computed as the actual finite product-sum: the
+    UPoly of ``_product_cell``'s list, made on each call.  Raises
+    ValueError for n < 0."""
+    cell = _product_cell(n, i, j)
+    return _from_list(2 * cell[0], cell[1], 2) if cell else UPoly.zero()
 
 
 @lru_cache(maxsize=None)
-def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
-    """(A(n) . B)[i, j] computed as the actual finite product-sum.
+def _product_cell(n: int, i: int, j: int):
+    """(A(n) . B)[i, j] as (lowest exponent, list over the whole
+    exponents), or None when it is zero; callers never write to the list.
 
-    The sum sum_m A(n)[i, m] B[m, j] over m = i + 2t <= j is taken as
-    one integer at X = 256^w, as ``verify_ab_identity`` takes it: each
-    term is [i+t, n](X) [m, t](X) read off the ``_values_at`` rows, times
-    B[m, j](X) = X^e v from ``_b_at_x``, and the one integer is read back
-    by ``kron_digits`` into the entry's coefficients of u^0, u^1, ..., as
-    no term has a negative or a half-integer exponent.  w is the least
-    width with sum_t C(i+t, n) C(m, t) |B[m, j]|(1) below X/2, so every
-    base-X digit of the sum lies in (-X/2, X/2) (see verify_ab_identity).
-    The readout is then exact, and the summed integer gives its slot
-    count: with its top nonzero digit at slot s, its absolute value is
-    at least X^s/2 and below X^(s+1), so abs(acc).bit_length() // bits
-    + 1 slots reach that digit, and at most one more reads a zero.  No
-    UPoly is multiplied.  The ``_values_at`` tables are taken at sizes
-    that are powers of two from 16; they are process-wide, and only
-    ``reset_caches()`` releases them: after ``table --n 3 --r 1 --gmax
-    1000``, 13 of them hold about 43 MiB.
+    The sum sum_m A(n)[i, m] B[m, j] over m = i + 2t <= j is taken term
+    by term as one integer at X = 256^w: each term is [i+t, n](X)
+    [m, t](X) read off the ``_values_at`` rows, times B[m, j](X) = X^e v
+    from ``_b_at_x``, and the one integer is read back by
+    ``kron_digits`` into the entry's coefficients of u^0, u^1, ..., as
+    no term has a negative or a half-integer exponent.
+    (``verify_ab_identity`` sums the same terms by Horner's rule for
+    every n of a cell at once; this is the one n of an entry.)  w is the
+    least width with sum_t C(i+t, n) C(m, t) |B[m, j]|(1) below X/2, so
+    every base-X digit of the sum lies in (-X/2, X/2) (see
+    verify_ab_identity).  The readout is then exact, and the summed
+    integer gives its slot count: with its top nonzero digit at slot s,
+    its absolute value is at least X^s/2 and below X^(s+1), so
+    abs(acc).bit_length() // bits + 1 slots reach that digit, and at most
+    one more reads a zero.  No UPoly is built.  The ``_values_at`` tables
+    are taken at sizes that are powers of two from 16; they are
+    process-wide, and only ``reset_caches()`` releases them: after
+    ``table --n 3 --r 1 --gmax 1000``, 13 of them hold about 43 MiB.
 
-    Memoized like ``matrix_entry``; callers never write to it.  The matrix
-    route's entry P(n)[k+2r, k+2l] at rank r is its entry
-    P(n)[(k+2)+2(r-1), (k+2)+2(l-1)] at rank r - 1, so the ranks of one n
-    share their entries."""
+    The matrix route's entry P(n)[k+2r, k+2l] at rank r is its entry
+    P(n)[(k+2)+2(r-1), (k+2)+2(l-1)] at rank r - 1, so the ranks of one
+    n share their entries through this memo."""
+    _check_n(n)
     if i < 0 or j < i or (j - i) % 2:
-        return UPoly.zero()
+        return None
     l = (j - i) // 2
     if n > i + l:           # [i+t, n] = 0 for every t
-        return UPoly.zero()
+        return None
     width = kron_width(sum([comb(top, n) * w for top, w in _ab_terms(i, j)]))
     bits = 8 * width
     size = max(16, 1 << (j - 1).bit_length())
@@ -161,8 +180,11 @@ def matrix_product_entry(n: int, i: int, j: int) -> UPoly:
         m = i + 2 * t
         e, v = _b_at_x(m, j, width, size) if m < j else (0, 1)  # B[j, j] = 1
         acc += (rows[i + t][n] * rows[m][t] * v) << bits * e
-    return UPoly._of(kron_digits(acc, 0, 2, width,
-                                 abs(acc).bit_length() // bits + 1))
+    d = kron_digits(acc, 0, 1, width, abs(acc).bit_length() // bits + 1)
+    if not d:
+        return None
+    lo = min(d)
+    return lo, [d.get(e, 0) for e in range(lo, max(d) + 1)]
 
 
 # -- the C-table ---------------------------------------------------------------
@@ -357,7 +379,7 @@ def verify_ab_identity(n_max: int, index_max: int) -> int:
     every n at once, ``_p_at_x`` gives P(n)[i, j](X), no polynomial is
     built, and the cell passes when both sides agree at every n, times
     the same power of X.  This is exact for two reasons, and the same
-    two make the readout of ``matrix_product_entry`` exact.
+    two make the readout of ``_product_cell`` exact.
 
     Cells go column by column, j outer and i inner.  B[m, j](X) is read
     by every cell (i, j) with i <= m, so each column keeps a table of

@@ -7,16 +7,20 @@ location, which QSeries.assert_agrees builds for every series
 comparison — and the runner stops at the first failure, returning
 structured results for the caller to render and turn into an exit code.
 
-One run holds one memo, made with its checks and dropped with them: the
-closed route's raw cells and the v-expansion ``v_partition_series`` of
-each rank (n, r) are built once at the run's fixed bounds and shared by
-the checks that read them (route agreement and duality; the mirror
-checks).  The kernel and matrix routes read nothing from it, so the three
-routes stay independent.  Below it, the cell memos of ``partition`` and
-``ucomb`` are process-wide and outlive the run: a later run reads its
-raw cells from lists that are already built.  The route and duality
-checks build series only to locate a difference (``_agree``).
+The checks keep no memo of their own.  What they read twice, the closed
+route's raw cells of each rank (route agreement and duality) and the
+v-expansion ``v_partition_series`` of each rank (the mirror checks), is
+held by the memos of ``partition`` and ``modular``, beside the cell
+memos of ``partition`` and ``ucomb``: every memo of the package is an
+``lru_cache`` of the process, which outlives the run and which
+``k3pairs.reset_caches()`` empties, so a later run reads what an earlier
+one built.  The kernel and matrix routes read nothing of the closed
+route's memos beyond the kernel route's r = n column, so the three
+routes stay independent.  The route and duality checks build series
+only to locate a difference (``_agree``).
 """
+
+from functools import partial
 
 from .errors import K3PairsError
 from .modular import (logphi_sigma_check, mpt_check, v_partition_series,
@@ -59,15 +63,6 @@ def _theta_pair(x: Monomial, ym: Monomial, qorder: int, ywin: int) -> None:
         what="theta-kernel q^0 gap and bilateral unit")
 
 
-def _once(memo: dict, build, n: int, r: int, *bounds):
-    """build(n, r, *bounds), made once per builder and rank (n, r) in memo:
-    the bounds are fixed for the run that owns the memo."""
-    key = (build, n, r)
-    if key not in memo:
-        memo[key] = build(n, r, *bounds)
-    return memo[key]
-
-
 def _agree(a: dict, b: dict, qorder: int, what: str,
            mirrored: bool = False) -> None:
     """Compare two routes' raw cells {(qe, ye): (lo2, list)} as plain
@@ -83,23 +78,22 @@ def _agree(a: dict, b: dict, qorder: int, what: str,
         mirror_series(sb) if mirrored else sb, what=what)
 
 
-def _routes_agree(n: int, r: int, qorder: int, ywin: int,
-                  memo: dict) -> None:
+def _routes_agree(n: int, r: int, qorder: int, ywin: int) -> None:
     """The closed route's raw cells against the kernel route's, then
     against the matrix route's; see ``_agree`` for how a failure is
     located."""
-    gc = _once(memo, _closed_cells, n, r, qorder, ywin)
+    gc = _closed_cells(n, r, qorder, ywin)
     _agree(gc, _kernel_cells(n, r, qorder, ywin), qorder,
            f"closed and kernel routes at rank ({n}, {r})")
     _agree(gc, _matrix_cells(n, r, qorder, ywin), qorder,
            f"closed and matrix routes at rank ({n}, {r})")
 
 
-def _duality(n: int, r: int, qorder: int, ywin: int, memo: dict) -> None:
+def _duality(n: int, r: int, qorder: int, ywin: int) -> None:
     """Rank r's closed cells against rank n - r's under ye -> -ye; see
     ``_agree`` for how a failure is located."""
-    _agree(_once(memo, _closed_cells, n, r, qorder, ywin),
-           _once(memo, _closed_cells, n, n - r, qorder, ywin), qorder,
+    _agree(_closed_cells(n, r, qorder, ywin),
+           _closed_cells(n, n - r, qorder, ywin), qorder,
            f"mirror duality at rank ({n}, {r})", mirrored=True)
 
 
@@ -111,8 +105,7 @@ def _v_mirror(f: QSeries) -> QSeries:
                              enumerate(f.coeffs, f.lower)], "v")
 
 
-def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int,
-                     memo: dict | None = None) -> None:
+def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int) -> None:
     """The duality G^r_n(q, y) = G^{n-r}_n(q, 1/y) is v -> -v, so the
     v-expansion at (n, r) is the v -> -v image of the one at (n, n - r).
     At 2r = n that image is of the series itself, and the comparison says
@@ -120,20 +113,24 @@ def _mirror_symmetry(n: int, r: int, qorder: int, vorder: int,
     other, a mirrored pair of odd cells would pass it, so the series is
     also compared with its own image there (the i^s rule: every cell
     there is real)."""
-    memo = {} if memo is None else memo
-    f = _once(memo, v_partition_series, n, r, qorder, vorder)
+    f = v_partition_series(n, r, qorder, vorder)
     if n == 1:
         f.assert_agrees(_v_mirror(f), what=f"v-expansion at rank ({n}, {r}) "
                         f"and its v -> -v image (the i^s rule)")
-    g = _once(memo, v_partition_series, n, n - r, qorder, vorder)
+    g = v_partition_series(n, n - r, qorder, vorder)
     f.assert_agrees(_v_mirror(g), what=f"v-expansion at rank ({n}, {r}) and "
                     f"the v -> -v image of the one at ({n}, {n - r})")
 
 
 def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
                   cutoff: int) -> list:
-    memo: dict = {}  # this run's closed forms and v-expansions by rank
     checks: list = []
+
+    def per_rank(group: str, name: str, check, *bounds) -> None:
+        checks.extend((group, f"{name} at rank ({nn}, {rr})",
+                       partial(check, nn, rr, *bounds))
+                      for nn in range(1, n + 1) for rr in range(nn + 1))
+
     if suite in ("ucomb", "all"):
         checks.append((
             "ucomb", f"transfer-matrix product identity (index <= {cutoff})",
@@ -150,19 +147,10 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
         checks.append(("theta", "rank-one product bridge",
                        lambda: ky_product(qorder, ywin)))
     if suite in ("routes", "all"):
-        for nn in range(1, n + 1):
-            for rr in range(nn + 1):
-                checks.append((
-                    "routes", f"three-route agreement at rank ({nn}, {rr})",
-                    lambda nn=nn, rr=rr: _routes_agree(
-                        nn, rr, qorder, ywin, memo)))
+        per_rank("routes", "three-route agreement", _routes_agree, qorder,
+                 ywin)
     if suite in ("duality", "all"):
-        for nn in range(1, n + 1):
-            for rr in range(nn + 1):
-                checks.append((
-                    "duality", f"mirror duality at rank ({nn}, {rr})",
-                    lambda nn=nn, rr=rr: _duality(
-                        nn, rr, qorder, ywin, memo)))
+        per_rank("duality", "mirror duality", _duality, qorder, ywin)
     if suite in ("modularity", "all"):
         checks.append(("modularity", "rank-one Eisenstein exponential",
                        lambda: mpt_check(qorder, vorder)))
@@ -174,13 +162,8 @@ def _build_checks(suite: str, n: int, qorder: int, ywin: int, vorder: int,
                 f"log-product closed forms at (k, l) = ({k}, {l})",
                 lambda k=k, l=l: verify_psi_vs_log(
                     k, l, qorder, min(vorder, 6), tmax=2)))
-        for nn in range(1, n + 1):
-            for rr in range(nn + 1):
-                checks.append((
-                    "modularity",
-                    f"v-expansion mirror symmetry at rank ({nn}, {rr})",
-                    lambda nn=nn, rr=rr: _mirror_symmetry(
-                        nn, rr, qorder, vorder, memo)))
+        per_rank("modularity", "v-expansion mirror symmetry",
+                 _mirror_symmetry, qorder, vorder)
     return checks
 
 

@@ -115,7 +115,7 @@ def test_criterion_04_rank_one_product_identity():
     hodge_shadow = s_series(3)
     pochhammer_shadow = inverse_pochhammer_24(4)
     for e, want in zip(range(-1, 3), expected):
-        assert hodge_shadow.coeff(e).eval_one() == want, e
+        assert sum(hodge_shadow.coeff(e).c.values()) == want, e
         assert pochhammer_shadow[e + 1] == want, e
     print("PASS criterion 4: rank-one product identity at qorder 15, "
           "ywin 10; point-count shadow 1, 24, 324, 3200")

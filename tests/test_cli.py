@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3pairs import reset_caches
 from k3pairs.cli import FIT_QORDER, TEST_QORDER, build_parser, main
 from k3pairs.errors import Mismatch
 from k3pairs.verify import SUITES, check_bounds, run_suite
@@ -327,7 +328,7 @@ def test_verify_modularity_catches_a_broken_odd_cell(capsys, monkeypatch, pertur
     import k3pairs.modular
     import k3pairs.verify
 
-    real = k3pairs.modular.v_partition_series
+    real = k3pairs.modular.v_partition_series.__wrapped__  # not the memo's
 
     def broken(n, r, qorder, vorder):
         f = real(n, r, qorder, vorder)
@@ -356,7 +357,7 @@ def test_mirror_check_catches_a_mirrored_odd_cell_at_rank_one(monkeypatch):
     import k3pairs.modular
     import k3pairs.verify
 
-    real = k3pairs.modular.v_partition_series
+    real = k3pairs.modular.v_partition_series.__wrapped__  # not the memo's
 
     def broken(n, r, qorder, vorder):
         f = real(n, r, qorder, vorder)
@@ -374,52 +375,36 @@ def test_mirror_check_catches_a_mirrored_odd_cell_at_rank_one(monkeypatch):
     assert e.value.location == {"v": 3, "q": 2}
 
 
-def test_modularity_suite_expands_each_v_series_once(monkeypatch):
-    # nine ranks (n, r) with n <= 3, each expanded once for the run whether
-    # its check or its mirror's asks first, and the rank-one series of the
-    # Eisenstein exponential
-    import k3pairs.modular
-    import k3pairs.verify
+def test_modularity_suite_expands_each_v_series_once():
+    # nine ranks (n, r) with n <= 3, each expanded once whether its check
+    # or its mirror's asks first; the Eisenstein exponential reads rank
+    # (1, 0)'s at the same bounds
+    from k3pairs.modular import v_partition_series
 
-    real = k3pairs.modular.v_partition_series
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(k3pairs.modular, "v_partition_series", counted)
-    monkeypatch.setattr(k3pairs.verify, "v_partition_series", counted)
+    reset_caches()
     assert run_suite("modularity", n=3)["ok"]
-    assert len(calls) == 9 + 1
+    assert v_partition_series.cache_info().misses == 9
 
 
-def test_a_run_builds_each_closed_form_and_v_series_once(monkeypatch):
-    # fourteen ranks (n, r) with n <= 4: route agreement and duality share
-    # one set of closed-route cells per rank, the mirror checks one
-    # v-expansion per rank, and a second run builds its own
-    import k3pairs.verify
+def test_a_run_builds_each_closed_form_and_v_series_once():
+    # fourteen ranks (n, r) with n <= 4: route agreement and duality read
+    # one set of closed-route cells per rank, and the rank-one product
+    # bridge one more at ywin + 1; the mirror checks one v-expansion per
+    # rank, which the rank-one Eisenstein check shares.  A second run at
+    # the same bounds builds nothing new, one at other bounds its own
+    from k3pairs.modular import v_partition_series
+    from k3pairs.partition import _closed_cells
 
-    calls = {"_closed_cells": [], "v_partition_series": []}
-
-    def spy(name):
-        real = getattr(k3pairs.verify, name)
-
-        def counted(*args):
-            calls[name].append(args)
-            return real(*args)
-        monkeypatch.setattr(k3pairs.verify, name, counted)
-
-    spy("_closed_cells")
-    spy("v_partition_series")
+    reset_caches()
     report = run_suite("all", n=4)
     assert report["ok"] and len(report["results"]) == 52
     assert all(row["ok"] for row in report["results"])
-    ranks = sorted((n, r) for n in range(1, 5) for r in range(n + 1))
-    for log in calls.values():
-        assert sorted(a[:2] for a in log) == ranks
+    assert _closed_cells.cache_info().misses == 14 + 1
+    assert v_partition_series.cache_info().misses == 14
+    assert run_suite("duality", n=4)["ok"]
+    assert _closed_cells.cache_info().misses == 14 + 1
     assert run_suite("duality", n=4, qorder=8)["ok"]
-    assert len(calls["_closed_cells"]) == 28
+    assert _closed_cells.cache_info().misses == 28 + 1
 
 
 def test_verify_unknown_suite_rejected_by_parser():

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 import k3pairs.ucomb as ucomb
 from k3pairs import reset_caches
 from k3pairs.errors import InternalNonExactDivision, Mismatch, NotDivisible
-from k3pairs.partition import g_via_matrices
+from k3pairs.partition import _matrix_cells, g_via_matrices
 from k3pairs.rings import UPoly, _from_list, kron_width
 from k3pairs.ucomb import _ab_at_x, _b_at_x, _binomial_list, _bounds, \
-    _p_at_x, _values_at, _width, c_table, matrix_entry, \
+    _p_at_x, _product_cell, _values_at, _width, c_table, matrix_entry, \
     matrix_product_entry, verify_ab_identity
 from k3pairs.verify import run_suite
 
@@ -107,14 +107,33 @@ def test_product_route_matches_closed_form_small():
         assert got == want, (n, i, j)
 
 
-def test_matrix_route_builds_no_upoly_entry():
+def test_matrix_route_builds_no_upoly_entry(cold_monkeypatch):
     """The matrix route reads each A(n).B entry back from one integer at
-    X: from cold caches, g_via_matrices fills the product memo and builds
-    no A or B entry as a UPoly."""
-    reset_caches()
-    g_via_matrices(4, 2, 12, 8)
-    assert matrix_product_entry.cache_info().currsize > 0
+    X: from cold caches, its raw cells fill the entry memo and build no
+    UPoly, neither an A or B entry nor the entry itself."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a UPoly was built")
+
+    cold_monkeypatch.setattr(UPoly, "__init__", refuse)
+    cold_monkeypatch.setattr(UPoly, "_of", refuse)
+    cells = _matrix_cells(4, 2, 12, 8)
+    cold_monkeypatch.undo()
+    assert cells and _product_cell.cache_info().currsize > 0
     assert matrix_entry.cache_info().currsize == 0
+    g_via_matrices(4, 2, 12, 8)
+    assert matrix_entry.cache_info().currsize == 0
+
+
+def test_a_negative_n_is_refused_by_name():
+    """A(n), P(n) and the A(n).B product refuse n < 0, whatever the
+    indices, and name n; n = 0 stays allowed."""
+    for build in (lambda i, j: matrix_product_entry(-1, i, j),
+                  lambda i, j: matrix_entry("A", i, j, -1),
+                  lambda i, j: matrix_entry("P", i, j, -1)):
+        for i, j in ((0, 2), (1, 0), (3, 4)):
+            with pytest.raises(ValueError, match="n=-1"):
+                build(i, j)
+    assert matrix_product_entry(0, 1, 3) == matrix_entry("P", 1, 3, 0) == 0
 
 
 def _some_entry_is_wrong():
@@ -481,7 +500,7 @@ def test_values_at_x_match_the_upoly_oracle():
                     bm = matrix_entry("B", m, j)
                     ab += am * bm
                     total += am * UPoly({k: abs(v) for k, v in bm.c.items()})
-                assert total.eval_one() == bounds[n], (n, i, j)
+                assert sum(total.c.values()) == bounds[n], (n, i, j)
                 assert max_abs_int(total) <= bounds[n] \
                     < 1 << 8 * width - 1, (n, i, j)
                 assert accs[n] == kron_eval(ab.c, 0, 2, width), (n, i, j)
